@@ -4,7 +4,9 @@ delay-Doppler grid over doubly selective fading channels."""
 from ._version import __version__
 from .config import ChannelConfig, ConfigError, SystemConfig, parse_config
 from .transforms import DftMatrix, GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
-from .pulse import GramSet, PulseSpec, gram_dd, gram_matrix, rc_autocorr, rrc_impulse
+from .pulse import (
+    GramSet, NoiseShape, PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse,
+)
 from .channel import (
     DdChannel,
     DdPath,
@@ -64,7 +66,8 @@ __all__ = [
     "__version__",
     "ChannelConfig", "ConfigError", "SystemConfig", "parse_config",
     "DftMatrix", "GridShape", "conjugate_by_dd", "dd_to_time", "dft_matrix", "time_to_dd",
-    "GramSet", "PulseSpec", "gram_dd", "gram_matrix", "rc_autocorr", "rrc_impulse",
+    "GramSet", "NoiseShape", "PulseSpec", "gram_dd", "gram_matrix", "noise_shape",
+    "rc_autocorr", "rrc_impulse",
     "DdChannel", "DdPath", "EffectiveChannel", "dump_paths", "effective_channel",
     "eva_channel", "identity_channel", "load_paths", "synthetic_channel", "waveform_oracle",
     "PrecoderSolution", "derive_subchannels", "finalize", "hermitian_evd_desc",

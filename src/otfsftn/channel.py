@@ -5,8 +5,8 @@ integer + fractional Doppler tap) tuple.  The EVA profile maps the 3GPP
 excess-delay table onto the grid's tap resolution with Jakes-model Doppler
 per tap; the synthetic profile draws distinct (delay, Doppler) pairs with
 unit average total power.  From a path list the dense effective matrix H
-combines channel dispersion with the pulse's matched-filter response, and
-H_eq is its delay-Doppler image.
+combines channel dispersion with the pulse's matched-filter response; its
+delay-Doppler image H_eq is formed only when asked for.
 
 A brute-force continuous-time simulator (oversampled pulse train, per-path
 delay-and-Doppler, discrete matched filtering) serves as the independent
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +66,15 @@ class DdChannel:
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """Dense time-domain matrix H and its delay-Doppler image H_eq."""
+    """Dense time-domain matrix H and, on first use, its delay-Doppler image H_eq."""
 
     H: np.ndarray
-    H_eq: np.ndarray
+    shape: GridShape
     cp_mode: str
+
+    @cached_property
+    def H_eq(self) -> np.ndarray:
+        return conjugate_by_dd(self.H, self.shape)
 
 
 def identity_channel() -> DdChannel:
@@ -208,24 +213,26 @@ def effective_channel(
     if chan.max_delay_tap() >= cp:
         raise ValueError(f"channel delay tap {chan.max_delay_tap()} exceeds CP length {cp} - 1")
 
+    # lookup table over every integer lag the sum can touch: g((k - m - l)*T_f)
+    # for delay tap l sits at lag_table[l_top - l:][k - m + mn - 1]
+    l_top = chan.max_delay_tap()
+    lags = np.arange(-(mn - 1) - l_top, 2 * mn)
+    lag_table = np.asarray(rc_autocorr(lags * alpha * pulse.T0, pulse))
     k = np.arange(mn)
-    diff = k[:, None] - k[None, :]  # k - m
-    l_top = max(p.delay_tap for p in chan.paths)
-    # lookup table over every integer lag the sum can touch
-    d_min = -(mn - 1) - l_top
-    d_max = (mn - 1) + mn
-    lag_table = np.asarray(rc_autocorr(np.arange(d_min, d_max + 1) * alpha * pulse.T0, pulse))
+    diff = k[:, None] - k[None, :] + (mn - 1)
 
     h = np.zeros((mn, mn), dtype=complex)
-    cp_cols = k[None, :] >= mn - cp
-    for p in chan.paths:
-        phase = np.exp(2j * np.pi * p.doppler_tap * (k - p.delay_tap) / mn)
-        gv = lag_table[diff - p.delay_tap - d_min]
+    for tap in sorted({p.delay_tap for p in chan.paths}):
+        # every path on this tap shares one matched-filter response; sum their
+        # Doppler-rotated gains into a single row weight
+        weight = sum(p.gain * np.exp(2j * np.pi * p.doppler_tap * (k - tap) / mn)
+                     for p in chan.paths if p.delay_tap == tap)
+        gv = lag_table[l_top - tap :][diff]
         if mode == "circular":
-            gv = gv + np.where(cp_cols, lag_table[diff - p.delay_tap + mn - d_min], 0.0)
-        h += (p.gain * phase)[:, None] * gv
-    h_eq = conjugate_by_dd(h, shape)
-    return EffectiveChannel(H=h, H_eq=h_eq, cp_mode=mode)
+            # each of the last cp symbols also arrives through its prefix copy at m - mn
+            gv[:, mn - cp :] += lag_table[l_top - tap + mn :][diff[:, mn - cp :]]
+        h += weight[:, None] * gv
+    return EffectiveChannel(H=h, shape=shape, cp_mode=mode)
 
 
 def waveform_oracle(

@@ -32,17 +32,12 @@ from .link import (
 )
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
 from .precoder import derive_subchannels, finalize, uniform_gamma, waterfill
-from .pulse import PulseSpec, gram_dd, gram_matrix
+from .pulse import PulseSpec, gram_dd, gram_matrix, noise_shape
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
 RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
 BER_CSV_HEADER = "snr_db,alpha,beta,target_rate,bits,errors,ber,trials"
 
-# Worst case of simultaneously live MN x MN matrices in one sweep point:
-# G, G_eq, H, H_eq, V, B, U and one product temporary.  P and D are formed
-# after B and V become collectable.
-PIPELINE_RESIDENT_MATRICES = 8
-RESIDENT_MATRIX_BUDGET = 8
 MAX_FRAME_SYMBOLS = 1536
 
 
@@ -105,10 +100,9 @@ def trial_rng(master_seed: int, point_idx: int, trial_idx: int) -> np.random.Gen
 
 
 def assert_memory_budget(cfg: SystemConfig) -> None:
-    """Guard the frame size and the documented resident-matrix count."""
+    """Guard the frame size."""
     if cfg.MN > MAX_FRAME_SYMBOLS:
         raise ConfigError(f"frame size MN={cfg.MN} exceeds the supported maximum {MAX_FRAME_SYMBOLS}")
-    assert PIPELINE_RESIDENT_MATRICES <= RESIDENT_MATRIX_BUDGET
 
 
 def _snr_linear(snr_db: float) -> float:
@@ -141,12 +135,12 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     rows: list[RatePoint] = []
     for alpha, beta, modes in instances:
         pulse = PulseSpec(beta=beta, span=cfg.pulse_span)
-        gram = gram_dd(gram_matrix(shape, alpha, pulse), shape)
+        noise = gram_matrix(shape, alpha, pulse).noise
         cfg_pt = replace(cfg.with_alpha(alpha), beta=beta)
 
         def one_trial(chan):
             eff = effective_channel(chan, pulse, cfg_pt)
-            sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+            sol = derive_subchannels(eff.H, noise, shape)
             mi = np.empty((len(cfg.snr_db_grid), 2))
             for i, snr_db in enumerate(cfg.snr_db_grid):
                 snr = _snr_linear(snr_db)
@@ -193,7 +187,7 @@ def _ber_point(
     shared = None
     if identity:
         eff = effective_channel(identity_channel(), pulse, cfg_a)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
         finalize(sol)
         loading = bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
@@ -206,7 +200,7 @@ def _ber_point(
         else:
             chan = channel_for_config(cfg_a, rng)
             eff = effective_channel(chan, pulse, cfg_a)
-            sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+            sol = derive_subchannels(eff.H, gram.noise, shape)
             sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
             finalize(sol)
             loading = bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
@@ -257,7 +251,7 @@ def run_ber_sweep(
     for alpha in cfg.alpha_grid:
         cfg_a = cfg.with_alpha(alpha)
         pulse = PulseSpec(beta=cfg.beta, span=cfg.pulse_span)
-        gram = gram_dd(gram_matrix(GridShape(cfg.M, cfg.N), alpha, pulse), GridShape(cfg.M, cfg.N))
+        gram = gram_matrix(GridShape(cfg.M, cfg.N), alpha, pulse)
         for snr_db in cfg.snr_db_grid:
             counter, llr_lines = _ber_point(
                 cfg_a, snr_db, point_idx, pulse, gram, threads, llr_sink is not None
@@ -418,17 +412,16 @@ def _check_floor_policy(seed: int, fault: str | None) -> tuple[bool, str]:
     shape = GridShape(8, 4)
     spec = PulseSpec(beta=0.25)
     alpha = spec.admissible_alpha()
-    gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+    gram = gram_matrix(shape, alpha, spec)
     cfg = _eva_cfg(shape, alpha, seed)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 0))
     eff = effective_channel(chan, spec, cfg)
-    floor_rel = 0.0 if fault == "skip-eig-floor" else None
-    kwargs = {} if floor_rel is None else {"eig_floor_rel": floor_rel}
-    sol = derive_subchannels(eff.H_eq, gram.G_eq, shape, **kwargs)
-    if not sol.floor_applied:
+    kwargs = {"eig_floor_rel": 0.0} if fault == "skip-eig-floor" else {}
+    sol = derive_subchannels(eff.H, noise_shape(gram.G, **kwargs), shape)
+    if sol.noise.floor <= 0.0:
         return False, "eigenvalue floor policy is disabled on the noise-shape spectrum"
-    lam_min = float(sol.lam.min())
-    ok = lam_min >= 1e-10 * float(sol.lam.max()) and lam_min > 0.0
+    lam_min = float(sol.noise.lam.min())
+    ok = lam_min >= 1e-10 * float(sol.noise.lam.max()) and lam_min > 0.0
     return ok, f"floored spectrum min {lam_min:.2e}, clamped {sol.floored} value(s)"
 
 
@@ -509,7 +502,7 @@ def _check_precoder_identities(seed: int, fault: str | None) -> tuple[bool, str]
         cfg = _eva_cfg(shape, 0.9, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 4))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
         finalize(sol)
         bound = 1e-8 * float(sol.xi.max())
@@ -548,7 +541,7 @@ def _check_mi_equivalence(seed: int, fault: str | None) -> tuple[bool, str]:
         cfg = _eva_cfg(shape, 0.85, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 5))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         snr = 10.0
         gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
         sol.gamma = gamma
@@ -564,11 +557,11 @@ def _check_pa_dominance(seed: int, fault: str | None) -> tuple[bool, str]:
     worst = -np.inf
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
-        gram = gram_dd(gram_matrix(shape, 0.85, spec), shape)
+        gram = gram_matrix(shape, 0.85, spec)
         cfg = _eva_cfg(shape, 0.85, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 6))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         for snr_db in (0.0, 10.0, 20.0):
             snr = _snr_linear(snr_db)
             gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
@@ -583,11 +576,11 @@ def _check_link_noiseless(seed: int, fault: str | None) -> tuple[bool, str]:
     total_err = 0
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
-        gram = gram_dd(gram_matrix(shape, 0.9, spec), shape)
+        gram = gram_matrix(shape, 0.9, spec)
         cfg = _eva_cfg(shape, 0.9, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 7))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, 100.0, float(shape.MN))
         finalize(sol)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)

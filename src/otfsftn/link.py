@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .precoder import PrecoderSolution
-from .pulse import EIG_FLOOR_REL, GramSet
+from .pulse import GramSet
 from .transforms import GridShape, dd_to_time, time_to_dd
 from .channel import EffectiveChannel
 
@@ -169,25 +169,17 @@ def transmit(
     return x_p, dd_to_time(x_p, shape)
 
 
-def _noise_factor(gram: GramSet) -> np.ndarray:
-    if gram._noise_factor is None:
-        g = 0.5 * (gram.G + gram.G.T)
-        w, v = np.linalg.eigh(g)
-        w = np.maximum(w, EIG_FLOOR_REL * w.max())
-        gram._noise_factor = v * np.sqrt(w)[None, :]
-    return gram._noise_factor
-
-
 def colored_noise(
     shape: GridShape,
     gram: GramSet,
     sigma0_sq: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw matched-filter noise with covariance sigma0^2 * G."""
-    f = _noise_factor(gram)
-    w = (rng.standard_normal(shape.MN) + 1j * rng.standard_normal(shape.MN)) / np.sqrt(2.0)
-    return np.sqrt(sigma0_sq) * (f @ w)
+    """Draw matched-filter noise with covariance sigma0^2 * G = sigma0^2 * V diag(lam) V^T."""
+    w = np.stack([rng.standard_normal(shape.MN), rng.standard_normal(shape.MN)], axis=1)
+    # color the real and imaginary parts in one real product
+    e = gram.noise.V @ (np.sqrt(0.5 * sigma0_sq * gram.noise.lam)[:, None] * w)
+    return e[:, 0] + 1j * e[:, 1]
 
 
 def propagate(s: np.ndarray, eff: EffectiveChannel, eta: np.ndarray) -> np.ndarray:

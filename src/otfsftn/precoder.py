@@ -1,26 +1,26 @@
 """Whitening, subchannel decomposition, water-filling and the precoder pair.
 
-The chain: eigendecompose the DD-domain noise shape G_eq = V diag(lam) V^H,
-whiten the channel into B = diag(lam)^{-1/2} V^H H_eq, eigendecompose
-B^H B = U diag(xi) U^H, read the per-direction energy weights phi from
-U^H G_eq U, water-fill the powers gamma under sum(gamma*phi) = MN, and
-assemble the precoder P = U diag(gamma)^{1/2} together with the receive
-weights D = U^H B^H diag(lam)^{-1/2} V^H.  D H_eq P is then diagonal and
-D whitens the correlated noise, so the link becomes a bank of parallel
-scalar Gaussian subchannels with gains xi and powers gamma.
+The chain runs in the time domain on the factored noise shape
+G = V diag(lam) V^T: whiten the channel into C = diag(lam)^{-1/2} V^T H,
+eigendecompose C^H C = U_t diag(xi) U_t^H, read the per-direction energy
+weights phi from U_t^H G U_t, water-fill the powers gamma under
+sum(gamma*phi) = MN, and map the basis to the delay-Doppler grid as
+U = (F_N kron I_M) U_t.  The unitary map leaves xi and phi unchanged, so
+this is the DD-domain chain on H_eq and G_eq without forming either.  The
+precoder is P = U diag(gamma)^{1/2} and the receive weights are
+D = U_t^H C^H diag(lam)^{-1/2} V^T (F_N^H kron I_M).  D H_eq P is then
+diagonal and D whitens the correlated noise, so the link becomes a bank of
+parallel scalar Gaussian subchannels with gains xi and powers gamma.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pulse import EIG_FLOOR_REL
-from .transforms import GridShape
-
-log = logging.getLogger(__name__)
+from .pulse import NoiseShape
+from .transforms import GridShape, time_to_dd
 
 # subchannels whose whitened gain falls below this fraction of the largest
 # are excluded from allocation (guards 1/(xi*snr) against blowup)
@@ -31,18 +31,21 @@ XI_ACTIVE_REL = 1e-12
 class PrecoderSolution:
     """State of the diagonalizing transceiver chain for one (channel, SNR)."""
 
-    V: np.ndarray | None = None
-    lam: np.ndarray | None = None
-    B: np.ndarray | None = None
-    U: np.ndarray | None = None
-    xi: np.ndarray | None = None
-    phi: np.ndarray | None = None
+    shape: GridShape
+    noise: NoiseShape
+    C: np.ndarray
+    U_t: np.ndarray
+    U: np.ndarray
+    xi: np.ndarray
+    phi: np.ndarray
     gamma: np.ndarray | None = None
     water_level: float | None = None
     P_mat: np.ndarray | None = None
     D: np.ndarray | None = None
-    floored: int = 0
-    floor_applied: bool = True
+
+    @property
+    def floored(self) -> int:
+        return self.noise.floored
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -96,52 +99,33 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-def derive_subchannels(
-    h_eq: np.ndarray,
-    g_eq: np.ndarray,
-    shape: GridShape,
-    eig_floor_rel: float = EIG_FLOOR_REL,
-) -> PrecoderSolution:
-    """Whiten the DD-domain channel and decompose it into scalar subchannels.
+def _real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """r @ z for real r and complex z, as one real product on z's interleaved parts."""
+    return (r @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
-    Fills V, lam (floored), B, U, xi and phi of the solution.  A positive
-    eig_floor_rel clamps near-zero eigenvalues of G_eq at that fraction of
-    the largest one before inversion; floored counts how many were clamped.
+
+def derive_subchannels(h: np.ndarray, noise: NoiseShape, shape: GridShape) -> PrecoderSolution:
+    """Whiten the time-domain channel H and decompose it into scalar subchannels.
+
+    Fills C, U_t, U, xi and phi of the solution; the noise shape carries the
+    floored spectrum, and floored reports how many eigenvalues it clamped.
     """
     mn = shape.MN
-    h_eq = np.asarray(h_eq)
-    g_eq = np.asarray(g_eq)
-    if h_eq.shape != (mn, mn) or g_eq.shape != (mn, mn):
+    h = np.asarray(h)
+    if h.shape != (mn, mn) or noise.V.shape != (mn, mn):
         raise ValueError(
-            f"expected {mn}x{mn} matrices, got H_eq {h_eq.shape} and G_eq {g_eq.shape}"
+            f"expected {mn}x{mn} matrices, got H {h.shape} and noise shape {noise.V.shape}"
         )
-    v, lam_raw = hermitian_evd_desc(g_eq)
-    if lam_raw[0] <= 0.0:
-        raise ValueError("noise-shape matrix has no positive eigenvalue")
-    floored = 0
-    lam = lam_raw
-    if eig_floor_rel > 0.0:
-        floor = eig_floor_rel * lam_raw[0]
-        floored = int(np.count_nonzero(lam_raw < floor))
-        lam = np.maximum(lam_raw, floor)
-        if floored:
-            log.warning("floored %d eigenvalue(s) of the noise shape at %.3e", floored, floor)
-    elif lam_raw[-1] <= 0.0:
-        raise ValueError("noise shape is singular and flooring is disabled")
-
-    b = (v.conj().T @ h_eq) / np.sqrt(lam)[:, None]
-    u, xi = hermitian_evd_desc(_symmetrize(b.conj().T @ b))
+    c = _real_matmul(noise.V.T, h) / np.sqrt(noise.lam)[:, None]
+    u_t, xi = hermitian_evd_desc(c.conj().T @ c)
     xi = np.maximum(xi, 0.0)
 
-    t = g_eq @ u
-    phi_c = np.einsum("in,in->n", u.conj(), t)
+    phi_c = np.einsum("in,in->n", u_t.conj(), _real_matmul(noise.G, u_t))
     imag_max = float(np.abs(phi_c.imag).max())
     if imag_max > 1e-10 * max(1.0, float(np.abs(phi_c.real).max())):
         raise AssertionError(f"energy weights are not real: max imag {imag_max:.3e}")
-    return PrecoderSolution(
-        V=v, lam=lam, B=b, U=u, xi=xi, phi=phi_c.real.copy(),
-        floored=floored, floor_applied=eig_floor_rel > 0.0,
-    )
+    return PrecoderSolution(shape=shape, noise=noise, C=c, U_t=u_t, U=time_to_dd(u_t, shape),
+                            xi=xi, phi=phi_c.real.copy())
 
 
 def waterfill(
@@ -152,10 +136,11 @@ def waterfill(
 ) -> tuple[np.ndarray, float]:
     """Water-filling powers gamma under the weighted constraint sum(gamma*phi) = budget.
 
-    gamma[n] = max(mu/phi[n] - 1/(xi[n]*snr), 0) with the water level mu
-    found by monotone bisection and sharpened by an exact solve on the
-    resulting active set.  Subchannels with xi below 1e-12 of the largest
-    are forced inactive.
+    gamma[n] = max(mu/phi[n] - 1/(xi[n]*snr), 0).  Subchannel n activates at
+    the water level t[n] = phi[n]/(xi[n]*snr); with k subchannels active the
+    budget fixes mu_k = (budget + sum of the k smallest t)/k, and the solution
+    takes the largest k with mu_k above the k-th smallest t.  Subchannels
+    with xi below 1e-12 of the largest are forced inactive.
     """
     xi = np.asarray(xi, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -172,32 +157,15 @@ def waterfill(
     if not usable.any():
         raise ValueError("no usable subchannels: all gains are numerically zero")
     thresh = np.full_like(phi, np.inf)
-    thresh[usable] = phi[usable] / (xi[usable] * snr)  # mu at which subchannel n activates
+    thresh[usable] = phi[usable] / (xi[usable] * snr)
 
-    def filled(mu: float) -> float:
-        return float(np.sum(np.maximum(mu - thresh[usable], 0.0)))
-
-    lo = 0.0
-    hi = (budget + float(np.sum(thresh[usable]))) / float(phi.min())
-    while filled(hi) < budget:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if filled(mid) < budget:
-            lo = mid
-        else:
-            hi = mid
-
-    # exact water level on the active set selected by the bisection
-    active = usable & (thresh < hi)
-    while True:
-        mu = (budget + float(np.sum(thresh[active]))) / int(np.count_nonzero(active))
-        gamma = np.zeros_like(phi)
-        gamma[active] = mu / phi[active] - 1.0 / (xi[active] * snr)
-        if gamma.min() >= 0.0:
-            return gamma, float(mu)
-        # bisection interval straddled an activation point; drop and re-solve
-        active &= gamma > 0.0
+    t_sorted = np.sort(thresh[usable])
+    mu_k = (budget + np.cumsum(t_sorted)) / np.arange(1, t_sorted.size + 1)
+    above = np.flatnonzero(mu_k > t_sorted)
+    # mu_1 = budget + t_(1) exceeds t_(1) unless rounding swallows the budget
+    mu = float(mu_k[above[-1] if above.size else 0])
+    gamma = np.maximum(mu - thresh, 0.0) / phi
+    return gamma, mu
 
 
 def uniform_gamma(phi: np.ndarray, budget: float) -> np.ndarray:
@@ -208,23 +176,24 @@ def uniform_gamma(phi: np.ndarray, budget: float) -> np.ndarray:
 
 def finalize(sol: PrecoderSolution) -> PrecoderSolution:
     """Fill the precoder P = U diag(gamma)^{1/2} and receive weights D."""
-    for name in ("V", "lam", "B", "U", "xi", "gamma"):
-        if getattr(sol, name) is None:
-            raise ValueError(f"solution field '{name}' must be filled before finalize")
+    if sol.gamma is None:
+        raise ValueError("solution field 'gamma' must be filled before finalize")
     sol.P_mat = sol.U * np.sqrt(sol.gamma)[None, :]
-    sol.D = sol.U.conj().T @ ((sol.B.conj().T / np.sqrt(sol.lam)[None, :]) @ sol.V.conj().T)
+    # D^H = (F_N kron I_M) V diag(lam)^{-1/2} C U_t
+    w = (sol.C @ sol.U_t) / np.sqrt(sol.noise.lam)[:, None]
+    sol.D = time_to_dd(_real_matmul(sol.noise.V, w), sol.shape).conj().T
     return sol
 
 
 def solve_precoder(
-    h_eq: np.ndarray,
-    g_eq: np.ndarray,
+    h: np.ndarray,
+    noise: NoiseShape,
     shape: GridShape,
     snr: float,
     power_alloc: str = "waterfill",
 ) -> PrecoderSolution:
-    """Full chain from (H_eq, G_eq) to a finalized solution."""
-    sol = derive_subchannels(h_eq, g_eq, shape)
+    """Full chain from the time-domain H and the noise shape to a finalized solution."""
+    sol = derive_subchannels(h, noise, shape)
     if power_alloc == "waterfill":
         sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
     elif power_alloc == "uniform":

@@ -4,17 +4,21 @@ With transmit and receive filters equal to the same unit-energy RRC pulse,
 the matched-filter cascade is the raised cosine g(t).  Sampling g at the
 compressed interval T_f = alpha*T0 yields a symmetric Toeplitz matrix G that
 is simultaneously the intersymbol-interference operator and the shape of the
-matched-filter noise covariance.  Its delay-Doppler image G_eq shares the
-same spectrum.
+matched-filter noise covariance.  It is factored once per (alpha, beta, MN)
+into a NoiseShape that whitens the channel and colors the noise.  Its
+delay-Doppler image G_eq shares the same spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .transforms import GridShape, conjugate_by_dd
+
+log = logging.getLogger(__name__)
 
 # Relative floor applied to near-zero eigenvalues of G / G_eq before any
 # inversion downstream; the matrix is near-singular at alpha = 1/(1+beta).
@@ -46,15 +50,30 @@ class PulseSpec:
         return 1.0 / (1.0 + self.beta)
 
 
+@dataclass(frozen=True, eq=False)
+class NoiseShape:
+    """The noise shape G factored once as G = V diag(lam) V^T, V real orthogonal.
+
+    lam is descending and clamped from below at floor (0.0 when the floor
+    policy is disabled); floored counts the clamped eigenvalues.  Every trial
+    of an (alpha, beta, MN) instance shares it read-only.
+    """
+
+    G: np.ndarray
+    V: np.ndarray
+    lam: np.ndarray
+    floored: int
+    floor: float
+
+
 @dataclass(eq=False)
 class GramSet:
-    """Symbol correlation matrix G, its first row, and its DD-domain image."""
+    """Symbol correlation matrix G, its first row, noise shape and DD-domain image."""
 
     first_row: np.ndarray
     G: np.ndarray
+    noise: NoiseShape
     G_eq: np.ndarray | None = None
-    # cached colored-noise factor V*sqrt(lambda), filled lazily by link.colored_noise
-    _noise_factor: np.ndarray | None = field(default=None, repr=False)
 
 
 def rc_autocorr(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
@@ -121,8 +140,29 @@ def check_alpha(alpha: float, spec: PulseSpec) -> None:
         )
 
 
+def noise_shape(g: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseShape:
+    """Real eigendecomposition of the symmetric noise shape G, floor policy applied.
+
+    A positive eig_floor_rel clamps eigenvalues below that fraction of the
+    largest one and logs one warning; zero disables the floor, and a singular
+    G is then rejected.  Ties keep eigh's column order, so G = I gives V = I.
+    """
+    w, v = np.linalg.eigh(g)
+    order = np.argsort(-w, kind="stable")
+    lam, v = w[order], v[:, order]
+    if lam[0] <= 0.0:
+        raise ValueError("noise-shape matrix has no positive eigenvalue")
+    floor = eig_floor_rel * lam[0] if eig_floor_rel > 0.0 else 0.0
+    if floor == 0.0 and lam[-1] <= 0.0:
+        raise ValueError("noise shape is singular and flooring is disabled")
+    floored = int(np.count_nonzero(lam < floor))
+    if floored:
+        log.warning("floored %d eigenvalue(s) of the noise shape at %.3e", floored, floor)
+    return NoiseShape(G=g, V=v, lam=np.maximum(lam, floor), floored=floored, floor=floor)
+
+
 def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> GramSet:
-    """Build the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f).
+    """Build the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) and factor it.
 
     T_f = alpha*T0.  At alpha = 1 the analytic zero crossings make G the
     identity exactly.
@@ -136,11 +176,10 @@ def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> GramSet:
         first_row[0] = 1.0
     idx = np.arange(shape.MN)
     g = first_row[np.abs(np.subtract.outer(idx, idx))]
-    return GramSet(first_row=first_row, G=g)
+    return GramSet(first_row=first_row, G=g, noise=noise_shape(g))
 
 
 def gram_dd(gram: GramSet, shape: GridShape) -> GramSet:
     """Fill the delay-Doppler image G_eq of G; result symmetrized Hermitian."""
     g_eq = conjugate_by_dd(gram.G.astype(complex), shape)
-    g_eq = 0.5 * (g_eq + g_eq.conj().T)
-    return GramSet(first_row=gram.first_row, G=gram.G, G_eq=g_eq)
+    return replace(gram, G_eq=0.5 * (g_eq + g_eq.conj().T))

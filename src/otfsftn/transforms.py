@@ -55,36 +55,32 @@ def dft_matrix(n: int) -> DftMatrix:
     return DftMatrix(order=n, entries=_dft_entries(n))
 
 
-def _check_vector(x: np.ndarray, shape: GridShape, name: str) -> np.ndarray:
+def _check_frame(x: np.ndarray, shape: GridShape, name: str) -> np.ndarray:
     x = np.asarray(x)
-    if x.shape != (shape.MN,):
-        raise ValueError(f"{name} must have shape ({shape.MN},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[0] != shape.MN:
+        raise ValueError(f"{name} must have {shape.MN} rows, got shape {x.shape}")
     return x
 
 
 def dd_to_time(x_dd: np.ndarray, shape: GridShape) -> np.ndarray:
     """Map a vectorized delay-Doppler grid to time-domain samples.
 
-    Computes (F_N^H kron I_M) @ x_dd by reshaping to the M x N grid and
-    applying the inverse DFT across the Doppler (column) axis.
+    Computes (F_N^H kron I_M) @ x_dd for a length-MN vector or, column by
+    column, an MN x k matrix.  Row n*M + m holds Doppler slot n, so grouping
+    the rows by slot turns the map into one N x N product.
     """
-    x_dd = _check_vector(x_dd, shape, "x_dd")
-    fn = _dft_entries(shape.N)
-    grid = x_dd.reshape(shape.N, shape.M).T  # column-major vec: grid[m, n]
-    out = grid @ fn.conj()                   # F_N is symmetric, so F_N^H = conj(F_N)
-    return out.T.reshape(shape.MN)
+    x_dd = _check_frame(x_dd, shape, "x_dd")
+    fn = _dft_entries(shape.N)  # F_N is symmetric, so F_N^H = conj(F_N)
+    return (fn.conj() @ x_dd.reshape(shape.N, -1)).reshape(x_dd.shape)
 
 
 def time_to_dd(z: np.ndarray, shape: GridShape) -> np.ndarray:
     """Map time-domain samples to the vectorized delay-Doppler grid.
 
-    Computes (F_N kron I_M) @ z; exact inverse of :func:`dd_to_time`.
+    Computes (F_N kron I_M) @ z, vector or matrix; exact inverse of :func:`dd_to_time`.
     """
-    z = _check_vector(z, shape, "z")
-    fn = _dft_entries(shape.N)
-    grid = z.reshape(shape.N, shape.M).T
-    out = grid @ fn
-    return out.T.reshape(shape.MN)
+    z = _check_frame(z, shape, "z")
+    return (_dft_entries(shape.N) @ z.reshape(shape.N, -1)).reshape(z.shape)
 
 
 def conjugate_by_dd(a: np.ndarray, shape: GridShape) -> np.ndarray:

@@ -65,7 +65,7 @@ def test_criterion_02_diagonalization_identities():
         cfg = eva_config(32, 6, 0.9, nu_max=2000.0, seed=seed)
         chan = eva_channel(2000.0, cfg, trial_rng(seed, 0, 0))
         eff = effective_channel(chan, spec, cfg)
-        sol = solve_precoder(eff.H_eq, gram.G_eq, shape, snr=10.0)
+        sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
         bound = 1e-8 * float(sol.xi.max())
         r1 = float(np.abs(sol.D @ eff.H_eq @ sol.P_mat - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
         r2 = float(np.abs(sol.D @ gram.G_eq @ sol.D.conj().T - np.diag(sol.xi)).max())
@@ -85,7 +85,7 @@ def test_criterion_03_waterfilling_optimality():
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=42)
     chan = eva_channel(2000.0, cfg, trial_rng(42, 0, 0))
     eff = effective_channel(chan, spec, cfg)
-    sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+    sol = derive_subchannels(eff.H, gram.noise, shape)
     snr = 10.0
     gamma, mu = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
 
@@ -119,7 +119,7 @@ def test_criterion_04_mi_formula_equivalence():
             cfg = eva_config(16, 4, alpha, nu_max=2000.0, seed=seed)
             chan = eva_channel(2000.0, cfg, trial_rng(seed, 1, 0))
             eff = effective_channel(chan, spec, cfg)
-            sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+            sol = derive_subchannels(eff.H, gram.noise, shape)
             for snr_db in (0.0, 10.0, 20.0):
                 snr = 10.0 ** (snr_db / 10.0)
                 gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
@@ -222,7 +222,7 @@ def test_criterion_08_energy_constraint():
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=3)
     chan = eva_channel(2000.0, cfg, trial_rng(3, 0, 0))
     eff = effective_channel(chan, spec, cfg)
-    sol = solve_precoder(eff.H_eq, gram.G_eq, shape, snr=10.0)
+    sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
     loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
     rng = np.random.default_rng(31)
     frames = 10_000

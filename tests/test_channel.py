@@ -14,10 +14,12 @@ from otfsftn import (
     eva_channel,
     identity_channel,
     load_paths,
+    rc_autocorr,
     synthetic_channel,
     waveform_oracle,
 )
-from otfsftn.channel import eva_profile
+from otfsftn.channel import channel_for_config, eva_profile
+from otfsftn.config import ChannelConfig
 
 from conftest import complex_gaussian, eva_config, identity_config
 
@@ -279,6 +281,62 @@ class TestEffectiveChannel:
         cfg = identity_config(4, 3, 0.9, cp_len=1)
         with pytest.raises(ValueError, match="CP"):
             effective_channel(single_path_channel(1.0 + 0j, 1, 0), PulseSpec(beta=0.25), cfg)
+
+
+def per_path_reference(chan, pulse, cfg, mode):
+    """Effective channel by one lag-table gather per path, the prefix image
+    added through a full-matrix mask."""
+    mn = cfg.MN
+    cp = cfg.effective_cp_len()
+    k = np.arange(mn)
+    diff = k[:, None] - k[None, :]
+    l_top = chan.max_delay_tap()
+    d_min = -(mn - 1) - l_top
+    d_max = (mn - 1) + mn
+    lag_table = np.asarray(rc_autocorr(np.arange(d_min, d_max + 1) * cfg.alpha * pulse.T0, pulse))
+    h = np.zeros((mn, mn), dtype=complex)
+    cp_cols = k[None, :] >= mn - cp
+    for p in chan.paths:
+        phase = np.exp(2j * np.pi * p.doppler_tap * (k - p.delay_tap) / mn)
+        gv = lag_table[diff - p.delay_tap - d_min]
+        if mode == "circular":
+            gv = gv + np.where(cp_cols, lag_table[diff - p.delay_tap + mn - d_min], 0.0)
+        h += (p.gain * phase)[:, None] * gv
+    return h
+
+
+class TestPerTapBuild:
+    # summing paths per delay tap reorders the additions, so the bound is a
+    # few ulps of the O(1) entries rather than exact equality
+    @pytest.mark.parametrize("mode", ["circular", "literal"])
+    @pytest.mark.parametrize("profile", ["synthetic", "eva", "identity"])
+    def test_matches_per_path_loop(self, profile, mode):
+        spec = PulseSpec(beta=0.25)
+        if profile == "synthetic":
+            # 20 paths on 4 delay taps, so most taps carry several paths
+            cfg = identity_config(
+                16, 6, 0.8, cp_len=4,
+                channel=ChannelConfig(profile="synthetic", num_paths=20, l_max=3, k_max=5),
+            )
+        elif profile == "eva":
+            cfg = eva_config(16, 4, 0.85, nu_max=2000.0)
+        else:
+            cfg = identity_config(8, 4, 0.9, cp_len=2)
+        worst = 0.0
+        for seed in range(3):
+            chan = channel_for_config(cfg, np.random.default_rng(seed))
+            eff = effective_channel(chan, spec, cfg, cp_mode=mode)
+            worst = max(worst, float(np.abs(eff.H - per_path_reference(chan, spec, cfg, mode)).max()))
+        assert worst <= 1e-13
+
+    def test_dd_image_formed_on_first_use(self, rng):
+        cfg = eva_config(8, 4, 0.9)
+        shape = GridShape(8, 4)
+        eff = effective_channel(eva_channel(2000.0, cfg, rng), PulseSpec(beta=0.25), cfg)
+        assert "H_eq" not in vars(eff)
+        kron = np.kron(np.fft.fft(np.eye(shape.N), norm="ortho"), np.eye(shape.M))
+        assert np.abs(eff.H_eq - kron @ eff.H @ kron.conj().T).max() <= 1e-12
+        assert eff.H_eq is eff.H_eq
 
 
 class TestWaveformOracle:

@@ -1,8 +1,10 @@
 import io
+import logging
 
 import numpy as np
 import pytest
 
+import otfsftn.pulse
 from otfsftn import ConfigError, parse_config, run_ber_sweep, run_rate_sweep, validate
 from otfsftn.cli import main as cli_main
 from otfsftn.harness import channel_dump, trial_rng
@@ -154,6 +156,37 @@ class TestRateSweep:
         a = run_rate_sweep(cfg, threads=1).to_csv()
         b = run_rate_sweep(cfg, threads=4).to_csv()
         assert a == b
+
+
+class TestNoiseShapePerInstance:
+    SMALL = FIG1_STYLE.replace("M: 128", "M: 8").replace("N: 12", "N: 4").replace(
+        "trials: 2", "trials: 3")
+
+    def test_one_noise_shape_per_instance(self, monkeypatch):
+        built = []
+        original = otfsftn.pulse.noise_shape
+
+        def counting(g, *args, **kwargs):
+            ns = original(g, *args, **kwargs)
+            built.append(ns)
+            return ns
+
+        monkeypatch.setattr(otfsftn.pulse, "noise_shape", counting)
+        run_rate_sweep(parse_config(self.SMALL), threads=2)
+        # alphas 0.8, 0.9, 1.0 plus the two alpha = 1 Nyquist baselines
+        assert len(built) == 5
+
+    def test_floor_warning_once_per_noise_shape(self, monkeypatch, caplog):
+        # at MN = 32 the default relative floor never bites, even at the
+        # admissibility edge, so a larger floor makes the edge instance clamp
+        original = otfsftn.pulse.noise_shape
+        monkeypatch.setattr(otfsftn.pulse, "noise_shape", lambda g: original(g, eig_floor_rel=0.05))
+        cfg = parse_config(self.SMALL.replace("alpha: [0.8, 0.9, 1.0]", "alpha: 0.8"))
+        assert cfg.alpha_grid == (1.0 / (1.0 + cfg.beta),)
+        with caplog.at_level(logging.WARNING, logger="otfsftn.pulse"):
+            run_rate_sweep(cfg, threads=2)
+        # three trials, but only the alpha = 0.8 noise shape clamps, once
+        assert len([r for r in caplog.records if "floored" in r.message]) == 1
 
 
 class TestBerSweep:

@@ -38,7 +38,7 @@ def solved_eva_link(m, n, alpha, seed, snr=10.0, nu_max=2000.0):
     gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
     eff = effective_channel(chan, spec, cfg)
-    sol = solve_precoder(eff.H_eq, gram.G_eq, shape, snr)
+    sol = solve_precoder(eff.H, gram.noise, shape, snr)
     return shape, cfg, gram, eff, sol
 
 
@@ -237,7 +237,7 @@ class TestReceive:
         spec = PulseSpec(beta=0.25)
         gram = gram_dd(gram_matrix(shape, 1.0, spec), shape)
         eff = effective_channel(identity_channel(), spec, cfg)
-        sol = solve_precoder(eff.H_eq, gram.G_eq, shape, snr=10.0)
+        sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
         x = complex_gaussian(rng, shape.MN)
         _, s = transmit(x, sol, shape)
         y, y_d = receive(propagate(s, eff, np.zeros(shape.MN, complex)), sol, shape)
@@ -379,7 +379,7 @@ class TestNoiselessRecoveryGrid:
             gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed))
             eff = effective_channel(chan, spec, cfg)
-            sol = solve_precoder(eff.H_eq, gram.G_eq, shape, snr=30.0)
+            sol = solve_precoder(eff.H, gram.noise, shape, snr=30.0)
             loading = bit_loading(sol.xi, sol.gamma, 30.0, None, cfg)
             frame = run_frame(loading, sol, eff, gram, 0.0, np.random.default_rng(seed + 7), shape)
             rx = hard_detect(frame.y_d, sol, loading)

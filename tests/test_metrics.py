@@ -55,7 +55,7 @@ class TestMiLogdet:
             cfg = eva_config(m, n, alpha, seed=seed)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed))
             eff = effective_channel(chan, spec, cfg)
-            sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+            sol = derive_subchannels(eff.H, gram.noise, shape)
             gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
             sol.gamma = gamma
             finalize(sol)
@@ -172,7 +172,7 @@ class TestPaDominance:
             cfg = eva_config(16, 4, 0.85, seed=seed)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed + 100))
             eff = effective_channel(chan, spec, cfg)
-            sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+            sol = derive_subchannels(eff.H, gram.noise, shape)
             for snr_db in (0.0, 10.0, 20.0):
                 snr = 10.0 ** (snr_db / 10.0)
                 gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))

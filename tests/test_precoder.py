@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otfsftn import (
+    ChannelConfig,
     GridShape,
     PulseSpec,
     derive_subchannels,
@@ -12,12 +13,16 @@ from otfsftn import (
     gram_matrix,
     hermitian_evd_desc,
     mi_sum,
+    noise_shape,
     solve_precoder,
     uniform_gamma,
     waterfill,
 )
+from otfsftn.channel import channel_for_config
+from otfsftn.precoder import XI_ACTIVE_REL
+from otfsftn.pulse import EIG_FLOOR_REL
 
-from conftest import complex_gaussian, eva_config
+from conftest import complex_gaussian, eva_config, identity_config
 
 
 def random_hermitian(rng, n):
@@ -76,37 +81,37 @@ class TestDeriveSubchannels:
     def test_fully_degenerate_instance(self):
         shape = GridShape(4, 2)
         eye = np.eye(shape.MN, dtype=complex)
-        sol = derive_subchannels(eye, eye, shape)
+        sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)), shape)
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-12)
         np.testing.assert_allclose(sol.phi, np.ones(shape.MN), atol=1e-12)
-        assert np.abs(sol.B - eye).max() <= 1e-12
+        assert np.abs(sol.C - eye).max() <= 1e-12
 
     def test_unitary_channel_unit_gains(self, rng):
         shape = GridShape(4, 2)
         q, _ = np.linalg.qr(complex_gaussian(rng, shape.MN**2).reshape(shape.MN, shape.MN))
-        sol = derive_subchannels(q, np.eye(shape.MN, dtype=complex), shape)
+        sol = derive_subchannels(q, noise_shape(np.eye(shape.MN)), shape)
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-10)
 
     def test_gain_sum_trace_identity(self):
         # sum(xi) must equal trace(H_eq^H G_eq^{-1} H_eq), computed by direct
         # inversion as an independent oracle
         shape, gram, eff = eva_instance(4, 3, 0.85, seed=2)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         oracle = np.trace(eff.H_eq.conj().T @ np.linalg.inv(gram.G_eq) @ eff.H_eq).real
         assert abs(sol.xi.sum() - oracle) <= 1e-8 * abs(oracle)
 
     def test_descending_and_nonnegative(self):
         shape, gram, eff = eva_instance(8, 4, 0.9, seed=3)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         assert np.all(np.diff(sol.xi) <= 1e-12)
         assert np.all(sol.xi >= 0.0)
-        assert np.all(np.diff(sol.lam) <= 1e-12)
+        assert np.all(np.diff(sol.noise.lam) <= 1e-12)
 
     def test_bases_unitary(self):
         shape, gram, eff = eva_instance(8, 4, 0.9, seed=3)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         eye = np.eye(shape.MN)
-        assert np.abs(sol.V.conj().T @ sol.V - eye).max() <= 1e-10
+        assert np.abs(sol.noise.V.conj().T @ sol.noise.V - eye).max() <= 1e-10
         assert np.abs(sol.U.conj().T @ sol.U - eye).max() <= 1e-10
 
     def test_floor_never_activates_away_from_edge(self):
@@ -114,23 +119,69 @@ class TestDeriveSubchannels:
         # ratios keep the raw spectrum above the floor
         for alpha in (0.82, 0.85, 0.9, 1.0):
             shape, gram, eff = eva_instance(16, 4, alpha, seed=12)
-            sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+            sol = derive_subchannels(eff.H, gram.noise, shape)
             assert sol.floored == 0
 
     def test_floor_inactive_at_larger_frame(self):
         # MN = 384 just above the admissibility edge
         shape, gram, eff = eva_instance(64, 6, 0.82, seed=13)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         assert sol.floored == 0
 
     def test_phi_positive(self):
         shape, gram, eff = eva_instance(8, 4, 0.85, seed=4)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         assert np.all(sol.phi > 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            derive_subchannels(np.eye(4, dtype=complex), np.eye(4, dtype=complex), GridShape(4, 2))
+            derive_subchannels(np.eye(4, dtype=complex), noise_shape(np.eye(4)), GridShape(4, 2))
+
+
+def dd_domain_oracle(h_eq, g_eq):
+    """(xi, phi) from the DD-domain chain: a complex EVD of G_eq, the whitened
+    channel B = diag(lam)^{-1/2} V^H H_eq and a complex EVD of B^H B."""
+    lam, v = np.linalg.eigh(g_eq)
+    lam = np.maximum(lam, EIG_FLOOR_REL * lam.max())
+    b = (v.conj().T @ h_eq) / np.sqrt(lam)[:, None]
+    xi, u = np.linalg.eigh(b.conj().T @ b)
+    xi, u = np.maximum(xi[::-1], 0.0), u[:, ::-1]
+    phi = np.einsum("in,in->n", u.conj(), g_eq @ u).real
+    return xi, phi
+
+
+class TestTimeDomainDerivation:
+    @pytest.mark.parametrize("profile", ["eva", "synthetic"])
+    def test_matches_dd_domain_oracle(self, profile):
+        spec = PulseSpec(beta=0.25)
+        worst_xi = worst_mi = 0.0
+        for alpha in (0.8, 0.9):
+            if profile == "eva":
+                cfg = eva_config(16, 4, alpha, nu_max=2000.0)
+            else:
+                cfg = identity_config(
+                    16, 4, alpha, cp_len=4,
+                    channel=ChannelConfig(profile="synthetic", num_paths=20, l_max=3, k_max=5),
+                )
+            shape = GridShape(cfg.M, cfg.N)
+            gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+            for seed in range(3):
+                eff = effective_channel(channel_for_config(cfg, np.random.default_rng(seed)), spec, cfg)
+                sol = derive_subchannels(eff.H, gram.noise, shape)
+                xi_o, phi_o = dd_domain_oracle(eff.H_eq, gram.G_eq)
+                worst_xi = max(worst_xi, float(np.abs(sol.xi - xi_o).max() / xi_o.max()))
+                for snr in (1.0, 10.0, 100.0):
+                    mi = mi_sum(sol.xi, waterfill(sol.xi, sol.phi, snr, float(shape.MN))[0], snr)
+                    mi_o = mi_sum(xi_o, waterfill(xi_o, phi_o, snr, float(shape.MN))[0], snr)
+                    worst_mi = max(worst_mi, abs(mi - mi_o) / mi_o)
+        assert worst_xi <= 1e-10
+        assert worst_mi <= 1e-10
+
+    def test_dd_basis_is_mapped_time_basis(self):
+        shape, gram, eff = eva_instance(8, 4, 0.85, seed=4)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
+        kron = np.kron(np.fft.fft(np.eye(shape.N), norm="ortho"), np.eye(shape.M))
+        assert np.abs(sol.U - kron @ sol.U_t).max() <= 1e-12
 
 
 class TestWaterfill:
@@ -221,6 +272,32 @@ class TestWaterfill:
             assert mi > previous
             previous = mi
 
+    def test_randomized_ties_and_cutoff(self):
+        # subchannels drawn from a small pool of (xi, phi) pairs tie their
+        # thresholds exactly; some pool gains sit just above the usable cutoff.
+        # Checked against the budget and KKT bounds used above.
+        rng = np.random.default_rng(20240917)
+        for _ in range(300):
+            n = int(rng.integers(1, 65))
+            pool = int(rng.integers(1, n + 1))
+            xi_pool = rng.uniform(0.01, 3.0, pool)
+            near = (rng.random(pool) < 0.2) & (xi_pool < xi_pool.max())
+            xi_pool[near] = XI_ACTIVE_REL * xi_pool.max() * (1.0 + 1e-9)
+            pick = rng.integers(0, pool, n)
+            xi, phi = xi_pool[pick], rng.uniform(0.2, 2.0, pool)[pick]
+            snr = 10.0 ** rng.uniform(-1.0, 3.0)
+            gamma, mu = waterfill(xi, phi, snr, float(n))
+            assert abs(float(gamma @ phi) - n) <= 1e-10 * n
+            assert np.all(gamma >= 0.0)
+            act = gamma > 0.0
+            lhs = phi[act] * (gamma[act] + 1.0 / (xi[act] * snr))
+            assert np.abs(lhs - mu).max() <= 1e-8 * mu
+            if (~act).any():
+                assert np.all(mu / phi[~act] <= 1.0 / (xi[~act] * snr) + 1e-8)
+            for j in np.unique(pick):
+                tied = gamma[pick == j]
+                assert np.all(tied == tied[0])
+
     def test_rejects_all_zero_gains(self):
         with pytest.raises(ValueError, match="usable"):
             waterfill(np.zeros(4), np.ones(4), 1.0, 4.0)
@@ -237,7 +314,7 @@ class TestWaterfill:
 class TestFinalize:
     def test_unit_gamma_gives_unitary_precoder(self):
         shape, gram, eff = eva_instance(4, 3, 0.9, seed=5)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         sol.gamma = np.ones(shape.MN)
         finalize(sol)
         assert np.abs(sol.P_mat - sol.U).max() == 0.0
@@ -246,7 +323,7 @@ class TestFinalize:
     def test_degenerate_identity_link(self):
         shape = GridShape(4, 2)
         eye = np.eye(shape.MN, dtype=complex)
-        sol = derive_subchannels(eye, eye, shape)
+        sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)), shape)
         sol.gamma = np.full(shape.MN, 1.0)
         finalize(sol)
         dhp = sol.D @ eye @ sol.P_mat
@@ -254,7 +331,7 @@ class TestFinalize:
 
     def test_diagonalization_identities(self):
         shape, gram, eff = eva_instance(8, 4, 0.9, seed=6)
-        sol = solve_precoder(eff.H_eq, gram.G_eq, shape, snr=10.0)
+        sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
         bound = 1e-8 * sol.xi.max()
         dhp = sol.D @ eff.H_eq @ sol.P_mat
         assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
@@ -263,12 +340,12 @@ class TestFinalize:
 
     def test_energy_constraint_satisfied(self):
         shape, gram, eff = eva_instance(8, 4, 0.85, seed=7)
-        sol = solve_precoder(eff.H_eq, gram.G_eq, shape, snr=5.0)
+        sol = solve_precoder(eff.H, gram.noise, shape, snr=5.0)
         assert abs(float(sol.gamma @ sol.phi) - shape.MN) <= 1e-8 * shape.MN
 
     def test_uniform_gamma_meets_constraint(self):
         shape, gram, eff = eva_instance(8, 4, 0.85, seed=8)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         g = uniform_gamma(sol.phi, float(shape.MN))
         assert abs(float(g @ sol.phi) - shape.MN) <= 1e-10 * shape.MN
         # trace(G_eq) = MN makes the unscaled identity already feasible
@@ -276,6 +353,6 @@ class TestFinalize:
 
     def test_finalize_requires_gamma(self):
         shape, gram, eff = eva_instance(4, 3, 0.9, seed=9)
-        sol = derive_subchannels(eff.H_eq, gram.G_eq, shape)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
         with pytest.raises(ValueError, match="gamma"):
             finalize(sol)

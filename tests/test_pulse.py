@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
-from otfsftn import GridShape, PulseSpec, gram_dd, gram_matrix, rc_autocorr, rrc_impulse
+from otfsftn import (
+    GridShape, PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse,
+)
 
 
 def rrc_self_convolution(beta: float, tau: float, oversample: int = 1000, span: int = 128) -> float:
@@ -155,3 +159,34 @@ class TestGramDd:
         w_g = np.sort(np.linalg.eigvalsh(gram.G))
         w_eq = np.sort(np.linalg.eigvalsh(gram.G_eq))
         assert np.abs(w_g - w_eq).max() <= 1e-9
+
+
+class TestNoiseShape:
+    def test_factors_g(self):
+        gram = gram_matrix(GridShape(8, 4), 0.85, PulseSpec(beta=0.25))
+        ns = gram.noise
+        assert ns.G is gram.G
+        assert np.all(np.diff(ns.lam) <= 0.0)
+        assert np.abs(ns.V.T @ ns.V - np.eye(32)).max() <= 1e-12
+        assert np.abs((ns.V * ns.lam) @ ns.V.T - gram.G).max() <= 1e-12
+        assert ns.floored == 0
+
+    def test_identity_at_nyquist(self):
+        ns = gram_matrix(GridShape(4, 3), 1.0, PulseSpec(beta=0.25)).noise
+        np.testing.assert_array_equal(ns.V, np.eye(12))
+        np.testing.assert_array_equal(ns.lam, np.ones(12))
+
+    def test_floor_clamps_and_warns_once(self, caplog):
+        g = gram_matrix(GridShape(8, 4), 0.8, PulseSpec(beta=0.25)).G
+        raw = np.linalg.eigvalsh(g)
+        with caplog.at_level(logging.WARNING, logger="otfsftn.pulse"):
+            ns = noise_shape(g, eig_floor_rel=0.05)
+        assert abs(ns.floor - 0.05 * raw.max()) <= 1e-12
+        assert ns.floored == int(np.count_nonzero(raw < ns.floor)) > 0
+        assert ns.lam.min() == ns.floor
+        assert len([r for r in caplog.records if "floored" in r.message]) == 1
+
+    def test_disabled_floor_rejects_singular(self):
+        with pytest.raises(ValueError, match="singular"):
+            noise_shape(np.diag([1.0, 0.0]), eig_floor_rel=0.0)
+        assert noise_shape(np.diag([1.0, 0.0])).floored == 1
