@@ -293,10 +293,13 @@ def waveform_oracle(
     return mf[sample_idx]
 
 
+DUMP_HEADER = "# dd-channel-dump v1"
+
+
 def dump_paths(chan: DdChannel) -> str:
     """Serialize a channel realization to the structured text dump format."""
     buf = io.StringIO()
-    buf.write("# dd-channel-dump v1\n")
+    buf.write(DUMP_HEADER + "\n")
     buf.write(f"# paths {chan.num_paths}\n")
     buf.write("# columns gain_re gain_im delay_tap doppler_int doppler_frac\n")
     for p in chan.paths:
@@ -308,14 +311,26 @@ def dump_paths(chan: DdChannel) -> str:
 
 
 def load_paths(text: str) -> DdChannel:
-    """Inverse of :func:`dump_paths` (exact round trip)."""
-    paths = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        re_, im, l, k, kappa = line.split()
-        paths.append(DdPath(complex(float(re_), float(im)), int(l), int(k), float(kappa)))
+    """Inverse of :func:`dump_paths` (exact round trip).
+
+    The text must start with the v1 header (a leading provenance line, as
+    channel-dump writes, is allowed) and hold as many paths as it declares.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if lines and lines[0].startswith("# provenance "):
+        lines = lines[1:]
+    if not lines or lines[0] != DUMP_HEADER:
+        raise ValueError(f"dump does not start with the '{DUMP_HEADER}' header")
+    count = lines[1].removeprefix("# paths ") if len(lines) > 1 else ""
+    if not count.isdigit():
+        raise ValueError("dump lacks the '# paths N' line after its header")
+    rows = [line.split() for line in lines[2:] if not line.startswith("#")]
+    paths = [
+        DdPath(complex(float(re_), float(im)), int(l), int(k), float(kappa))
+        for re_, im, l, k, kappa in rows
+    ]
+    if len(paths) != int(count):
+        raise ValueError(f"dump declares {count} paths but holds {len(paths)}")
     if not paths:
         raise ValueError("dump contains no paths")
     return DdChannel(paths=tuple(paths))

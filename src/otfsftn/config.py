@@ -8,6 +8,7 @@ constraint failure names the violated bound.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -84,6 +85,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _strict(value, key: str, kind: type):
+    # exact type: no float or string is truncated to an int, and a bool (an
+    # int subclass) is no integer
+    if type(value) is not kind:
+        raise ConfigError(f"malformed config value: '{key}' must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _as_float_tuple(value, key: str) -> tuple[float, ...]:
     try:
         if isinstance(value, (int, float)):
@@ -116,6 +125,8 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     _require(cfg.delta_f_hz > 0.0, f"delta_f_hz must be positive, got {cfg.delta_f_hz}")
     _require(cfg.trials >= 1, f"trials must be >= 1, got {cfg.trials}")
     _require(len(cfg.snr_db_grid) >= 1, "snr_db_grid must be non-empty")
+    for snr_db in cfg.snr_db_grid:
+        _require(math.isfinite(snr_db), f"snr_db_grid entries must be finite, got {snr_db}")
     _require(0 <= cfg.master_seed < 2**64, f"master_seed must be a 64-bit integer, got {cfg.master_seed}")
     _require(cfg.cp_mode in _CP_MODES, f"cp_mode must be one of {_CP_MODES}, got '{cfg.cp_mode}'")
     _require(cfg.pulse_span >= 1.0, f"pulse_span must be >= 1, got {cfg.pulse_span}")
@@ -170,21 +181,21 @@ def parse_config(text: str) -> SystemConfig:
         channel = ChannelConfig(
             profile=str(ch_raw.get("profile", "identity")),
             nu_max_hz=float(ch_raw.get("nu_max_hz", 0.0)),
-            num_paths=int(ch_raw.get("num_paths", 1)),
-            l_max=int(ch_raw.get("l_max", 0)),
-            k_max=int(ch_raw.get("k_max", 0)),
-            frac_doppler=bool(ch_raw.get("frac_doppler", False)),
+            num_paths=_strict(ch_raw.get("num_paths", 1), "num_paths", int),
+            l_max=_strict(ch_raw.get("l_max", 0), "l_max", int),
+            k_max=_strict(ch_raw.get("k_max", 0), "k_max", int),
+            frac_doppler=_strict(ch_raw.get("frac_doppler", False), "frac_doppler", bool),
         )
         cfg = SystemConfig(
-            M=int(raw["M"]),
-            N=int(raw["N"]),
+            M=_strict(raw["M"], "M", int),
+            N=_strict(raw["N"], "N", int),
             alpha_grid=_as_float_tuple(raw["alpha"], "alpha"),
             beta=float(raw["beta"]),
             delta_f_hz=float(raw.get("delta_f_hz", 15e3)),
-            cp_len=None if raw.get("cp_len") is None else int(raw["cp_len"]),
+            cp_len=None if raw.get("cp_len") is None else _strict(raw["cp_len"], "cp_len", int),
             snr_db_grid=_as_float_tuple(raw.get("snr_db_grid", 10.0), "snr_db_grid"),
-            master_seed=int(raw.get("master_seed", 1)),
-            trials=int(raw.get("trials", 20)),
+            master_seed=_strict(raw.get("master_seed", 1), "master_seed", int),
+            trials=_strict(raw.get("trials", 20), "trials", int),
             channel=channel,
             cp_mode=str(raw.get("cp_mode", "circular")),
             target_rate_bps_hz=None if target is None else float(target),

@@ -3,6 +3,14 @@
 Every random draw derives from (master_seed, sweep_point_index, trial_index)
 through a counter-style seed sequence, so results are a pure function of the
 configuration and seed; worker threads only change wall-clock time.
+
+A BER sweep point runs its frames in blocks.  On a shared channel (profile
+identity) the channel and its subchannel decomposition are solved once per
+alpha, and trial indices are cut into consecutive blocks of FRAME_BLOCK
+frames, each one matrix-matrix pass of the link; a per-trial channel gives
+blocks of one frame.  Block boundaries depend only on trial indices, and
+worker threads map whole blocks, so outputs are byte-identical for any
+thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .link import (
     run_frame,
 )
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
-from .precoder import derive_subchannels, finalize, uniform_gamma, waterfill
+from .precoder import PrecoderSolution, derive_subchannels, finalize, uniform_gamma, waterfill
 from .pulse import PulseSpec, gram_dd, gram_matrix, noise_shape
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
@@ -39,6 +47,9 @@ RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
 BER_CSV_HEADER = "snr_db,alpha,beta,target_rate,bits,errors,ber,trials"
 
 MAX_FRAME_SYMBOLS = 1536
+# frames per block on a shared channel: wide enough for matrix-matrix
+# products, small enough that the MN x FRAME_BLOCK working set stays minor
+FRAME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -170,61 +181,63 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     return SweepResult(kind="rate", rows=tuple(rows), provenance=_provenance(cfg, digest))
 
 
+def _load_point(sol: PrecoderSolution, snr: float, cfg_a: SystemConfig):
+    """Water-fill, finalize and bit-load a derived solution at one SNR."""
+    sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(sol.shape.MN))
+    finalize(sol)
+    return sol, bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
+
+
 def _ber_point(
     cfg_a: SystemConfig,
     snr_db: float,
     point_idx: int,
     pulse: PulseSpec,
     gram,
+    shared,
     threads: int,
     collect_llrs: bool,
 ) -> tuple[BerCounter, list[str]]:
     shape = GridShape(cfg_a.M, cfg_a.N)
     snr = _snr_linear(snr_db)
     sigma0_sq = cfg_a.sigma_x_sq / snr
-    identity = cfg_a.channel.profile == "identity"
 
-    shared = None
-    if identity:
-        eff = effective_channel(identity_channel(), pulse, cfg_a)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
-        sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-        finalize(sol)
-        loading = bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
-        shared = (eff, sol, loading)
+    link = None
+    if shared is not None:
+        eff, derived = shared
+        link = (eff, *_load_point(replace(derived), snr, cfg_a))
+        starts = range(0, cfg_a.trials, FRAME_BLOCK)
+        blocks = [range(t, min(t + FRAME_BLOCK, cfg_a.trials)) for t in starts]
+    else:
+        blocks = [range(t, t + 1) for t in range(cfg_a.trials)]
 
-    def one_trial(t: int) -> tuple[BerCounter, str]:
-        rng = trial_rng(cfg_a.master_seed, point_idx, t)
-        if shared is not None:
-            eff, sol, loading = shared
+    def one_block(block: range) -> tuple[BerCounter, list[str]]:
+        rngs = [trial_rng(cfg_a.master_seed, point_idx, t) for t in block]
+        if link is None:
+            eff = effective_channel(channel_for_config(cfg_a, rngs[0]), pulse, cfg_a)
+            sol, loading = _load_point(derive_subchannels(eff.H, gram.noise, shape), snr, cfg_a)
         else:
-            chan = channel_for_config(cfg_a, rng)
-            eff = effective_channel(chan, pulse, cfg_a)
-            sol = derive_subchannels(eff.H, gram.noise, shape)
-            sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-            finalize(sol)
-            loading = bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
-        frame = run_frame(loading, sol, eff, gram, sigma0_sq, rng, shape, eta_seed=(point_idx, t))
+            eff, sol, loading = link
+        frame = run_frame(loading, sol, eff, gram, sigma0_sq, rngs, shape)
         rx = hard_detect(frame.y_d, sol, loading)
         counter = ber_accumulate(frame.tx_bits, rx, BerCounter())
-        records = ""
+        records = []
         if collect_llrs:
-            records = format_llr_records(t, loading, llr(frame.y_d, sol, loading, sigma0_sq))
+            llrs = llr(frame.y_d, sol, loading, sigma0_sq)
+            records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
         return counter, records
 
-    trials = range(cfg_a.trials)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, trials))
+            results = list(pool.map(one_block, blocks))
     else:
-        results = [one_trial(t) for t in trials]
+        results = [one_block(b) for b in blocks]
 
     total = BerCounter()
     llr_lines = []
-    for counter, rec in results:
+    for counter, records in results:
         total = total.merge(counter)
-        if rec:
-            llr_lines.append(rec)
+        llr_lines.extend(rec for rec in records if rec)
     return total, llr_lines
 
 
@@ -236,9 +249,11 @@ def run_ber_sweep(
 ) -> SweepResult:
     """Uncoded BER over the (alpha, snr) grid with exact bit and error counts.
 
-    A fresh channel realization is drawn per trial.  When llr_sink (a
-    writable text file) is given, per-frame exact LLR records are streamed
-    to it in the delimited format of the link layer.
+    A fresh channel realization is drawn per trial, except on the identity
+    channel, whose subchannels are derived once per alpha and power-loaded
+    per SNR point.  When llr_sink (a writable text file) is given, per-frame
+    exact LLR records are streamed to it in the delimited format of the link
+    layer.
     """
     validate_config(cfg)
     assert_memory_budget(cfg)
@@ -251,10 +266,15 @@ def run_ber_sweep(
     for alpha in cfg.alpha_grid:
         cfg_a = cfg.with_alpha(alpha)
         pulse = PulseSpec(beta=cfg.beta, span=cfg.pulse_span)
-        gram = gram_matrix(GridShape(cfg.M, cfg.N), alpha, pulse)
+        shape = GridShape(cfg.M, cfg.N)
+        gram = gram_matrix(shape, alpha, pulse)
+        shared = None
+        if cfg.channel.profile == "identity":
+            eff = effective_channel(identity_channel(), pulse, cfg_a)
+            shared = (eff, derive_subchannels(eff.H, gram.noise, shape))
         for snr_db in cfg.snr_db_grid:
             counter, llr_lines = _ber_point(
-                cfg_a, snr_db, point_idx, pulse, gram, threads, llr_sink is not None
+                cfg_a, snr_db, point_idx, pulse, gram, shared, threads, llr_sink is not None
             )
             if llr_sink is not None:
                 for chunk in llr_lines:
@@ -584,7 +604,7 @@ def _check_link_noiseless(seed: int, fault: str | None) -> tuple[bool, str]:
         sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, 100.0, float(shape.MN))
         finalize(sol)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.0, trial_rng(seed, 1, 7), shape)
+        frame = run_frame(loading, sol, eff, gram, 0.0, [trial_rng(seed, 1, 7)], shape)
         rx = hard_detect(frame.y_d, sol, loading)
         total_err += int(np.count_nonzero(rx != frame.tx_bits))
     return total_err == 0, f"{total_err} bit errors across noiseless frames"

@@ -7,6 +7,13 @@ by the receive weights.  The result is one scalar Gaussian observation per
 subchannel, from which hard decisions and exact log-likelihood ratios are
 computed.
 
+Frames travel in blocks: run_frame takes one generator per frame and pushes
+an MN x k block, one frame per column, through the chain as matrix-matrix
+products (P X, dd_to_time, H S + E, time_to_dd, D Y).  Frame t draws its bits
+and then its two noise vectors from its own generator, so a frame's
+realization does not depend on the block it rides in.  The transmit, noise,
+channel, receive and detection functions accept one frame or a block.
+
 Gray mapping conventions (fixed here so golden files are portable):
 QPSK maps the bit pair (b0, b1) to ((1-2*b0) + 1j*(1-2*b1))/sqrt(2); square
 QAM treats the first half of a symbol's bits as the in-phase Gray PAM label
@@ -17,6 +24,7 @@ for bit 0.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +93,7 @@ class Loading:
 
 @dataclass
 class FrameRecord:
-    """One simulated frame, transmit side through diagonalized observation."""
+    """A block of simulated frames, one per column, from bits to diagonalized observation."""
 
     tx_bits: np.ndarray
     x: np.ndarray
@@ -94,7 +102,6 @@ class FrameRecord:
     z: np.ndarray
     y: np.ndarray
     y_d: np.ndarray
-    eta_seed: object = None
 
 
 def bit_loading(
@@ -139,21 +146,22 @@ def bit_loading(
 
 
 def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
-    """Map a bit stream onto the loaded subchannels; unloaded ones carry 0."""
+    """Map a bit stream (or a block, one frame per column) onto the loaded
+    subchannels; unloaded ones carry 0."""
     bits = np.asarray(bits).astype(np.int64)
-    if bits.size != loading.total_bits:
-        raise ValueError(f"expected {loading.total_bits} bits, got {bits.size}")
+    if bits.ndim not in (1, 2) or bits.shape[0] != loading.total_bits:
+        raise ValueError(f"expected {loading.total_bits} bits, got shape {bits.shape}")
     if bits.size and not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bit stream must contain only 0s and 1s")
     b = loading.bits_per_symbol
-    x = np.zeros(b.size, dtype=complex)
+    x = np.zeros((b.size,) + bits.shape[1:], dtype=complex)
     offsets = np.concatenate([[0], np.cumsum(b)])
     for nbits in SUPPORTED_BITS:
         sel = np.flatnonzero(b == nbits)
         if sel.size == 0:
             continue
         idx = offsets[sel][:, None] + np.arange(nbits)[None, :]
-        labels = bits[idx] @ (1 << np.arange(nbits - 1, -1, -1))
+        labels = np.moveaxis(bits[idx], 1, -1) @ (1 << np.arange(nbits - 1, -1, -1))
         x[sel] = _POINTS[nbits][labels]
     return x
 
@@ -163,7 +171,7 @@ def transmit(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precode and convert to time domain: x_p = P x, s = (F_N^H kron I_M) x_p."""
     x = np.asarray(x)
-    if x.shape != (shape.MN,):
+    if x.ndim not in (1, 2) or x.shape[0] != shape.MN:
         raise ValueError(f"expected {shape.MN} symbols, got {x.shape}")
     x_p = sol.P_mat @ x
     return x_p, dd_to_time(x_p, shape)
@@ -173,20 +181,27 @@ def colored_noise(
     shape: GridShape,
     gram: GramSet,
     sigma0_sq: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Draw matched-filter noise with covariance sigma0^2 * G = sigma0^2 * V diag(lam) V^T."""
-    w = np.stack([rng.standard_normal(shape.MN), rng.standard_normal(shape.MN)], axis=1)
-    # color the real and imaginary parts in one real product
+    """Draw matched-filter noise with covariance sigma0^2 * G = sigma0^2 * V diag(lam) V^T.
+
+    One generator gives one noise vector; a sequence gives an MN x k block
+    whose column t draws its real and then its imaginary part from rng[t].
+    """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    w = np.stack([r.standard_normal(shape.MN) for r in rngs for _ in "ri"], axis=1)
+    # color the real and imaginary parts of every frame in one real product;
+    # adjacent (real, imaginary) columns of e read as one complex column
     e = gram.noise.V @ (np.sqrt(0.5 * sigma0_sq * gram.noise.lam)[:, None] * w)
-    return e[:, 0] + 1j * e[:, 1]
+    eta = e.view(np.complex128)
+    return eta[:, 0] if isinstance(rng, np.random.Generator) else eta
 
 
 def propagate(s: np.ndarray, eff: EffectiveChannel, eta: np.ndarray) -> np.ndarray:
     """Received matched-filtered samples z = H s + eta."""
     s = np.asarray(s)
     eta = np.asarray(eta)
-    if s.shape != (eff.H.shape[0],) or eta.shape != s.shape:
+    if s.ndim not in (1, 2) or s.shape[0] != eff.H.shape[0] or eta.shape != s.shape:
         raise ValueError("signal/noise length does not match the channel dimension")
     return eff.H @ s + eta
 
@@ -217,11 +232,15 @@ def llr(
     """Exact per-bit log-likelihood ratios, log P[bit=0] - log P[bit=1].
 
     Uses the Gaussian kernel exp(-|y_n - xi_n*sqrt(gamma_n)*x|^2/(xi_n*sigma0^2))
-    summed over constellation points via a stable log-sum-exp.
+    summed over constellation points via a stable log-sum-exp.  An MN x k
+    block of observations gives a total_bits x k block, computed column by
+    column so the per-point metrics of only one frame are held at a time.
     """
     _subchannel_scales(sol, loading)
+    y_d = np.asarray(y_d)
+    cols = y_d.reshape(y_d.shape[0], -1)
     b = loading.bits_per_symbol
-    out = np.empty(loading.total_bits)
+    out = np.empty((loading.total_bits, cols.shape[1]))
     offsets = np.concatenate([[0], np.cumsum(b)])
     for nbits in SUPPORTED_BITS:
         sel = np.flatnonzero(b == nbits)
@@ -231,14 +250,14 @@ def llr(
         bit_tab = _BIT_TABLE[nbits]
         a = sol.xi[sel] * np.sqrt(sol.gamma[sel])
         var = sol.xi[sel] * sigma0_sq
-        # metric[i, c]: log-likelihood of point c on the i-th selected subchannel
-        metric = -np.abs(y_d[sel][:, None] - a[:, None] * pts[None, :]) ** 2 / var[:, None]
-        for j in range(nbits):
-            zero = metric[:, bit_tab[:, j] == 0]
-            one = metric[:, bit_tab[:, j] == 1]
-            out_idx = offsets[sel] + j
-            out[out_idx] = _logsumexp(zero) - _logsumexp(one)
-    return out
+        for f in range(cols.shape[1]):
+            # metric[i, c]: log-likelihood of point c on the i-th selected subchannel
+            metric = -np.abs(cols[sel, f][:, None] - a[:, None] * pts[None, :]) ** 2 / var[:, None]
+            for j in range(nbits):
+                zero = metric[:, bit_tab[:, j] == 0]
+                one = metric[:, bit_tab[:, j] == 1]
+                out[offsets[sel] + j, f] = _logsumexp(zero) - _logsumexp(one)
+    return out.reshape((loading.total_bits,) + y_d.shape[1:])
 
 
 def _logsumexp(m: np.ndarray) -> np.ndarray:
@@ -247,22 +266,35 @@ def _logsumexp(m: np.ndarray) -> np.ndarray:
 
 
 def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.ndarray:
-    """Minimum-distance decisions per diagonal subchannel, demapped to bits."""
+    """Minimum-distance decisions per diagonal subchannel, demapped to bits.
+
+    An MN x k block of observations, one frame per column, gives a
+    total_bits x k block of bits.
+    """
     _subchannel_scales(sol, loading)
+    y_d = np.asarray(y_d)
+    cols = y_d.reshape(y_d.shape[0], -1)
     b = loading.bits_per_symbol
-    out = np.empty(loading.total_bits, dtype=np.uint8)
+    out = np.empty((loading.total_bits, cols.shape[1]), dtype=np.uint8)
     offsets = np.concatenate([[0], np.cumsum(b)])
     for nbits in SUPPORTED_BITS:
         sel = np.flatnonzero(b == nbits)
         if sel.size == 0:
             continue
         a = sol.xi[sel] * np.sqrt(sol.gamma[sel])
-        est = y_d[sel] / a
-        nearest = np.argmin(np.abs(est[:, None] - _POINTS[nbits][None, :]) ** 2, axis=1)
-        labels = _BIT_TABLE[nbits][nearest]
+        est = cols[sel] / a[:, None]
+        # running minimum over the points: first-index ties as in argmin,
+        # without holding a (subchannel, frame, point) array
+        best = np.full(est.shape, np.inf)
+        nearest = np.zeros(est.shape, dtype=np.intp)
+        for c, p in enumerate(_POINTS[nbits]):
+            d = np.abs(est - p) ** 2
+            closer = d < best
+            best = np.where(closer, d, best)
+            nearest[closer] = c
         idx = offsets[sel][:, None] + np.arange(nbits)[None, :]
-        out[idx] = labels
-    return out
+        out[idx] = _BIT_TABLE[nbits][nearest].transpose(0, 2, 1)
+    return out.reshape((loading.total_bits,) + y_d.shape[1:])
 
 
 def run_frame(
@@ -271,18 +303,20 @@ def run_frame(
     eff: EffectiveChannel,
     gram: GramSet,
     sigma0_sq: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     shape: GridShape,
-    eta_seed: object = None,
 ) -> FrameRecord:
-    """Draw bits and push one frame through the full pipeline."""
-    tx_bits = rng.integers(0, 2, size=loading.total_bits, dtype=np.int64)
+    """Push a block of frames through the full pipeline; frame t draws its
+    bits and then its noise from rngs[t] and fills column t of the record."""
+    tx_bits = np.stack(
+        [rng.integers(0, 2, size=loading.total_bits, dtype=np.int64) for rng in rngs], axis=1
+    )
     x = map_bits(tx_bits, loading)
     x_p, s = transmit(x, sol, shape)
-    eta = colored_noise(shape, gram, sigma0_sq, rng) if sigma0_sq > 0.0 else np.zeros(shape.MN, complex)
+    eta = colored_noise(shape, gram, sigma0_sq, rngs) if sigma0_sq > 0.0 else np.zeros(s.shape, complex)
     z = propagate(s, eff, eta)
     y, y_d = receive(z, sol, shape)
-    return FrameRecord(tx_bits=tx_bits, x=x, x_p=x_p, s=s, z=z, y=y, y_d=y_d, eta_seed=eta_seed)
+    return FrameRecord(tx_bits=tx_bits, x=x, x_p=x_p, s=s, z=z, y=y, y_d=y_d)
 
 
 LLR_DUMP_HEADER = "frame,subchannel,bit,llr"

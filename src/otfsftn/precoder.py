@@ -150,8 +150,8 @@ def waterfill(
         raise ValueError("subchannel gains must be nonnegative")
     if np.any(phi <= 0.0):
         raise ValueError("energy weights must be positive")
-    if snr <= 0.0 or budget <= 0.0:
-        raise ValueError("snr and budget must be positive")
+    if not (0.0 < snr < np.inf and budget > 0.0):  # also rejects a nan snr
+        raise ValueError(f"snr must be positive and finite, budget positive: {snr}, {budget}")
 
     usable = xi > XI_ACTIVE_REL * xi.max() if xi.max() > 0.0 else np.zeros_like(xi, bool)
     if not usable.any():

@@ -383,6 +383,28 @@ class TestDump:
         back = load_paths(dump_paths(chan))
         assert back.paths == chan.paths
 
+    def test_roundtrip_after_provenance_line(self, rng):
+        chan = eva_channel(5000.0, eva_config(64, 4, 0.9), rng)
+        assert load_paths("# provenance x\n" + dump_paths(chan)).paths == chan.paths
+
+    def test_rejects_missing_or_wrong_header(self, rng):
+        lines = dump_paths(eva_channel(5000.0, eva_config(64, 4, 0.9), rng)).splitlines()
+        with pytest.raises(ValueError, match="header"):
+            load_paths("\n".join(lines[1:]))
+        with pytest.raises(ValueError, match="header"):
+            load_paths("\n".join(["# dd-channel-dump v2"] + lines[1:]))
+        with pytest.raises(ValueError, match="header"):
+            load_paths("\n".join(l for l in lines if not l.startswith("#")))
+
+    def test_rejects_wrong_path_count(self, rng):
+        text = dump_paths(eva_channel(5000.0, eva_config(64, 4, 0.9), rng))
+        with pytest.raises(ValueError, match="declares 10 paths but holds 9"):
+            load_paths(text.replace("# paths 9", "# paths 10"))
+        with pytest.raises(ValueError, match="declares 9 paths but holds 8"):
+            load_paths(text.rsplit("\n", 2)[0])
+        with pytest.raises(ValueError, match="paths N"):
+            load_paths(text.replace("# paths 9", "# paths nine"))
+
     def test_dump_format(self):
         text = dump_paths(identity_channel())
         lines = text.splitlines()

@@ -114,6 +114,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'alpha'"):
             parse_config("M: 4\nN: 2\nalpha: [0.9, oops]\nbeta: 0.25\n")
 
+    @pytest.mark.parametrize("snr", [".nan", ".inf", "-.inf"])
+    def test_non_finite_snr_rejected(self, snr):
+        with pytest.raises(ConfigError, match="snr_db_grid entries must be finite"):
+            parse_config(MINIMAL + f"snr_db_grid: [0, {snr}]\n")
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("M: 4", "M: 4.9", "'M' must be int"),
+            ("N: 2", "N: true", "'N' must be int"),
+            ("M: 4", "M: 4\ntrials: 2.7", "'trials' must be int"),
+            ("M: 4", "M: 4\nmaster_seed: true", "'master_seed' must be int"),
+            ("M: 4", "M: 4\ncp_len: '2'", "'cp_len' must be int"),
+            ("profile: identity", "profile: identity\n  num_paths: 1.5", "'num_paths' must be int"),
+            ("profile: identity", "profile: identity\n  frac_doppler: 'false'", "'frac_doppler' must be bool"),
+            ("profile: identity", "profile: identity\n  frac_doppler: 0", "'frac_doppler' must be bool"),
+        ],
+    )
+    def test_integer_and_bool_fields_strict(self, old, new, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(MINIMAL.replace(old, new))
+
     def test_frame_size_cap(self):
         big = MINIMAL.replace("M: 4", "M: 1600")
         cfg = parse_config(big)
@@ -230,6 +252,31 @@ class TestBerSweep:
         lines = run_ber_sweep(cfg).to_csv().splitlines()
         assert lines[1] == "snr_db,alpha,beta,target_rate,bits,errors,ber,trials"
 
+    def test_identity_blocks_identical_across_threads(self):
+        # 70 trials: one full frame block and one partial block per point
+        cfg = parse_config(AWGN_QPSK.replace("trials: 40", "trials: 70"))
+        outs = []
+        for threads in (1, 2):
+            sink = io.StringIO()
+            csv = run_ber_sweep(cfg, threads=threads, llr_sink=sink).to_csv()
+            outs.append((csv.encode(), sink.getvalue().encode()))
+        assert outs[0] == outs[1]
+        frames = [int(l.split(",")[0]) for l in outs[0][1].decode().splitlines()[2:]]
+        # two SNR points, each with frames 0..69 in order, 32 QPSK bits a frame
+        assert frames == [t for _ in range(2) for t in range(70) for _ in range(32)]
+
+    def test_identity_subchannels_derived_once_per_alpha(self, monkeypatch):
+        import otfsftn.harness as harness
+
+        calls = []
+        real = harness.derive_subchannels
+        monkeypatch.setattr(
+            harness, "derive_subchannels", lambda *a: calls.append(1) or real(*a)
+        )
+        cfg = parse_config(AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]"))
+        result = run_ber_sweep(cfg)
+        assert len(result.rows) == 4 and len(calls) == 2
+
     def test_llr_dump_identical_across_threads(self):
         cfg = parse_config(EVA_BER.replace("trials: 6", "trials: 4"))
         sinks = []
@@ -248,7 +295,7 @@ class TestChannelDump:
         d1 = channel_dump(cfg)
         d2 = channel_dump(cfg)
         assert d1 == d2
-        chan = load_paths("\n".join(l for l in d1.splitlines() if not l.startswith("#")))
+        chan = load_paths(d1)
         assert chan.num_paths == 9
 
 

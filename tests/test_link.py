@@ -268,7 +268,7 @@ class TestLlr:
     def test_noiseless_signs_match_bits(self, rng):
         shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.0, np.random.default_rng(2), shape)
+        frame = run_frame(loading, sol, eff, gram, 0.0, [np.random.default_rng(2)], shape)
         vals = llr(frame.y_d, sol, loading, sigma0_sq=0.01)
         detected = (vals < 0).astype(int)
         np.testing.assert_array_equal(detected, frame.tx_bits)
@@ -318,7 +318,7 @@ class TestHardDetect:
     def test_noiseless_recovery_exact(self):
         shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
         loading = bit_loading(sol.xi, sol.gamma, 50.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.0, np.random.default_rng(3), shape)
+        frame = run_frame(loading, sol, eff, gram, 0.0, [np.random.default_rng(3)], shape)
         rx = hard_detect(frame.y_d, sol, loading)
         np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -354,7 +354,7 @@ class TestLlrConsistency:
         rng2 = np.random.default_rng(41)
         soft0, soft1 = [], []
         for _ in range(300):
-            frame = run_frame(loading, sol, eff, gram, sigma0_sq, rng2, shape)
+            frame = run_frame(loading, sol, eff, gram, sigma0_sq, [rng2], shape)
             soft = np.tanh(llr(frame.y_d, sol, loading, sigma0_sq) / 2.0)
             soft0.extend(soft[frame.tx_bits == 0])
             soft1.extend(soft[frame.tx_bits == 1])
@@ -381,16 +381,50 @@ class TestNoiselessRecoveryGrid:
             eff = effective_channel(chan, spec, cfg)
             sol = solve_precoder(eff.H, gram.noise, shape, snr=30.0)
             loading = bit_loading(sol.xi, sol.gamma, 30.0, None, cfg)
-            frame = run_frame(loading, sol, eff, gram, 0.0, np.random.default_rng(seed + 7), shape)
+            frame = run_frame(loading, sol, eff, gram, 0.0, [np.random.default_rng(seed + 7)], shape)
             rx = hard_detect(frame.y_d, sol, loading)
             np.testing.assert_array_equal(rx, frame.tx_bits)
+
+
+def _solved_identity_link(m, n, alpha, snr=10.0):
+    shape = GridShape(m, n)
+    spec = PulseSpec(beta=0.25)
+    cfg = identity_config(m, n, alpha)
+    gram = gram_matrix(shape, alpha, spec)
+    eff = effective_channel(identity_channel(), spec, cfg)
+    return shape, cfg, gram, eff, solve_precoder(eff.H, gram.noise, shape, snr)
+
+
+class TestFrameBlock:
+    @pytest.mark.parametrize("link,target", [("eva", 1.5), ("identity", None)])
+    def test_block_matches_single_frames(self, link, target):
+        if link == "eva":
+            shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.9, seed=12)
+        else:
+            shape, cfg, gram, eff, sol = _solved_identity_link(8, 4, 0.9)
+        loading = bit_loading(sol.xi, sol.gamma, 10.0, target, cfg)
+        sigma0_sq, k = 0.3, 5
+        rngs = [np.random.default_rng(100 + t) for t in range(k)]
+        block = run_frame(loading, sol, eff, gram, sigma0_sq, rngs, shape)
+        rx = hard_detect(block.y_d, sol, loading)
+        soft = llr(block.y_d, sol, loading, sigma0_sq)
+        assert block.tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, k)
+        assert block.y_d.shape == (shape.MN, k)
+        for t in range(k):
+            one = run_frame(loading, sol, eff, gram, sigma0_sq, [np.random.default_rng(100 + t)], shape)
+            y_d = one.y_d[:, 0]
+            np.testing.assert_array_equal(block.tx_bits[:, t], one.tx_bits[:, 0])
+            assert np.abs(block.y_d[:, t] - y_d).max() <= 1e-12 * np.abs(y_d).max()
+            np.testing.assert_array_equal(rx[:, t], hard_detect(y_d, sol, loading))
+            ref = llr(y_d, sol, loading, sigma0_sq)
+            assert np.abs(soft[:, t] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestFrameRecord:
     def test_pipeline_consistency(self, rng):
         shape, cfg, gram, eff, sol = solved_eva_link(4, 3, 0.9, seed=10)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.1, rng, shape, eta_seed=(0, 1))
+        frame = run_frame(loading, sol, eff, gram, 0.1, [rng], shape)
         assert frame.tx_bits.size == loading.total_bits
         np.testing.assert_allclose(frame.x_p, sol.P_mat @ frame.x, atol=1e-12)
         from otfsftn import dd_to_time, time_to_dd
@@ -398,7 +432,6 @@ class TestFrameRecord:
         np.testing.assert_allclose(frame.s, dd_to_time(frame.x_p, shape), atol=1e-12)
         np.testing.assert_allclose(frame.y, time_to_dd(frame.z, shape), atol=1e-12)
         np.testing.assert_allclose(frame.y_d, sol.D @ frame.y, atol=1e-12)
-        assert frame.eta_seed == (0, 1)
 
     def test_llr_dump_format(self):
         loading = Loading(bits_per_symbol=np.array([2, 0, 2]))

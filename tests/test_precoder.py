@@ -310,6 +310,11 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             waterfill(np.ones(1), np.ones(1), 0.0, 1.0)
 
+    @pytest.mark.parametrize("snr", [np.nan, np.inf])
+    def test_rejects_non_finite_snr(self, snr):
+        with pytest.raises(ValueError, match="finite"):
+            waterfill(np.ones(2), np.ones(2), snr, 2.0)
+
 
 class TestFinalize:
     def test_unit_gamma_gives_unitary_precoder(self):
