@@ -24,6 +24,7 @@ from .precoder import (
     derive_subchannels,
     finalize,
     hermitian_evd_desc,
+    receive_weights,
     solve_precoder,
     uniform_gamma,
     waterfill,
@@ -71,7 +72,7 @@ __all__ = [
     "DdChannel", "DdPath", "EffectiveChannel", "dump_paths", "effective_channel",
     "eva_channel", "identity_channel", "load_paths", "synthetic_channel", "waveform_oracle",
     "PrecoderSolution", "derive_subchannels", "finalize", "hermitian_evd_desc",
-    "solve_precoder", "uniform_gamma", "waterfill",
+    "receive_weights", "solve_precoder", "uniform_gamma", "waterfill",
     "FrameRecord", "Loading", "bit_loading", "colored_noise", "constellation",
     "hard_detect", "llr", "map_bits", "propagate", "receive", "run_frame", "transmit",
     "BerCounter", "RatePoint", "ber_accumulate", "frame_energy", "info_rate",

@@ -14,6 +14,13 @@ from .config import ConfigError, SystemConfig, config_digest, parse_config
 from .harness import channel_dump, run_ber_sweep, run_rate_sweep, validate
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otfsftn",
@@ -27,13 +34,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
+    threads_help = "trial worker threads, one BLAS thread each; 1 leaves parallelism to BLAS"
+
     p_rate = sub.add_parser("rate", help="information-rate sweep to CSV")
     common(p_rate, True)
-    p_rate.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
+    p_rate.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
 
     p_ber = sub.add_parser("ber", help="uncoded BER sweep to CSV")
     common(p_ber, True)
-    p_ber.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
+    p_ber.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p_ber.add_argument("--llr-out", default=None, help="also dump per-frame LLR records here")
 
     p_dump = sub.add_parser("channel-dump", help="serialize one channel realization")

@@ -122,6 +122,10 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             lo <= a <= 1.0,
             f"alpha {a} outside admissible range [1/(1+beta) = {lo:.6g}, 1]",
         )
+    _require(
+        len(set(cfg.alpha_grid)) == len(cfg.alpha_grid),
+        f"alpha entries must be distinct, got {list(cfg.alpha_grid)}",
+    )
     _require(cfg.delta_f_hz > 0.0, f"delta_f_hz must be positive, got {cfg.delta_f_hz}")
     _require(cfg.trials >= 1, f"trials must be >= 1, got {cfg.trials}")
     _require(len(cfg.snr_db_grid) >= 1, "snr_db_grid must be non-empty")

@@ -2,19 +2,28 @@
 
 Every random draw derives from (master_seed, sweep_point_index, trial_index)
 through a counter-style seed sequence, so results are a pure function of the
-configuration and seed; worker threads only change wall-clock time.
+configuration and seed.
+
+With threads >= 2 a sweep maps its trials on one pool of that many worker
+threads, with OpenBLAS pinned to one thread while they run; set-up outside
+the trials, and threads == 1, keep the user's BLAS thread count.  CSVs are
+byte-identical for any thread count.  The LLR dump is byte-identical for any
+threads >= 2, and at threads == 1 when BLAS runs one thread; other BLAS
+counts split reductions differently and may move LLRs in the last digits.
 
 A BER sweep point runs its frames in blocks.  On a shared channel (profile
 identity) the channel and its subchannel decomposition are solved once per
 alpha, and trial indices are cut into consecutive blocks of FRAME_BLOCK
 frames, each one matrix-matrix pass of the link; a per-trial channel gives
 blocks of one frame.  Block boundaries depend only on trial indices, and
-worker threads map whole blocks, so outputs are byte-identical for any
-thread count.
+worker threads map whole blocks, so the thread count never changes which
+frames share a product.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -39,7 +48,8 @@ from .link import (
     run_frame,
 )
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
-from .precoder import PrecoderSolution, derive_subchannels, finalize, uniform_gamma, waterfill
+from .precoder import (PrecoderSolution, derive_subchannels, finalize, receive_weights,
+                       uniform_gamma, waterfill)
 from .pulse import PulseSpec, gram_dd, gram_matrix, noise_shape
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
@@ -120,6 +130,69 @@ def _snr_linear(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
+# thread-count functions of scipy-openblas, ILP64 and LP64 OpenBLAS; "{}" is get or set
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
+
+
+def _openblas_threads() -> list[tuple]:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:  # no /proc: BLAS is left alone
+        return []
+    found = []
+    for lib in map(ctypes.CDLL, libs):
+        name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("set"))), None)
+        if name is not None:
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found.append((get, put))
+    return found
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Pin every loaded OpenBLAS to one thread, restoring its count on exit.
+
+    The count is process-wide, so it also binds BLAS calls other threads make
+    meanwhile.  A no-op when no OpenBLAS thread setter is found (a numpy on
+    another BLAS).
+    """
+    controls = _openblas_threads()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
+@contextlib.contextmanager
+def _trial_map(threads: int):
+    """Map trials serially (threads == 1) or on one worker pool per sweep.
+
+    Pool maps pin BLAS to one thread.  Set-up between maps keeps the user's
+    count, so the identity channel's basis, set by rounding, is as at threads == 1.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        yield lambda fn, items: [fn(x) for x in items]
+        return
+
+    def pinned_map(fn, items):
+        with single_blas_thread():
+            return list(pool.map(fn, items))
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pinned_map
+
+
 def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = None) -> SweepResult:
     """Information-rate curves: water-filled, uniform-power and Nyquist baselines.
 
@@ -144,47 +217,43 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     instances.append((1.0, 0.0, ("nyquist",)))
 
     rows: list[RatePoint] = []
-    for alpha, beta, modes in instances:
-        pulse = PulseSpec(beta=beta, span=cfg.pulse_span)
-        noise = gram_matrix(shape, alpha, pulse).noise
-        cfg_pt = replace(cfg.with_alpha(alpha), beta=beta)
+    with _trial_map(threads) as trial_map:
+        for alpha, beta, modes in instances:
+            pulse = PulseSpec(beta=beta, span=cfg.pulse_span)
+            noise = gram_matrix(shape, alpha, pulse).noise
+            cfg_pt = replace(cfg.with_alpha(alpha), beta=beta)
 
-        def one_trial(chan):
-            eff = effective_channel(chan, pulse, cfg_pt)
-            sol = derive_subchannels(eff.H, noise, shape)
-            mi = np.empty((len(cfg.snr_db_grid), 2))
+            def one_trial(chan):
+                eff = effective_channel(chan, pulse, cfg_pt)
+                sol = derive_subchannels(eff.H, noise, shape)
+                mi = np.empty((len(cfg.snr_db_grid), 2))
+                for i, snr_db in enumerate(cfg.snr_db_grid):
+                    snr = _snr_linear(snr_db)
+                    gamma_pa, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
+                    mi[i, 0] = mi_sum(sol.xi, gamma_pa, snr)
+                    mi[i, 1] = mi_sum(sol.xi, uniform_gamma(sol.phi, float(shape.MN)), snr)
+                return mi
+
+            mean_mi = np.mean(trial_map(one_trial, channels), axis=0)
+
             for i, snr_db in enumerate(cfg.snr_db_grid):
-                snr = _snr_linear(snr_db)
-                gamma_pa, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-                mi[i, 0] = mi_sum(sol.xi, gamma_pa, snr)
-                mi[i, 1] = mi_sum(sol.xi, uniform_gamma(sol.phi, float(shape.MN)), snr)
-            return mi
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_trial = list(pool.map(one_trial, channels))
-        else:
-            per_trial = [one_trial(c) for c in channels]
-        mean_mi = np.mean(per_trial, axis=0)
-
-        for i, snr_db in enumerate(cfg.snr_db_grid):
-            for mode in modes:
-                col = 1 if mode == "no_pa" else 0
-                mi = float(mean_mi[i, col])
-                rows.append(
-                    RatePoint(
-                        snr_db=snr_db, alpha=alpha, beta=beta, mode=mode,
-                        mi_bits=mi, rate_bps_hz=info_rate(mi, cfg_pt), seeds=cfg.trials,
+                for mode in modes:
+                    col = 1 if mode == "no_pa" else 0
+                    mi = float(mean_mi[i, col])
+                    rows.append(
+                        RatePoint(
+                            snr_db=snr_db, alpha=alpha, beta=beta, mode=mode,
+                            mi_bits=mi, rate_bps_hz=info_rate(mi, cfg_pt), seeds=cfg.trials,
+                        )
                     )
-                )
     rows.sort(key=lambda r: (r.alpha, r.snr_db, r.beta, r.mode))
     return SweepResult(kind="rate", rows=tuple(rows), provenance=_provenance(cfg, digest))
 
 
-def _load_point(sol: PrecoderSolution, snr: float, cfg_a: SystemConfig):
-    """Water-fill, finalize and bit-load a derived solution at one SNR."""
+def _load_point(sol: PrecoderSolution, snr: float, cfg_a: SystemConfig, D=None):
+    """Water-fill, finalize (with shared receive weights D, if given) and bit-load at one SNR."""
     sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(sol.shape.MN))
-    finalize(sol)
+    finalize(sol, D)
     return sol, bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
 
 
@@ -195,7 +264,7 @@ def _ber_point(
     pulse: PulseSpec,
     gram,
     shared,
-    threads: int,
+    trial_map,
     collect_llrs: bool,
 ) -> tuple[BerCounter, list[str]]:
     shape = GridShape(cfg_a.M, cfg_a.N)
@@ -204,8 +273,8 @@ def _ber_point(
 
     link = None
     if shared is not None:
-        eff, derived = shared
-        link = (eff, *_load_point(replace(derived), snr, cfg_a))
+        eff, derived, D = shared
+        link = (eff, *_load_point(replace(derived), snr, cfg_a, D))
         starts = range(0, cfg_a.trials, FRAME_BLOCK)
         blocks = [range(t, min(t + FRAME_BLOCK, cfg_a.trials)) for t in starts]
     else:
@@ -227,15 +296,9 @@ def _ber_point(
             records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
         return counter, records
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_block, blocks))
-    else:
-        results = [one_block(b) for b in blocks]
-
     total = BerCounter()
     llr_lines = []
-    for counter, records in results:
+    for counter, records in trial_map(one_block, blocks):
         total = total.merge(counter)
         llr_lines.extend(rec for rec in records if rec)
     return total, llr_lines
@@ -258,36 +321,38 @@ def run_ber_sweep(
     validate_config(cfg)
     assert_memory_budget(cfg)
     rows: list[BerRow] = []
-    if llr_sink is not None:
-        llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
-        llr_sink.write(LLR_DUMP_HEADER + "\n")
+    with _trial_map(threads) as trial_map:
+        if llr_sink is not None:
+            llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
+            llr_sink.write(LLR_DUMP_HEADER + "\n")
 
-    point_idx = 0
-    for alpha in cfg.alpha_grid:
-        cfg_a = cfg.with_alpha(alpha)
-        pulse = PulseSpec(beta=cfg.beta, span=cfg.pulse_span)
-        shape = GridShape(cfg.M, cfg.N)
-        gram = gram_matrix(shape, alpha, pulse)
-        shared = None
-        if cfg.channel.profile == "identity":
-            eff = effective_channel(identity_channel(), pulse, cfg_a)
-            shared = (eff, derive_subchannels(eff.H, gram.noise, shape))
-        for snr_db in cfg.snr_db_grid:
-            counter, llr_lines = _ber_point(
-                cfg_a, snr_db, point_idx, pulse, gram, shared, threads, llr_sink is not None
-            )
-            if llr_sink is not None:
-                for chunk in llr_lines:
-                    llr_sink.write(chunk + "\n")
-            rows.append(
-                BerRow(
-                    snr_db=snr_db, alpha=alpha, beta=cfg.beta,
-                    target_rate=cfg.target_rate_bps_hz,
-                    bits=counter.total, errors=counter.errors, ber=counter.ber,
-                    trials=cfg.trials,
+        point_idx = 0
+        for alpha in cfg.alpha_grid:
+            cfg_a = cfg.with_alpha(alpha)
+            pulse = PulseSpec(beta=cfg.beta, span=cfg.pulse_span)
+            shape = GridShape(cfg.M, cfg.N)
+            gram = gram_matrix(shape, alpha, pulse)
+            shared = None
+            if cfg.channel.profile == "identity":
+                eff = effective_channel(identity_channel(), pulse, cfg_a)
+                derived = derive_subchannels(eff.H, gram.noise, shape)
+                shared = (eff, derived, receive_weights(derived))
+            for snr_db in cfg.snr_db_grid:
+                counter, llr_lines = _ber_point(
+                    cfg_a, snr_db, point_idx, pulse, gram, shared, trial_map, llr_sink is not None
                 )
-            )
-            point_idx += 1
+                if llr_sink is not None:
+                    for chunk in llr_lines:
+                        llr_sink.write(chunk + "\n")
+                rows.append(
+                    BerRow(
+                        snr_db=snr_db, alpha=alpha, beta=cfg.beta,
+                        target_rate=cfg.target_rate_bps_hz,
+                        bits=counter.total, errors=counter.errors, ber=counter.ber,
+                        trials=cfg.trials,
+                    )
+                )
+                point_idx += 1
     rows.sort(key=lambda r: (r.alpha, r.snr_db))
     return SweepResult(kind="ber", rows=tuple(rows), provenance=_provenance(cfg, digest))
 

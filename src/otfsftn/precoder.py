@@ -174,14 +174,22 @@ def uniform_gamma(phi: np.ndarray, budget: float) -> np.ndarray:
     return np.full_like(phi, budget / float(phi.sum()))
 
 
-def finalize(sol: PrecoderSolution) -> PrecoderSolution:
-    """Fill the precoder P = U diag(gamma)^{1/2} and receive weights D."""
+def receive_weights(sol: PrecoderSolution) -> np.ndarray:
+    """Receive weights D = ((F_N kron I_M) V diag(lam)^{-1/2} C U_t)^H; independent of gamma."""
+    w = (sol.C @ sol.U_t) / np.sqrt(sol.noise.lam)[:, None]
+    return time_to_dd(_real_matmul(sol.noise.V, w), sol.shape).conj().T
+
+
+def finalize(sol: PrecoderSolution, D: np.ndarray | None = None) -> PrecoderSolution:
+    """Fill the precoder P = U diag(gamma)^{1/2} and receive weights D.
+
+    D, when given, must be receive_weights of the same derived solution; a
+    sweep forms it once and shares it across power allocations.
+    """
     if sol.gamma is None:
         raise ValueError("solution field 'gamma' must be filled before finalize")
     sol.P_mat = sol.U * np.sqrt(sol.gamma)[None, :]
-    # D^H = (F_N kron I_M) V diag(lam)^{-1/2} C U_t
-    w = (sol.C @ sol.U_t) / np.sqrt(sol.noise.lam)[:, None]
-    sol.D = time_to_dd(_real_matmul(sol.noise.V, w), sol.shape).conj().T
+    sol.D = receive_weights(sol) if D is None else D
     return sol
 
 

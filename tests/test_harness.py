@@ -1,5 +1,6 @@
 import io
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ import pytest
 import otfsftn.pulse
 from otfsftn import ConfigError, parse_config, run_ber_sweep, run_rate_sweep, validate
 from otfsftn.cli import main as cli_main
-from otfsftn.harness import channel_dump, trial_rng
+import otfsftn.harness as harness
+from otfsftn.harness import channel_dump, single_blas_thread, trial_rng
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 M: 4
@@ -107,6 +111,10 @@ class TestParseConfig:
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("- 1\n- 2\n")
+
+    def test_duplicate_alpha_rejected(self):
+        with pytest.raises(ConfigError, match="alpha entries must be distinct"):
+            parse_config(MINIMAL.replace("alpha: 1.0", "alpha: [0.9, 0.9]"))
 
     def test_malformed_values_rejected(self):
         with pytest.raises(ConfigError, match="malformed config value"):
@@ -277,6 +285,22 @@ class TestBerSweep:
         result = run_ber_sweep(cfg)
         assert len(result.rows) == 4 and len(calls) == 2
 
+    def test_identity_receive_weights_formed_once_per_alpha(self, monkeypatch):
+        import otfsftn.precoder as precoder
+
+        calls = []
+        real = precoder.receive_weights
+
+        def spy(sol):
+            calls.append(1)
+            return real(sol)
+
+        monkeypatch.setattr(harness, "receive_weights", spy)
+        monkeypatch.setattr(precoder, "receive_weights", spy)
+        cfg = parse_config(AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]"))
+        result = run_ber_sweep(cfg)
+        assert len(result.rows) == 4 and len(calls) == 2
+
     def test_llr_dump_identical_across_threads(self):
         cfg = parse_config(EVA_BER.replace("trials: 6", "trials: 4"))
         sinks = []
@@ -285,6 +309,118 @@ class TestBerSweep:
             run_ber_sweep(cfg, threads=threads, llr_sink=sink)
             sinks.append(sink.getvalue())
         assert sinks[0] == sinks[1]
+
+
+def _blas_counts(controls):
+    return [get() for get, _ in controls]
+
+
+class TestThreads:
+    @pytest.fixture
+    def blas_two(self):
+        """OpenBLAS set to two threads for the test, so a pin to one shows."""
+        controls = harness._openblas_threads()
+        if not controls:
+            pytest.skip("numpy is not linked to OpenBLAS")
+        before = _blas_counts(controls)
+        for _, put in controls:
+            put(2)
+        yield controls
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+    def _spy_derive(self, monkeypatch, controls, fail=False):
+        seen = []
+        real = harness.derive_subchannels
+
+        def spy(*args):
+            seen.append(_blas_counts(controls))
+            if fail:
+                raise RuntimeError("derive failed")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "derive_subchannels", spy)
+        return seen
+
+    def test_pool_pins_blas_and_restores_it(self, blas_two, monkeypatch):
+        seen = self._spy_derive(monkeypatch, blas_two)
+        run_ber_sweep(parse_config(EVA_BER), threads=2)
+        assert len(seen) == 6 and all(c == [1] * len(blas_two) for c in seen)
+        assert _blas_counts(blas_two) == [2] * len(blas_two)
+
+    def test_blas_restored_when_sweep_raises(self, blas_two, monkeypatch):
+        seen = self._spy_derive(monkeypatch, blas_two, fail=True)
+        with pytest.raises(RuntimeError, match="derive failed"):
+            run_ber_sweep(parse_config(EVA_BER), threads=2)
+        assert seen and seen[0] == [1] * len(blas_two)
+        assert _blas_counts(blas_two) == [2] * len(blas_two)
+
+    def test_single_thread_leaves_blas_alone(self, blas_two, monkeypatch):
+        seen = self._spy_derive(monkeypatch, blas_two)
+        run_ber_sweep(parse_config(EVA_BER), threads=1)
+        assert seen and all(c == [2] * len(blas_two) for c in seen)
+
+    def test_identity_csv_independent_of_threads(self, blas_two):
+        # at MN = 512 the identity channel's subchannel basis is set by
+        # rounding, so the shared derivation must not depend on --threads
+        text = (
+            AWGN_QPSK.replace("M: 4", "M: 32").replace("N: 4", "N: 16")
+            .replace("snr_db_grid: [0, 4]", "snr_db_grid: [0]").replace("trials: 40", "trials: 8")
+        )
+        cfg = parse_config(text)
+        assert run_ber_sweep(cfg, threads=2).to_csv() == run_ber_sweep(cfg, threads=1).to_csv()
+
+    def test_pin_is_no_op_without_setter(self, blas_two, monkeypatch):
+        monkeypatch.setattr(harness, "_OPENBLAS_THREADS", ("no_such_blas_{}_num_threads",))
+        assert harness._openblas_threads() == []
+        with single_blas_thread():
+            assert _blas_counts(blas_two) == [2] * len(blas_two)
+
+        def unreadable(*args):
+            raise OSError("process maps unreadable")
+
+        monkeypatch.setattr(harness, "open", unreadable, raising=False)
+        assert harness._openblas_threads() == []
+
+    def test_eva192_outputs_identical_for_any_pool_size(self):
+        text = (
+            (CONFIGS / "eva_ber.yaml").read_text()
+            .replace("trials: 50", "trials: 2")
+            .replace("snr_db_grid: [8, 12, 16, 20]", "snr_db_grid: [8]")
+        )
+        cfg = parse_config(text)
+        assert cfg.MN == 192
+
+        def run(threads):
+            sink = io.StringIO()
+            csv = run_ber_sweep(cfg, threads=threads, llr_sink=sink).to_csv()
+            return csv.encode(), sink.getvalue().encode()
+
+        pooled = run(2)
+        assert len(pooled[1].splitlines()) > 2
+        assert run(3) == pooled
+        with single_blas_thread():
+            assert run(1) == pooled
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_sweeps_reject_threads_below_one(self, threads):
+        cfg = parse_config(AWGN_QPSK)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_rate_sweep(cfg, threads=threads)
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_ber_sweep(cfg, threads=threads, llr_sink=sink)
+        assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize("command", ["rate", "ber"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_cli_rejects_threads_below_one(self, tmp_path, capsys, command, threads):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
 
 
 class TestChannelDump:

@@ -14,6 +14,7 @@ from otfsftn import (
     hermitian_evd_desc,
     mi_sum,
     noise_shape,
+    receive_weights,
     solve_precoder,
     uniform_gamma,
     waterfill,
@@ -361,3 +362,13 @@ class TestFinalize:
         sol = derive_subchannels(eff.H, gram.noise, shape)
         with pytest.raises(ValueError, match="gamma"):
             finalize(sol)
+
+    def test_shared_receive_weights_match_fresh(self):
+        shape, gram, eff = eva_instance(8, 4, 0.9, seed=10)
+        fresh = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
+        sol = derive_subchannels(eff.H, gram.noise, shape)
+        D = receive_weights(sol)
+        sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
+        finalize(sol, D)
+        assert sol.D is D
+        assert np.array_equal(sol.D, fresh.D) and np.array_equal(sol.P_mat, fresh.P_mat)
