@@ -3,7 +3,7 @@ delay-Doppler grid over doubly selective fading channels."""
 
 from ._version import __version__
 from .config import ChannelConfig, ConfigError, SystemConfig, parse_config
-from .transforms import DftMatrix, GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
+from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 from .pulse import (
     GramSet, NoiseShape, PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse,
 )
@@ -66,7 +66,7 @@ from .harness import (
 __all__ = [
     "__version__",
     "ChannelConfig", "ConfigError", "SystemConfig", "parse_config",
-    "DftMatrix", "GridShape", "conjugate_by_dd", "dd_to_time", "dft_matrix", "time_to_dd",
+    "GridShape", "conjugate_by_dd", "dd_to_time", "dft_matrix", "time_to_dd",
     "GramSet", "NoiseShape", "PulseSpec", "gram_dd", "gram_matrix", "noise_shape",
     "rc_autocorr", "rrc_impulse",
     "DdChannel", "DdPath", "EffectiveChannel", "dump_paths", "effective_channel",

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EVA_DELAYS_NS, EVA_POWERS_DB, SystemConfig
-from .pulse import PulseSpec, check_alpha, rc_autocorr, rrc_impulse
+from .pulse import PulseSpec, check_alpha, rrc_impulse, sampled_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time
 
 
@@ -51,10 +51,6 @@ class DdChannel:
     """A sparse delay-Doppler channel realization."""
 
     paths: tuple[DdPath, ...]
-    nu_max_hz: float | None = None
-    tau_max_s: float | None = None
-    k_max: int | None = None
-    jakes_angles: tuple[float, ...] | None = None
 
     @property
     def num_paths(self) -> int:
@@ -70,7 +66,6 @@ class EffectiveChannel:
 
     H: np.ndarray
     shape: GridShape
-    cp_mode: str
 
     @cached_property
     def H_eq(self) -> np.ndarray:
@@ -79,7 +74,7 @@ class EffectiveChannel:
 
 def identity_channel() -> DdChannel:
     """Single unit-gain path at the origin; the AWGN-equivalent channel."""
-    return DdChannel(paths=(DdPath(1.0 + 0.0j, 0, 0, 0.0),), nu_max_hz=0.0, tau_max_s=0.0, k_max=0)
+    return DdChannel(paths=(DdPath(1.0 + 0.0j, 0, 0, 0.0),))
 
 
 def eva_profile() -> tuple[np.ndarray, np.ndarray]:
@@ -132,13 +127,7 @@ def eva_channel(nu_max_hz: float, cfg: SystemConfig, rng: np.random.Generator) -
     for g, l, d in zip(gains, taps, doppler_taps):
         k, kappa = _split_doppler(float(d))
         paths.append(DdPath(complex(g), int(l), k, kappa))
-    return DdChannel(
-        paths=tuple(paths),
-        nu_max_hz=nu_max_hz,
-        tau_max_s=float(delays.max()),
-        k_max=int(max(abs(p.doppler_int) for p in paths)),
-        jakes_angles=tuple(float(a) for a in angles),
-    )
+    return DdChannel(paths=tuple(paths))
 
 
 def synthetic_channel(
@@ -175,7 +164,7 @@ def synthetic_channel(
         DdPath(complex(g), int(l), int(k), float(f))
         for g, l, k, f in zip(gains, delay, dopp, kappa)
     )
-    return DdChannel(paths=paths, k_max=k_max)
+    return DdChannel(paths=paths)
 
 
 def channel_for_config(cfg: SystemConfig, rng: np.random.Generator) -> DdChannel:
@@ -188,21 +177,17 @@ def channel_for_config(cfg: SystemConfig, rng: np.random.Generator) -> DdChannel
     return synthetic_channel(ch.num_paths, ch.l_max, ch.k_max, ch.frac_doppler, rng)
 
 
-def effective_channel(
-    chan: DdChannel,
-    pulse: PulseSpec,
-    cfg: SystemConfig,
-    cp_mode: str | None = None,
-) -> EffectiveChannel:
+def effective_channel(chan: DdChannel, pulse: PulseSpec, cfg: SystemConfig) -> EffectiveChannel:
     """Dense MN x MN effective channel for the configured packing ratio.
 
     Entry (k, m) sums h_p * exp(2j*pi*(k_p+kappa_p)*(k-l_p)/MN) * g((k-m-l_p)*T_f)
     over paths.  In circular mode each of the last cp_len symbols additionally
     contributes its cyclic-prefix image at position m - MN, which is how the
     transmitted prefix makes the dispersive response wrap around the frame.
-    In literal mode the formula applies verbatim with no wraparound.
+    In literal mode the formula applies verbatim with no wraparound.  The
+    mode is cfg.cp_mode.
     """
-    mode = cfg.cp_mode if cp_mode is None else cp_mode
+    mode = cfg.cp_mode
     if mode not in ("literal", "circular"):
         raise ValueError(f"cp_mode must be 'literal' or 'circular', got '{mode}'")
     alpha = cfg.alpha
@@ -217,7 +202,7 @@ def effective_channel(
     # for delay tap l sits at lag_table[l_top - l:][k - m + mn - 1]
     l_top = chan.max_delay_tap()
     lags = np.arange(-(mn - 1) - l_top, 2 * mn)
-    lag_table = np.asarray(rc_autocorr(lags * alpha * pulse.T0, pulse))
+    lag_table = sampled_autocorr(lags, alpha, pulse)
     k = np.arange(mn)
     diff = k[:, None] - k[None, :] + (mn - 1)
 
@@ -232,7 +217,7 @@ def effective_channel(
             # each of the last cp symbols also arrives through its prefix copy at m - mn
             gv[:, mn - cp :] += lag_table[l_top - tap + mn :][diff[:, mn - cp :]]
         h += weight[:, None] * gv
-    return EffectiveChannel(H=h, shape=shape, cp_mode=mode)
+    return EffectiveChannel(H=h, shape=shape)
 
 
 def waveform_oracle(
@@ -261,8 +246,8 @@ def waveform_oracle(
 
     # all times live on the grid t = i*dt with dt = T_f/oversample; integer
     # delay taps land exactly on it
-    dt = alpha * pulse.T0 / oversample
-    hw = int(np.ceil(pulse.span * pulse.T0 / dt))
+    dt = alpha / oversample
+    hw = int(np.ceil(pulse.span / dt))
     h_taps = np.asarray(rrc_impulse(np.arange(-hw, hw + 1) * dt, pulse))
 
     s = dd_to_time(np.asarray(x_p, dtype=complex), shape)

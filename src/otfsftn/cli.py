@@ -21,6 +21,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otfsftn",
@@ -31,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, needs_config: bool) -> None:
         p.add_argument("--config", required=needs_config, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     threads_help = "trial worker threads, one BLAS thread each; 1 leaves parallelism to BLAS"

@@ -50,8 +50,6 @@ class SystemConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     cp_mode: str = "circular"
     target_rate_bps_hz: float | None = None
-    pulse_span: float = 32.0
-    sigma_x_sq: float = 1.0
 
     @property
     def alpha(self) -> float:
@@ -85,29 +83,29 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _strict(value, key: str, kind: type):
-    # exact type: no float or string is truncated to an int, and a bool (an
-    # int subclass) is no integer
-    if type(value) is not kind:
-        raise ConfigError(f"malformed config value: '{key}' must be {kind.__name__}, got {value!r}")
+def _strict(value, key: str, *kinds: type):
+    # exact type: no float or string is truncated to an int or read as a
+    # number, and a bool (an int subclass) is no number
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"malformed config value: '{key}' must be {names}, got {value!r}")
     return value
 
 
+def _number(value, key: str) -> float:
+    return float(_strict(value, key, int, float))
+
+
 def _as_float_tuple(value, key: str) -> tuple[float, ...]:
-    try:
-        if isinstance(value, (int, float)):
-            return (float(value),)
-        if isinstance(value, (list, tuple)) and value:
-            return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"'{key}' must be a number or non-empty list of numbers")
+    if not isinstance(value, list):
+        return (_number(value, key),)
+    _require(bool(value), f"'{key}' must be a number or non-empty list of numbers")
+    return tuple(_number(v, key) for v in value)
 
 
 _TOP_KEYS = {
     "M", "N", "alpha", "beta", "delta_f_hz", "cp_len", "snr_db_grid",
     "master_seed", "trials", "channel", "cp_mode", "target_rate_bps_hz",
-    "pulse_span", "sigma_x_sq",
 }
 _CHANNEL_KEYS = {"profile", "nu_max_hz", "num_paths", "l_max", "k_max", "frac_doppler"}
 
@@ -133,8 +131,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         _require(math.isfinite(snr_db), f"snr_db_grid entries must be finite, got {snr_db}")
     _require(0 <= cfg.master_seed < 2**64, f"master_seed must be a 64-bit integer, got {cfg.master_seed}")
     _require(cfg.cp_mode in _CP_MODES, f"cp_mode must be one of {_CP_MODES}, got '{cfg.cp_mode}'")
-    _require(cfg.pulse_span >= 1.0, f"pulse_span must be >= 1, got {cfg.pulse_span}")
-    _require(cfg.sigma_x_sq == 1.0, f"sigma_x_sq is fixed at 1, got {cfg.sigma_x_sq}")
     if cfg.target_rate_bps_hz is not None:
         _require(cfg.target_rate_bps_hz > 0.0, f"target_rate_bps_hz must be positive, got {cfg.target_rate_bps_hz}")
 
@@ -184,7 +180,7 @@ def parse_config(text: str) -> SystemConfig:
     try:
         channel = ChannelConfig(
             profile=str(ch_raw.get("profile", "identity")),
-            nu_max_hz=float(ch_raw.get("nu_max_hz", 0.0)),
+            nu_max_hz=_number(ch_raw.get("nu_max_hz", 0.0), "nu_max_hz"),
             num_paths=_strict(ch_raw.get("num_paths", 1), "num_paths", int),
             l_max=_strict(ch_raw.get("l_max", 0), "l_max", int),
             k_max=_strict(ch_raw.get("k_max", 0), "k_max", int),
@@ -194,21 +190,17 @@ def parse_config(text: str) -> SystemConfig:
             M=_strict(raw["M"], "M", int),
             N=_strict(raw["N"], "N", int),
             alpha_grid=_as_float_tuple(raw["alpha"], "alpha"),
-            beta=float(raw["beta"]),
-            delta_f_hz=float(raw.get("delta_f_hz", 15e3)),
+            beta=_number(raw["beta"], "beta"),
+            delta_f_hz=_number(raw.get("delta_f_hz", 15e3), "delta_f_hz"),
             cp_len=None if raw.get("cp_len") is None else _strict(raw["cp_len"], "cp_len", int),
             snr_db_grid=_as_float_tuple(raw.get("snr_db_grid", 10.0), "snr_db_grid"),
             master_seed=_strict(raw.get("master_seed", 1), "master_seed", int),
             trials=_strict(raw.get("trials", 20), "trials", int),
             channel=channel,
             cp_mode=str(raw.get("cp_mode", "circular")),
-            target_rate_bps_hz=None if target is None else float(target),
-            pulse_span=float(raw.get("pulse_span", 32.0)),
-            sigma_x_sq=float(raw.get("sigma_x_sq", 1.0)),
+            target_rate_bps_hz=None if target is None else _number(target, "target_rate_bps_hz"),
         )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except OverflowError as exc:  # a YAML integer too large for a float
         raise ConfigError(f"malformed config value: {exc}") from exc
     return validate_config(cfg)
 

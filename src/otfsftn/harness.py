@@ -10,6 +10,8 @@ the trials, and threads == 1, keep the user's BLAS thread count.  CSVs are
 byte-identical for any thread count.  The LLR dump is byte-identical for any
 threads >= 2, and at threads == 1 when BLAS runs one thread; other BLAS
 counts split reductions differently and may move LLRs in the last digits.
+The identity channel's G, H and subchannel basis are exactly the identity,
+so its BER CSV does not depend on the BLAS thread count either.
 
 A BER sweep point runs its frames in blocks.  On a shared channel (profile
 identity) the channel and its subchannel decomposition are solved once per
@@ -31,12 +33,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .config import ConfigError, SystemConfig, config_digest, validate_config
+from .config import ChannelConfig, ConfigError, SystemConfig, config_digest, validate_config
 from .channel import (
+    DdChannel,
     channel_for_config,
     dump_paths,
     effective_channel,
     identity_channel,
+    synthetic_channel,
     waveform_oracle,
 )
 from .link import (
@@ -50,7 +54,7 @@ from .link import (
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
 from .precoder import (PrecoderSolution, derive_subchannels, finalize, receive_weights,
                        uniform_gamma, waterfill)
-from .pulse import PulseSpec, gram_dd, gram_matrix, noise_shape
+from .pulse import PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
 RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
@@ -176,8 +180,7 @@ def single_blas_thread():
 def _trial_map(threads: int):
     """Map trials serially (threads == 1) or on one worker pool per sweep.
 
-    Pool maps pin BLAS to one thread.  Set-up between maps keeps the user's
-    count, so the identity channel's basis, set by rounding, is as at threads == 1.
+    Pool maps pin BLAS to one thread; set-up between maps keeps the user's count.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -219,7 +222,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     rows: list[RatePoint] = []
     with _trial_map(threads) as trial_map:
         for alpha, beta, modes in instances:
-            pulse = PulseSpec(beta=beta, span=cfg.pulse_span)
+            pulse = PulseSpec(beta=beta)
             noise = gram_matrix(shape, alpha, pulse).noise
             cfg_pt = replace(cfg.with_alpha(alpha), beta=beta)
 
@@ -252,7 +255,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
 
 def _load_point(sol: PrecoderSolution, snr: float, cfg_a: SystemConfig, D=None):
     """Water-fill, finalize (with shared receive weights D, if given) and bit-load at one SNR."""
-    sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(sol.shape.MN))
+    sol.gamma, _ = waterfill(sol.xi, sol.phi, snr, float(sol.shape.MN))
     finalize(sol, D)
     return sol, bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
 
@@ -269,7 +272,7 @@ def _ber_point(
 ) -> tuple[BerCounter, list[str]]:
     shape = GridShape(cfg_a.M, cfg_a.N)
     snr = _snr_linear(snr_db)
-    sigma0_sq = cfg_a.sigma_x_sq / snr
+    sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
 
     link = None
     if shared is not None:
@@ -329,7 +332,7 @@ def run_ber_sweep(
         point_idx = 0
         for alpha in cfg.alpha_grid:
             cfg_a = cfg.with_alpha(alpha)
-            pulse = PulseSpec(beta=cfg.beta, span=cfg.pulse_span)
+            pulse = PulseSpec(beta=cfg.beta)
             shape = GridShape(cfg.M, cfg.N)
             gram = gram_matrix(shape, alpha, pulse)
             shared = None
@@ -399,12 +402,10 @@ _VALIDATE_SHAPES = (GridShape(4, 2), GridShape(8, 4), GridShape(16, 4))
 
 
 def _kron_dd(shape: GridShape) -> np.ndarray:
-    return np.kron(dft_matrix(shape.N).entries, np.eye(shape.M))
+    return np.kron(dft_matrix(shape.N), np.eye(shape.M))
 
 
 def _eva_cfg(shape: GridShape, alpha: float, seed: int, nu_max: float = 400.0) -> SystemConfig:
-    from .config import ChannelConfig
-
     return SystemConfig(
         M=shape.M, N=shape.N, alpha_grid=(alpha,), beta=0.25, delta_f_hz=30e3,
         cp_len=None, master_seed=seed,
@@ -412,15 +413,15 @@ def _eva_cfg(shape: GridShape, alpha: float, seed: int, nu_max: float = 400.0) -
     )
 
 
-def _check_dft_unitarity(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_dft_unitarity(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for n in list(range(1, 17)) + [32, 64]:
-        f = dft_matrix(n).entries
+        f = dft_matrix(n)
         worst = max(worst, float(np.abs(f.conj().T @ f - np.eye(n)).max()))
     return worst <= 1e-12, f"max unitarity residual {worst:.2e} (bound 1e-12)"
 
 
-def _check_dd_roundtrip(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_dd_roundtrip(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for shape in _VALIDATE_SHAPES + (GridShape(4, 3),):
@@ -434,7 +435,7 @@ def _check_dd_roundtrip(seed: int, fault: str | None) -> tuple[bool, str]:
     return worst <= 1e-12, f"max roundtrip/oracle residual {worst:.2e} (bound 1e-12)"
 
 
-def _check_conjugation(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_conjugation(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     detail = []
     ok = True
@@ -451,9 +452,7 @@ def _check_conjugation(seed: int, fault: str | None) -> tuple[bool, str]:
     return ok, "; ".join(detail)
 
 
-def _check_pulse_shape(seed: int, fault: str | None) -> tuple[bool, str]:
-    from .pulse import rc_autocorr
-
+def _check_pulse_shape(seed: int) -> tuple[bool, str]:
     spec = PulseSpec(beta=0.25)
     t = np.linspace(-8.0, 8.0, 2001)
     g = np.asarray(rc_autocorr(t, spec))
@@ -465,7 +464,7 @@ def _check_pulse_shape(seed: int, fault: str | None) -> tuple[bool, str]:
     )
 
 
-def _check_nyquist_identity(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_nyquist_identity(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
         gram = gram_dd(gram_matrix(shape, 1.0, PulseSpec(beta=0.25)), shape)
@@ -474,9 +473,7 @@ def _check_nyquist_identity(seed: int, fault: str | None) -> tuple[bool, str]:
     return worst <= 1e-12, f"max deviation from identity {worst:.2e}"
 
 
-def _check_gram_structure(seed: int, fault: str | None) -> tuple[bool, str]:
-    from .pulse import rc_autocorr
-
+def _check_gram_structure(seed: int) -> tuple[bool, str]:
     spec = PulseSpec(beta=0.25)
     ok = True
     min_eig = np.inf
@@ -485,15 +482,15 @@ def _check_gram_structure(seed: int, fault: str | None) -> tuple[bool, str]:
         gram = gram_matrix(shape, alpha, spec)
         idx = np.arange(shape.MN)
         lags = np.abs(np.subtract.outer(idx, idx))
-        ok &= bool(np.array_equal(gram.G, gram.first_row[lags]))
-        expect = rc_autocorr(alpha * spec.T0, spec)
+        ok &= bool(np.array_equal(gram.G, gram.G[0][lags]))
+        expect = rc_autocorr(alpha, spec)
         ok &= abs(gram.G[0, 1] - expect) <= 1e-15
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram.G).min()))
     ok &= min_eig >= -1e-9
     return ok, f"Toeplitz structure ok={ok}, min eigenvalue {min_eig:.2e} (bound -1e-9)"
 
 
-def _check_floor_policy(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_floor_policy(seed: int) -> tuple[bool, str]:
     shape = GridShape(8, 4)
     spec = PulseSpec(beta=0.25)
     alpha = spec.admissible_alpha()
@@ -501,8 +498,7 @@ def _check_floor_policy(seed: int, fault: str | None) -> tuple[bool, str]:
     cfg = _eva_cfg(shape, alpha, seed)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 0))
     eff = effective_channel(chan, spec, cfg)
-    kwargs = {"eig_floor_rel": 0.0} if fault == "skip-eig-floor" else {}
-    sol = derive_subchannels(eff.H, noise_shape(gram.G, **kwargs), shape)
+    sol = derive_subchannels(eff.H, noise_shape(gram.G), shape)
     if sol.noise.floor <= 0.0:
         return False, "eigenvalue floor policy is disabled on the noise-shape spectrum"
     lam_min = float(sol.noise.lam.min())
@@ -510,7 +506,7 @@ def _check_floor_policy(seed: int, fault: str | None) -> tuple[bool, str]:
     return ok, f"floored spectrum min {lam_min:.2e}, clamped {sol.floored} value(s)"
 
 
-def _check_gram_dd_spectrum(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_gram_dd_spectrum(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
         gram = gram_dd(gram_matrix(shape, 0.85, PulseSpec(beta=0.25)), shape)
@@ -520,20 +516,13 @@ def _check_gram_dd_spectrum(seed: int, fault: str | None) -> tuple[bool, str]:
     return worst <= 1e-9, f"max eigenvalue mismatch {worst:.2e} (bound 1e-9)"
 
 
-def _check_channel_linearity(seed: int, fault: str | None) -> tuple[bool, str]:
-    from dataclasses import replace as dc_replace
-
-    from .channel import DdChannel
-
+def _check_channel_linearity(seed: int) -> tuple[bool, str]:
     shape = GridShape(8, 4)
     spec = PulseSpec(beta=0.25)
     cfg = _eva_cfg(shape, 0.9, seed)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 1))
     eff = effective_channel(chan, spec, cfg)
-    scaled = DdChannel(
-        paths=tuple(dc_replace(p, gain=2.5 * p.gain) for p in chan.paths),
-        nu_max_hz=chan.nu_max_hz, tau_max_s=chan.tau_max_s, k_max=chan.k_max,
-    )
+    scaled = DdChannel(paths=tuple(replace(p, gain=2.5 * p.gain) for p in chan.paths))
     eff2 = effective_channel(scaled, spec, cfg)
     lin = float(np.abs(eff2.H - 2.5 * eff.H).max())
     fro = abs(np.linalg.norm(eff.H_eq) - np.linalg.norm(eff.H)) / np.linalg.norm(eff.H)
@@ -541,34 +530,27 @@ def _check_channel_linearity(seed: int, fault: str | None) -> tuple[bool, str]:
     return ok, f"gain linearity {lin:.2e}, Frobenius preservation {fro:.2e}"
 
 
-def _check_doppler_periodicity(seed: int, fault: str | None) -> tuple[bool, str]:
-    from dataclasses import replace as dc_replace
-
+def _check_doppler_periodicity(seed: int) -> tuple[bool, str]:
     shape = GridShape(8, 4)
     spec = PulseSpec(beta=0.25)
     cfg = replace(_eva_cfg(shape, 0.9, seed), cp_mode="literal")
     chan = channel_for_config(cfg, trial_rng(seed, 0, 2))
     eff = effective_channel(chan, spec, cfg)
-    from .channel import DdChannel
-
     shifted = DdChannel(
-        paths=tuple(dc_replace(p, doppler_int=p.doppler_int + shape.MN) for p in chan.paths),
-        nu_max_hz=chan.nu_max_hz, tau_max_s=chan.tau_max_s, k_max=chan.k_max,
+        paths=tuple(replace(p, doppler_int=p.doppler_int + shape.MN) for p in chan.paths)
     )
     eff2 = effective_channel(shifted, spec, cfg)
     res = float(np.abs(eff2.H - eff.H).max())
     return res <= 1e-9, f"Doppler-tap periodicity residual {res:.2e}"
 
 
-def _check_separability(seed: int, fault: str | None) -> tuple[bool, str]:
-    from .channel import synthetic_channel
-
+def _check_separability(seed: int) -> tuple[bool, str]:
     shape = GridShape(8, 4)
     cfg = SystemConfig(
         M=8, N=4, alpha_grid=(1.0,), beta=0.25, cp_len=4, master_seed=seed,
     )
     chan = synthetic_channel(5, 3, 1, False, trial_rng(seed, 0, 3))
-    eff = effective_channel(chan, PulseSpec(beta=0.25), cfg, cp_mode="circular")
+    eff = effective_channel(chan, PulseSpec(beta=0.25), cfg)
     impulse = np.zeros(shape.MN, complex)
     impulse[0] = 1.0
     resp = eff.H_eq @ impulse
@@ -578,7 +560,7 @@ def _check_separability(seed: int, fault: str | None) -> tuple[bool, str]:
     )
 
 
-def _check_precoder_identities(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_precoder_identities(seed: int) -> tuple[bool, str]:
     detail = []
     ok = True
     for shape in _VALIDATE_SHAPES:
@@ -588,7 +570,7 @@ def _check_precoder_identities(seed: int, fault: str | None) -> tuple[bool, str]
         chan = channel_for_config(cfg, trial_rng(seed, 0, 4))
         eff = effective_channel(chan, spec, cfg)
         sol = derive_subchannels(eff.H, gram.noise, shape)
-        sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
+        sol.gamma, _ = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
         finalize(sol)
         bound = 1e-8 * float(sol.xi.max())
         r1 = float(np.abs(sol.D @ eff.H_eq @ sol.P_mat - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
@@ -598,7 +580,7 @@ def _check_precoder_identities(seed: int, fault: str | None) -> tuple[bool, str]
     return ok, "; ".join(detail)
 
 
-def _check_waterfill_kkt(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_waterfill_kkt(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
@@ -618,7 +600,7 @@ def _check_waterfill_kkt(seed: int, fault: str | None) -> tuple[bool, str]:
     return ok, f"max constraint/KKT residual {worst:.2e}"
 
 
-def _check_mi_equivalence(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_mi_equivalence(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
@@ -638,7 +620,7 @@ def _check_mi_equivalence(seed: int, fault: str | None) -> tuple[bool, str]:
     return worst <= 1e-6, f"max relative MI mismatch {worst:.2e} (bound 1e-6)"
 
 
-def _check_pa_dominance(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_pa_dominance(seed: int) -> tuple[bool, str]:
     worst = -np.inf
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
@@ -657,7 +639,7 @@ def _check_pa_dominance(seed: int, fault: str | None) -> tuple[bool, str]:
     return worst <= 1e-9, f"max uniform-minus-waterfilled MI gap {worst:.2e} (bound 1e-9)"
 
 
-def _check_link_noiseless(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_link_noiseless(seed: int) -> tuple[bool, str]:
     total_err = 0
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
@@ -666,7 +648,7 @@ def _check_link_noiseless(seed: int, fault: str | None) -> tuple[bool, str]:
         chan = channel_for_config(cfg, trial_rng(seed, 0, 7))
         eff = effective_channel(chan, spec, cfg)
         sol = derive_subchannels(eff.H, gram.noise, shape)
-        sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, 100.0, float(shape.MN))
+        sol.gamma, _ = waterfill(sol.xi, sol.phi, 100.0, float(shape.MN))
         finalize(sol)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
         frame = run_frame(loading, sol, eff, gram, 0.0, [trial_rng(seed, 1, 7)], shape)
@@ -675,12 +657,12 @@ def _check_link_noiseless(seed: int, fault: str | None) -> tuple[bool, str]:
     return total_err == 0, f"{total_err} bit errors across noiseless frames"
 
 
-def _check_waveform_oracle(seed: int, fault: str | None) -> tuple[bool, str]:
+def _check_waveform_oracle(seed: int) -> tuple[bool, str]:
     shape = GridShape(16, 4)
     spec = PulseSpec(beta=0.25, span=32.0)
     cfg = _eva_cfg(shape, 0.9, seed, nu_max=50.0)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 8))
-    eff = effective_channel(chan, spec, cfg, cp_mode="circular")
+    eff = effective_channel(chan, spec, cfg)
     rng = trial_rng(seed, 1, 8)
     x_p = (rng.standard_normal(shape.MN) + 1j * rng.standard_normal(shape.MN)) / np.sqrt(2.0)
     z_model = eff.H @ dd_to_time(x_p, shape)
@@ -710,23 +692,20 @@ _CHECKS = (
 )
 
 
-def validate(
-    cfg: SystemConfig | None = None,
-    inject_fault: str | None = None,
-    seed: int | None = None,
-) -> ValidationReport:
+def validate(cfg: SystemConfig | None = None, seed: int | None = None) -> ValidationReport:
     """Run every module's invariant checks at small sizes and report pass/fail.
 
-    inject_fault is a test hook: "skip-eig-floor" disables the eigenvalue
-    floor inside the floor-policy check, which must then fail.
+    The seed (default: the config's master_seed) must lie in [0, 2**64).
     """
     if seed is None:
         seed = cfg.master_seed if cfg is not None else 20240901
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"validate seed must lie in [0, 2**64), got {seed}")
     results = []
     for name, fn in _CHECKS:
         t0 = time.perf_counter()
         try:
-            ok, detail = fn(seed, inject_fault)
+            ok, detail = fn(seed)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, ok=ok, seconds=time.perf_counter() - t0, detail=detail))

@@ -73,10 +73,9 @@ def constellation(bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Loading:
-    """Per-subchannel constellation sizes and the targeted transmission rate."""
+    """Per-subchannel constellation sizes."""
 
     bits_per_symbol: np.ndarray
-    target_rate_bps_hz: float | None = None
 
     def __post_init__(self) -> None:
         bad = set(np.unique(self.bits_per_symbol)) - {0, *SUPPORTED_BITS}
@@ -125,7 +124,7 @@ def bit_loading(
     b = np.zeros(xi.size, dtype=int)
     if target_rate_bps_hz is None:
         b[active] = 2
-        return Loading(bits_per_symbol=b, target_rate_bps_hz=None)
+        return Loading(bits_per_symbol=b)
 
     total = target_rate_bps_hz * (1.0 + cfg.beta) * cfg.MN * cfg.alpha * (4.0 / 3.0)
     total = 2 * int(round(total / 2.0))
@@ -142,7 +141,7 @@ def bit_loading(
         n = int(np.argmax(margin))  # argmax takes the lowest index on ties
         b[n] += 2
         margin[n] = s_eff[n] / (1 << b[n]) if b[n] < 8 else -np.inf
-    return Loading(bits_per_symbol=b, target_rate_bps_hz=target_rate_bps_hz)
+    return Loading(bits_per_symbol=b)
 
 
 def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:

@@ -52,13 +52,7 @@ def ber_accumulate(tx_bits: np.ndarray, rx_bits: np.ndarray, counter: BerCounter
     return counter.merge(BerCounter(errors=errs, total=tx_bits.size))
 
 
-def mi_logdet(
-    h_eq: np.ndarray,
-    g_eq: np.ndarray,
-    rxx: np.ndarray,
-    sigma0_sq: float,
-    eig_floor_rel: float = EIG_FLOOR_REL,
-) -> float:
+def mi_logdet(h_eq: np.ndarray, g_eq: np.ndarray, rxx: np.ndarray, sigma0_sq: float) -> float:
     """Gaussian mutual information log2 det(I + H_eq Rxx H_eq^H G_eq^{-1}/sigma0^2).
 
     Evaluated through the whitened congruence: eigenvalues of the Hermitian
@@ -73,7 +67,7 @@ def mi_logdet(
     v, lam = hermitian_evd_desc(g_eq)
     if lam[0] <= 0.0:
         raise ValueError("noise-shape matrix has no positive eigenvalue")
-    lam = np.maximum(lam, eig_floor_rel * lam[0])
+    lam = np.maximum(lam, EIG_FLOOR_REL * lam[0])
     if lam[-1] <= 0.0:
         raise ValueError("noise-shape matrix is singular beyond the floor")
     c = (v.conj().T @ h_eq) / np.sqrt(lam)[:, None]

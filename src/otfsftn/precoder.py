@@ -39,7 +39,6 @@ class PrecoderSolution:
     xi: np.ndarray
     phi: np.ndarray
     gamma: np.ndarray | None = None
-    water_level: float | None = None
     P_mat: np.ndarray | None = None
     D: np.ndarray | None = None
 
@@ -194,19 +193,9 @@ def finalize(sol: PrecoderSolution, D: np.ndarray | None = None) -> PrecoderSolu
 
 
 def solve_precoder(
-    h: np.ndarray,
-    noise: NoiseShape,
-    shape: GridShape,
-    snr: float,
-    power_alloc: str = "waterfill",
+    h: np.ndarray, noise: NoiseShape, shape: GridShape, snr: float
 ) -> PrecoderSolution:
-    """Full chain from the time-domain H and the noise shape to a finalized solution."""
+    """Water-filled, finalized solution from the time-domain H and the noise shape."""
     sol = derive_subchannels(h, noise, shape)
-    if power_alloc == "waterfill":
-        sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-    elif power_alloc == "uniform":
-        sol.gamma = uniform_gamma(sol.phi, float(shape.MN))
-        sol.water_level = None
-    else:
-        raise ValueError(f"unknown power_alloc '{power_alloc}'")
+    sol.gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
     return finalize(sol)

@@ -1,12 +1,13 @@
 """Root-raised-cosine pulse shaping and the symbol-rate correlation matrix.
 
 With transmit and receive filters equal to the same unit-energy RRC pulse,
-the matched-filter cascade is the raised cosine g(t).  Sampling g at the
-compressed interval T_f = alpha*T0 yields a symmetric Toeplitz matrix G that
-is simultaneously the intersymbol-interference operator and the shape of the
-matched-filter noise covariance.  It is factored once per (alpha, beta, MN)
-into a NoiseShape that whitens the channel and colors the noise.  Its
-delay-Doppler image G_eq shares the same spectrum.
+the matched-filter cascade is the raised cosine g(t).  Times are in units of
+the Nyquist interval T0.  Sampling g at the compressed interval T_f = alpha*T0
+yields a symmetric Toeplitz matrix G that is simultaneously the
+intersymbol-interference operator and the shape of the matched-filter noise
+covariance.  It is factored once per (alpha, beta, MN) into a NoiseShape that
+whitens the channel and colors the noise.  Its delay-Doppler image G_eq
+shares the same spectrum.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ _SING_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Roll-off, Nyquist interval and oracle-only truncation span of the pulse."""
+    """Roll-off and oracle-only truncation span (in units of T0) of the pulse."""
 
     beta: float
-    T0: float = 1.0
     span: float = 32.0
 
     def __post_init__(self) -> None:
@@ -42,8 +42,6 @@ class PulseSpec:
             raise ValueError(f"roll-off must lie in [0, 1], got {self.beta}")
         if self.span < 1.0:
             raise ValueError(f"span must be >= 1 symbol interval, got {self.span}")
-        if self.T0 <= 0.0:
-            raise ValueError(f"T0 must be positive, got {self.T0}")
 
     def admissible_alpha(self) -> float:
         """Smallest packing ratio with a well-conditioned correlation matrix."""
@@ -68,9 +66,8 @@ class NoiseShape:
 
 @dataclass(eq=False)
 class GramSet:
-    """Symbol correlation matrix G, its first row, noise shape and DD-domain image."""
+    """Symbol correlation matrix G, its noise shape and DD-domain image."""
 
-    first_row: np.ndarray
     G: np.ndarray
     noise: NoiseShape
     G_eq: np.ndarray | None = None
@@ -85,7 +82,7 @@ def rc_autocorr(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
     """
     x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x) / spec.T0
+    x = np.atleast_1d(x)
     if spec.beta == 0.0:
         out = np.sinc(x)
     else:
@@ -108,25 +105,24 @@ def rrc_impulse(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
     """
     x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x) / spec.T0
-    root_t0 = np.sqrt(spec.T0)
+    x = np.atleast_1d(x)
     if spec.beta == 0.0:
-        out = np.sinc(x) / root_t0
+        out = np.sinc(x)
         return out.item() if scalar else out
     out = np.empty_like(x)
     b = spec.beta
     zero = np.abs(x) < _SING_TOL
     sing = np.abs(np.abs(x) - 1.0 / (4.0 * b)) < _SING_TOL
     rest = ~(zero | sing)
-    out[zero] = (1.0 - b + 4.0 * b / np.pi) / root_t0
-    out[sing] = (b / (np.sqrt(2.0) * root_t0)) * (
+    out[zero] = 1.0 - b + 4.0 * b / np.pi
+    out[sing] = (b / np.sqrt(2.0)) * (
         (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * b))
         + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * b))
     )
     xr = x[rest]
     num = np.sin(np.pi * xr * (1.0 - b)) + 4.0 * b * xr * np.cos(np.pi * xr * (1.0 + b))
     den = np.pi * xr * (1.0 - (4.0 * b * xr) ** 2)
-    out[rest] = num / den / root_t0
+    out[rest] = num / den
     return out.item() if scalar else out
 
 
@@ -161,22 +157,24 @@ def noise_shape(g: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseSha
     return NoiseShape(G=g, V=v, lam=np.maximum(lam, floor), floored=floored, floor=floor)
 
 
-def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> GramSet:
-    """Build the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) and factor it.
+def sampled_autocorr(lags: np.ndarray, alpha: float, spec: PulseSpec) -> np.ndarray:
+    """g(n*T_f) at the integer lags n, T_f = alpha*T0.
 
-    T_f = alpha*T0.  At alpha = 1 the analytic zero crossings make G the
-    identity exactly.
+    At alpha = 1 the closed form's zero crossings at nonzero lags are exact
+    only up to rounding; they are pinned to exact zeros, so G and the
+    identity channel's H are exactly the identity.
     """
-    check_alpha(alpha, spec)
-    lags = np.arange(shape.MN) * alpha * spec.T0
-    first_row = np.asarray(rc_autocorr(lags, spec))
     if alpha == 1.0:
-        # zero crossings are exact in the closed form; pin them bit-exactly
-        first_row = np.zeros(shape.MN)
-        first_row[0] = 1.0
+        return (lags == 0).astype(float)
+    return np.asarray(rc_autocorr(lags * alpha, spec))
+
+
+def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> GramSet:
+    """Build the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) and factor it."""
+    check_alpha(alpha, spec)
     idx = np.arange(shape.MN)
-    g = first_row[np.abs(np.subtract.outer(idx, idx))]
-    return GramSet(first_row=first_row, G=g, noise=noise_shape(g))
+    g = sampled_autocorr(idx, alpha, spec)[np.abs(np.subtract.outer(idx, idx))]
+    return GramSet(G=g, noise=noise_shape(g))
 
 
 def gram_dd(gram: GramSet, shape: GridShape) -> GramSet:

@@ -32,27 +32,15 @@ class GridShape:
         return self.M * self.N
 
 
-@dataclass(frozen=True)
-class DftMatrix:
-    """Unitary DFT matrix of a given order."""
-
-    order: int
-    entries: np.ndarray
-
-
 @lru_cache(maxsize=64)
-def _dft_entries(n: int) -> np.ndarray:
+def dft_matrix(n: int) -> np.ndarray:
+    """Normalized n-point DFT matrix, entry (k, m) = exp(-2j*pi*k*m/n)/sqrt(n); read-only."""
+    if n < 1:
+        raise ValueError(f"DFT order must be >= 1, got {n}")
     k = np.arange(n)
     w = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
     w.flags.writeable = False
     return w
-
-
-def dft_matrix(n: int) -> DftMatrix:
-    """Normalized n-point DFT matrix, entry (k, m) = exp(-2j*pi*k*m/n)/sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"DFT order must be >= 1, got {n}")
-    return DftMatrix(order=n, entries=_dft_entries(n))
 
 
 def _check_frame(x: np.ndarray, shape: GridShape, name: str) -> np.ndarray:
@@ -70,7 +58,7 @@ def dd_to_time(x_dd: np.ndarray, shape: GridShape) -> np.ndarray:
     the rows by slot turns the map into one N x N product.
     """
     x_dd = _check_frame(x_dd, shape, "x_dd")
-    fn = _dft_entries(shape.N)  # F_N is symmetric, so F_N^H = conj(F_N)
+    fn = dft_matrix(shape.N)  # F_N is symmetric, so F_N^H = conj(F_N)
     return (fn.conj() @ x_dd.reshape(shape.N, -1)).reshape(x_dd.shape)
 
 
@@ -80,7 +68,7 @@ def time_to_dd(z: np.ndarray, shape: GridShape) -> np.ndarray:
     Computes (F_N kron I_M) @ z, vector or matrix; exact inverse of :func:`dd_to_time`.
     """
     z = _check_frame(z, shape, "z")
-    return (_dft_entries(shape.N) @ z.reshape(shape.N, -1)).reshape(z.shape)
+    return (dft_matrix(shape.N) @ z.reshape(shape.N, -1)).reshape(z.shape)
 
 
 def conjugate_by_dd(a: np.ndarray, shape: GridShape) -> np.ndarray:
@@ -93,7 +81,7 @@ def conjugate_by_dd(a: np.ndarray, shape: GridShape) -> np.ndarray:
     mn = shape.MN
     if a.shape != (mn, mn):
         raise ValueError(f"matrix must be {mn}x{mn}, got {a.shape}")
-    fn = _dft_entries(shape.N)
+    fn = dft_matrix(shape.N)
     # rows: index i = m1 + M*n1 -> reshape axis to (N, M); contract F over n1
     left = np.einsum("kn,nmj->kmj", fn, a.reshape(shape.N, shape.M, mn))
     left = left.reshape(mn, mn)

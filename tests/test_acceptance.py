@@ -3,6 +3,7 @@ pass/fail line with the observed figure and its bound (visible with -s
 or in the captured output section)."""
 
 import time
+from dataclasses import replace
 from math import erfc, sqrt
 
 import numpy as np
@@ -176,9 +177,9 @@ def test_criterion_05_rate_curve_ordering():
 def test_criterion_06_waveform_oracle_crosscheck():
     shape = GridShape(16, 4)
     spec = PulseSpec(beta=0.25, span=32.0)
-    cfg = eva_config(16, 4, 0.9, nu_max=100.0, seed=5, pulse_span=32.0)
+    cfg = eva_config(16, 4, 0.9, nu_max=100.0, seed=5)
     chan = eva_channel(100.0, cfg, trial_rng(5, 0, 0))
-    eff = effective_channel(chan, spec, cfg, cp_mode="circular")
+    eff = effective_channel(chan, spec, replace(cfg, cp_mode="circular"))
     rng = np.random.default_rng(55)
     x_p = complex_gaussian(rng, shape.MN)
     z_model = eff.H @ dd_to_time(x_p, shape)

@@ -46,12 +46,16 @@ class TestEvaChannel:
         chan = eva_channel(1000.0, cfg, rng)
         assert chan.max_delay_tap() == round(2510e-9 * 64 * 30e3) == 5
 
-    def test_jakes_doppler_relation(self, rng):
+    def test_jakes_doppler_relation(self):
         cfg = eva_config(64, 4, 0.9)
         nu_max = 2000.0
-        chan = eva_channel(nu_max, cfg, rng)
+        chan = eva_channel(nu_max, cfg, np.random.default_rng(20240901))
+        # replay the draws: 18 normals for the nine complex gains, then the angles
+        replay = np.random.default_rng(20240901)
+        replay.standard_normal(18)
+        angles = replay.uniform(-np.pi, np.pi, size=chan.num_paths)
         frame = cfg.N / cfg.delta_f_hz
-        for p, theta in zip(chan.paths, chan.jakes_angles):
+        for p, theta in zip(chan.paths, angles, strict=True):
             nu = p.doppler_tap / frame
             assert abs(nu - nu_max * np.cos(theta)) <= 1e-9 * nu_max
 
@@ -206,8 +210,8 @@ class TestEffectiveChannel:
         cfg = eva_config(m, n, 0.85, cp_len=3, nu_max=1000.0)
         spec = PulseSpec(beta=0.25)
         chan = DdChannel(paths=(DdPath(0.9 + 0.1j, 2, 1, 0.2),))
-        lit = effective_channel(chan, spec, cfg, cp_mode="literal")
-        circ = effective_channel(chan, spec, cfg, cp_mode="circular")
+        lit = effective_channel(chan, spec, replace(cfg, cp_mode="literal"))
+        circ = effective_channel(chan, spec, replace(cfg, cp_mode="circular"))
         from otfsftn import rc_autocorr
 
         mn = m * n
@@ -253,10 +257,10 @@ class TestEffectiveChannel:
     def test_circular_path_contribution_at_nyquist(self):
         # at alpha = 1 each path alone fills exactly MN entries, one per row,
         # all of magnitude |h_p|, on a cyclically shifted diagonal
-        cfg = identity_config(8, 4, 1.0, cp_len=4)
+        cfg = replace(identity_config(8, 4, 1.0, cp_len=4), cp_mode="circular")
         chan = synthetic_channel(5, 3, 2, False, np.random.default_rng(3))
         for p in chan.paths:
-            eff = effective_channel(DdChannel(paths=(p,)), PulseSpec(beta=0.25), cfg, "circular")
+            eff = effective_channel(DdChannel(paths=(p,)), PulseSpec(beta=0.25), cfg)
             nz = np.abs(eff.H) > 1e-12
             assert int(nz.sum()) == 32
             mags = np.abs(eff.H[nz])
@@ -271,7 +275,7 @@ class TestEffectiveChannel:
         shape = GridShape(m, n)
         cfg = identity_config(m, n, 1.0, cp_len=4)
         chan = synthetic_channel(6, 3, 1, False, np.random.default_rng(11))
-        eff = effective_channel(chan, PulseSpec(beta=0.25), cfg, cp_mode="circular")
+        eff = effective_channel(chan, PulseSpec(beta=0.25), replace(cfg, cp_mode="circular"))
         x = np.zeros(shape.MN, complex)
         x[0] = 1.0
         resp = eff.H_eq @ x
@@ -293,7 +297,7 @@ def per_path_reference(chan, pulse, cfg, mode):
     l_top = chan.max_delay_tap()
     d_min = -(mn - 1) - l_top
     d_max = (mn - 1) + mn
-    lag_table = np.asarray(rc_autocorr(np.arange(d_min, d_max + 1) * cfg.alpha * pulse.T0, pulse))
+    lag_table = np.asarray(rc_autocorr(np.arange(d_min, d_max + 1) * cfg.alpha, pulse))
     h = np.zeros((mn, mn), dtype=complex)
     cp_cols = k[None, :] >= mn - cp
     for p in chan.paths:
@@ -325,7 +329,7 @@ class TestPerTapBuild:
         worst = 0.0
         for seed in range(3):
             chan = channel_for_config(cfg, np.random.default_rng(seed))
-            eff = effective_channel(chan, spec, cfg, cp_mode=mode)
+            eff = effective_channel(chan, spec, replace(cfg, cp_mode=mode))
             worst = max(worst, float(np.abs(eff.H - per_path_reference(chan, spec, cfg, mode)).max()))
         assert worst <= 1e-13
 
@@ -342,7 +346,7 @@ class TestPerTapBuild:
 class TestWaveformOracle:
     def test_identity_channel_nyquist(self, rng):
         shape = GridShape(8, 4)
-        cfg = identity_config(8, 4, 1.0, cp_len=2, pulse_span=32.0)
+        cfg = identity_config(8, 4, 1.0, cp_len=2)
         spec = PulseSpec(beta=0.25, span=32.0)
         x_p = complex_gaussian(rng, shape.MN)
         z = waveform_oracle(x_p, identity_channel(), cfg, spec, oversample=16)
@@ -359,7 +363,7 @@ class TestWaveformOracle:
         cfg = eva_config(16, 4, 0.9, nu_max=100.0, seed=5)
         spec = PulseSpec(beta=0.25, span=32.0)
         chan = eva_channel(100.0, cfg, np.random.default_rng(5))
-        eff = effective_channel(chan, spec, cfg, cp_mode="circular")
+        eff = effective_channel(chan, spec, replace(cfg, cp_mode="circular"))
         x_p = complex_gaussian(rng, shape.MN)
         z_model = eff.H @ dd_to_time(x_p, shape)
         z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)

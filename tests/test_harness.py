@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import logging
 from pathlib import Path
@@ -138,6 +139,12 @@ class TestParseConfig:
             ("profile: identity", "profile: identity\n  num_paths: 1.5", "'num_paths' must be int"),
             ("profile: identity", "profile: identity\n  frac_doppler: 'false'", "'frac_doppler' must be bool"),
             ("profile: identity", "profile: identity\n  frac_doppler: 0", "'frac_doppler' must be bool"),
+            ("alpha: 1.0", "alpha: true", "'alpha' must be int or float"),
+            ("beta: 0.25", "beta: '0.25'", "'beta' must be int or float"),
+            ("M: 4", "M: 4\nsnr_db_grid: [true, '3']", "'snr_db_grid' must be int or float"),
+            ("M: 4", "M: 4\ndelta_f_hz: '1e4'", "'delta_f_hz' must be int or float"),
+            ("M: 4", "M: 4\ntarget_rate_bps_hz: '1.5'", "'target_rate_bps_hz' must be int or float"),
+            ("profile: identity", "profile: identity\n  nu_max_hz: false", "'nu_max_hz' must be int or float"),
         ],
     )
     def test_integer_and_bool_fields_strict(self, old, new, key):
@@ -360,15 +367,21 @@ class TestThreads:
         run_ber_sweep(parse_config(EVA_BER), threads=1)
         assert seen and all(c == [2] * len(blas_two) for c in seen)
 
+    # MN = 512: large enough that BLAS splits the set-up products across threads
+    AWGN_512 = (
+        AWGN_QPSK.replace("M: 4", "M: 32").replace("N: 4", "N: 16")
+        .replace("snr_db_grid: [0, 4]", "snr_db_grid: [0]").replace("trials: 40", "trials: 8")
+    )
+
     def test_identity_csv_independent_of_threads(self, blas_two):
-        # at MN = 512 the identity channel's subchannel basis is set by
-        # rounding, so the shared derivation must not depend on --threads
-        text = (
-            AWGN_QPSK.replace("M: 4", "M: 32").replace("N: 4", "N: 16")
-            .replace("snr_db_grid: [0, 4]", "snr_db_grid: [0]").replace("trials: 40", "trials: 8")
-        )
-        cfg = parse_config(text)
+        cfg = parse_config(self.AWGN_512)
         assert run_ber_sweep(cfg, threads=2).to_csv() == run_ber_sweep(cfg, threads=1).to_csv()
+
+    def test_identity_csv_independent_of_blas_threads(self, blas_two):
+        cfg = parse_config(self.AWGN_512)
+        with single_blas_thread():
+            pinned = run_ber_sweep(cfg).to_csv()
+        assert run_ber_sweep(cfg).to_csv() == pinned
 
     def test_pin_is_no_op_without_setter(self, blas_two, monkeypatch):
         monkeypatch.setattr(harness, "_OPENBLAS_THREADS", ("no_such_blas_{}_num_threads",))
@@ -458,8 +471,19 @@ class TestValidate:
         assert all(c.seconds >= 0.0 for c in report.checks)
         assert "[PASS]" in text and " s)" in text
 
-    def test_injected_fault_detected(self):
-        report = validate(inject_fault="skip-eig-floor")
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_out_of_range(self, seed, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_CHECKS", (("spy", lambda s: ran.append(s) or (True, "")),))
+        with pytest.raises(ValueError, match="seed must lie in"):
+            validate(seed=seed)
+        assert ran == []
+
+    def test_injected_fault_detected(self, monkeypatch):
+        # the floor-policy check must catch a noise shape factored with the floor disabled
+        original = harness.noise_shape
+        monkeypatch.setattr(harness, "noise_shape", lambda g: original(g, eig_floor_rel=0.0))
+        report = validate()
         assert not report.passed
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["gram-floor-policy"]
@@ -499,6 +523,13 @@ class TestCli:
         assert cli_main(["rate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_validate_rejects_seed_out_of_range(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["validate", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed: must lie in" in capsys.readouterr().err
+
     def test_missing_config_exit_two(self, capsys):
         assert cli_main(["rate", "--config", "/nonexistent/x.yaml"]) == 2
 
@@ -510,3 +541,15 @@ class TestCli:
         cli_main(["ber", "--config", str(cfg), "--out", str(out1), "--seed", "100"])
         cli_main(["ber", "--config", str(cfg), "--out", str(out2), "--seed", "101"])
         assert out1.read_text() != out2.read_text()
+
+
+def test_bench_tracer_targets_exist():
+    # the benchmark tracer rebinds these names by getattr; a deleted one breaks it
+    tracer_path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name in (*tracer.TARGETS, *tracer.CALLERS):
+        module = importlib.import_module(f"otfsftn.{mod_name}")
+        for fn_name in tracer.TARGETS.get(mod_name, ()):
+            assert callable(getattr(module, fn_name, None)), f"otfsftn.{mod_name}.{fn_name}"

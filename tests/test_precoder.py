@@ -12,6 +12,7 @@ from otfsftn import (
     gram_dd,
     gram_matrix,
     hermitian_evd_desc,
+    identity_channel,
     mi_sum,
     noise_shape,
     receive_weights,
@@ -86,6 +87,15 @@ class TestDeriveSubchannels:
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-12)
         np.testing.assert_allclose(sol.phi, np.ones(shape.MN), atol=1e-12)
         assert np.abs(sol.C - eye).max() <= 1e-12
+
+    def test_identity_channel_basis_exact(self):
+        # at alpha = 1 G and H are exactly I, so the basis is not set by rounding
+        shape = GridShape(32, 16)
+        spec = PulseSpec(beta=0.25)
+        eff = effective_channel(identity_channel(), spec, identity_config(32, 16, 1.0))
+        sol = derive_subchannels(eff.H, gram_matrix(shape, 1.0, spec).noise, shape)
+        assert np.array_equal(eff.H, np.eye(shape.MN))
+        assert np.array_equal(sol.U_t, np.eye(shape.MN))
 
     def test_unitary_channel_unit_gains(self, rng):
         shape = GridShape(4, 2)
@@ -368,7 +378,7 @@ class TestFinalize:
         fresh = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
         sol = derive_subchannels(eff.H, gram.noise, shape)
         D = receive_weights(sol)
-        sol.gamma, sol.water_level = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
+        sol.gamma, _ = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
         finalize(sol, D)
         assert sol.D is D
         assert np.array_equal(sol.D, fresh.D) and np.array_equal(sol.P_mat, fresh.P_mat)

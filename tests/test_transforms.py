@@ -8,20 +8,20 @@ from conftest import complex_gaussian
 
 def kron_map(shape: GridShape) -> np.ndarray:
     """Dense (F_N kron I_M) oracle."""
-    return np.kron(dft_matrix(shape.N).entries, np.eye(shape.M))
+    return np.kron(dft_matrix(shape.N), np.eye(shape.M))
 
 
 class TestDftMatrix:
     def test_order_one_is_identity(self):
-        assert np.array_equal(dft_matrix(1).entries, np.array([[1.0 + 0.0j]]))
+        assert np.array_equal(dft_matrix(1), np.array([[1.0 + 0.0j]]))
 
     def test_order_two_entries(self):
         expect = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
-        np.testing.assert_allclose(dft_matrix(2).entries, expect, atol=1e-15)
+        np.testing.assert_allclose(dft_matrix(2), expect, atol=1e-15)
 
     def test_entry_formula(self):
         n = 8
-        f = dft_matrix(n).entries
+        f = dft_matrix(n)
         for k in range(n):
             for m in range(n):
                 expect = np.exp(-2j * np.pi * k * m / n) / np.sqrt(n)
@@ -29,7 +29,7 @@ class TestDftMatrix:
 
     @pytest.mark.parametrize("n", list(range(1, 17)) + [24, 32, 48, 64])
     def test_unitary(self, n):
-        f = dft_matrix(n).entries
+        f = dft_matrix(n)
         assert np.abs(f.conj().T @ f - np.eye(n)).max() <= 1e-12
 
     def test_rejects_zero(self):
