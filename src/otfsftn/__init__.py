@@ -5,7 +5,7 @@ from ._version import __version__
 from .config import ChannelConfig, ConfigError, SystemConfig, parse_config
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 from .pulse import (
-    GramSet, NoiseShape, PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse,
+    NoiseShape, PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse,
 )
 from .channel import (
     DdChannel,
@@ -21,10 +21,10 @@ from .channel import (
 )
 from .precoder import (
     PrecoderSolution,
+    Subchannels,
     derive_subchannels,
     finalize,
     hermitian_evd_desc,
-    receive_weights,
     solve_precoder,
     uniform_gamma,
     waterfill,
@@ -67,12 +67,12 @@ __all__ = [
     "__version__",
     "ChannelConfig", "ConfigError", "SystemConfig", "parse_config",
     "GridShape", "conjugate_by_dd", "dd_to_time", "dft_matrix", "time_to_dd",
-    "GramSet", "NoiseShape", "PulseSpec", "gram_dd", "gram_matrix", "noise_shape",
+    "NoiseShape", "PulseSpec", "gram_dd", "gram_matrix", "noise_shape",
     "rc_autocorr", "rrc_impulse",
     "DdChannel", "DdPath", "EffectiveChannel", "dump_paths", "effective_channel",
     "eva_channel", "identity_channel", "load_paths", "synthetic_channel", "waveform_oracle",
-    "PrecoderSolution", "derive_subchannels", "finalize", "hermitian_evd_desc",
-    "receive_weights", "solve_precoder", "uniform_gamma", "waterfill",
+    "PrecoderSolution", "Subchannels", "derive_subchannels", "finalize",
+    "hermitian_evd_desc", "solve_precoder", "uniform_gamma", "waterfill",
     "FrameRecord", "Loading", "bit_loading", "colored_noise", "constellation",
     "hard_detect", "llr", "map_bits", "propagate", "receive", "run_frame", "transmit",
     "BerCounter", "RatePoint", "ber_accumulate", "frame_energy", "info_rate",

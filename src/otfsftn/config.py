@@ -124,7 +124,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         len(set(cfg.alpha_grid)) == len(cfg.alpha_grid),
         f"alpha entries must be distinct, got {list(cfg.alpha_grid)}",
     )
-    _require(cfg.delta_f_hz > 0.0, f"delta_f_hz must be positive, got {cfg.delta_f_hz}")
+    _require(0.0 < cfg.delta_f_hz < math.inf, f"delta_f_hz must be positive and finite, got {cfg.delta_f_hz}")
     _require(cfg.trials >= 1, f"trials must be >= 1, got {cfg.trials}")
     _require(len(cfg.snr_db_grid) >= 1, "snr_db_grid must be non-empty")
     for snr_db in cfg.snr_db_grid:
@@ -132,7 +132,10 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     _require(0 <= cfg.master_seed < 2**64, f"master_seed must be a 64-bit integer, got {cfg.master_seed}")
     _require(cfg.cp_mode in _CP_MODES, f"cp_mode must be one of {_CP_MODES}, got '{cfg.cp_mode}'")
     if cfg.target_rate_bps_hz is not None:
-        _require(cfg.target_rate_bps_hz > 0.0, f"target_rate_bps_hz must be positive, got {cfg.target_rate_bps_hz}")
+        _require(
+            0.0 < cfg.target_rate_bps_hz < math.inf,
+            f"target_rate_bps_hz must be positive and finite, got {cfg.target_rate_bps_hz}",
+        )
 
     ch = cfg.channel
     _require(ch.profile in _PROFILES, f"channel profile must be one of {_PROFILES}, got '{ch.profile}'")

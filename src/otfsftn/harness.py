@@ -52,9 +52,8 @@ from .link import (
     run_frame,
 )
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
-from .precoder import (PrecoderSolution, derive_subchannels, finalize, receive_weights,
-                       uniform_gamma, waterfill)
-from .pulse import PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr
+from .precoder import derive_subchannels, finalize, solve_precoder, uniform_gamma, waterfill
+from .pulse import PulseSpec, gram_dd, gram_matrix, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
 RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
@@ -223,7 +222,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     with _trial_map(threads) as trial_map:
         for alpha, beta, modes in instances:
             pulse = PulseSpec(beta=beta)
-            noise = gram_matrix(shape, alpha, pulse).noise
+            noise = gram_matrix(shape, alpha, pulse)
             cfg_pt = replace(cfg.with_alpha(alpha), beta=beta)
 
             def one_trial(chan):
@@ -253,19 +252,12 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     return SweepResult(kind="rate", rows=tuple(rows), provenance=_provenance(cfg, digest))
 
 
-def _load_point(sol: PrecoderSolution, snr: float, cfg_a: SystemConfig, D=None):
-    """Water-fill, finalize (with shared receive weights D, if given) and bit-load at one SNR."""
-    sol.gamma, _ = waterfill(sol.xi, sol.phi, snr, float(sol.shape.MN))
-    finalize(sol, D)
-    return sol, bit_loading(sol.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
-
-
 def _ber_point(
     cfg_a: SystemConfig,
     snr_db: float,
     point_idx: int,
     pulse: PulseSpec,
-    gram,
+    noise,
     shared,
     trial_map,
     collect_llrs: bool,
@@ -274,10 +266,15 @@ def _ber_point(
     snr = _snr_linear(snr_db)
     sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
 
+    def load(sub):
+        """Water-fill, finalize and bit-load the derivation at this SNR."""
+        sol = finalize(sub, waterfill(sub.xi, sub.phi, snr, float(shape.MN))[0])
+        return sol, bit_loading(sub.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
+
     link = None
     if shared is not None:
-        eff, derived, D = shared
-        link = (eff, *_load_point(replace(derived), snr, cfg_a, D))
+        eff, sub = shared
+        link = (eff, *load(sub))
         starts = range(0, cfg_a.trials, FRAME_BLOCK)
         blocks = [range(t, min(t + FRAME_BLOCK, cfg_a.trials)) for t in starts]
     else:
@@ -287,10 +284,10 @@ def _ber_point(
         rngs = [trial_rng(cfg_a.master_seed, point_idx, t) for t in block]
         if link is None:
             eff = effective_channel(channel_for_config(cfg_a, rngs[0]), pulse, cfg_a)
-            sol, loading = _load_point(derive_subchannels(eff.H, gram.noise, shape), snr, cfg_a)
+            sol, loading = load(derive_subchannels(eff.H, noise, shape))
         else:
             eff, sol, loading = link
-        frame = run_frame(loading, sol, eff, gram, sigma0_sq, rngs, shape)
+        frame = run_frame(loading, sol, eff, noise, sigma0_sq, rngs)
         rx = hard_detect(frame.y_d, sol, loading)
         counter = ber_accumulate(frame.tx_bits, rx, BerCounter())
         records = []
@@ -334,15 +331,16 @@ def run_ber_sweep(
             cfg_a = cfg.with_alpha(alpha)
             pulse = PulseSpec(beta=cfg.beta)
             shape = GridShape(cfg.M, cfg.N)
-            gram = gram_matrix(shape, alpha, pulse)
+            noise = gram_matrix(shape, alpha, pulse)
             shared = None
             if cfg.channel.profile == "identity":
                 eff = effective_channel(identity_channel(), pulse, cfg_a)
-                derived = derive_subchannels(eff.H, gram.noise, shape)
-                shared = (eff, derived, receive_weights(derived))
+                sub = derive_subchannels(eff.H, noise, shape)
+                sub.D  # form the receive weights now, not racing in the workers
+                shared = (eff, sub)
             for snr_db in cfg.snr_db_grid:
                 counter, llr_lines = _ber_point(
-                    cfg_a, snr_db, point_idx, pulse, gram, shared, trial_map, llr_sink is not None
+                    cfg_a, snr_db, point_idx, pulse, noise, shared, trial_map, llr_sink is not None
                 )
                 if llr_sink is not None:
                     for chunk in llr_lines:
@@ -467,9 +465,9 @@ def _check_pulse_shape(seed: int) -> tuple[bool, str]:
 def _check_nyquist_identity(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
-        gram = gram_dd(gram_matrix(shape, 1.0, PulseSpec(beta=0.25)), shape)
-        worst = max(worst, float(np.abs(gram.G - np.eye(shape.MN)).max()))
-        worst = max(worst, float(np.abs(gram.G_eq - np.eye(shape.MN)).max()))
+        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        worst = max(worst, float(np.abs(noise.G - np.eye(shape.MN)).max()))
+        worst = max(worst, float(np.abs(gram_dd(noise, shape) - np.eye(shape.MN)).max()))
     return worst <= 1e-12, f"max deviation from identity {worst:.2e}"
 
 
@@ -479,13 +477,13 @@ def _check_gram_structure(seed: int) -> tuple[bool, str]:
     min_eig = np.inf
     for shape in _VALIDATE_SHAPES:
         alpha = spec.admissible_alpha()
-        gram = gram_matrix(shape, alpha, spec)
+        g = gram_matrix(shape, alpha, spec).G
         idx = np.arange(shape.MN)
         lags = np.abs(np.subtract.outer(idx, idx))
-        ok &= bool(np.array_equal(gram.G, gram.G[0][lags]))
+        ok &= bool(np.array_equal(g, g[0][lags]))
         expect = rc_autocorr(alpha, spec)
-        ok &= abs(gram.G[0, 1] - expect) <= 1e-15
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(gram.G).min()))
+        ok &= abs(g[0, 1] - expect) <= 1e-15
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(g).min()))
     ok &= min_eig >= -1e-9
     return ok, f"Toeplitz structure ok={ok}, min eigenvalue {min_eig:.2e} (bound -1e-9)"
 
@@ -494,11 +492,11 @@ def _check_floor_policy(seed: int) -> tuple[bool, str]:
     shape = GridShape(8, 4)
     spec = PulseSpec(beta=0.25)
     alpha = spec.admissible_alpha()
-    gram = gram_matrix(shape, alpha, spec)
+    noise = gram_matrix(shape, alpha, spec)
     cfg = _eva_cfg(shape, alpha, seed)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 0))
     eff = effective_channel(chan, spec, cfg)
-    sol = derive_subchannels(eff.H, noise_shape(gram.G), shape)
+    sol = derive_subchannels(eff.H, noise, shape)
     if sol.noise.floor <= 0.0:
         return False, "eigenvalue floor policy is disabled on the noise-shape spectrum"
     lam_min = float(sol.noise.lam.min())
@@ -509,9 +507,9 @@ def _check_floor_policy(seed: int) -> tuple[bool, str]:
 def _check_gram_dd_spectrum(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
-        gram = gram_dd(gram_matrix(shape, 0.85, PulseSpec(beta=0.25)), shape)
-        wg = np.sort(np.linalg.eigvalsh(gram.G))
-        we = np.sort(np.linalg.eigvalsh(gram.G_eq))
+        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
+        wg = np.sort(np.linalg.eigvalsh(noise.G))
+        we = np.sort(np.linalg.eigvalsh(gram_dd(noise, shape)))
         worst = max(worst, float(np.abs(wg - we).max()))
     return worst <= 1e-9, f"max eigenvalue mismatch {worst:.2e} (bound 1e-9)"
 
@@ -565,16 +563,17 @@ def _check_precoder_identities(seed: int) -> tuple[bool, str]:
     ok = True
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
-        gram = gram_dd(gram_matrix(shape, 0.9, spec), shape)
+        noise = gram_matrix(shape, 0.9, spec)
         cfg = _eva_cfg(shape, 0.9, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 4))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
-        sol.gamma, _ = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
-        finalize(sol)
+        sol = solve_precoder(eff.H, noise, shape, 10.0)
+        # the delay-Doppler pair P = (F_N kron I_M) P_t, D = D_t (F_N kron I_M)^H
+        kron = _kron_dd(shape)
+        p, d = kron @ sol.P, sol.sub.D @ kron.conj().T
         bound = 1e-8 * float(sol.xi.max())
-        r1 = float(np.abs(sol.D @ eff.H_eq @ sol.P_mat - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
-        r2 = float(np.abs(sol.D @ gram.G_eq @ sol.D.conj().T - np.diag(sol.xi)).max())
+        r1 = float(np.abs(d @ eff.H_eq @ p - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
+        r2 = float(np.abs(d @ gram_dd(noise, shape) @ d.conj().T - np.diag(sol.xi)).max())
         ok &= r1 <= bound and r2 <= bound
         detail.append(f"{shape.M}x{shape.N}: diag {r1:.1e} whiten {r2:.1e} (bound {bound:.1e})")
     return ok, "; ".join(detail)
@@ -604,18 +603,15 @@ def _check_mi_equivalence(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
-        gram = gram_dd(gram_matrix(shape, 0.85, spec), shape)
+        noise = gram_matrix(shape, 0.85, spec)
         cfg = _eva_cfg(shape, 0.85, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 5))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
         snr = 10.0
-        gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-        sol.gamma = gamma
-        finalize(sol)
-        rxx = sol.P_mat @ sol.P_mat.conj().T
-        direct = mi_logdet(eff.H_eq, gram.G_eq, rxx, 1.0 / snr)
-        diag = mi_sum(sol.xi, gamma, snr)
+        sol = solve_precoder(eff.H, noise, shape, snr)
+        p = _kron_dd(shape) @ sol.P  # the delay-Doppler precoder
+        direct = mi_logdet(eff.H_eq, gram_dd(noise, shape), p @ p.conj().T, 1.0 / snr)
+        diag = mi_sum(sol.xi, sol.gamma, snr)
         worst = max(worst, abs(direct - diag) / max(diag, 1e-12))
     return worst <= 1e-6, f"max relative MI mismatch {worst:.2e} (bound 1e-6)"
 
@@ -624,11 +620,11 @@ def _check_pa_dominance(seed: int) -> tuple[bool, str]:
     worst = -np.inf
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
-        gram = gram_matrix(shape, 0.85, spec)
+        noise = gram_matrix(shape, 0.85, spec)
         cfg = _eva_cfg(shape, 0.85, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 6))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        sol = derive_subchannels(eff.H, noise, shape)
         for snr_db in (0.0, 10.0, 20.0):
             snr = _snr_linear(snr_db)
             gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
@@ -643,15 +639,13 @@ def _check_link_noiseless(seed: int) -> tuple[bool, str]:
     total_err = 0
     for shape in _VALIDATE_SHAPES:
         spec = PulseSpec(beta=0.25)
-        gram = gram_matrix(shape, 0.9, spec)
+        noise = gram_matrix(shape, 0.9, spec)
         cfg = _eva_cfg(shape, 0.9, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 7))
         eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
-        sol.gamma, _ = waterfill(sol.xi, sol.phi, 100.0, float(shape.MN))
-        finalize(sol)
+        sol = solve_precoder(eff.H, noise, shape, 100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.0, [trial_rng(seed, 1, 7)], shape)
+        frame = run_frame(loading, sol, eff, noise, 0.0, [trial_rng(seed, 1, 7)])
         rx = hard_detect(frame.y_d, sol, loading)
         total_err += int(np.count_nonzero(rx != frame.tx_bits))
     return total_err == 0, f"{total_err} bit errors across noiseless frames"

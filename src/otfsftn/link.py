@@ -1,18 +1,20 @@
 """End-to-end frame pipeline on the diagonalized link.
 
 Bits are Gray-mapped onto per-subchannel QAM constellations chosen by the
-bit loader, precoded, converted to time domain, pushed through the dense
-channel with matched-filter-correlated noise, converted back and multiplied
-by the receive weights.  The result is one scalar Gaussian observation per
+bit loader and precoded straight into time-domain samples, s = P x.  The
+dense channel adds matched-filter-correlated noise, z = H s + eta, and the
+receive weights diagonalize the result, y_d = D z.  P and D are the
+time-domain pair of the precoder module, so no frame visits the
+delay-Doppler grid.  The result is one scalar Gaussian observation per
 subchannel, from which hard decisions and exact log-likelihood ratios are
 computed.
 
 Frames travel in blocks: run_frame takes one generator per frame and pushes
 an MN x k block, one frame per column, through the chain as matrix-matrix
-products (P X, dd_to_time, H S + E, time_to_dd, D Y).  Frame t draws its bits
-and then its two noise vectors from its own generator, so a frame's
-realization does not depend on the block it rides in.  The transmit, noise,
-channel, receive and detection functions accept one frame or a block.
+products (P X, H S + E, D Z).  Frame t draws its bits and then its two noise
+vectors from its own generator, so a frame's realization does not depend on
+the block it rides in.  The transmit, noise, channel, receive and detection
+functions accept one frame or a block.
 
 Gray mapping conventions (fixed here so golden files are portable):
 QPSK maps the bit pair (b0, b1) to ((1-2*b0) + 1j*(1-2*b1))/sqrt(2); square
@@ -31,8 +33,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .precoder import PrecoderSolution
-from .pulse import GramSet
-from .transforms import GridShape, dd_to_time, time_to_dd
+from .pulse import NoiseShape
 from .channel import EffectiveChannel
 
 SUPPORTED_BITS = (2, 4, 6, 8)
@@ -96,10 +97,8 @@ class FrameRecord:
 
     tx_bits: np.ndarray
     x: np.ndarray
-    x_p: np.ndarray
     s: np.ndarray
     z: np.ndarray
-    y: np.ndarray
     y_d: np.ndarray
 
 
@@ -165,20 +164,17 @@ def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
     return x
 
 
-def transmit(
-    x: np.ndarray, sol: PrecoderSolution, shape: GridShape
-) -> tuple[np.ndarray, np.ndarray]:
-    """Precode and convert to time domain: x_p = P x, s = (F_N^H kron I_M) x_p."""
+def transmit(x: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
+    """Precode into time-domain samples s = P x."""
     x = np.asarray(x)
-    if x.ndim not in (1, 2) or x.shape[0] != shape.MN:
-        raise ValueError(f"expected {shape.MN} symbols, got {x.shape}")
-    x_p = sol.P_mat @ x
-    return x_p, dd_to_time(x_p, shape)
+    mn = sol.P.shape[1]
+    if x.ndim not in (1, 2) or x.shape[0] != mn:
+        raise ValueError(f"expected {mn} symbols, got {x.shape}")
+    return sol.P @ x
 
 
 def colored_noise(
-    shape: GridShape,
-    gram: GramSet,
+    noise: NoiseShape,
     sigma0_sq: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
@@ -188,10 +184,10 @@ def colored_noise(
     whose column t draws its real and then its imaginary part from rng[t].
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    w = np.stack([r.standard_normal(shape.MN) for r in rngs for _ in "ri"], axis=1)
+    w = np.stack([r.standard_normal(noise.lam.size) for r in rngs for _ in "ri"], axis=1)
     # color the real and imaginary parts of every frame in one real product;
     # adjacent (real, imaginary) columns of e read as one complex column
-    e = gram.noise.V @ (np.sqrt(0.5 * sigma0_sq * gram.noise.lam)[:, None] * w)
+    e = noise.V @ (np.sqrt(0.5 * sigma0_sq * noise.lam)[:, None] * w)
     eta = e.view(np.complex128)
     return eta[:, 0] if isinstance(rng, np.random.Generator) else eta
 
@@ -205,12 +201,9 @@ def propagate(s: np.ndarray, eff: EffectiveChannel, eta: np.ndarray) -> np.ndarr
     return eff.H @ s + eta
 
 
-def receive(
-    z: np.ndarray, sol: PrecoderSolution, shape: GridShape
-) -> tuple[np.ndarray, np.ndarray]:
-    """DD-domain conversion and diagonalization: y = (F_N kron I_M) z, y_d = D y."""
-    y = time_to_dd(z, shape)
-    return y, sol.D @ y
+def receive(z: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
+    """Diagonalize the received samples: y_d = D z."""
+    return sol.sub.D @ z
 
 
 def _subchannel_scales(sol: PrecoderSolution, loading: Loading) -> np.ndarray:
@@ -300,10 +293,9 @@ def run_frame(
     loading: Loading,
     sol: PrecoderSolution,
     eff: EffectiveChannel,
-    gram: GramSet,
+    noise: NoiseShape,
     sigma0_sq: float,
     rngs: Sequence[np.random.Generator],
-    shape: GridShape,
 ) -> FrameRecord:
     """Push a block of frames through the full pipeline; frame t draws its
     bits and then its noise from rngs[t] and fills column t of the record."""
@@ -311,11 +303,10 @@ def run_frame(
         [rng.integers(0, 2, size=loading.total_bits, dtype=np.int64) for rng in rngs], axis=1
     )
     x = map_bits(tx_bits, loading)
-    x_p, s = transmit(x, sol, shape)
-    eta = colored_noise(shape, gram, sigma0_sq, rngs) if sigma0_sq > 0.0 else np.zeros(s.shape, complex)
+    s = transmit(x, sol)
+    eta = colored_noise(noise, sigma0_sq, rngs) if sigma0_sq > 0.0 else np.zeros(s.shape, complex)
     z = propagate(s, eff, eta)
-    y, y_d = receive(z, sol, shape)
-    return FrameRecord(tx_bits=tx_bits, x=x, x_p=x_p, s=s, z=z, y=y, y_d=y_d)
+    return FrameRecord(tx_bits=tx_bits, x=x, s=s, z=z, y_d=receive(z, sol))
 
 
 LLR_DUMP_HEADER = "frame,subchannel,bit,llr"

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .precoder import hermitian_evd_desc
-from .pulse import EIG_FLOOR_REL, GramSet
+from .pulse import EIG_FLOOR_REL, NoiseShape
 from .link import Loading
 
 _LN2 = float(np.log(2.0))
@@ -98,12 +98,12 @@ def transmission_rate(loading: Loading, cfg: SystemConfig) -> float:
     return (0.75 * loading.total_bits) / (((1.0 + cfg.beta) * cfg.alpha) * cfg.MN)
 
 
-def frame_energy(s: np.ndarray, gram: GramSet) -> float:
+def frame_energy(s: np.ndarray, noise: NoiseShape) -> float:
     """Transmitted frame energy s^H G s of the matched-filter pulse train."""
     s = np.asarray(s)
-    if s.shape != (gram.G.shape[0],):
-        raise ValueError(f"expected {gram.G.shape[0]} samples, got {s.shape}")
-    e = complex(s.conj() @ (gram.G @ s))
+    if s.shape != (noise.G.shape[0],):
+        raise ValueError(f"expected {noise.G.shape[0]} samples, got {s.shape}")
+    e = complex(s.conj() @ (noise.G @ s))
     if abs(e.imag) > 1e-9 * max(1.0, abs(e.real)):
         raise AssertionError(f"frame energy has non-negligible imaginary part {e.imag:.3e}")
     return e.real

@@ -1,50 +1,71 @@
 """Whitening, subchannel decomposition, water-filling and the precoder pair.
 
-The chain runs in the time domain on the factored noise shape
-G = V diag(lam) V^T: whiten the channel into C = diag(lam)^{-1/2} V^T H,
-eigendecompose C^H C = U_t diag(xi) U_t^H, read the per-direction energy
-weights phi from U_t^H G U_t, water-fill the powers gamma under
-sum(gamma*phi) = MN, and map the basis to the delay-Doppler grid as
-U = (F_N kron I_M) U_t.  The unitary map leaves xi and phi unchanged, so
-this is the DD-domain chain on H_eq and G_eq without forming either.  The
-precoder is P = U diag(gamma)^{1/2} and the receive weights are
-D = U_t^H C^H diag(lam)^{-1/2} V^T (F_N^H kron I_M).  D H_eq P is then
-diagonal and D whitens the correlated noise, so the link becomes a bank of
-parallel scalar Gaussian subchannels with gains xi and powers gamma.
+The transceiver is solved in two steps, both in the time domain.
+derive_subchannels works once per channel: on the factored noise shape
+G = V diag(lam) V^T it whitens the channel into C = diag(lam)^{-1/2} V^T H,
+eigendecomposes C^H C = U_t diag(xi) U_t^H and reads the per-direction
+energy weights phi from U_t^H G U_t.  finalize works once per power
+allocation: given powers gamma (water-filled under sum(gamma*phi) = MN, or
+uniform) it forms the precoder P_t = U_t diag(gamma)^{1/2}.  The receive
+weights D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on gamma; a
+derivation forms them on first read.  D_t H P_t = diag(xi*sqrt(gamma)) and
+D_t G D_t^H = diag(xi), so the link becomes a bank of parallel scalar
+Gaussian subchannels with gains xi and powers gamma.
+
+The delay-Doppler map F = F_N kron I_M is unitary, so the DD-domain pair
+P = F P_t, D = D_t F^H diagonalizes H_eq = F H F^H and G_eq = F G F^H with
+the same xi and phi.  Only the oracles form that pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .pulse import NoiseShape
-from .transforms import GridShape, time_to_dd
+from .transforms import GridShape
 
 # subchannels whose whitened gain falls below this fraction of the largest
 # are excluded from allocation (guards 1/(xi*snr) against blowup)
 XI_ACTIVE_REL = 1e-12
 
 
-@dataclass(eq=False)
-class PrecoderSolution:
-    """State of the diagonalizing transceiver chain for one (channel, SNR)."""
+@dataclass(frozen=True, eq=False)
+class Subchannels:
+    """The derivation for one channel: C, the basis U_t, gains xi and energy weights phi.
 
-    shape: GridShape
+    Every power allocation on the channel shares it read-only.
+    """
+
     noise: NoiseShape
     C: np.ndarray
     U_t: np.ndarray
-    U: np.ndarray
     xi: np.ndarray
     phi: np.ndarray
-    gamma: np.ndarray | None = None
-    P_mat: np.ndarray | None = None
-    D: np.ndarray | None = None
 
     @property
     def floored(self) -> int:
         return self.noise.floored
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """Receive weights D_t = (V diag(lam)^{-1/2} C U_t)^H, formed on first read."""
+        return _receive_weights(self)
+
+
+@dataclass(frozen=True, eq=False)
+class PrecoderSolution:
+    """One power allocation on a derivation: powers gamma and the precoder P = U_t diag(gamma)^{1/2}."""
+
+    sub: Subchannels
+    gamma: np.ndarray
+    P: np.ndarray
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self.sub.xi
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -103,11 +124,11 @@ def _real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (r @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
-def derive_subchannels(h: np.ndarray, noise: NoiseShape, shape: GridShape) -> PrecoderSolution:
+def derive_subchannels(h: np.ndarray, noise: NoiseShape, shape: GridShape) -> Subchannels:
     """Whiten the time-domain channel H and decompose it into scalar subchannels.
 
-    Fills C, U_t, U, xi and phi of the solution; the noise shape carries the
-    floored spectrum, and floored reports how many eigenvalues it clamped.
+    The noise shape carries the floored spectrum, and floored reports how
+    many eigenvalues it clamped.
     """
     mn = shape.MN
     h = np.asarray(h)
@@ -123,8 +144,7 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape, shape: GridShape) -> Pr
     imag_max = float(np.abs(phi_c.imag).max())
     if imag_max > 1e-10 * max(1.0, float(np.abs(phi_c.real).max())):
         raise AssertionError(f"energy weights are not real: max imag {imag_max:.3e}")
-    return PrecoderSolution(shape=shape, noise=noise, C=c, U_t=u_t, U=time_to_dd(u_t, shape),
-                            xi=xi, phi=phi_c.real.copy())
+    return Subchannels(noise=noise, C=c, U_t=u_t, xi=xi, phi=phi_c.real.copy())
 
 
 def waterfill(
@@ -173,29 +193,22 @@ def uniform_gamma(phi: np.ndarray, budget: float) -> np.ndarray:
     return np.full_like(phi, budget / float(phi.sum()))
 
 
-def receive_weights(sol: PrecoderSolution) -> np.ndarray:
-    """Receive weights D = ((F_N kron I_M) V diag(lam)^{-1/2} C U_t)^H; independent of gamma."""
-    w = (sol.C @ sol.U_t) / np.sqrt(sol.noise.lam)[:, None]
-    return time_to_dd(_real_matmul(sol.noise.V, w), sol.shape).conj().T
+def _receive_weights(sub: Subchannels) -> np.ndarray:
+    w = (sub.C @ sub.U_t) / np.sqrt(sub.noise.lam)[:, None]
+    return _real_matmul(sub.noise.V, w).conj().T
 
 
-def finalize(sol: PrecoderSolution, D: np.ndarray | None = None) -> PrecoderSolution:
-    """Fill the precoder P = U diag(gamma)^{1/2} and receive weights D.
-
-    D, when given, must be receive_weights of the same derived solution; a
-    sweep forms it once and shares it across power allocations.
-    """
-    if sol.gamma is None:
-        raise ValueError("solution field 'gamma' must be filled before finalize")
-    sol.P_mat = sol.U * np.sqrt(sol.gamma)[None, :]
-    sol.D = receive_weights(sol) if D is None else D
-    return sol
+def finalize(sub: Subchannels, gamma: np.ndarray) -> PrecoderSolution:
+    """The allocation of powers gamma on sub, with its precoder P = U_t diag(gamma)^{1/2}."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != sub.xi.shape:
+        raise ValueError(f"gamma must have shape {sub.xi.shape}, got {gamma.shape}")
+    return PrecoderSolution(sub=sub, gamma=gamma, P=sub.U_t * np.sqrt(gamma)[None, :])
 
 
 def solve_precoder(
     h: np.ndarray, noise: NoiseShape, shape: GridShape, snr: float
 ) -> PrecoderSolution:
-    """Water-filled, finalized solution from the time-domain H and the noise shape."""
-    sol = derive_subchannels(h, noise, shape)
-    sol.gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-    return finalize(sol)
+    """Water-filled solution from the time-domain H and the noise shape."""
+    sub = derive_subchannels(h, noise, shape)
+    return finalize(sub, waterfill(sub.xi, sub.phi, snr, float(shape.MN))[0])

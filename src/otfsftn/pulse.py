@@ -5,15 +5,16 @@ the matched-filter cascade is the raised cosine g(t).  Times are in units of
 the Nyquist interval T0.  Sampling g at the compressed interval T_f = alpha*T0
 yields a symmetric Toeplitz matrix G that is simultaneously the
 intersymbol-interference operator and the shape of the matched-filter noise
-covariance.  It is factored once per (alpha, beta, MN) into a NoiseShape that
-whitens the channel and colors the noise.  Its delay-Doppler image G_eq
-shares the same spectrum.
+covariance.  gram_matrix builds G and factors it, once per (alpha, beta, MN),
+into the NoiseShape that whitens the channel and colors the noise.  The
+simulator works in the time domain; the delay-Doppler image G_eq, which
+shares G's spectrum, is formed only by the oracles (gram_dd).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +63,6 @@ class NoiseShape:
     lam: np.ndarray
     floored: int
     floor: float
-
-
-@dataclass(eq=False)
-class GramSet:
-    """Symbol correlation matrix G, its noise shape and DD-domain image."""
-
-    G: np.ndarray
-    noise: NoiseShape
-    G_eq: np.ndarray | None = None
 
 
 def rc_autocorr(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
@@ -169,15 +161,14 @@ def sampled_autocorr(lags: np.ndarray, alpha: float, spec: PulseSpec) -> np.ndar
     return np.asarray(rc_autocorr(lags * alpha, spec))
 
 
-def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> GramSet:
+def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> NoiseShape:
     """Build the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) and factor it."""
     check_alpha(alpha, spec)
     idx = np.arange(shape.MN)
-    g = sampled_autocorr(idx, alpha, spec)[np.abs(np.subtract.outer(idx, idx))]
-    return GramSet(G=g, noise=noise_shape(g))
+    return noise_shape(sampled_autocorr(idx, alpha, spec)[np.abs(np.subtract.outer(idx, idx))])
 
 
-def gram_dd(gram: GramSet, shape: GridShape) -> GramSet:
-    """Fill the delay-Doppler image G_eq of G; result symmetrized Hermitian."""
-    g_eq = conjugate_by_dd(gram.G.astype(complex), shape)
-    return replace(gram, G_eq=0.5 * (g_eq + g_eq.conj().T))
+def gram_dd(noise: NoiseShape, shape: GridShape) -> np.ndarray:
+    """The delay-Doppler image G_eq = (F_N kron I_M) G (F_N^H kron I_M), symmetrized Hermitian."""
+    g_eq = conjugate_by_dd(noise.G.astype(complex), shape)
+    return 0.5 * (g_eq + g_eq.conj().T)

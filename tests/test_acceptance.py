@@ -34,7 +34,7 @@ from otfsftn import (
     waveform_oracle,
 )
 from otfsftn.harness import trial_rng
-from otfsftn.transforms import dd_to_time
+from otfsftn.transforms import dd_to_time, dft_matrix
 
 from conftest import complex_gaussian, eva_config, identity_config
 
@@ -47,8 +47,8 @@ def report(ok: bool, num: int, name: str, detail: str) -> None:
 def test_criterion_01_nyquist_degeneracy():
     t0 = time.perf_counter()
     shape = GridShape(128, 12)  # MN = 1536
-    gram = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
-    dev = float(np.abs(gram.G - np.eye(shape.MN)).max())
+    noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+    dev = float(np.abs(noise.G - np.eye(shape.MN)).max())
     elapsed = time.perf_counter() - t0
     report(
         dev <= 1e-12 and elapsed < 5.0, 1, "nyquist-degeneracy",
@@ -60,16 +60,20 @@ def test_criterion_02_diagonalization_identities():
     t0 = time.perf_counter()
     shape = GridShape(32, 6)
     spec = PulseSpec(beta=0.25)
-    gram = gram_dd(gram_matrix(shape, 0.9, spec), shape)
+    noise = gram_matrix(shape, 0.9, spec)
+    g_eq = gram_dd(noise, shape)
+    kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))  # F = F_N kron I_M
     worst = 0.0
     for seed in range(10):
         cfg = eva_config(32, 6, 0.9, nu_max=2000.0, seed=seed)
         chan = eva_channel(2000.0, cfg, trial_rng(seed, 0, 0))
         eff = effective_channel(chan, spec, cfg)
-        sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
+        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
+        # the delay-Doppler pair P = F P_t, D = D_t F^H
+        p, d = kron @ sol.P, sol.sub.D @ kron.conj().T
         bound = 1e-8 * float(sol.xi.max())
-        r1 = float(np.abs(sol.D @ eff.H_eq @ sol.P_mat - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
-        r2 = float(np.abs(sol.D @ gram.G_eq @ sol.D.conj().T - np.diag(sol.xi)).max())
+        r1 = float(np.abs(d @ eff.H_eq @ p - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
+        r2 = float(np.abs(d @ g_eq @ d.conj().T - np.diag(sol.xi)).max())
         worst = max(worst, r1 / bound, r2 / bound)
     elapsed = time.perf_counter() - t0
     report(
@@ -82,11 +86,11 @@ def test_criterion_02_diagonalization_identities():
 def test_criterion_03_waterfilling_optimality():
     shape = GridShape(8, 6)  # MN = 48
     spec = PulseSpec(beta=0.25)
-    gram = gram_dd(gram_matrix(shape, 0.85, spec), shape)
+    noise = gram_matrix(shape, 0.85, spec)
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=42)
     chan = eva_channel(2000.0, cfg, trial_rng(42, 0, 0))
     eff = effective_channel(chan, spec, cfg)
-    sol = derive_subchannels(eff.H, gram.noise, shape)
+    sol = derive_subchannels(eff.H, noise, shape)
     snr = 10.0
     gamma, mu = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
 
@@ -113,22 +117,22 @@ def test_criterion_03_waterfilling_optimality():
 def test_criterion_04_mi_formula_equivalence():
     shape = GridShape(16, 4)
     spec = PulseSpec(beta=0.25)
+    kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))
     worst = 0.0
     for alpha in (0.8, 0.9):
-        gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+        noise = gram_matrix(shape, alpha, spec)
+        g_eq = gram_dd(noise, shape)
         for seed in range(20):
             cfg = eva_config(16, 4, alpha, nu_max=2000.0, seed=seed)
             chan = eva_channel(2000.0, cfg, trial_rng(seed, 1, 0))
             eff = effective_channel(chan, spec, cfg)
-            sol = derive_subchannels(eff.H, gram.noise, shape)
+            sub = derive_subchannels(eff.H, noise, shape)
             for snr_db in (0.0, 10.0, 20.0):
                 snr = 10.0 ** (snr_db / 10.0)
-                gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-                sol.gamma = gamma
-                finalize(sol)
-                rxx = sol.P_mat @ sol.P_mat.conj().T
-                direct = mi_logdet(eff.H_eq, gram.G_eq, rxx, 1.0 / snr)
-                diag = mi_sum(sol.xi, gamma, snr)
+                gamma, _ = waterfill(sub.xi, sub.phi, snr, float(shape.MN))
+                p = kron @ finalize(sub, gamma).P  # the delay-Doppler precoder
+                direct = mi_logdet(eff.H_eq, g_eq, p @ p.conj().T, 1.0 / snr)
+                diag = mi_sum(sub.xi, gamma, snr)
                 worst = max(worst, abs(direct - diag) / max(diag, 1e-12))
     report(
         worst <= 1e-6, 4, "mi-formula-equivalence",
@@ -219,19 +223,19 @@ def test_criterion_07_awgn_ber_sanity():
 def test_criterion_08_energy_constraint():
     shape = GridShape(8, 6)
     spec = PulseSpec(beta=0.25)
-    gram = gram_dd(gram_matrix(shape, 0.85, spec), shape)
+    noise = gram_matrix(shape, 0.85, spec)
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=3)
     chan = eva_channel(2000.0, cfg, trial_rng(3, 0, 0))
     eff = effective_channel(chan, spec, cfg)
-    sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
+    sol = solve_precoder(eff.H, noise, shape, snr=10.0)
     loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
     rng = np.random.default_rng(31)
     frames = 10_000
     vals = np.empty(frames)
     for i in range(frames):
         bits = rng.integers(0, 2, loading.total_bits)
-        _, s = transmit(map_bits(bits, loading), sol, shape)
-        vals[i] = frame_energy(s, gram)
+        s = transmit(map_bits(bits, loading), sol)
+        vals[i] = frame_energy(s, noise)
     rel = abs(vals.mean() - shape.MN) / shape.MN
     report(
         rel <= 0.01, 8, "energy-constraint",

@@ -1,6 +1,9 @@
 import importlib.util
 import io
+import json
 import logging
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +131,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="snr_db_grid entries must be finite"):
             parse_config(MINIMAL + f"snr_db_grid: [0, {snr}]\n")
 
+    @pytest.mark.parametrize("profile", ["eva", "identity"])
+    @pytest.mark.parametrize("key", ["delta_f_hz", "target_rate_bps_hz"])
+    def test_non_finite_real_key_rejected(self, key, profile):
+        base = EVA_BER if profile == "eva" else MINIMAL
+        text = "".join(l for l in base.splitlines(True) if not l.startswith(key)) + f"{key}: .inf\n"
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite, got inf"):
+            parse_config(text)
+
     @pytest.mark.parametrize(
         "old,new,key",
         [
@@ -213,6 +224,15 @@ class TestNoiseShapePerInstance:
         # alphas 0.8, 0.9, 1.0 plus the two alpha = 1 Nyquist baselines
         assert len(built) == 5
 
+    def test_rate_sweep_never_forms_receive_weights(self, monkeypatch):
+        import otfsftn.precoder as precoder
+
+        calls = []
+        real = precoder._receive_weights
+        monkeypatch.setattr(precoder, "_receive_weights", lambda sub: calls.append(1) or real(sub))
+        run_rate_sweep(parse_config(self.SMALL), threads=2)
+        assert calls == []
+
     def test_floor_warning_once_per_noise_shape(self, monkeypatch, caplog):
         # at MN = 32 the default relative floor never bites, even at the
         # admissibility edge, so a larger floor makes the edge instance clamp
@@ -296,16 +316,24 @@ class TestBerSweep:
         import otfsftn.precoder as precoder
 
         calls = []
-        real = precoder.receive_weights
+        real = precoder._receive_weights
 
-        def spy(sol):
+        def spy(sub):
             calls.append(1)
-            return real(sol)
+            return real(sub)
 
-        monkeypatch.setattr(harness, "receive_weights", spy)
-        monkeypatch.setattr(precoder, "receive_weights", spy)
-        cfg = parse_config(AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]"))
-        result = run_ber_sweep(cfg)
+        # the helper behind Subchannels.D; more workers than cores and a short
+        # switch interval, over three frame blocks a point, give a race its chance
+        monkeypatch.setattr(precoder, "_receive_weights", spy)
+        cfg = parse_config(
+            AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]").replace("trials: 40", "trials: 140")
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_ber_sweep(cfg, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert len(result.rows) == 4 and len(calls) == 2
 
     def test_llr_dump_identical_across_threads(self):
@@ -481,8 +509,8 @@ class TestValidate:
 
     def test_injected_fault_detected(self, monkeypatch):
         # the floor-policy check must catch a noise shape factored with the floor disabled
-        original = harness.noise_shape
-        monkeypatch.setattr(harness, "noise_shape", lambda g: original(g, eig_floor_rel=0.0))
+        original = otfsftn.pulse.noise_shape
+        monkeypatch.setattr(otfsftn.pulse, "noise_shape", lambda g: original(g, eig_floor_rel=0.0))
         report = validate()
         assert not report.passed
         failed = [c.name for c in report.checks if not c.ok]
@@ -553,3 +581,47 @@ def test_bench_tracer_targets_exist():
         module = importlib.import_module(f"otfsftn.{mod_name}")
         for fn_name in tracer.TARGETS.get(mod_name, ()):
             assert callable(getattr(module, fn_name, None)), f"otfsftn.{mod_name}.{fn_name}"
+
+
+_TRACED_SWEEPS = """
+import io, json, sys
+sys.path[:0] = [{bench!r}, {src!r}]
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+import otfsftn.harness as harness
+from otfsftn import parse_config
+
+harness.run_rate_sweep(parse_config({rate!r}))
+harness.run_ber_sweep(parse_config({ber!r}), threads=2, llr_sink=io.StringIO())
+summary = tracer.summary()
+print(json.dumps({{
+    "failed": sorted({{span[1] for span in tracer.spans if not span[6]}}),
+    "calls": {{name: st["calls"] for name, st in summary["stats"].items()}},
+    "counts": summary["counts"],
+}}))
+"""
+
+
+def test_bench_tracer_runs_both_sweeps():
+    # the tracer's counters read the return values of derive_subchannels,
+    # waterfill and bit_loading; a traced MN = 32 rate sweep and BER sweep
+    # with an LLR sink must complete with every span ok and every count filled
+    root = Path(__file__).resolve().parents[1]
+    script = _TRACED_SWEEPS.format(
+        bench=str(root / "bench"), src=str(root / "src"),
+        rate=TestNoiseShapePerInstance.SMALL, ber=EVA_BER.replace("M: 16", "M: 8"),
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["failed"] == []
+    for name in ("precoder.derive_subchannels", "precoder.finalize", "link.transmit",
+                 "link.receive", "link.llr"):
+        assert out["calls"][name] > 0, name
+    counts = out["counts"]
+    assert "floored" in counts["precoder.derive_subchannels"]
+    assert counts["precoder.waterfill"]["active"] > 0
+    assert counts["link.bit_loading"]["loaded"] > 0

@@ -10,10 +10,10 @@ from otfsftn import (
     bit_loading,
     colored_noise,
     constellation,
+    dft_matrix,
     effective_channel,
     eva_channel,
     frame_energy,
-    gram_dd,
     gram_matrix,
     hard_detect,
     identity_channel,
@@ -35,11 +35,11 @@ def solved_eva_link(m, n, alpha, seed, snr=10.0, nu_max=2000.0):
     shape = GridShape(m, n)
     spec = PulseSpec(beta=0.25)
     cfg = eva_config(m, n, alpha, nu_max=nu_max, seed=seed)
-    gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+    noise = gram_matrix(shape, alpha, spec)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
     eff = effective_channel(chan, spec, cfg)
-    sol = solve_precoder(eff.H, gram.noise, shape, snr)
-    return shape, cfg, gram, eff, sol
+    sol = solve_precoder(eff.H, noise, shape, snr)
+    return shape, cfg, noise, eff, sol
 
 
 class TestConstellations:
@@ -153,15 +153,14 @@ class TestMapBits:
 
 class TestTransmitPropagate:
     def test_transmit_norm_identity(self, rng):
-        shape, cfg, gram, eff, sol = solved_eva_link(4, 3, 0.9, seed=3)
+        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.9, seed=3)
         x = complex_gaussian(rng, shape.MN)
-        x_p, s = transmit(x, sol, shape)
+        s = transmit(x, sol)
         expect = np.linalg.norm(np.sqrt(sol.gamma) * x)
-        assert abs(np.linalg.norm(x_p) - expect) <= 1e-10 * max(expect, 1.0)
-        assert abs(np.linalg.norm(s) - np.linalg.norm(x_p)) <= 1e-10 * max(expect, 1.0)
+        assert abs(np.linalg.norm(s) - expect) <= 1e-10 * max(expect, 1.0)
 
     def test_propagate_identities(self, rng):
-        shape, cfg, gram, eff, sol = solved_eva_link(4, 3, 0.9, seed=4)
+        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.9, seed=4)
         s = complex_gaussian(rng, shape.MN)
         eta = complex_gaussian(rng, shape.MN)
         np.testing.assert_array_equal(propagate(np.zeros_like(s), eff, eta), eta)
@@ -173,7 +172,7 @@ class TestTransmitPropagate:
 
     def test_mean_frame_energy(self, rng):
         # transmit-side energy identity at (4, 3): mean s^H G s = MN
-        shape, cfg, gram, eff, sol = solved_eva_link(4, 3, 0.85, seed=5, snr=10.0)
+        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.85, seed=5, snr=10.0)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
         frames = 10_000
         vals = np.empty(frames)
@@ -181,8 +180,8 @@ class TestTransmitPropagate:
         for i in range(frames):
             bits = rng2.integers(0, 2, loading.total_bits)
             x = map_bits(bits, loading)
-            _, s = transmit(x, sol, shape)
-            vals[i] = frame_energy(s, gram)
+            s = transmit(x, sol)
+            vals[i] = frame_energy(s, noise)
         se = vals.std(ddof=1) / np.sqrt(frames)
         assert abs(vals.mean() - shape.MN) <= 3.0 * se
 
@@ -190,17 +189,17 @@ class TestTransmitPropagate:
 class TestColoredNoise:
     def test_white_at_nyquist(self, rng):
         shape = GridShape(4, 2)
-        gram = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
         draws = 20_000
-        etas = np.stack([colored_noise(shape, gram, 0.5, rng) for _ in range(draws)])
+        etas = np.stack([colored_noise(noise, 0.5, rng) for _ in range(draws)])
         cov = etas.conj().T @ etas / draws
         assert np.abs(cov - 0.5 * np.eye(shape.MN)).max() <= 0.02
 
     def test_zero_mean(self, rng):
         shape = GridShape(4, 2)
-        gram = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
         draws = 10_000
-        etas = np.stack([colored_noise(shape, gram, 1.0, rng) for _ in range(draws)])
+        etas = np.stack([colored_noise(noise, 1.0, rng) for _ in range(draws)])
         se = 1.0 / np.sqrt(draws)
         assert np.abs(etas.mean(axis=0)).max() <= 3.0 * se
 
@@ -208,13 +207,13 @@ class TestColoredNoise:
         # empirical E[eta_0 eta_1^*] = sigma0^2 g(T_f) at alpha = 0.85
         shape = GridShape(4, 4)
         spec = PulseSpec(beta=0.25)
-        gram = gram_matrix(shape, 0.85, spec)
+        noise = gram_matrix(shape, 0.85, spec)
         sigma0_sq = 0.8
         draws = 100_000
         rng2 = np.random.default_rng(23)
         prods = np.empty(draws, dtype=complex)
         for i in range(draws):
-            eta = colored_noise(shape, gram, sigma0_sq, rng2)
+            eta = colored_noise(noise, sigma0_sq, rng2)
             prods[i] = eta[0] * np.conj(eta[1])
         expect = sigma0_sq * rc_autocorr(0.85, spec)
         se = prods.std(ddof=1) / np.sqrt(draws)
@@ -223,11 +222,11 @@ class TestColoredNoise:
 
 class TestReceive:
     def test_noiseless_diagonal_identity(self, rng):
-        shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.9, seed=6)
+        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=6)
         x = complex_gaussian(rng, shape.MN)
-        _, s = transmit(x, sol, shape)
+        s = transmit(x, sol)
         z = propagate(s, eff, np.zeros(shape.MN, complex))
-        y, y_d = receive(z, sol, shape)
+        y_d = receive(z, sol)
         expect = sol.xi * np.sqrt(sol.gamma) * x
         assert np.abs(y_d - expect).max() <= 1e-8
 
@@ -235,24 +234,24 @@ class TestReceive:
         shape = GridShape(4, 2)
         cfg = identity_config(4, 2, 1.0)
         spec = PulseSpec(beta=0.25)
-        gram = gram_dd(gram_matrix(shape, 1.0, spec), shape)
+        noise = gram_matrix(shape, 1.0, spec)
         eff = effective_channel(identity_channel(), spec, cfg)
-        sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
+        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
         x = complex_gaussian(rng, shape.MN)
-        _, s = transmit(x, sol, shape)
-        y, y_d = receive(propagate(s, eff, np.zeros(shape.MN, complex)), sol, shape)
+        s = transmit(x, sol)
+        y_d = receive(propagate(s, eff, np.zeros(shape.MN, complex)), sol)
         assert np.abs(y_d - x).max() <= 1e-8
 
     def test_whitened_noise_covariance(self):
-        # x = 0: y_d = D (F kron I) eta has covariance sigma0^2 diag(xi)
-        shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.85, seed=7)
+        # x = 0: y_d = D eta has covariance sigma0^2 diag(xi)
+        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.85, seed=7)
         sigma0_sq = 0.6
         draws = 10_000
         rng2 = np.random.default_rng(29)
         samples = np.empty((draws, shape.MN), dtype=complex)
         for i in range(draws):
-            eta = colored_noise(shape, gram, sigma0_sq, rng2)
-            _, y_d = receive(eta, sol, shape)
+            eta = colored_noise(noise, sigma0_sq, rng2)
+            y_d = receive(eta, sol)
             samples[i] = y_d
         var = np.mean(np.abs(samples) ** 2, axis=0)
         expect = sigma0_sq * sol.xi
@@ -266,9 +265,9 @@ class TestReceive:
 
 class TestLlr:
     def test_noiseless_signs_match_bits(self, rng):
-        shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
+        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.0, [np.random.default_rng(2)], shape)
+        frame = run_frame(loading, sol, eff, noise, 0.0, [np.random.default_rng(2)])
         vals = llr(frame.y_d, sol, loading, sigma0_sq=0.01)
         detected = (vals < 0).astype(int)
         np.testing.assert_array_equal(detected, frame.tx_bits)
@@ -316,9 +315,9 @@ class TestLlr:
 
 class TestHardDetect:
     def test_noiseless_recovery_exact(self):
-        shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
+        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
         loading = bit_loading(sol.xi, sol.gamma, 50.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.0, [np.random.default_rng(3)], shape)
+        frame = run_frame(loading, sol, eff, noise, 0.0, [np.random.default_rng(3)])
         rx = hard_detect(frame.y_d, sol, loading)
         np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -348,13 +347,13 @@ class TestHardDetect:
 class TestLlrConsistency:
     def test_tanh_sign_structure(self):
         # E[tanh(LLR/2) | bit] carries the transmitted bit's sign at 3 sigma
-        shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.9, seed=11, snr=10.0)
+        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=11, snr=10.0)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
         sigma0_sq = 0.1
         rng2 = np.random.default_rng(41)
         soft0, soft1 = [], []
         for _ in range(300):
-            frame = run_frame(loading, sol, eff, gram, sigma0_sq, [rng2], shape)
+            frame = run_frame(loading, sol, eff, noise, sigma0_sq, [rng2])
             soft = np.tanh(llr(frame.y_d, sol, loading, sigma0_sq) / 2.0)
             soft0.extend(soft[frame.tx_bits == 0])
             soft1.extend(soft[frame.tx_bits == 1])
@@ -376,12 +375,12 @@ class TestNoiselessRecoveryGrid:
         lo = spec.admissible_alpha()
         for alpha in (lo + 0.02, 0.95, 1.0):
             cfg = eva_config(m, n, alpha, beta=beta, nu_max=2000.0, seed=seed)
-            gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+            noise = gram_matrix(shape, alpha, spec)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed))
             eff = effective_channel(chan, spec, cfg)
-            sol = solve_precoder(eff.H, gram.noise, shape, snr=30.0)
+            sol = solve_precoder(eff.H, noise, shape, snr=30.0)
             loading = bit_loading(sol.xi, sol.gamma, 30.0, None, cfg)
-            frame = run_frame(loading, sol, eff, gram, 0.0, [np.random.default_rng(seed + 7)], shape)
+            frame = run_frame(loading, sol, eff, noise, 0.0, [np.random.default_rng(seed + 7)])
             rx = hard_detect(frame.y_d, sol, loading)
             np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -390,28 +389,28 @@ def _solved_identity_link(m, n, alpha, snr=10.0):
     shape = GridShape(m, n)
     spec = PulseSpec(beta=0.25)
     cfg = identity_config(m, n, alpha)
-    gram = gram_matrix(shape, alpha, spec)
+    noise = gram_matrix(shape, alpha, spec)
     eff = effective_channel(identity_channel(), spec, cfg)
-    return shape, cfg, gram, eff, solve_precoder(eff.H, gram.noise, shape, snr)
+    return shape, cfg, noise, eff, solve_precoder(eff.H, noise, shape, snr)
 
 
 class TestFrameBlock:
     @pytest.mark.parametrize("link,target", [("eva", 1.5), ("identity", None)])
     def test_block_matches_single_frames(self, link, target):
         if link == "eva":
-            shape, cfg, gram, eff, sol = solved_eva_link(8, 4, 0.9, seed=12)
+            shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=12)
         else:
-            shape, cfg, gram, eff, sol = _solved_identity_link(8, 4, 0.9)
+            shape, cfg, noise, eff, sol = _solved_identity_link(8, 4, 0.9)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, target, cfg)
         sigma0_sq, k = 0.3, 5
         rngs = [np.random.default_rng(100 + t) for t in range(k)]
-        block = run_frame(loading, sol, eff, gram, sigma0_sq, rngs, shape)
+        block = run_frame(loading, sol, eff, noise, sigma0_sq, rngs)
         rx = hard_detect(block.y_d, sol, loading)
         soft = llr(block.y_d, sol, loading, sigma0_sq)
         assert block.tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, k)
         assert block.y_d.shape == (shape.MN, k)
         for t in range(k):
-            one = run_frame(loading, sol, eff, gram, sigma0_sq, [np.random.default_rng(100 + t)], shape)
+            one = run_frame(loading, sol, eff, noise, sigma0_sq, [np.random.default_rng(100 + t)])
             y_d = one.y_d[:, 0]
             np.testing.assert_array_equal(block.tx_bits[:, t], one.tx_bits[:, 0])
             assert np.abs(block.y_d[:, t] - y_d).max() <= 1e-12 * np.abs(y_d).max()
@@ -422,16 +421,18 @@ class TestFrameBlock:
 
 class TestFrameRecord:
     def test_pipeline_consistency(self, rng):
-        shape, cfg, gram, eff, sol = solved_eva_link(4, 3, 0.9, seed=10)
+        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.9, seed=10)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
-        frame = run_frame(loading, sol, eff, gram, 0.1, [rng], shape)
+        frame = run_frame(loading, sol, eff, noise, 0.1, [rng])
         assert frame.tx_bits.size == loading.total_bits
-        np.testing.assert_allclose(frame.x_p, sol.P_mat @ frame.x, atol=1e-12)
-        from otfsftn import dd_to_time, time_to_dd
-
-        np.testing.assert_allclose(frame.s, dd_to_time(frame.x_p, shape), atol=1e-12)
-        np.testing.assert_allclose(frame.y, time_to_dd(frame.z, shape), atol=1e-12)
-        np.testing.assert_allclose(frame.y_d, sol.D @ frame.y, atol=1e-12)
+        np.testing.assert_allclose(frame.s, sol.P @ frame.x, atol=1e-12)
+        np.testing.assert_allclose(frame.y_d, sol.sub.D @ frame.z, atol=1e-12)
+        # delay-Doppler oracle: the pair mapped to the grid, D_t F^H and F P_t
+        # with F = F_N kron I_M, diagonalizes H_eq
+        kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))
+        dhp = (sol.sub.D @ kron.conj().T) @ eff.H_eq @ (kron @ sol.P)
+        bound = 1e-8 * sol.xi.max()
+        assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
 
     def test_llr_dump_format(self):
         loading = Loading(bits_per_symbol=np.array([2, 0, 2]))

@@ -8,6 +8,7 @@ from otfsftn import (
     PulseSpec,
     ber_accumulate,
     derive_subchannels,
+    dft_matrix,
     effective_channel,
     eva_channel,
     finalize,
@@ -49,19 +50,19 @@ class TestMiLogdet:
         # the two formulations are mutual oracles; 20 seeds per shape
         shape = GridShape(m, n)
         spec = PulseSpec(beta=0.25)
-        gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+        noise = gram_matrix(shape, alpha, spec)
+        g_eq = gram_dd(noise, shape)
+        kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))
         snr = 10.0 ** (snr_db / 10.0)
         for seed in range(20):
             cfg = eva_config(m, n, alpha, seed=seed)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed))
             eff = effective_channel(chan, spec, cfg)
-            sol = derive_subchannels(eff.H, gram.noise, shape)
-            gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-            sol.gamma = gamma
-            finalize(sol)
-            rxx = sol.P_mat @ sol.P_mat.conj().T
-            direct = mi_logdet(eff.H_eq, gram.G_eq, rxx, 1.0 / snr)
-            diag = mi_sum(sol.xi, gamma, snr)
+            sub = derive_subchannels(eff.H, noise, shape)
+            gamma, _ = waterfill(sub.xi, sub.phi, snr, float(shape.MN))
+            p = kron @ finalize(sub, gamma).P  # the delay-Doppler precoder
+            direct = mi_logdet(eff.H_eq, g_eq, p @ p.conj().T, 1.0 / snr)
+            diag = mi_sum(sub.xi, gamma, snr)
             assert abs(direct - diag) <= 1e-6 * max(diag, 1e-9)
 
 
@@ -119,18 +120,18 @@ class TestRates:
 class TestFrameEnergy:
     def test_nyquist_is_plain_norm(self, rng):
         shape = GridShape(4, 2)
-        gram = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
         s = complex_gaussian(rng, shape.MN)
-        assert abs(frame_energy(s, gram) - np.linalg.norm(s) ** 2) <= 1e-12
+        assert abs(frame_energy(s, noise) - np.linalg.norm(s) ** 2) <= 1e-12
 
     def test_zero_signal(self):
-        gram = gram_matrix(GridShape(4, 2), 0.9, PulseSpec(beta=0.25))
-        assert frame_energy(np.zeros(8, complex), gram) == 0.0
+        noise = gram_matrix(GridShape(4, 2), 0.9, PulseSpec(beta=0.25))
+        assert frame_energy(np.zeros(8, complex), noise) == 0.0
 
     def test_dimension_mismatch(self):
-        gram = gram_matrix(GridShape(4, 2), 0.9, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(4, 2), 0.9, PulseSpec(beta=0.25))
         with pytest.raises(ValueError):
-            frame_energy(np.zeros(5, complex), gram)
+            frame_energy(np.zeros(5, complex), noise)
 
 
 class TestBerCounter:
@@ -167,12 +168,12 @@ class TestPaDominance:
 
         shape = GridShape(16, 4)
         spec = PulseSpec(beta=0.25)
-        gram = gram_dd(gram_matrix(shape, 0.85, spec), shape)
+        noise = gram_matrix(shape, 0.85, spec)
         for seed in range(5):
             cfg = eva_config(16, 4, 0.85, seed=seed)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed + 100))
             eff = effective_channel(chan, spec, cfg)
-            sol = derive_subchannels(eff.H, gram.noise, shape)
+            sol = derive_subchannels(eff.H, noise, shape)
             for snr_db in (0.0, 10.0, 20.0):
                 snr = 10.0 ** (snr_db / 10.0)
                 gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from otfsftn import (
     identity_channel,
     mi_sum,
     noise_shape,
-    receive_weights,
     solve_precoder,
     uniform_gamma,
     waterfill,
@@ -36,10 +37,10 @@ def eva_instance(m, n, alpha, seed, nu_max=2000.0, beta=0.25):
     shape = GridShape(m, n)
     spec = PulseSpec(beta=beta)
     cfg = eva_config(m, n, alpha, beta=beta, nu_max=nu_max, seed=seed)
-    gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+    noise = gram_matrix(shape, alpha, spec)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
     eff = effective_channel(chan, spec, cfg)
-    return shape, gram, eff
+    return shape, noise, eff
 
 
 class TestHermitianEvd:
@@ -93,7 +94,7 @@ class TestDeriveSubchannels:
         shape = GridShape(32, 16)
         spec = PulseSpec(beta=0.25)
         eff = effective_channel(identity_channel(), spec, identity_config(32, 16, 1.0))
-        sol = derive_subchannels(eff.H, gram_matrix(shape, 1.0, spec).noise, shape)
+        sol = derive_subchannels(eff.H, gram_matrix(shape, 1.0, spec), shape)
         assert np.array_equal(eff.H, np.eye(shape.MN))
         assert np.array_equal(sol.U_t, np.eye(shape.MN))
 
@@ -106,42 +107,42 @@ class TestDeriveSubchannels:
     def test_gain_sum_trace_identity(self):
         # sum(xi) must equal trace(H_eq^H G_eq^{-1} H_eq), computed by direct
         # inversion as an independent oracle
-        shape, gram, eff = eva_instance(4, 3, 0.85, seed=2)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
-        oracle = np.trace(eff.H_eq.conj().T @ np.linalg.inv(gram.G_eq) @ eff.H_eq).real
+        shape, noise, eff = eva_instance(4, 3, 0.85, seed=2)
+        sol = derive_subchannels(eff.H, noise, shape)
+        oracle = np.trace(eff.H_eq.conj().T @ np.linalg.inv(gram_dd(noise, shape)) @ eff.H_eq).real
         assert abs(sol.xi.sum() - oracle) <= 1e-8 * abs(oracle)
 
     def test_descending_and_nonnegative(self):
-        shape, gram, eff = eva_instance(8, 4, 0.9, seed=3)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        shape, noise, eff = eva_instance(8, 4, 0.9, seed=3)
+        sol = derive_subchannels(eff.H, noise, shape)
         assert np.all(np.diff(sol.xi) <= 1e-12)
         assert np.all(sol.xi >= 0.0)
         assert np.all(np.diff(sol.noise.lam) <= 1e-12)
 
     def test_bases_unitary(self):
-        shape, gram, eff = eva_instance(8, 4, 0.9, seed=3)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        shape, noise, eff = eva_instance(8, 4, 0.9, seed=3)
+        sol = derive_subchannels(eff.H, noise, shape)
         eye = np.eye(shape.MN)
         assert np.abs(sol.noise.V.conj().T @ sol.noise.V - eye).max() <= 1e-10
-        assert np.abs(sol.U.conj().T @ sol.U - eye).max() <= 1e-10
+        assert np.abs(sol.U_t.conj().T @ sol.U_t - eye).max() <= 1e-10
 
     def test_floor_never_activates_away_from_edge(self):
         # clamping is reserved for the admissibility edge; interior packing
         # ratios keep the raw spectrum above the floor
         for alpha in (0.82, 0.85, 0.9, 1.0):
-            shape, gram, eff = eva_instance(16, 4, alpha, seed=12)
-            sol = derive_subchannels(eff.H, gram.noise, shape)
+            shape, noise, eff = eva_instance(16, 4, alpha, seed=12)
+            sol = derive_subchannels(eff.H, noise, shape)
             assert sol.floored == 0
 
     def test_floor_inactive_at_larger_frame(self):
         # MN = 384 just above the admissibility edge
-        shape, gram, eff = eva_instance(64, 6, 0.82, seed=13)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        shape, noise, eff = eva_instance(64, 6, 0.82, seed=13)
+        sol = derive_subchannels(eff.H, noise, shape)
         assert sol.floored == 0
 
     def test_phi_positive(self):
-        shape, gram, eff = eva_instance(8, 4, 0.85, seed=4)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        shape, noise, eff = eva_instance(8, 4, 0.85, seed=4)
+        sol = derive_subchannels(eff.H, noise, shape)
         assert np.all(sol.phi > 0.0)
 
     def test_dimension_mismatch(self):
@@ -175,11 +176,12 @@ class TestTimeDomainDerivation:
                     channel=ChannelConfig(profile="synthetic", num_paths=20, l_max=3, k_max=5),
                 )
             shape = GridShape(cfg.M, cfg.N)
-            gram = gram_dd(gram_matrix(shape, alpha, spec), shape)
+            noise = gram_matrix(shape, alpha, spec)
+            g_eq = gram_dd(noise, shape)
             for seed in range(3):
                 eff = effective_channel(channel_for_config(cfg, np.random.default_rng(seed)), spec, cfg)
-                sol = derive_subchannels(eff.H, gram.noise, shape)
-                xi_o, phi_o = dd_domain_oracle(eff.H_eq, gram.G_eq)
+                sol = derive_subchannels(eff.H, noise, shape)
+                xi_o, phi_o = dd_domain_oracle(eff.H_eq, g_eq)
                 worst_xi = max(worst_xi, float(np.abs(sol.xi - xi_o).max() / xi_o.max()))
                 for snr in (1.0, 10.0, 100.0):
                     mi = mi_sum(sol.xi, waterfill(sol.xi, sol.phi, snr, float(shape.MN))[0], snr)
@@ -189,10 +191,17 @@ class TestTimeDomainDerivation:
         assert worst_mi <= 1e-10
 
     def test_dd_basis_is_mapped_time_basis(self):
-        shape, gram, eff = eva_instance(8, 4, 0.85, seed=4)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        # U = (F_N kron I_M) U_t is the DD-domain chain's basis: it diagonalizes
+        # H_eq^H G_eq^{-1} H_eq with the gains xi, and G_eq gives it the weights phi
+        shape, noise, eff = eva_instance(8, 4, 0.85, seed=4)
+        sol = derive_subchannels(eff.H, noise, shape)
         kron = np.kron(np.fft.fft(np.eye(shape.N), norm="ortho"), np.eye(shape.M))
-        assert np.abs(sol.U - kron @ sol.U_t).max() <= 1e-12
+        u = kron @ sol.U_t
+        g_eq = gram_dd(noise, shape)
+        gains = u.conj().T @ eff.H_eq.conj().T @ np.linalg.solve(g_eq, eff.H_eq) @ u
+        assert np.abs(gains - np.diag(sol.xi)).max() <= 1e-8 * sol.xi.max()
+        phi = np.einsum("in,in->n", u.conj(), g_eq @ u).real
+        assert np.abs(phi - sol.phi).max() <= 1e-10 * sol.phi.max()
 
 
 class TestWaterfill:
@@ -329,56 +338,66 @@ class TestWaterfill:
 
 class TestFinalize:
     def test_unit_gamma_gives_unitary_precoder(self):
-        shape, gram, eff = eva_instance(4, 3, 0.9, seed=5)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
-        sol.gamma = np.ones(shape.MN)
-        finalize(sol)
-        assert np.abs(sol.P_mat - sol.U).max() == 0.0
-        assert np.abs(sol.P_mat.conj().T @ sol.P_mat - np.eye(shape.MN)).max() <= 1e-10
+        shape, noise, eff = eva_instance(4, 3, 0.9, seed=5)
+        sub = derive_subchannels(eff.H, noise, shape)
+        sol = finalize(sub, np.ones(shape.MN))
+        assert np.abs(sol.P - sub.U_t).max() == 0.0
+        assert np.abs(sol.P.conj().T @ sol.P - np.eye(shape.MN)).max() <= 1e-10
 
     def test_degenerate_identity_link(self):
         shape = GridShape(4, 2)
         eye = np.eye(shape.MN, dtype=complex)
-        sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)), shape)
-        sol.gamma = np.full(shape.MN, 1.0)
-        finalize(sol)
-        dhp = sol.D @ eye @ sol.P_mat
+        sub = derive_subchannels(eye, noise_shape(np.eye(shape.MN)), shape)
+        sol = finalize(sub, np.full(shape.MN, 1.0))
+        dhp = sub.D @ eye @ sol.P
         assert np.abs(dhp - np.diag(np.sqrt(sol.gamma))).max() <= 1e-10
 
     def test_diagonalization_identities(self):
-        shape, gram, eff = eva_instance(8, 4, 0.9, seed=6)
-        sol = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
+        # the time-domain pair diagonalizes H and whitens the noise shape G
+        shape, noise, eff = eva_instance(8, 4, 0.9, seed=6)
+        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
         bound = 1e-8 * sol.xi.max()
-        dhp = sol.D @ eff.H_eq @ sol.P_mat
+        dhp = sol.sub.D @ eff.H @ sol.P
         assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
-        dgd = sol.D @ gram.G_eq @ sol.D.conj().T
+        dgd = sol.sub.D @ noise.G @ sol.sub.D.conj().T
         assert np.abs(dgd - np.diag(sol.xi)).max() <= bound
 
     def test_energy_constraint_satisfied(self):
-        shape, gram, eff = eva_instance(8, 4, 0.85, seed=7)
-        sol = solve_precoder(eff.H, gram.noise, shape, snr=5.0)
-        assert abs(float(sol.gamma @ sol.phi) - shape.MN) <= 1e-8 * shape.MN
+        shape, noise, eff = eva_instance(8, 4, 0.85, seed=7)
+        sol = solve_precoder(eff.H, noise, shape, snr=5.0)
+        assert abs(float(sol.gamma @ sol.sub.phi) - shape.MN) <= 1e-8 * shape.MN
 
     def test_uniform_gamma_meets_constraint(self):
-        shape, gram, eff = eva_instance(8, 4, 0.85, seed=8)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        shape, noise, eff = eva_instance(8, 4, 0.85, seed=8)
+        sol = derive_subchannels(eff.H, noise, shape)
         g = uniform_gamma(sol.phi, float(shape.MN))
         assert abs(float(g @ sol.phi) - shape.MN) <= 1e-10 * shape.MN
         # trace(G_eq) = MN makes the unscaled identity already feasible
         assert np.abs(g - 1.0).max() <= 1e-10
 
     def test_finalize_requires_gamma(self):
-        shape, gram, eff = eva_instance(4, 3, 0.9, seed=9)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
+        # one power per subchannel
+        shape, noise, eff = eva_instance(4, 3, 0.9, seed=9)
+        sub = derive_subchannels(eff.H, noise, shape)
         with pytest.raises(ValueError, match="gamma"):
-            finalize(sol)
+            finalize(sub, np.ones(shape.MN - 1))
 
     def test_shared_receive_weights_match_fresh(self):
-        shape, gram, eff = eva_instance(8, 4, 0.9, seed=10)
-        fresh = solve_precoder(eff.H, gram.noise, shape, snr=10.0)
-        sol = derive_subchannels(eff.H, gram.noise, shape)
-        D = receive_weights(sol)
-        sol.gamma, _ = waterfill(sol.xi, sol.phi, 10.0, float(shape.MN))
-        finalize(sol, D)
-        assert sol.D is D
-        assert np.array_equal(sol.D, fresh.D) and np.array_equal(sol.P_mat, fresh.P_mat)
+        # every allocation on a derivation shares its receive weights, formed once
+        shape, noise, eff = eva_instance(8, 4, 0.9, seed=10)
+        fresh = solve_precoder(eff.H, noise, shape, snr=10.0)
+        sub = derive_subchannels(eff.H, noise, shape)
+        sol = finalize(sub, waterfill(sub.xi, sub.phi, 10.0, float(shape.MN))[0])
+        uniform = finalize(sub, uniform_gamma(sub.phi, float(shape.MN)))
+        assert sol.sub.D is uniform.sub.D
+        assert np.array_equal(sub.D, fresh.sub.D) and np.array_equal(sol.P, fresh.P)
+
+    def test_derivation_and_allocation_are_frozen(self):
+        shape, noise, eff = eva_instance(4, 3, 0.9, seed=11)
+        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
+        with pytest.raises(FrozenInstanceError):
+            sol.sub.xi = np.ones(shape.MN)
+        with pytest.raises(FrozenInstanceError):
+            sol.gamma = np.ones(shape.MN)
+        with pytest.raises(FrozenInstanceError):
+            sol.P = np.eye(shape.MN)
