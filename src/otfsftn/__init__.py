@@ -10,7 +10,6 @@ from .pulse import (
 from .channel import (
     DdChannel,
     DdPath,
-    EffectiveChannel,
     dump_paths,
     effective_channel,
     eva_channel,
@@ -69,7 +68,7 @@ __all__ = [
     "GridShape", "conjugate_by_dd", "dd_to_time", "dft_matrix", "time_to_dd",
     "NoiseShape", "PulseSpec", "gram_dd", "gram_matrix", "noise_shape",
     "rc_autocorr", "rrc_impulse",
-    "DdChannel", "DdPath", "EffectiveChannel", "dump_paths", "effective_channel",
+    "DdChannel", "DdPath", "dump_paths", "effective_channel",
     "eva_channel", "identity_channel", "load_paths", "synthetic_channel", "waveform_oracle",
     "PrecoderSolution", "Subchannels", "derive_subchannels", "finalize",
     "hermitian_evd_desc", "solve_precoder", "uniform_gamma", "waterfill",

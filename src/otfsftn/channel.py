@@ -5,8 +5,8 @@ integer + fractional Doppler tap) tuple.  The EVA profile maps the 3GPP
 excess-delay table onto the grid's tap resolution with Jakes-model Doppler
 per tap; the synthetic profile draws distinct (delay, Doppler) pairs with
 unit average total power.  From a path list the dense effective matrix H
-combines channel dispersion with the pulse's matched-filter response; its
-delay-Doppler image H_eq is formed only when asked for.
+combines channel dispersion with the pulse's matched-filter response; only
+the oracles form its delay-Doppler image H_eq = conjugate_by_dd(H, shape).
 
 A brute-force continuous-time simulator (oversampled pulse train, per-path
 delay-and-Doppler, discrete matched filtering) serves as the independent
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .config import EVA_DELAYS_NS, EVA_POWERS_DB, SystemConfig
 from .pulse import PulseSpec, check_alpha, rrc_impulse, sampled_autocorr
-from .transforms import GridShape, conjugate_by_dd, dd_to_time
+from .transforms import GridShape, dd_to_time
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,6 @@ class DdChannel:
 
     def max_delay_tap(self) -> int:
         return max(p.delay_tap for p in self.paths)
-
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Dense time-domain matrix H and, on first use, its delay-Doppler image H_eq."""
-
-    H: np.ndarray
-    shape: GridShape
-
-    @cached_property
-    def H_eq(self) -> np.ndarray:
-        return conjugate_by_dd(self.H, self.shape)
 
 
 def identity_channel() -> DdChannel:
@@ -177,8 +164,8 @@ def channel_for_config(cfg: SystemConfig, rng: np.random.Generator) -> DdChannel
     return synthetic_channel(ch.num_paths, ch.l_max, ch.k_max, ch.frac_doppler, rng)
 
 
-def effective_channel(chan: DdChannel, pulse: PulseSpec, cfg: SystemConfig) -> EffectiveChannel:
-    """Dense MN x MN effective channel for the configured packing ratio.
+def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
+    """Dense MN x MN effective channel H for the configured packing ratio and roll-off.
 
     Entry (k, m) sums h_p * exp(2j*pi*(k_p+kappa_p)*(k-l_p)/MN) * g((k-m-l_p)*T_f)
     over paths.  In circular mode each of the last cp_len symbols additionally
@@ -191,9 +178,9 @@ def effective_channel(chan: DdChannel, pulse: PulseSpec, cfg: SystemConfig) -> E
     if mode not in ("literal", "circular"):
         raise ValueError(f"cp_mode must be 'literal' or 'circular', got '{mode}'")
     alpha = cfg.alpha
+    pulse = PulseSpec(beta=cfg.beta)
     check_alpha(alpha, pulse)
-    shape = GridShape(cfg.M, cfg.N)
-    mn = shape.MN
+    mn = cfg.MN
     cp = cfg.effective_cp_len()
     if chan.max_delay_tap() >= cp:
         raise ValueError(f"channel delay tap {chan.max_delay_tap()} exceeds CP length {cp} - 1")
@@ -217,7 +204,7 @@ def effective_channel(chan: DdChannel, pulse: PulseSpec, cfg: SystemConfig) -> E
             # each of the last cp symbols also arrives through its prefix copy at m - mn
             gv[:, mn - cp :] += lag_table[l_top - tap + mn :][diff[:, mn - cp :]]
         h += weight[:, None] * gv
-    return EffectiveChannel(H=h, shape=shape)
+    return h
 
 
 def waveform_oracle(

@@ -21,6 +21,9 @@ class ConfigError(ValueError):
 _PROFILES = ("eva", "synthetic", "identity")
 _CP_MODES = ("literal", "circular")
 
+# The transmission rate counts information bits of a rate-3/4 code.
+CODE_RATE = 0.75
+
 # EVA excess-delay profile, 3GPP TS 36.101 Annex B.2.
 EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
@@ -62,6 +65,11 @@ class SystemConfig:
     def MN(self) -> int:
         return self.M * self.N
 
+    @property
+    def time_bandwidth(self) -> float:
+        """Time-bandwidth product (1+beta)*alpha*MN of one frame, the rate normalizer."""
+        return ((1.0 + self.beta) * self.alpha) * self.MN
+
     def with_alpha(self, alpha: float) -> "SystemConfig":
         return replace(self, alpha_grid=(alpha,))
 
@@ -76,6 +84,28 @@ class SystemConfig:
     def effective_cp_len(self) -> int:
         """Configured CP length, defaulting to max delay tap + 1."""
         return self.cp_len if self.cp_len is not None else self.max_delay_tap() + 1
+
+
+def target_bits(rate_bps_hz: float, cfg: SystemConfig) -> int:
+    """Coded bits per frame for a transmission rate, rounded to the nearest even count.
+
+    The inverse of rate = CODE_RATE * bits / cfg.time_bandwidth.
+    """
+    return 2 * int(round(rate_bps_hz * cfg.time_bandwidth / CODE_RATE / 2.0))
+
+
+def snr_linear(snr_db: float) -> float:
+    """The linear SNR 10^(snr_db/10) of a grid entry."""
+    return 10.0 ** (snr_db / 10.0)
+
+
+def _snr_in_range(snr_db: float) -> bool:
+    """Whether the linear SNR and the noise variance 1/SNR are positive finite floats."""
+    try:
+        snr = snr_linear(snr_db)
+    except OverflowError:
+        return False
+    return 0.0 < snr < math.inf and 1.0 / snr < math.inf
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -128,7 +158,11 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     _require(cfg.trials >= 1, f"trials must be >= 1, got {cfg.trials}")
     _require(len(cfg.snr_db_grid) >= 1, "snr_db_grid must be non-empty")
     for snr_db in cfg.snr_db_grid:
-        _require(math.isfinite(snr_db), f"snr_db_grid entries must be finite, got {snr_db}")
+        _require(
+            _snr_in_range(snr_db),
+            f"snr_db_grid entries must be finite, with 10^(snr_db/10) and its inverse "
+            f"positive finite floats, got {snr_db}",
+        )
     _require(0 <= cfg.master_seed < 2**64, f"master_seed must be a 64-bit integer, got {cfg.master_seed}")
     _require(cfg.cp_mode in _CP_MODES, f"cp_mode must be one of {_CP_MODES}, got '{cfg.cp_mode}'")
     if cfg.target_rate_bps_hz is not None:
@@ -136,6 +170,13 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             0.0 < cfg.target_rate_bps_hz < math.inf,
             f"target_rate_bps_hz must be positive and finite, got {cfg.target_rate_bps_hz}",
         )
+        for a in cfg.alpha_grid:
+            bits = target_bits(cfg.target_rate_bps_hz, cfg.with_alpha(a))
+            _require(
+                bits <= 8 * cfg.MN,
+                f"target_rate_bps_hz {cfg.target_rate_bps_hz} needs {bits} bits per frame at "
+                f"alpha {a}, more than the {8 * cfg.MN} that 256-QAM on all MN subchannels carries",
+            )
 
     ch = cfg.channel
     _require(ch.profile in _PROFILES, f"channel profile must be one of {_PROFILES}, got '{ch.profile}'")

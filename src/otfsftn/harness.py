@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .config import ChannelConfig, ConfigError, SystemConfig, config_digest, validate_config
+from .config import (
+    ChannelConfig, ConfigError, SystemConfig, config_digest, snr_linear, validate_config,
+)
 from .channel import (
     DdChannel,
     channel_for_config,
@@ -129,10 +131,6 @@ def assert_memory_budget(cfg: SystemConfig) -> None:
         raise ConfigError(f"frame size MN={cfg.MN} exceeds the supported maximum {MAX_FRAME_SYMBOLS}")
 
 
-def _snr_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
-
-
 # thread-count functions of scipy-openblas, ILP64 and LP64 OpenBLAS; "{}" is get or set
 _OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                      "openblas_{}_num_threads")
@@ -221,19 +219,17 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     rows: list[RatePoint] = []
     with _trial_map(threads) as trial_map:
         for alpha, beta, modes in instances:
-            pulse = PulseSpec(beta=beta)
-            noise = gram_matrix(shape, alpha, pulse)
+            noise = gram_matrix(shape, alpha, PulseSpec(beta=beta))
             cfg_pt = replace(cfg.with_alpha(alpha), beta=beta)
 
             def one_trial(chan):
-                eff = effective_channel(chan, pulse, cfg_pt)
-                sol = derive_subchannels(eff.H, noise, shape)
+                sol = derive_subchannels(effective_channel(chan, cfg_pt), noise)
                 mi = np.empty((len(cfg.snr_db_grid), 2))
                 for i, snr_db in enumerate(cfg.snr_db_grid):
-                    snr = _snr_linear(snr_db)
-                    gamma_pa, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
+                    snr = snr_linear(snr_db)
+                    gamma_pa, _ = waterfill(sol.xi, sol.phi, snr)
                     mi[i, 0] = mi_sum(sol.xi, gamma_pa, snr)
-                    mi[i, 1] = mi_sum(sol.xi, uniform_gamma(sol.phi, float(shape.MN)), snr)
+                    mi[i, 1] = mi_sum(sol.xi, uniform_gamma(sol.phi), snr)
                 return mi
 
             mean_mi = np.mean(trial_map(one_trial, channels), axis=0)
@@ -256,25 +252,23 @@ def _ber_point(
     cfg_a: SystemConfig,
     snr_db: float,
     point_idx: int,
-    pulse: PulseSpec,
     noise,
     shared,
     trial_map,
     collect_llrs: bool,
 ) -> tuple[BerCounter, list[str]]:
-    shape = GridShape(cfg_a.M, cfg_a.N)
-    snr = _snr_linear(snr_db)
+    snr = snr_linear(snr_db)
     sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
 
     def load(sub):
         """Water-fill, finalize and bit-load the derivation at this SNR."""
-        sol = finalize(sub, waterfill(sub.xi, sub.phi, snr, float(shape.MN))[0])
+        sol = finalize(sub, waterfill(sub.xi, sub.phi, snr)[0])
         return sol, bit_loading(sub.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
 
     link = None
     if shared is not None:
-        eff, sub = shared
-        link = (eff, *load(sub))
+        h, sub = shared
+        link = (h, *load(sub))
         starts = range(0, cfg_a.trials, FRAME_BLOCK)
         blocks = [range(t, min(t + FRAME_BLOCK, cfg_a.trials)) for t in starts]
     else:
@@ -283,11 +277,11 @@ def _ber_point(
     def one_block(block: range) -> tuple[BerCounter, list[str]]:
         rngs = [trial_rng(cfg_a.master_seed, point_idx, t) for t in block]
         if link is None:
-            eff = effective_channel(channel_for_config(cfg_a, rngs[0]), pulse, cfg_a)
-            sol, loading = load(derive_subchannels(eff.H, noise, shape))
+            h = effective_channel(channel_for_config(cfg_a, rngs[0]), cfg_a)
+            sol, loading = load(derive_subchannels(h, noise))
         else:
-            eff, sol, loading = link
-        frame = run_frame(loading, sol, eff, noise, sigma0_sq, rngs)
+            h, sol, loading = link
+        frame = run_frame(loading, sol, h, noise, sigma0_sq, rngs)
         rx = hard_detect(frame.y_d, sol, loading)
         counter = ber_accumulate(frame.tx_bits, rx, BerCounter())
         records = []
@@ -326,21 +320,20 @@ def run_ber_sweep(
             llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
             llr_sink.write(LLR_DUMP_HEADER + "\n")
 
+        shape = GridShape(cfg.M, cfg.N)
         point_idx = 0
         for alpha in cfg.alpha_grid:
             cfg_a = cfg.with_alpha(alpha)
-            pulse = PulseSpec(beta=cfg.beta)
-            shape = GridShape(cfg.M, cfg.N)
-            noise = gram_matrix(shape, alpha, pulse)
+            noise = gram_matrix(shape, alpha, PulseSpec(beta=cfg.beta))
             shared = None
             if cfg.channel.profile == "identity":
-                eff = effective_channel(identity_channel(), pulse, cfg_a)
-                sub = derive_subchannels(eff.H, noise, shape)
+                h = effective_channel(identity_channel(), cfg_a)
+                sub = derive_subchannels(h, noise)
                 sub.D  # form the receive weights now, not racing in the workers
-                shared = (eff, sub)
+                shared = (h, sub)
             for snr_db in cfg.snr_db_grid:
                 counter, llr_lines = _ber_point(
-                    cfg_a, snr_db, point_idx, pulse, noise, shared, trial_map, llr_sink is not None
+                    cfg_a, snr_db, point_idx, noise, shared, trial_map, llr_sink is not None
                 )
                 if llr_sink is not None:
                     for chunk in llr_lines:
@@ -495,8 +488,7 @@ def _check_floor_policy(seed: int) -> tuple[bool, str]:
     noise = gram_matrix(shape, alpha, spec)
     cfg = _eva_cfg(shape, alpha, seed)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 0))
-    eff = effective_channel(chan, spec, cfg)
-    sol = derive_subchannels(eff.H, noise, shape)
+    sol = derive_subchannels(effective_channel(chan, cfg), noise)
     if sol.noise.floor <= 0.0:
         return False, "eigenvalue floor policy is disabled on the noise-shape spectrum"
     lam_min = float(sol.noise.lam.min())
@@ -516,29 +508,24 @@ def _check_gram_dd_spectrum(seed: int) -> tuple[bool, str]:
 
 def _check_channel_linearity(seed: int) -> tuple[bool, str]:
     shape = GridShape(8, 4)
-    spec = PulseSpec(beta=0.25)
     cfg = _eva_cfg(shape, 0.9, seed)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 1))
-    eff = effective_channel(chan, spec, cfg)
+    h = effective_channel(chan, cfg)
     scaled = DdChannel(paths=tuple(replace(p, gain=2.5 * p.gain) for p in chan.paths))
-    eff2 = effective_channel(scaled, spec, cfg)
-    lin = float(np.abs(eff2.H - 2.5 * eff.H).max())
-    fro = abs(np.linalg.norm(eff.H_eq) - np.linalg.norm(eff.H)) / np.linalg.norm(eff.H)
+    lin = float(np.abs(effective_channel(scaled, cfg) - 2.5 * h).max())
+    fro = abs(np.linalg.norm(conjugate_by_dd(h, shape)) - np.linalg.norm(h)) / np.linalg.norm(h)
     ok = lin <= 1e-12 and fro <= 1e-10
     return ok, f"gain linearity {lin:.2e}, Frobenius preservation {fro:.2e}"
 
 
 def _check_doppler_periodicity(seed: int) -> tuple[bool, str]:
     shape = GridShape(8, 4)
-    spec = PulseSpec(beta=0.25)
     cfg = replace(_eva_cfg(shape, 0.9, seed), cp_mode="literal")
     chan = channel_for_config(cfg, trial_rng(seed, 0, 2))
-    eff = effective_channel(chan, spec, cfg)
     shifted = DdChannel(
         paths=tuple(replace(p, doppler_int=p.doppler_int + shape.MN) for p in chan.paths)
     )
-    eff2 = effective_channel(shifted, spec, cfg)
-    res = float(np.abs(eff2.H - eff.H).max())
+    res = float(np.abs(effective_channel(shifted, cfg) - effective_channel(chan, cfg)).max())
     return res <= 1e-9, f"Doppler-tap periodicity residual {res:.2e}"
 
 
@@ -548,10 +535,9 @@ def _check_separability(seed: int) -> tuple[bool, str]:
         M=8, N=4, alpha_grid=(1.0,), beta=0.25, cp_len=4, master_seed=seed,
     )
     chan = synthetic_channel(5, 3, 1, False, trial_rng(seed, 0, 3))
-    eff = effective_channel(chan, PulseSpec(beta=0.25), cfg)
     impulse = np.zeros(shape.MN, complex)
     impulse[0] = 1.0
-    resp = eff.H_eq @ impulse
+    resp = conjugate_by_dd(effective_channel(chan, cfg), shape) @ impulse
     support = int(np.count_nonzero(np.abs(resp) > 1e-9))
     return support == chan.num_paths, (
         f"impulse response support {support}, expected {chan.num_paths} paths"
@@ -562,17 +548,17 @@ def _check_precoder_identities(seed: int) -> tuple[bool, str]:
     detail = []
     ok = True
     for shape in _VALIDATE_SHAPES:
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, 0.9, spec)
+        noise = gram_matrix(shape, 0.9, PulseSpec(beta=0.25))
         cfg = _eva_cfg(shape, 0.9, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 4))
-        eff = effective_channel(chan, spec, cfg)
-        sol = solve_precoder(eff.H, noise, shape, 10.0)
+        h = effective_channel(chan, cfg)
+        sol = solve_precoder(h, noise, 10.0)
         # the delay-Doppler pair P = (F_N kron I_M) P_t, D = D_t (F_N kron I_M)^H
         kron = _kron_dd(shape)
         p, d = kron @ sol.P, sol.sub.D @ kron.conj().T
         bound = 1e-8 * float(sol.xi.max())
-        r1 = float(np.abs(d @ eff.H_eq @ p - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
+        h_eq = conjugate_by_dd(h, shape)
+        r1 = float(np.abs(d @ h_eq @ p - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
         r2 = float(np.abs(d @ gram_dd(noise, shape) @ d.conj().T - np.diag(sol.xi)).max())
         ok &= r1 <= bound and r2 <= bound
         detail.append(f"{shape.M}x{shape.N}: diag {r1:.1e} whiten {r2:.1e} (bound {bound:.1e})")
@@ -587,7 +573,7 @@ def _check_waterfill_kkt(seed: int) -> tuple[bool, str]:
         xi = rng.uniform(0.05, 2.0, shape.MN)
         phi = rng.uniform(0.5, 1.5, shape.MN)
         snr = 3.0
-        gamma, mu = waterfill(xi, phi, snr, float(shape.MN))
+        gamma, mu = waterfill(xi, phi, snr)
         residual = abs(float(gamma @ phi) - shape.MN)
         ok &= residual <= 1e-10 * shape.MN
         act = gamma > 0.0
@@ -602,15 +588,15 @@ def _check_waterfill_kkt(seed: int) -> tuple[bool, str]:
 def _check_mi_equivalence(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, 0.85, spec)
+        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
         cfg = _eva_cfg(shape, 0.85, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 5))
-        eff = effective_channel(chan, spec, cfg)
+        h = effective_channel(chan, cfg)
         snr = 10.0
-        sol = solve_precoder(eff.H, noise, shape, snr)
+        sol = solve_precoder(h, noise, snr)
         p = _kron_dd(shape) @ sol.P  # the delay-Doppler precoder
-        direct = mi_logdet(eff.H_eq, gram_dd(noise, shape), p @ p.conj().T, 1.0 / snr)
+        h_eq = conjugate_by_dd(h, shape)
+        direct = mi_logdet(h_eq, gram_dd(noise, shape), p @ p.conj().T, 1.0 / snr)
         diag = mi_sum(sol.xi, sol.gamma, snr)
         worst = max(worst, abs(direct - diag) / max(diag, 1e-12))
     return worst <= 1e-6, f"max relative MI mismatch {worst:.2e} (bound 1e-6)"
@@ -619,18 +605,14 @@ def _check_mi_equivalence(seed: int) -> tuple[bool, str]:
 def _check_pa_dominance(seed: int) -> tuple[bool, str]:
     worst = -np.inf
     for shape in _VALIDATE_SHAPES:
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, 0.85, spec)
+        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
         cfg = _eva_cfg(shape, 0.85, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 6))
-        eff = effective_channel(chan, spec, cfg)
-        sol = derive_subchannels(eff.H, noise, shape)
+        sol = derive_subchannels(effective_channel(chan, cfg), noise)
         for snr_db in (0.0, 10.0, 20.0):
-            snr = _snr_linear(snr_db)
-            gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-            gap = mi_sum(sol.xi, uniform_gamma(sol.phi, float(shape.MN)), snr) - mi_sum(
-                sol.xi, gamma, snr
-            )
+            snr = snr_linear(snr_db)
+            gamma, _ = waterfill(sol.xi, sol.phi, snr)
+            gap = mi_sum(sol.xi, uniform_gamma(sol.phi), snr) - mi_sum(sol.xi, gamma, snr)
             worst = max(worst, gap)
     return worst <= 1e-9, f"max uniform-minus-waterfilled MI gap {worst:.2e} (bound 1e-9)"
 
@@ -638,14 +620,13 @@ def _check_pa_dominance(seed: int) -> tuple[bool, str]:
 def _check_link_noiseless(seed: int) -> tuple[bool, str]:
     total_err = 0
     for shape in _VALIDATE_SHAPES:
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, 0.9, spec)
+        noise = gram_matrix(shape, 0.9, PulseSpec(beta=0.25))
         cfg = _eva_cfg(shape, 0.9, seed)
         chan = channel_for_config(cfg, trial_rng(seed, 0, 7))
-        eff = effective_channel(chan, spec, cfg)
-        sol = solve_precoder(eff.H, noise, shape, 100.0)
+        h = effective_channel(chan, cfg)
+        sol = solve_precoder(h, noise, 100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, eff, noise, 0.0, [trial_rng(seed, 1, 7)])
+        frame = run_frame(loading, sol, h, noise, 0.0, [trial_rng(seed, 1, 7)])
         rx = hard_detect(frame.y_d, sol, loading)
         total_err += int(np.count_nonzero(rx != frame.tx_bits))
     return total_err == 0, f"{total_err} bit errors across noiseless frames"
@@ -656,10 +637,9 @@ def _check_waveform_oracle(seed: int) -> tuple[bool, str]:
     spec = PulseSpec(beta=0.25, span=32.0)
     cfg = _eva_cfg(shape, 0.9, seed, nu_max=50.0)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 8))
-    eff = effective_channel(chan, spec, cfg)
     rng = trial_rng(seed, 1, 8)
     x_p = (rng.standard_normal(shape.MN) + 1j * rng.standard_normal(shape.MN)) / np.sqrt(2.0)
-    z_model = eff.H @ dd_to_time(x_p, shape)
+    z_model = effective_channel(chan, cfg) @ dd_to_time(x_p, shape)
     z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)
     rel = float(np.abs(z_model - z_wave).max() / np.abs(z_wave).max())
     return rel <= 1e-3, f"matrix-vs-waveform relative max-abs {rel:.2e} (bound 1e-3)"

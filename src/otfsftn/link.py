@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import CODE_RATE, ConfigError, SystemConfig, target_bits
 from .precoder import PrecoderSolution
 from .pulse import NoiseShape
-from .channel import EffectiveChannel
 
 SUPPORTED_BITS = (2, 4, 6, 8)
 
@@ -111,11 +110,11 @@ def bit_loading(
 ) -> Loading:
     """Assign constellation sizes to subchannels to hit a target rate.
 
-    The required bit total inverts the transmission-rate formula (coding
-    factor 3/4) and is rounded to the nearest even value; bits then go two
-    at a time to the subchannel with the largest margin xi*gamma*snr / 2^b,
-    never to a zero-power subchannel.  A None target loads QPSK on every
-    powered subchannel.
+    The required bit total is target_bits (coding factor 3/4, rounded to
+    the nearest even value); bits then go two at a time to the subchannel
+    with the largest margin xi*gamma*snr / 2^b, never to a zero-power
+    subchannel.  A None target loads QPSK on every powered subchannel.  A
+    target the powered subchannels cannot carry at 256-QAM raises ConfigError.
     """
     xi = np.asarray(xi, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -125,12 +124,11 @@ def bit_loading(
         b[active] = 2
         return Loading(bits_per_symbol=b)
 
-    total = target_rate_bps_hz * (1.0 + cfg.beta) * cfg.MN * cfg.alpha * (4.0 / 3.0)
-    total = 2 * int(round(total / 2.0))
+    total = target_bits(target_rate_bps_hz, cfg)
     max_total = 8 * int(np.count_nonzero(active))
     if total > max_total:
-        max_rate = (0.75 * max_total) / (((1.0 + cfg.beta) * cfg.alpha) * cfg.MN)
-        raise ValueError(
+        max_rate = CODE_RATE * max_total / cfg.time_bandwidth
+        raise ConfigError(
             f"target rate {target_rate_bps_hz} bps/Hz needs {total} bits but only "
             f"{max_total} fit; maximum achievable rate is {max_rate:.6g} bps/Hz"
         )
@@ -192,13 +190,13 @@ def colored_noise(
     return eta[:, 0] if isinstance(rng, np.random.Generator) else eta
 
 
-def propagate(s: np.ndarray, eff: EffectiveChannel, eta: np.ndarray) -> np.ndarray:
+def propagate(s: np.ndarray, h: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Received matched-filtered samples z = H s + eta."""
     s = np.asarray(s)
     eta = np.asarray(eta)
-    if s.ndim not in (1, 2) or s.shape[0] != eff.H.shape[0] or eta.shape != s.shape:
+    if s.ndim not in (1, 2) or s.shape[0] != h.shape[0] or eta.shape != s.shape:
         raise ValueError("signal/noise length does not match the channel dimension")
-    return eff.H @ s + eta
+    return h @ s + eta
 
 
 def receive(z: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
@@ -292,7 +290,7 @@ def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.
 def run_frame(
     loading: Loading,
     sol: PrecoderSolution,
-    eff: EffectiveChannel,
+    h: np.ndarray,
     noise: NoiseShape,
     sigma0_sq: float,
     rngs: Sequence[np.random.Generator],
@@ -305,7 +303,7 @@ def run_frame(
     x = map_bits(tx_bits, loading)
     s = transmit(x, sol)
     eta = colored_noise(noise, sigma0_sq, rngs) if sigma0_sq > 0.0 else np.zeros(s.shape, complex)
-    z = propagate(s, eff, eta)
+    z = propagate(s, h, eta)
     return FrameRecord(tx_bits=tx_bits, x=x, s=s, z=z, y_d=receive(z, sol))
 
 

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
-from .precoder import hermitian_evd_desc
-from .pulse import EIG_FLOOR_REL, NoiseShape
+from .config import CODE_RATE, SystemConfig
+from .pulse import NoiseShape, noise_shape
 from .link import Loading
 
 _LN2 = float(np.log(2.0))
@@ -57,20 +56,17 @@ def mi_logdet(h_eq: np.ndarray, g_eq: np.ndarray, rxx: np.ndarray, sigma0_sq: fl
 
     Evaluated through the whitened congruence: eigenvalues of the Hermitian
     kernel C Rxx C^H / sigma0^2 with C = diag(lam)^{-1/2} V^H H_eq, never an
-    explicit determinant of raw entries.  Returns bits per frame.
+    explicit determinant of raw entries.  G_eq is factored by noise_shape, so
+    its spectrum is floored as the simulator's noise shape is.  Returns bits
+    per frame.
     """
     rxx = np.asarray(rxx)
     w_r = np.linalg.eigvalsh(0.5 * (rxx + rxx.conj().T))
     scale = max(1.0, float(w_r.max())) if w_r.size else 1.0
     if w_r.size and w_r.min() < -1e-9 * scale:
         raise ValueError(f"input covariance is not PSD: min eigenvalue {w_r.min():.3e}")
-    v, lam = hermitian_evd_desc(g_eq)
-    if lam[0] <= 0.0:
-        raise ValueError("noise-shape matrix has no positive eigenvalue")
-    lam = np.maximum(lam, EIG_FLOOR_REL * lam[0])
-    if lam[-1] <= 0.0:
-        raise ValueError("noise-shape matrix is singular beyond the floor")
-    c = (v.conj().T @ h_eq) / np.sqrt(lam)[:, None]
+    noise = noise_shape(g_eq)
+    c = (noise.V.conj().T @ h_eq) / np.sqrt(noise.lam)[:, None]
     kernel = c @ rxx @ c.conj().T / sigma0_sq
     w = np.linalg.eigvalsh(0.5 * (kernel + kernel.conj().T))
     w = np.maximum(w, 0.0)
@@ -90,12 +86,12 @@ def mi_sum(xi: np.ndarray, gamma: np.ndarray, snr: float) -> float:
 
 def info_rate(mi_bits: float, cfg: SystemConfig) -> float:
     """Normalize bits/frame by time-bandwidth: R = mi / ((1+beta) * alpha * MN)."""
-    return mi_bits / (((1.0 + cfg.beta) * cfg.alpha) * cfg.MN)
+    return mi_bits / cfg.time_bandwidth
 
 
 def transmission_rate(loading: Loading, cfg: SystemConfig) -> float:
-    """Rate of a bit-loaded frame with the rate-3/4 coding factor, bps/Hz."""
-    return (0.75 * loading.total_bits) / (((1.0 + cfg.beta) * cfg.alpha) * cfg.MN)
+    """Rate of a bit-loaded frame with the rate-3/4 coding factor, bps/Hz; inverts target_bits."""
+    return (CODE_RATE * loading.total_bits) / cfg.time_bandwidth
 
 
 def frame_energy(s: np.ndarray, noise: NoiseShape) -> float:

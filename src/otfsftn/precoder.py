@@ -5,8 +5,8 @@ derive_subchannels works once per channel: on the factored noise shape
 G = V diag(lam) V^T it whitens the channel into C = diag(lam)^{-1/2} V^T H,
 eigendecomposes C^H C = U_t diag(xi) U_t^H and reads the per-direction
 energy weights phi from U_t^H G U_t.  finalize works once per power
-allocation: given powers gamma (water-filled under sum(gamma*phi) = MN, or
-uniform) it forms the precoder P_t = U_t diag(gamma)^{1/2}.  The receive
+allocation: given powers gamma (water-filled under sum(gamma*phi) = MN, the
+subchannel count, or uniform) it forms the precoder P_t = U_t diag(gamma)^{1/2}.  The receive
 weights D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on gamma; a
 derivation forms them on first read.  D_t H P_t = diag(xi*sqrt(gamma)) and
 D_t G D_t^H = diag(xi), so the link becomes a bank of parallel scalar
@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .pulse import NoiseShape
-from .transforms import GridShape
 
 # subchannels whose whitened gain falls below this fraction of the largest
 # are excluded from allocation (guards 1/(xi*snr) against blowup)
@@ -124,18 +123,15 @@ def _real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (r @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
-def derive_subchannels(h: np.ndarray, noise: NoiseShape, shape: GridShape) -> Subchannels:
+def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     """Whiten the time-domain channel H and decompose it into scalar subchannels.
 
     The noise shape carries the floored spectrum, and floored reports how
     many eigenvalues it clamped.
     """
-    mn = shape.MN
     h = np.asarray(h)
-    if h.shape != (mn, mn) or noise.V.shape != (mn, mn):
-        raise ValueError(
-            f"expected {mn}x{mn} matrices, got H {h.shape} and noise shape {noise.V.shape}"
-        )
+    if h.shape != noise.V.shape:
+        raise ValueError(f"H {h.shape} does not match the noise shape {noise.V.shape}")
     c = _real_matmul(noise.V.T, h) / np.sqrt(noise.lam)[:, None]
     u_t, xi = hermitian_evd_desc(c.conj().T @ c)
     xi = np.maximum(xi, 0.0)
@@ -147,19 +143,16 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape, shape: GridShape) -> Su
     return Subchannels(noise=noise, C=c, U_t=u_t, xi=xi, phi=phi_c.real.copy())
 
 
-def waterfill(
-    xi: np.ndarray,
-    phi: np.ndarray,
-    snr: float,
-    budget: float,
-) -> tuple[np.ndarray, float]:
-    """Water-filling powers gamma under the weighted constraint sum(gamma*phi) = budget.
+def waterfill(xi: np.ndarray, phi: np.ndarray, snr: float) -> tuple[np.ndarray, float]:
+    """Water-filling powers gamma under the weighted constraint sum(gamma*phi) = xi.size.
 
-    gamma[n] = max(mu/phi[n] - 1/(xi[n]*snr), 0).  Subchannel n activates at
-    the water level t[n] = phi[n]/(xi[n]*snr); with k subchannels active the
-    budget fixes mu_k = (budget + sum of the k smallest t)/k, and the solution
-    takes the largest k with mu_k above the k-th smallest t.  Subchannels
-    with xi below 1e-12 of the largest are forced inactive.
+    The constraint holds the derived transmit power at one unit per
+    subchannel.  gamma[n] = max(mu/phi[n] - 1/(xi[n]*snr), 0).  Subchannel n
+    activates at the water level t[n] = phi[n]/(xi[n]*snr); with k
+    subchannels active the constraint fixes mu_k = (xi.size + sum of the k
+    smallest t)/k, and the solution takes the largest k with mu_k above the
+    k-th smallest t.  Subchannels with xi below 1e-12 of the largest are
+    forced inactive.
     """
     xi = np.asarray(xi, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -169,8 +162,8 @@ def waterfill(
         raise ValueError("subchannel gains must be nonnegative")
     if np.any(phi <= 0.0):
         raise ValueError("energy weights must be positive")
-    if not (0.0 < snr < np.inf and budget > 0.0):  # also rejects a nan snr
-        raise ValueError(f"snr must be positive and finite, budget positive: {snr}, {budget}")
+    if not 0.0 < snr < np.inf:  # also rejects a nan snr
+        raise ValueError(f"snr must be positive and finite, got {snr}")
 
     usable = xi > XI_ACTIVE_REL * xi.max() if xi.max() > 0.0 else np.zeros_like(xi, bool)
     if not usable.any():
@@ -179,18 +172,18 @@ def waterfill(
     thresh[usable] = phi[usable] / (xi[usable] * snr)
 
     t_sorted = np.sort(thresh[usable])
-    mu_k = (budget + np.cumsum(t_sorted)) / np.arange(1, t_sorted.size + 1)
+    mu_k = (xi.size + np.cumsum(t_sorted)) / np.arange(1, t_sorted.size + 1)
     above = np.flatnonzero(mu_k > t_sorted)
-    # mu_1 = budget + t_(1) exceeds t_(1) unless rounding swallows the budget
+    # mu_1 = xi.size + t_(1) exceeds t_(1) unless rounding swallows xi.size
     mu = float(mu_k[above[-1] if above.size else 0])
     gamma = np.maximum(mu - thresh, 0.0) / phi
     return gamma, mu
 
 
-def uniform_gamma(phi: np.ndarray, budget: float) -> np.ndarray:
-    """Equal powers rescaled to meet sum(gamma*phi) = budget; the no-PA case."""
+def uniform_gamma(phi: np.ndarray) -> np.ndarray:
+    """Equal powers rescaled to meet sum(gamma*phi) = phi.size; the no-PA case."""
     phi = np.asarray(phi, dtype=float)
-    return np.full_like(phi, budget / float(phi.sum()))
+    return np.full_like(phi, phi.size / float(phi.sum()))
 
 
 def _receive_weights(sub: Subchannels) -> np.ndarray:
@@ -206,9 +199,7 @@ def finalize(sub: Subchannels, gamma: np.ndarray) -> PrecoderSolution:
     return PrecoderSolution(sub=sub, gamma=gamma, P=sub.U_t * np.sqrt(gamma)[None, :])
 
 
-def solve_precoder(
-    h: np.ndarray, noise: NoiseShape, shape: GridShape, snr: float
-) -> PrecoderSolution:
+def solve_precoder(h: np.ndarray, noise: NoiseShape, snr: float) -> PrecoderSolution:
     """Water-filled solution from the time-domain H and the noise shape."""
-    sub = derive_subchannels(h, noise, shape)
-    return finalize(sub, waterfill(sub.xi, sub.phi, snr, float(shape.MN))[0])
+    sub = derive_subchannels(h, noise)
+    return finalize(sub, waterfill(sub.xi, sub.phi, snr)[0])

@@ -51,11 +51,13 @@ class PulseSpec:
 
 @dataclass(frozen=True, eq=False)
 class NoiseShape:
-    """The noise shape G factored once as G = V diag(lam) V^T, V real orthogonal.
+    """The noise shape G factored once as G = V diag(lam) V^H.
 
-    lam is descending and clamped from below at floor (0.0 when the floor
-    policy is disabled); floored counts the clamped eigenvalues.  Every trial
-    of an (alpha, beta, MN) instance shares it read-only.
+    V is unitary, and real (so V^H = V^T) when G is real, as the simulator's
+    G always is; the delay-Doppler G_eq gives a complex V.  lam is descending
+    and clamped from below at floor (0.0 when the floor policy is disabled);
+    floored counts the clamped eigenvalues.  Every trial of an (alpha, beta,
+    MN) instance shares it read-only.
     """
 
     G: np.ndarray
@@ -129,7 +131,7 @@ def check_alpha(alpha: float, spec: PulseSpec) -> None:
 
 
 def noise_shape(g: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseShape:
-    """Real eigendecomposition of the symmetric noise shape G, floor policy applied.
+    """Eigendecomposition of the Hermitian noise shape G, floor policy applied.
 
     A positive eig_floor_rel clamps eigenvalues below that fraction of the
     largest one and logs one warning; zero disables the floor, and a singular

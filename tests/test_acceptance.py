@@ -15,6 +15,7 @@ from otfsftn import (
     PulseSpec,
     SystemConfig,
     bit_loading,
+    conjugate_by_dd,
     derive_subchannels,
     effective_channel,
     eva_channel,
@@ -67,12 +68,13 @@ def test_criterion_02_diagonalization_identities():
     for seed in range(10):
         cfg = eva_config(32, 6, 0.9, nu_max=2000.0, seed=seed)
         chan = eva_channel(2000.0, cfg, trial_rng(seed, 0, 0))
-        eff = effective_channel(chan, spec, cfg)
-        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
+        h = effective_channel(chan, cfg)
+        sol = solve_precoder(h, noise, snr=10.0)
         # the delay-Doppler pair P = F P_t, D = D_t F^H
         p, d = kron @ sol.P, sol.sub.D @ kron.conj().T
         bound = 1e-8 * float(sol.xi.max())
-        r1 = float(np.abs(d @ eff.H_eq @ p - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
+        h_eq = conjugate_by_dd(h, shape)
+        r1 = float(np.abs(d @ h_eq @ p - np.diag(sol.xi * np.sqrt(sol.gamma))).max())
         r2 = float(np.abs(d @ g_eq @ d.conj().T - np.diag(sol.xi)).max())
         worst = max(worst, r1 / bound, r2 / bound)
     elapsed = time.perf_counter() - t0
@@ -89,10 +91,10 @@ def test_criterion_03_waterfilling_optimality():
     noise = gram_matrix(shape, 0.85, spec)
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=42)
     chan = eva_channel(2000.0, cfg, trial_rng(42, 0, 0))
-    eff = effective_channel(chan, spec, cfg)
-    sol = derive_subchannels(eff.H, noise, shape)
+    h = effective_channel(chan, cfg)
+    sol = derive_subchannels(h, noise)
     snr = 10.0
-    gamma, mu = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
+    gamma, mu = waterfill(sol.xi, sol.phi, snr)
 
     residual = abs(float(gamma @ sol.phi) - shape.MN)
     act = gamma > 0.0
@@ -125,13 +127,14 @@ def test_criterion_04_mi_formula_equivalence():
         for seed in range(20):
             cfg = eva_config(16, 4, alpha, nu_max=2000.0, seed=seed)
             chan = eva_channel(2000.0, cfg, trial_rng(seed, 1, 0))
-            eff = effective_channel(chan, spec, cfg)
-            sub = derive_subchannels(eff.H, noise, shape)
+            h = effective_channel(chan, cfg)
+            sub = derive_subchannels(h, noise)
+            h_eq = conjugate_by_dd(h, shape)
             for snr_db in (0.0, 10.0, 20.0):
                 snr = 10.0 ** (snr_db / 10.0)
-                gamma, _ = waterfill(sub.xi, sub.phi, snr, float(shape.MN))
+                gamma, _ = waterfill(sub.xi, sub.phi, snr)
                 p = kron @ finalize(sub, gamma).P  # the delay-Doppler precoder
-                direct = mi_logdet(eff.H_eq, g_eq, p @ p.conj().T, 1.0 / snr)
+                direct = mi_logdet(h_eq, g_eq, p @ p.conj().T, 1.0 / snr)
                 diag = mi_sum(sub.xi, gamma, snr)
                 worst = max(worst, abs(direct - diag) / max(diag, 1e-12))
     report(
@@ -183,10 +186,10 @@ def test_criterion_06_waveform_oracle_crosscheck():
     spec = PulseSpec(beta=0.25, span=32.0)
     cfg = eva_config(16, 4, 0.9, nu_max=100.0, seed=5)
     chan = eva_channel(100.0, cfg, trial_rng(5, 0, 0))
-    eff = effective_channel(chan, spec, replace(cfg, cp_mode="circular"))
+    h = effective_channel(chan, replace(cfg, cp_mode="circular"))
     rng = np.random.default_rng(55)
     x_p = complex_gaussian(rng, shape.MN)
-    z_model = eff.H @ dd_to_time(x_p, shape)
+    z_model = h @ dd_to_time(x_p, shape)
     z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)
     rel = float(np.abs(z_model - z_wave).max() / np.abs(z_wave).max())
     report(
@@ -226,8 +229,8 @@ def test_criterion_08_energy_constraint():
     noise = gram_matrix(shape, 0.85, spec)
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=3)
     chan = eva_channel(2000.0, cfg, trial_rng(3, 0, 0))
-    eff = effective_channel(chan, spec, cfg)
-    sol = solve_precoder(eff.H, noise, shape, snr=10.0)
+    h = effective_channel(chan, cfg)
+    sol = solve_precoder(h, noise, snr=10.0)
     loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
     rng = np.random.default_rng(31)
     frames = 10_000

@@ -8,6 +8,7 @@ from otfsftn import (
     DdPath,
     GridShape,
     PulseSpec,
+    conjugate_by_dd,
     dd_to_time,
     dump_paths,
     effective_channel,
@@ -136,43 +137,43 @@ def single_path_channel(gain, l, k, kappa=0.0):
 class TestEffectiveChannel:
     def test_identity_at_nyquist(self):
         cfg = identity_config(4, 3, 1.0, cp_len=2)
-        eff = effective_channel(single_path_channel(1.0 + 0j, 0, 0), PulseSpec(beta=0.25), cfg)
-        assert np.abs(eff.H - np.eye(12)).max() <= 1e-12
-        assert np.abs(eff.H_eq - np.eye(12)).max() <= 1e-12
+        h = effective_channel(single_path_channel(1.0 + 0j, 0, 0), cfg)
+        assert np.abs(h - np.eye(12)).max() <= 1e-12
+        assert np.abs(conjugate_by_dd(h, GridShape(4, 3)) - np.eye(12)).max() <= 1e-12
 
     def test_pure_delay_literal(self):
         cfg = identity_config(4, 3, 1.0, cp_len=2, cp_mode="literal")
-        eff = effective_channel(single_path_channel(1.0 + 0j, 1, 0), PulseSpec(beta=0.25), cfg)
+        h = effective_channel(single_path_channel(1.0 + 0j, 1, 0), cfg)
         expect = np.zeros((12, 12))
         for k in range(1, 12):
             expect[k, k - 1] = 1.0
-        assert np.abs(eff.H - expect).max() <= 1e-12
+        assert np.abs(h - expect).max() <= 1e-12
 
     def test_pure_delay_circular_wraps(self):
         cfg = identity_config(4, 3, 1.0, cp_len=2, cp_mode="circular")
-        eff = effective_channel(single_path_channel(1.0 + 0j, 1, 0), PulseSpec(beta=0.25), cfg)
+        h = effective_channel(single_path_channel(1.0 + 0j, 1, 0), cfg)
         expect = np.zeros((12, 12))
         for k in range(12):
             expect[k, (k - 1) % 12] = 1.0
-        assert np.abs(eff.H - expect).max() <= 1e-12
+        assert np.abs(h - expect).max() <= 1e-12
 
     def test_pure_doppler_phase_ramp(self):
         cfg = identity_config(4, 3, 1.0, cp_len=2)
-        eff = effective_channel(single_path_channel(1.0 + 0j, 0, 1), PulseSpec(beta=0.25), cfg)
+        h = effective_channel(single_path_channel(1.0 + 0j, 0, 1), cfg)
         expect = np.diag(np.exp(2j * np.pi * np.arange(12) / 12))
-        assert np.abs(eff.H - expect).max() <= 1e-12
+        assert np.abs(h - expect).max() <= 1e-12
 
     def test_doppler_shifts_dd_impulse(self):
         # a pure integer-Doppler path moves a DD impulse by one Doppler bin
         m, n = 4, 3
         shape = GridShape(m, n)
         cfg = identity_config(m, n, 1.0, cp_len=2)
-        eff = effective_channel(single_path_channel(1.0 + 0j, 0, 1), PulseSpec(beta=0.25), cfg)
+        h = effective_channel(single_path_channel(1.0 + 0j, 0, 1), cfg)
         for delay_bin in (0, 2):
             for dopp_bin in range(n):
                 x = np.zeros(shape.MN, complex)
                 x[delay_bin + m * dopp_bin] = 1.0
-                y = eff.H_eq @ x
+                y = conjugate_by_dd(h, shape) @ x
                 mag = np.abs(y)
                 peak = int(np.argmax(mag))
                 assert peak == delay_bin + m * ((dopp_bin + 1) % n)
@@ -189,7 +190,7 @@ class TestEffectiveChannel:
                 DdPath(-0.3 + 0.5j, 2, -1, -0.4),
             )
         )
-        eff = effective_channel(chan, spec, cfg)
+        h = effective_channel(chan, cfg)
         from otfsftn import rc_autocorr
 
         mn = m * n
@@ -202,7 +203,7 @@ class TestEffectiveChannel:
                         * np.exp(2j * np.pi * (p.doppler_int + p.doppler_frac) * (k - p.delay_tap) / mn)
                         * rc_autocorr((k - mm - p.delay_tap) * 0.9, spec)
                     )
-        assert np.abs(eff.H - expect).max() <= 1e-12
+        assert np.abs(h - expect).max() <= 1e-12
 
     def test_circular_adds_cp_image(self, rng):
         # circular mode = literal plus the prefix image of the last cp_len columns
@@ -210,8 +211,8 @@ class TestEffectiveChannel:
         cfg = eva_config(m, n, 0.85, cp_len=3, nu_max=1000.0)
         spec = PulseSpec(beta=0.25)
         chan = DdChannel(paths=(DdPath(0.9 + 0.1j, 2, 1, 0.2),))
-        lit = effective_channel(chan, spec, replace(cfg, cp_mode="literal"))
-        circ = effective_channel(chan, spec, replace(cfg, cp_mode="circular"))
+        lit = effective_channel(chan, replace(cfg, cp_mode="literal"))
+        circ = effective_channel(chan, replace(cfg, cp_mode="circular"))
         from otfsftn import rc_autocorr
 
         mn = m * n
@@ -224,35 +225,34 @@ class TestEffectiveChannel:
                     * np.exp(2j * np.pi * p.doppler_tap * (k - p.delay_tap) / mn)
                     * rc_autocorr((k - (mm - mn) - p.delay_tap) * 0.85, spec)
                 )
-        assert np.abs((circ.H - lit.H) - delta).max() <= 1e-12
+        assert np.abs((circ - lit) - delta).max() <= 1e-12
 
     def test_linear_in_gains(self, rng):
         cfg = eva_config(8, 4, 0.9)
-        spec = PulseSpec(beta=0.25)
         chan = eva_channel(1000.0, cfg, np.random.default_rng(3))
-        eff1 = effective_channel(chan, spec, cfg)
+        h1 = effective_channel(chan, cfg)
         scaled = DdChannel(
             paths=tuple(replace(p, gain=(1.5 - 0.5j) * p.gain) for p in chan.paths)
         )
-        eff2 = effective_channel(scaled, spec, cfg)
-        assert np.abs(eff2.H - (1.5 - 0.5j) * eff1.H).max() <= 1e-12
+        h2 = effective_channel(scaled, cfg)
+        assert np.abs(h2 - (1.5 - 0.5j) * h1).max() <= 1e-12
 
     def test_frobenius_preserved(self, rng):
         cfg = eva_config(8, 4, 0.85)
         chan = eva_channel(2000.0, cfg, rng)
-        eff = effective_channel(chan, PulseSpec(beta=0.25), cfg)
-        assert abs(np.linalg.norm(eff.H_eq) - np.linalg.norm(eff.H)) <= 1e-10 * np.linalg.norm(eff.H)
+        h = effective_channel(chan, cfg)
+        h_eq = conjugate_by_dd(h, GridShape(8, 4))
+        assert abs(np.linalg.norm(h_eq) - np.linalg.norm(h)) <= 1e-10 * np.linalg.norm(h)
 
     def test_doppler_tap_periodicity_literal(self, rng):
         cfg = eva_config(8, 4, 0.9, cp_mode="literal")
-        spec = PulseSpec(beta=0.25)
         chan = eva_channel(3000.0, cfg, rng)
         shifted = DdChannel(
             paths=tuple(replace(p, doppler_int=p.doppler_int + 32 * 2) for p in chan.paths)
         )
-        eff1 = effective_channel(chan, spec, cfg)
-        eff2 = effective_channel(shifted, spec, cfg)
-        assert np.abs(eff1.H - eff2.H).max() <= 1e-9
+        h1 = effective_channel(chan, cfg)
+        h2 = effective_channel(shifted, cfg)
+        assert np.abs(h1 - h2).max() <= 1e-9
 
     def test_circular_path_contribution_at_nyquist(self):
         # at alpha = 1 each path alone fills exactly MN entries, one per row,
@@ -260,10 +260,10 @@ class TestEffectiveChannel:
         cfg = replace(identity_config(8, 4, 1.0, cp_len=4), cp_mode="circular")
         chan = synthetic_channel(5, 3, 2, False, np.random.default_rng(3))
         for p in chan.paths:
-            eff = effective_channel(DdChannel(paths=(p,)), PulseSpec(beta=0.25), cfg)
-            nz = np.abs(eff.H) > 1e-12
+            h = effective_channel(DdChannel(paths=(p,)), cfg)
+            nz = np.abs(h) > 1e-12
             assert int(nz.sum()) == 32
-            mags = np.abs(eff.H[nz])
+            mags = np.abs(h[nz])
             assert np.abs(mags - abs(p.gain)).max() <= 1e-12
             cols = np.argmax(nz, axis=1)
             np.testing.assert_array_equal(cols, (np.arange(32) - p.delay_tap) % 32)
@@ -275,16 +275,16 @@ class TestEffectiveChannel:
         shape = GridShape(m, n)
         cfg = identity_config(m, n, 1.0, cp_len=4)
         chan = synthetic_channel(6, 3, 1, False, np.random.default_rng(11))
-        eff = effective_channel(chan, PulseSpec(beta=0.25), replace(cfg, cp_mode="circular"))
+        h = effective_channel(chan, replace(cfg, cp_mode="circular"))
         x = np.zeros(shape.MN, complex)
         x[0] = 1.0
-        resp = eff.H_eq @ x
+        resp = conjugate_by_dd(h, shape) @ x
         assert int(np.count_nonzero(np.abs(resp) > 1e-9)) == chan.num_paths
 
     def test_rejects_delay_beyond_cp(self):
         cfg = identity_config(4, 3, 0.9, cp_len=1)
         with pytest.raises(ValueError, match="CP"):
-            effective_channel(single_path_channel(1.0 + 0j, 1, 0), PulseSpec(beta=0.25), cfg)
+            effective_channel(single_path_channel(1.0 + 0j, 1, 0), cfg)
 
 
 def per_path_reference(chan, pulse, cfg, mode):
@@ -311,36 +311,40 @@ def per_path_reference(chan, pulse, cfg, mode):
 
 class TestPerTapBuild:
     # summing paths per delay tap reorders the additions, so the bound is a
-    # few ulps of the O(1) entries rather than exact equality
-    @pytest.mark.parametrize("mode", ["circular", "literal"])
-    @pytest.mark.parametrize("profile", ["synthetic", "eva", "identity"])
-    def test_matches_per_path_loop(self, profile, mode):
-        spec = PulseSpec(beta=0.25)
+    # few ulps of the O(1) entries rather than exact equality; the roll-off
+    # comes from the config, so the reference is built with the config's beta
+    @pytest.mark.parametrize("profile,mode,beta", [
+        pytest.param(profile, mode, beta, id=f"{profile}-{mode}" + ("" if beta == 0.25 else "-beta0.5"))
+        for beta in (0.25, 0.5)
+        for profile in ("synthetic", "eva", "identity")
+        for mode in ("circular", "literal")
+    ])
+    def test_matches_per_path_loop(self, profile, mode, beta):
+        spec = PulseSpec(beta=beta)
         if profile == "synthetic":
             # 20 paths on 4 delay taps, so most taps carry several paths
             cfg = identity_config(
-                16, 6, 0.8, cp_len=4,
+                16, 6, 0.8, beta=beta, cp_len=4,
                 channel=ChannelConfig(profile="synthetic", num_paths=20, l_max=3, k_max=5),
             )
         elif profile == "eva":
-            cfg = eva_config(16, 4, 0.85, nu_max=2000.0)
+            cfg = eva_config(16, 4, 0.85, beta=beta, nu_max=2000.0)
         else:
-            cfg = identity_config(8, 4, 0.9, cp_len=2)
+            cfg = identity_config(8, 4, 0.9, beta=beta, cp_len=2)
         worst = 0.0
         for seed in range(3):
             chan = channel_for_config(cfg, np.random.default_rng(seed))
-            eff = effective_channel(chan, spec, replace(cfg, cp_mode=mode))
-            worst = max(worst, float(np.abs(eff.H - per_path_reference(chan, spec, cfg, mode)).max()))
+            h = effective_channel(chan, replace(cfg, cp_mode=mode))
+            worst = max(worst, float(np.abs(h - per_path_reference(chan, spec, cfg, mode)).max()))
         assert worst <= 1e-13
 
-    def test_dd_image_formed_on_first_use(self, rng):
+    def test_dd_image_is_kron_conjugation(self, rng):
         cfg = eva_config(8, 4, 0.9)
         shape = GridShape(8, 4)
-        eff = effective_channel(eva_channel(2000.0, cfg, rng), PulseSpec(beta=0.25), cfg)
-        assert "H_eq" not in vars(eff)
+        h = effective_channel(eva_channel(2000.0, cfg, rng), cfg)
+        assert h.shape == (shape.MN, shape.MN)
         kron = np.kron(np.fft.fft(np.eye(shape.N), norm="ortho"), np.eye(shape.M))
-        assert np.abs(eff.H_eq - kron @ eff.H @ kron.conj().T).max() <= 1e-12
-        assert eff.H_eq is eff.H_eq
+        assert np.abs(conjugate_by_dd(h, shape) - kron @ h @ kron.conj().T).max() <= 1e-12
 
 
 class TestWaveformOracle:
@@ -363,9 +367,9 @@ class TestWaveformOracle:
         cfg = eva_config(16, 4, 0.9, nu_max=100.0, seed=5)
         spec = PulseSpec(beta=0.25, span=32.0)
         chan = eva_channel(100.0, cfg, np.random.default_rng(5))
-        eff = effective_channel(chan, spec, replace(cfg, cp_mode="circular"))
+        h = effective_channel(chan, replace(cfg, cp_mode="circular"))
         x_p = complex_gaussian(rng, shape.MN)
-        z_model = eff.H @ dd_to_time(x_p, shape)
+        z_model = h @ dd_to_time(x_p, shape)
         z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)
         assert np.abs(z_model - z_wave).max() <= 1e-3 * np.abs(z_wave).max()
 

@@ -131,6 +131,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="snr_db_grid entries must be finite"):
             parse_config(MINIMAL + f"snr_db_grid: [0, {snr}]\n")
 
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "-3200"])
+    def test_extreme_snr_rejected(self, snr):
+        # finite in dB, but 10^(snr_db/10) overflows, underflows to zero, or
+        # leaves an infinite noise variance 1/SNR
+        with pytest.raises(ConfigError, match=f"snr_db_grid entries must be finite.*got {snr}"):
+            parse_config(MINIMAL + f"snr_db_grid: [0, {snr}]\n")
+
+    def test_infeasible_target_rate_rejected(self):
+        # at M=8, N=4 a frame carries at most 8*32 = 256 bits (256-QAM everywhere):
+        # 5 bps/Hz needs 214 at alpha 0.8 but 266 at alpha 1
+        text = MINIMAL.replace("M: 4", "M: 8").replace("N: 2", "N: 4")
+        cfg = parse_config(text.replace("alpha: 1.0", "alpha: 0.8") + "target_rate_bps_hz: 6.0\n")
+        assert cfg.target_rate_bps_hz == 6.0
+        text = text.replace("alpha: 1.0", "alpha: [0.8, 1.0]") + "target_rate_bps_hz: 5.0\n"
+        with pytest.raises(ConfigError, match="target_rate_bps_hz 5.0 needs 266 bits per frame at alpha 1.0"):
+            parse_config(text)
+
     @pytest.mark.parametrize("profile", ["eva", "identity"])
     @pytest.mark.parametrize("key", ["delta_f_hz", "target_rate_bps_hz"])
     def test_non_finite_real_key_rejected(self, key, profile):
@@ -550,6 +567,36 @@ class TestCli:
         cfg.write_text(MINIMAL.replace("alpha: 1.0", "alpha: 0.5"))
         assert cli_main(["rate", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rate", "ber"])
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_extreme_snr_exit_two(self, tmp_path, capsys, command, snr):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL + f"snr_db_grid: [{snr}]\n")
+        assert cli_main([command, "--config", str(cfg)]) == 2
+        assert "config error: snr_db_grid" in capsys.readouterr().err
+
+    def test_infeasible_target_exit_two(self, tmp_path, capsys):
+        # 9 bps/Hz at M=8, N=4, alpha 0.8 needs 384 bits of at most 256: rejected
+        # while parsing, before the LLR dump is opened
+        cfg = tmp_path / "cfg.yaml"
+        text = EVA_BER.replace("M: 16", "M: 8").replace("alpha: [0.9]", "alpha: [0.8]")
+        cfg.write_text(text + "target_rate_bps_hz: 9.0\n")
+        llr_out = tmp_path / "llr.csv"
+        assert cli_main(["ber", "--config", str(cfg), "--llr-out", str(llr_out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: target_rate_bps_hz 9.0")
+        assert not llr_out.exists()
+
+    def test_target_beyond_powered_subchannels_exit_two(self, tmp_path, capsys):
+        # 5.9 bps/Hz needs 252 of the 256 bits 32 subchannels carry, but water-filling
+        # at -10 dB leaves fewer than 32 powered
+        cfg = tmp_path / "cfg.yaml"
+        text = MINIMAL.replace("M: 4", "M: 8").replace("N: 2", "N: 4").replace("alpha: 1.0", "alpha: 0.8")
+        cfg.write_text(text + "snr_db_grid: [-10]\ntrials: 3\ntarget_rate_bps_hz: 5.9\n")
+        assert cli_main(["ber", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: target rate 5.9 bps/Hz needs 252 bits")
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_validate_rejects_seed_out_of_range(self, capsys, seed):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from otfsftn import (
+    ConfigError,
     GridShape,
     Loading,
     PulseSpec,
     bit_loading,
     colored_noise,
+    conjugate_by_dd,
     constellation,
     dft_matrix,
     effective_channel,
@@ -37,9 +39,9 @@ def solved_eva_link(m, n, alpha, seed, snr=10.0, nu_max=2000.0):
     cfg = eva_config(m, n, alpha, nu_max=nu_max, seed=seed)
     noise = gram_matrix(shape, alpha, spec)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
-    eff = effective_channel(chan, spec, cfg)
-    sol = solve_precoder(eff.H, noise, shape, snr)
-    return shape, cfg, noise, eff, sol
+    h = effective_channel(chan, cfg)
+    sol = solve_precoder(h, noise, snr)
+    return shape, cfg, noise, h, sol
 
 
 class TestConstellations:
@@ -123,6 +125,13 @@ class TestBitLoading:
         with pytest.raises(ValueError, match="maximum achievable"):
             bit_loading(np.ones(8), gamma, 10.0, 10.0, cfg)
 
+    def test_target_beyond_powered_subchannels_is_config_error(self):
+        # 4.5 bps/Hz needs 48 bits: within 256-QAM on all 8 subchannels, not on the 4 powered
+        cfg = identity_config(4, 2, 0.8)
+        gamma = np.concatenate([np.ones(4), np.zeros(4)])
+        with pytest.raises(ConfigError, match="needs 48 bits but only 32 fit"):
+            bit_loading(np.ones(8), gamma, 10.0, 4.5, cfg)
+
 
 class TestMapBits:
     def test_qpsk_mapping(self):
@@ -153,26 +162,26 @@ class TestMapBits:
 
 class TestTransmitPropagate:
     def test_transmit_norm_identity(self, rng):
-        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.9, seed=3)
+        shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=3)
         x = complex_gaussian(rng, shape.MN)
         s = transmit(x, sol)
         expect = np.linalg.norm(np.sqrt(sol.gamma) * x)
         assert abs(np.linalg.norm(s) - expect) <= 1e-10 * max(expect, 1.0)
 
     def test_propagate_identities(self, rng):
-        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.9, seed=4)
+        shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=4)
         s = complex_gaussian(rng, shape.MN)
         eta = complex_gaussian(rng, shape.MN)
-        np.testing.assert_array_equal(propagate(np.zeros_like(s), eff, eta), eta)
-        z1 = propagate(s, eff, np.zeros_like(s))
+        np.testing.assert_array_equal(propagate(np.zeros_like(s), h, eta), eta)
+        z1 = propagate(s, h, np.zeros_like(s))
         s2 = complex_gaussian(rng, shape.MN)
-        z2 = propagate(s2, eff, np.zeros_like(s))
-        z12 = propagate(s + s2, eff, np.zeros_like(s))
+        z2 = propagate(s2, h, np.zeros_like(s))
+        z12 = propagate(s + s2, h, np.zeros_like(s))
         assert np.abs(z12 - z1 - z2).max() <= 1e-12
 
     def test_mean_frame_energy(self, rng):
         # transmit-side energy identity at (4, 3): mean s^H G s = MN
-        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.85, seed=5, snr=10.0)
+        shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.85, seed=5, snr=10.0)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
         frames = 10_000
         vals = np.empty(frames)
@@ -222,10 +231,10 @@ class TestColoredNoise:
 
 class TestReceive:
     def test_noiseless_diagonal_identity(self, rng):
-        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=6)
+        shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=6)
         x = complex_gaussian(rng, shape.MN)
         s = transmit(x, sol)
-        z = propagate(s, eff, np.zeros(shape.MN, complex))
+        z = propagate(s, h, np.zeros(shape.MN, complex))
         y_d = receive(z, sol)
         expect = sol.xi * np.sqrt(sol.gamma) * x
         assert np.abs(y_d - expect).max() <= 1e-8
@@ -235,16 +244,16 @@ class TestReceive:
         cfg = identity_config(4, 2, 1.0)
         spec = PulseSpec(beta=0.25)
         noise = gram_matrix(shape, 1.0, spec)
-        eff = effective_channel(identity_channel(), spec, cfg)
-        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
+        h = effective_channel(identity_channel(), cfg)
+        sol = solve_precoder(h, noise, snr=10.0)
         x = complex_gaussian(rng, shape.MN)
         s = transmit(x, sol)
-        y_d = receive(propagate(s, eff, np.zeros(shape.MN, complex)), sol)
+        y_d = receive(propagate(s, h, np.zeros(shape.MN, complex)), sol)
         assert np.abs(y_d - x).max() <= 1e-8
 
     def test_whitened_noise_covariance(self):
         # x = 0: y_d = D eta has covariance sigma0^2 diag(xi)
-        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.85, seed=7)
+        shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.85, seed=7)
         sigma0_sq = 0.6
         draws = 10_000
         rng2 = np.random.default_rng(29)
@@ -265,9 +274,9 @@ class TestReceive:
 
 class TestLlr:
     def test_noiseless_signs_match_bits(self, rng):
-        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
+        shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, eff, noise, 0.0, [np.random.default_rng(2)])
+        frame = run_frame(loading, sol, h, noise, 0.0, [np.random.default_rng(2)])
         vals = llr(frame.y_d, sol, loading, sigma0_sq=0.01)
         detected = (vals < 0).astype(int)
         np.testing.assert_array_equal(detected, frame.tx_bits)
@@ -315,9 +324,9 @@ class TestLlr:
 
 class TestHardDetect:
     def test_noiseless_recovery_exact(self):
-        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
+        shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
         loading = bit_loading(sol.xi, sol.gamma, 50.0, None, cfg)
-        frame = run_frame(loading, sol, eff, noise, 0.0, [np.random.default_rng(3)])
+        frame = run_frame(loading, sol, h, noise, 0.0, [np.random.default_rng(3)])
         rx = hard_detect(frame.y_d, sol, loading)
         np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -347,13 +356,13 @@ class TestHardDetect:
 class TestLlrConsistency:
     def test_tanh_sign_structure(self):
         # E[tanh(LLR/2) | bit] carries the transmitted bit's sign at 3 sigma
-        shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=11, snr=10.0)
+        shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=11, snr=10.0)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
         sigma0_sq = 0.1
         rng2 = np.random.default_rng(41)
         soft0, soft1 = [], []
         for _ in range(300):
-            frame = run_frame(loading, sol, eff, noise, sigma0_sq, [rng2])
+            frame = run_frame(loading, sol, h, noise, sigma0_sq, [rng2])
             soft = np.tanh(llr(frame.y_d, sol, loading, sigma0_sq) / 2.0)
             soft0.extend(soft[frame.tx_bits == 0])
             soft1.extend(soft[frame.tx_bits == 1])
@@ -377,10 +386,10 @@ class TestNoiselessRecoveryGrid:
             cfg = eva_config(m, n, alpha, beta=beta, nu_max=2000.0, seed=seed)
             noise = gram_matrix(shape, alpha, spec)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed))
-            eff = effective_channel(chan, spec, cfg)
-            sol = solve_precoder(eff.H, noise, shape, snr=30.0)
+            h = effective_channel(chan, cfg)
+            sol = solve_precoder(h, noise, snr=30.0)
             loading = bit_loading(sol.xi, sol.gamma, 30.0, None, cfg)
-            frame = run_frame(loading, sol, eff, noise, 0.0, [np.random.default_rng(seed + 7)])
+            frame = run_frame(loading, sol, h, noise, 0.0, [np.random.default_rng(seed + 7)])
             rx = hard_detect(frame.y_d, sol, loading)
             np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -390,27 +399,27 @@ def _solved_identity_link(m, n, alpha, snr=10.0):
     spec = PulseSpec(beta=0.25)
     cfg = identity_config(m, n, alpha)
     noise = gram_matrix(shape, alpha, spec)
-    eff = effective_channel(identity_channel(), spec, cfg)
-    return shape, cfg, noise, eff, solve_precoder(eff.H, noise, shape, snr)
+    h = effective_channel(identity_channel(), cfg)
+    return shape, cfg, noise, h, solve_precoder(h, noise, snr)
 
 
 class TestFrameBlock:
     @pytest.mark.parametrize("link,target", [("eva", 1.5), ("identity", None)])
     def test_block_matches_single_frames(self, link, target):
         if link == "eva":
-            shape, cfg, noise, eff, sol = solved_eva_link(8, 4, 0.9, seed=12)
+            shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=12)
         else:
-            shape, cfg, noise, eff, sol = _solved_identity_link(8, 4, 0.9)
+            shape, cfg, noise, h, sol = _solved_identity_link(8, 4, 0.9)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, target, cfg)
         sigma0_sq, k = 0.3, 5
         rngs = [np.random.default_rng(100 + t) for t in range(k)]
-        block = run_frame(loading, sol, eff, noise, sigma0_sq, rngs)
+        block = run_frame(loading, sol, h, noise, sigma0_sq, rngs)
         rx = hard_detect(block.y_d, sol, loading)
         soft = llr(block.y_d, sol, loading, sigma0_sq)
         assert block.tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, k)
         assert block.y_d.shape == (shape.MN, k)
         for t in range(k):
-            one = run_frame(loading, sol, eff, noise, sigma0_sq, [np.random.default_rng(100 + t)])
+            one = run_frame(loading, sol, h, noise, sigma0_sq, [np.random.default_rng(100 + t)])
             y_d = one.y_d[:, 0]
             np.testing.assert_array_equal(block.tx_bits[:, t], one.tx_bits[:, 0])
             assert np.abs(block.y_d[:, t] - y_d).max() <= 1e-12 * np.abs(y_d).max()
@@ -421,16 +430,16 @@ class TestFrameBlock:
 
 class TestFrameRecord:
     def test_pipeline_consistency(self, rng):
-        shape, cfg, noise, eff, sol = solved_eva_link(4, 3, 0.9, seed=10)
+        shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=10)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
-        frame = run_frame(loading, sol, eff, noise, 0.1, [rng])
+        frame = run_frame(loading, sol, h, noise, 0.1, [rng])
         assert frame.tx_bits.size == loading.total_bits
         np.testing.assert_allclose(frame.s, sol.P @ frame.x, atol=1e-12)
         np.testing.assert_allclose(frame.y_d, sol.sub.D @ frame.z, atol=1e-12)
         # delay-Doppler oracle: the pair mapped to the grid, D_t F^H and F P_t
         # with F = F_N kron I_M, diagonalizes H_eq
         kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))
-        dhp = (sol.sub.D @ kron.conj().T) @ eff.H_eq @ (kron @ sol.P)
+        dhp = (sol.sub.D @ kron.conj().T) @ conjugate_by_dd(h, shape) @ (kron @ sol.P)
         bound = 1e-8 * sol.xi.max()
         assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
 

@@ -7,6 +7,7 @@ from otfsftn import (
     Loading,
     PulseSpec,
     ber_accumulate,
+    conjugate_by_dd,
     derive_subchannels,
     dft_matrix,
     effective_channel,
@@ -57,11 +58,11 @@ class TestMiLogdet:
         for seed in range(20):
             cfg = eva_config(m, n, alpha, seed=seed)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed))
-            eff = effective_channel(chan, spec, cfg)
-            sub = derive_subchannels(eff.H, noise, shape)
-            gamma, _ = waterfill(sub.xi, sub.phi, snr, float(shape.MN))
+            h = effective_channel(chan, cfg)
+            sub = derive_subchannels(h, noise)
+            gamma, _ = waterfill(sub.xi, sub.phi, snr)
             p = kron @ finalize(sub, gamma).P  # the delay-Doppler precoder
-            direct = mi_logdet(eff.H_eq, g_eq, p @ p.conj().T, 1.0 / snr)
+            direct = mi_logdet(conjugate_by_dd(h, shape), g_eq, p @ p.conj().T, 1.0 / snr)
             diag = mi_sum(sub.xi, gamma, snr)
             assert abs(direct - diag) <= 1e-6 * max(diag, 1e-9)
 
@@ -172,10 +173,10 @@ class TestPaDominance:
         for seed in range(5):
             cfg = eva_config(16, 4, 0.85, seed=seed)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed + 100))
-            eff = effective_channel(chan, spec, cfg)
-            sol = derive_subchannels(eff.H, noise, shape)
+            h = effective_channel(chan, cfg)
+            sol = derive_subchannels(h, noise)
             for snr_db in (0.0, 10.0, 20.0):
                 snr = 10.0 ** (snr_db / 10.0)
-                gamma, _ = waterfill(sol.xi, sol.phi, snr, float(shape.MN))
-                uni = uniform_gamma(sol.phi, float(shape.MN))
+                gamma, _ = waterfill(sol.xi, sol.phi, snr)
+                uni = uniform_gamma(sol.phi)
                 assert mi_sum(sol.xi, gamma, snr) >= mi_sum(sol.xi, uni, snr) - 1e-9

@@ -7,6 +7,7 @@ from otfsftn import (
     ChannelConfig,
     GridShape,
     PulseSpec,
+    conjugate_by_dd,
     derive_subchannels,
     effective_channel,
     eva_channel,
@@ -39,8 +40,8 @@ def eva_instance(m, n, alpha, seed, nu_max=2000.0, beta=0.25):
     cfg = eva_config(m, n, alpha, beta=beta, nu_max=nu_max, seed=seed)
     noise = gram_matrix(shape, alpha, spec)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
-    eff = effective_channel(chan, spec, cfg)
-    return shape, noise, eff
+    h = effective_channel(chan, cfg)
+    return shape, noise, h
 
 
 class TestHermitianEvd:
@@ -84,7 +85,7 @@ class TestDeriveSubchannels:
     def test_fully_degenerate_instance(self):
         shape = GridShape(4, 2)
         eye = np.eye(shape.MN, dtype=complex)
-        sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)), shape)
+        sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)))
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-12)
         np.testing.assert_allclose(sol.phi, np.ones(shape.MN), atol=1e-12)
         assert np.abs(sol.C - eye).max() <= 1e-12
@@ -93,35 +94,36 @@ class TestDeriveSubchannels:
         # at alpha = 1 G and H are exactly I, so the basis is not set by rounding
         shape = GridShape(32, 16)
         spec = PulseSpec(beta=0.25)
-        eff = effective_channel(identity_channel(), spec, identity_config(32, 16, 1.0))
-        sol = derive_subchannels(eff.H, gram_matrix(shape, 1.0, spec), shape)
-        assert np.array_equal(eff.H, np.eye(shape.MN))
+        h = effective_channel(identity_channel(), identity_config(32, 16, 1.0))
+        sol = derive_subchannels(h, gram_matrix(shape, 1.0, spec))
+        assert np.array_equal(h, np.eye(shape.MN))
         assert np.array_equal(sol.U_t, np.eye(shape.MN))
 
     def test_unitary_channel_unit_gains(self, rng):
         shape = GridShape(4, 2)
         q, _ = np.linalg.qr(complex_gaussian(rng, shape.MN**2).reshape(shape.MN, shape.MN))
-        sol = derive_subchannels(q, noise_shape(np.eye(shape.MN)), shape)
+        sol = derive_subchannels(q, noise_shape(np.eye(shape.MN)))
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-10)
 
     def test_gain_sum_trace_identity(self):
         # sum(xi) must equal trace(H_eq^H G_eq^{-1} H_eq), computed by direct
         # inversion as an independent oracle
-        shape, noise, eff = eva_instance(4, 3, 0.85, seed=2)
-        sol = derive_subchannels(eff.H, noise, shape)
-        oracle = np.trace(eff.H_eq.conj().T @ np.linalg.inv(gram_dd(noise, shape)) @ eff.H_eq).real
+        shape, noise, h = eva_instance(4, 3, 0.85, seed=2)
+        sol = derive_subchannels(h, noise)
+        h_eq = conjugate_by_dd(h, shape)
+        oracle = np.trace(h_eq.conj().T @ np.linalg.inv(gram_dd(noise, shape)) @ h_eq).real
         assert abs(sol.xi.sum() - oracle) <= 1e-8 * abs(oracle)
 
     def test_descending_and_nonnegative(self):
-        shape, noise, eff = eva_instance(8, 4, 0.9, seed=3)
-        sol = derive_subchannels(eff.H, noise, shape)
+        shape, noise, h = eva_instance(8, 4, 0.9, seed=3)
+        sol = derive_subchannels(h, noise)
         assert np.all(np.diff(sol.xi) <= 1e-12)
         assert np.all(sol.xi >= 0.0)
         assert np.all(np.diff(sol.noise.lam) <= 1e-12)
 
     def test_bases_unitary(self):
-        shape, noise, eff = eva_instance(8, 4, 0.9, seed=3)
-        sol = derive_subchannels(eff.H, noise, shape)
+        shape, noise, h = eva_instance(8, 4, 0.9, seed=3)
+        sol = derive_subchannels(h, noise)
         eye = np.eye(shape.MN)
         assert np.abs(sol.noise.V.conj().T @ sol.noise.V - eye).max() <= 1e-10
         assert np.abs(sol.U_t.conj().T @ sol.U_t - eye).max() <= 1e-10
@@ -130,24 +132,27 @@ class TestDeriveSubchannels:
         # clamping is reserved for the admissibility edge; interior packing
         # ratios keep the raw spectrum above the floor
         for alpha in (0.82, 0.85, 0.9, 1.0):
-            shape, noise, eff = eva_instance(16, 4, alpha, seed=12)
-            sol = derive_subchannels(eff.H, noise, shape)
+            shape, noise, h = eva_instance(16, 4, alpha, seed=12)
+            sol = derive_subchannels(h, noise)
             assert sol.floored == 0
 
     def test_floor_inactive_at_larger_frame(self):
         # MN = 384 just above the admissibility edge
-        shape, noise, eff = eva_instance(64, 6, 0.82, seed=13)
-        sol = derive_subchannels(eff.H, noise, shape)
+        shape, noise, h = eva_instance(64, 6, 0.82, seed=13)
+        sol = derive_subchannels(h, noise)
         assert sol.floored == 0
 
     def test_phi_positive(self):
-        shape, noise, eff = eva_instance(8, 4, 0.85, seed=4)
-        sol = derive_subchannels(eff.H, noise, shape)
+        shape, noise, h = eva_instance(8, 4, 0.85, seed=4)
+        sol = derive_subchannels(h, noise)
         assert np.all(sol.phi > 0.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            derive_subchannels(np.eye(4, dtype=complex), noise_shape(np.eye(4)), GridShape(4, 2))
+        # H must have the noise shape's dimensions
+        with pytest.raises(ValueError, match="noise shape"):
+            derive_subchannels(np.eye(8, dtype=complex), noise_shape(np.eye(4)))
+        with pytest.raises(ValueError, match="noise shape"):
+            derive_subchannels(np.ones((4, 8), dtype=complex), noise_shape(np.eye(4)))
 
 
 def dd_domain_oracle(h_eq, g_eq):
@@ -179,13 +184,13 @@ class TestTimeDomainDerivation:
             noise = gram_matrix(shape, alpha, spec)
             g_eq = gram_dd(noise, shape)
             for seed in range(3):
-                eff = effective_channel(channel_for_config(cfg, np.random.default_rng(seed)), spec, cfg)
-                sol = derive_subchannels(eff.H, noise, shape)
-                xi_o, phi_o = dd_domain_oracle(eff.H_eq, g_eq)
+                h = effective_channel(channel_for_config(cfg, np.random.default_rng(seed)), cfg)
+                sol = derive_subchannels(h, noise)
+                xi_o, phi_o = dd_domain_oracle(conjugate_by_dd(h, shape), g_eq)
                 worst_xi = max(worst_xi, float(np.abs(sol.xi - xi_o).max() / xi_o.max()))
                 for snr in (1.0, 10.0, 100.0):
-                    mi = mi_sum(sol.xi, waterfill(sol.xi, sol.phi, snr, float(shape.MN))[0], snr)
-                    mi_o = mi_sum(xi_o, waterfill(xi_o, phi_o, snr, float(shape.MN))[0], snr)
+                    mi = mi_sum(sol.xi, waterfill(sol.xi, sol.phi, snr)[0], snr)
+                    mi_o = mi_sum(xi_o, waterfill(xi_o, phi_o, snr)[0], snr)
                     worst_mi = max(worst_mi, abs(mi - mi_o) / mi_o)
         assert worst_xi <= 1e-10
         assert worst_mi <= 1e-10
@@ -193,12 +198,13 @@ class TestTimeDomainDerivation:
     def test_dd_basis_is_mapped_time_basis(self):
         # U = (F_N kron I_M) U_t is the DD-domain chain's basis: it diagonalizes
         # H_eq^H G_eq^{-1} H_eq with the gains xi, and G_eq gives it the weights phi
-        shape, noise, eff = eva_instance(8, 4, 0.85, seed=4)
-        sol = derive_subchannels(eff.H, noise, shape)
+        shape, noise, h = eva_instance(8, 4, 0.85, seed=4)
+        sol = derive_subchannels(h, noise)
         kron = np.kron(np.fft.fft(np.eye(shape.N), norm="ortho"), np.eye(shape.M))
         u = kron @ sol.U_t
         g_eq = gram_dd(noise, shape)
-        gains = u.conj().T @ eff.H_eq.conj().T @ np.linalg.solve(g_eq, eff.H_eq) @ u
+        h_eq = conjugate_by_dd(h, shape)
+        gains = u.conj().T @ h_eq.conj().T @ np.linalg.solve(g_eq, h_eq) @ u
         assert np.abs(gains - np.diag(sol.xi)).max() <= 1e-8 * sol.xi.max()
         phi = np.einsum("in,in->n", u.conj(), g_eq @ u).real
         assert np.abs(phi - sol.phi).max() <= 1e-10 * sol.phi.max()
@@ -206,12 +212,12 @@ class TestTimeDomainDerivation:
 
 class TestWaterfill:
     def test_symmetric_case(self):
-        gamma, mu = waterfill(np.ones(4), np.ones(4), snr=2.0, budget=4.0)
+        gamma, mu = waterfill(np.ones(4), np.ones(4), snr=2.0)
         np.testing.assert_allclose(gamma, np.ones(4), atol=1e-12)
         assert abs(mu - (1.0 + 0.5)) <= 1e-12
 
     def test_single_subchannel(self):
-        gamma, _ = waterfill(np.array([0.7]), np.array([1.3]), snr=5.0, budget=1.0)
+        gamma, _ = waterfill(np.array([0.7]), np.array([1.3]), snr=5.0)
         assert abs(gamma[0] - 1.0 / 1.3) <= 1e-12
 
     def test_two_channel_grid_oracle(self):
@@ -230,7 +236,7 @@ class TestWaterfill:
         mu_oracle = 0.5 * (lo + hi)
         gamma_oracle = np.maximum(mu_oracle / phi - 1.0 / (xi * snr), 0.0)
 
-        gamma, mu = waterfill(xi, phi, snr, budget)
+        gamma, mu = waterfill(xi, phi, snr)
         np.testing.assert_allclose(gamma, gamma_oracle, atol=1e-8)
         assert gamma[0] > gamma[1]
 
@@ -239,7 +245,7 @@ class TestWaterfill:
             n = 48
             xi = rng.uniform(0.01, 3.0, n)
             phi = rng.uniform(0.2, 2.0, n)
-            gamma, _ = waterfill(xi, phi, snr=4.0, budget=float(n))
+            gamma, _ = waterfill(xi, phi, snr=4.0)
             assert abs(float(gamma @ phi) - n) <= 1e-10 * n
             assert np.all(gamma >= 0.0)
 
@@ -248,7 +254,7 @@ class TestWaterfill:
         xi = rng.uniform(0.001, 2.0, n)
         phi = rng.uniform(0.3, 1.8, n)
         snr = 2.5
-        gamma, mu = waterfill(xi, phi, snr, float(n))
+        gamma, mu = waterfill(xi, phi, snr)
         act = gamma > 0.0
         lhs = phi[act] * (gamma[act] + 1.0 / (xi[act] * snr))
         assert np.abs(lhs - mu).max() <= 1e-8 * mu
@@ -258,12 +264,12 @@ class TestWaterfill:
     def test_low_snr_drops_weak_subchannels(self):
         xi = np.array([2.0, 1e-3])
         phi = np.ones(2)
-        gamma, _ = waterfill(xi, phi, snr=0.1, budget=2.0)
+        gamma, _ = waterfill(xi, phi, snr=0.1)
         assert gamma[1] == 0.0 and gamma[0] > 0.0
 
     def test_numerically_dead_subchannels_inactive(self):
         xi = np.array([1.0, 1e-15])
-        gamma, _ = waterfill(xi, np.ones(2), snr=1e6, budget=2.0)
+        gamma, _ = waterfill(xi, np.ones(2), snr=1e6)
         assert gamma[1] == 0.0
 
     def test_optimality_against_perturbations(self, rng):
@@ -273,7 +279,7 @@ class TestWaterfill:
         phi = rng.uniform(0.3, 1.5, n)
         snr = 3.0
         budget = float(n)
-        gamma, _ = waterfill(xi, phi, snr, budget)
+        gamma, _ = waterfill(xi, phi, snr)
         best = mi_sum(xi, gamma, snr)
         for _ in range(100):
             pert = np.maximum(gamma + rng.normal(0.0, 0.2, n), 0.0)
@@ -287,7 +293,7 @@ class TestWaterfill:
         previous = -1.0
         for snr_db in (-5.0, 0.0, 5.0, 10.0, 20.0):
             snr = 10.0 ** (snr_db / 10.0)
-            gamma, _ = waterfill(xi, phi, snr, float(n))
+            gamma, _ = waterfill(xi, phi, snr)
             mi = mi_sum(xi, gamma, snr)
             assert mi > previous
             previous = mi
@@ -306,7 +312,7 @@ class TestWaterfill:
             pick = rng.integers(0, pool, n)
             xi, phi = xi_pool[pick], rng.uniform(0.2, 2.0, pool)[pick]
             snr = 10.0 ** rng.uniform(-1.0, 3.0)
-            gamma, mu = waterfill(xi, phi, snr, float(n))
+            gamma, mu = waterfill(xi, phi, snr)
             assert abs(float(gamma @ phi) - n) <= 1e-10 * n
             assert np.all(gamma >= 0.0)
             act = gamma > 0.0
@@ -320,26 +326,26 @@ class TestWaterfill:
 
     def test_rejects_all_zero_gains(self):
         with pytest.raises(ValueError, match="usable"):
-            waterfill(np.zeros(4), np.ones(4), 1.0, 4.0)
+            waterfill(np.zeros(4), np.ones(4), 1.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            waterfill(np.array([-1.0]), np.ones(1), 1.0, 1.0)
+            waterfill(np.array([-1.0]), np.ones(1), 1.0)
         with pytest.raises(ValueError):
-            waterfill(np.ones(1), np.zeros(1), 1.0, 1.0)
+            waterfill(np.ones(1), np.zeros(1), 1.0)
         with pytest.raises(ValueError):
-            waterfill(np.ones(1), np.ones(1), 0.0, 1.0)
+            waterfill(np.ones(1), np.ones(1), 0.0)
 
     @pytest.mark.parametrize("snr", [np.nan, np.inf])
     def test_rejects_non_finite_snr(self, snr):
         with pytest.raises(ValueError, match="finite"):
-            waterfill(np.ones(2), np.ones(2), snr, 2.0)
+            waterfill(np.ones(2), np.ones(2), snr)
 
 
 class TestFinalize:
     def test_unit_gamma_gives_unitary_precoder(self):
-        shape, noise, eff = eva_instance(4, 3, 0.9, seed=5)
-        sub = derive_subchannels(eff.H, noise, shape)
+        shape, noise, h = eva_instance(4, 3, 0.9, seed=5)
+        sub = derive_subchannels(h, noise)
         sol = finalize(sub, np.ones(shape.MN))
         assert np.abs(sol.P - sub.U_t).max() == 0.0
         assert np.abs(sol.P.conj().T @ sol.P - np.eye(shape.MN)).max() <= 1e-10
@@ -347,54 +353,54 @@ class TestFinalize:
     def test_degenerate_identity_link(self):
         shape = GridShape(4, 2)
         eye = np.eye(shape.MN, dtype=complex)
-        sub = derive_subchannels(eye, noise_shape(np.eye(shape.MN)), shape)
+        sub = derive_subchannels(eye, noise_shape(np.eye(shape.MN)))
         sol = finalize(sub, np.full(shape.MN, 1.0))
         dhp = sub.D @ eye @ sol.P
         assert np.abs(dhp - np.diag(np.sqrt(sol.gamma))).max() <= 1e-10
 
     def test_diagonalization_identities(self):
         # the time-domain pair diagonalizes H and whitens the noise shape G
-        shape, noise, eff = eva_instance(8, 4, 0.9, seed=6)
-        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
+        shape, noise, h = eva_instance(8, 4, 0.9, seed=6)
+        sol = solve_precoder(h, noise, snr=10.0)
         bound = 1e-8 * sol.xi.max()
-        dhp = sol.sub.D @ eff.H @ sol.P
+        dhp = sol.sub.D @ h @ sol.P
         assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
         dgd = sol.sub.D @ noise.G @ sol.sub.D.conj().T
         assert np.abs(dgd - np.diag(sol.xi)).max() <= bound
 
     def test_energy_constraint_satisfied(self):
-        shape, noise, eff = eva_instance(8, 4, 0.85, seed=7)
-        sol = solve_precoder(eff.H, noise, shape, snr=5.0)
+        shape, noise, h = eva_instance(8, 4, 0.85, seed=7)
+        sol = solve_precoder(h, noise, snr=5.0)
         assert abs(float(sol.gamma @ sol.sub.phi) - shape.MN) <= 1e-8 * shape.MN
 
     def test_uniform_gamma_meets_constraint(self):
-        shape, noise, eff = eva_instance(8, 4, 0.85, seed=8)
-        sol = derive_subchannels(eff.H, noise, shape)
-        g = uniform_gamma(sol.phi, float(shape.MN))
+        shape, noise, h = eva_instance(8, 4, 0.85, seed=8)
+        sol = derive_subchannels(h, noise)
+        g = uniform_gamma(sol.phi)
         assert abs(float(g @ sol.phi) - shape.MN) <= 1e-10 * shape.MN
         # trace(G_eq) = MN makes the unscaled identity already feasible
         assert np.abs(g - 1.0).max() <= 1e-10
 
     def test_finalize_requires_gamma(self):
         # one power per subchannel
-        shape, noise, eff = eva_instance(4, 3, 0.9, seed=9)
-        sub = derive_subchannels(eff.H, noise, shape)
+        shape, noise, h = eva_instance(4, 3, 0.9, seed=9)
+        sub = derive_subchannels(h, noise)
         with pytest.raises(ValueError, match="gamma"):
             finalize(sub, np.ones(shape.MN - 1))
 
     def test_shared_receive_weights_match_fresh(self):
         # every allocation on a derivation shares its receive weights, formed once
-        shape, noise, eff = eva_instance(8, 4, 0.9, seed=10)
-        fresh = solve_precoder(eff.H, noise, shape, snr=10.0)
-        sub = derive_subchannels(eff.H, noise, shape)
-        sol = finalize(sub, waterfill(sub.xi, sub.phi, 10.0, float(shape.MN))[0])
-        uniform = finalize(sub, uniform_gamma(sub.phi, float(shape.MN)))
+        shape, noise, h = eva_instance(8, 4, 0.9, seed=10)
+        fresh = solve_precoder(h, noise, snr=10.0)
+        sub = derive_subchannels(h, noise)
+        sol = finalize(sub, waterfill(sub.xi, sub.phi, 10.0)[0])
+        uniform = finalize(sub, uniform_gamma(sub.phi))
         assert sol.sub.D is uniform.sub.D
         assert np.array_equal(sub.D, fresh.sub.D) and np.array_equal(sol.P, fresh.P)
 
     def test_derivation_and_allocation_are_frozen(self):
-        shape, noise, eff = eva_instance(4, 3, 0.9, seed=11)
-        sol = solve_precoder(eff.H, noise, shape, snr=10.0)
+        shape, noise, h = eva_instance(4, 3, 0.9, seed=11)
+        sol = solve_precoder(h, noise, snr=10.0)
         with pytest.raises(FrozenInstanceError):
             sol.sub.xi = np.ones(shape.MN)
         with pytest.raises(FrozenInstanceError):
