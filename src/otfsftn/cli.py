@@ -94,8 +94,12 @@ def main(argv: list[str] | None = None) -> int:
             _emit(result.to_csv(), args.out)
         elif args.command == "ber":
             if args.llr_out is not None:
-                with open(args.llr_out, "w") as sink:
-                    result = run_ber_sweep(cfg, threads=args.threads, digest=digest, llr_sink=sink)
+                try:
+                    with open(args.llr_out, "w") as sink:
+                        result = run_ber_sweep(cfg, threads=args.threads, digest=digest, llr_sink=sink)
+                except BaseException:  # a failed sweep leaves no partial dump
+                    Path(args.llr_out).unlink(missing_ok=True)
+                    raise
             else:
                 result = run_ber_sweep(cfg, threads=args.threads, digest=digest)
             _emit(result.to_csv(), args.out)

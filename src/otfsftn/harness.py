@@ -54,7 +54,9 @@ from .link import (
     run_frame,
 )
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
-from .precoder import derive_subchannels, finalize, solve_precoder, uniform_gamma, waterfill
+from .precoder import (
+    derive_subchannels, finalize, solve_precoder, subchannel_gains, uniform_gamma, waterfill,
+)
 from .pulse import PulseSpec, gram_dd, gram_matrix, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
@@ -198,8 +200,12 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
 
     One channel realization per trial index, shared by every (alpha, mode)
     curve so curves differ only in the transceiver, not the fading ensemble.
-    The two alpha=1 baselines (same roll-off, and the rectangular beta=0
-    bound) are emitted as mode "nyquist", both water-filled.
+    Each distinct alpha of the grid, and alpha = 1, is solved once per trial
+    and emits all of its rows.  The two alpha = 1 baselines (same roll-off,
+    and the rectangular beta = 0 bound) are emitted as mode "nyquist", both
+    water-filled: at alpha = 1 neither G nor H depends on beta, so they share
+    one MI and differ only in the time-bandwidth normalization.  There
+    G = I, and the gains are eigenvalues of H^H H alone (subchannel_gains).
     """
     validate_config(cfg)
     assert_memory_budget(cfg)
@@ -208,39 +214,34 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
         channel_for_config(cfg, trial_rng(cfg.master_seed, 0, t)) for t in range(cfg.trials)
     ]
 
-    # (alpha, beta, modes) instances; at alpha=1 the pulse tail vanishes at
-    # every sampling lag, so both baselines share one matrix instance
-    instances: list[tuple[float, float, tuple[str, ...]]] = [
-        (a, cfg.beta, ("pa", "no_pa")) for a in cfg.alpha_grid
-    ]
-    instances.append((1.0, cfg.beta, ("nyquist",)))
-    instances.append((1.0, 0.0, ("nyquist",)))
-
     rows: list[RatePoint] = []
     with _trial_map(threads) as trial_map:
-        for alpha, beta, modes in instances:
-            noise = gram_matrix(shape, alpha, PulseSpec(beta=beta))
-            cfg_pt = replace(cfg.with_alpha(alpha), beta=beta)
+        for alpha in sorted({*cfg.alpha_grid, 1.0}):
+            cfg_a = cfg.with_alpha(alpha)
+            noise = gram_matrix(shape, alpha, PulseSpec(beta=cfg.beta))
 
             def one_trial(chan):
-                sol = derive_subchannels(effective_channel(chan, cfg_pt), noise)
+                xi, phi = subchannel_gains(effective_channel(chan, cfg_a), noise)
                 mi = np.empty((len(cfg.snr_db_grid), 2))
                 for i, snr_db in enumerate(cfg.snr_db_grid):
                     snr = snr_linear(snr_db)
-                    gamma_pa, _ = waterfill(sol.xi, sol.phi, snr)
-                    mi[i, 0] = mi_sum(sol.xi, gamma_pa, snr)
-                    mi[i, 1] = mi_sum(sol.xi, uniform_gamma(sol.phi), snr)
+                    gamma_pa, _ = waterfill(xi, phi, snr)
+                    mi[i, 0] = mi_sum(xi, gamma_pa, snr)
+                    mi[i, 1] = mi_sum(xi, uniform_gamma(phi), snr)
                 return mi
 
             mean_mi = np.mean(trial_map(one_trial, channels), axis=0)
 
+            # (config, mode, MI column) of each row this alpha emits
+            curves = [(cfg_a, "pa", 0), (cfg_a, "no_pa", 1)] if alpha in cfg.alpha_grid else []
+            if alpha == 1.0:
+                curves += [(cfg_a, "nyquist", 0), (replace(cfg_a, beta=0.0), "nyquist", 0)]
             for i, snr_db in enumerate(cfg.snr_db_grid):
-                for mode in modes:
-                    col = 1 if mode == "no_pa" else 0
+                for cfg_pt, mode, col in curves:
                     mi = float(mean_mi[i, col])
                     rows.append(
                         RatePoint(
-                            snr_db=snr_db, alpha=alpha, beta=beta, mode=mode,
+                            snr_db=snr_db, alpha=alpha, beta=cfg_pt.beta, mode=mode,
                             mi_bits=mi, rate_bps_hz=info_rate(mi, cfg_pt), seeds=cfg.trials,
                         )
                     )

@@ -143,6 +143,22 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     return Subchannels(noise=noise, C=c, U_t=u_t, xi=xi, phi=phi_c.real.copy())
 
 
+def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.ndarray]:
+    """The gains xi and energy weights phi of derive_subchannels(h, noise), without its basis.
+
+    Where G is exactly the identity, C = H and phi = 1, so xi are the
+    eigenvalues of H^H H alone; any other G takes the full derivation.
+    """
+    g = noise.G
+    if np.count_nonzero(g) != g.shape[0] or not np.all(g.diagonal() == 1.0):
+        sub = derive_subchannels(h, noise)
+        return sub.xi, sub.phi
+    if h.shape != g.shape:
+        raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")
+    xi = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
+    return np.maximum(xi, 0.0), np.ones(xi.size)
+
+
 def waterfill(xi: np.ndarray, phi: np.ndarray, snr: float) -> tuple[np.ndarray, float]:
     """Water-filling powers gamma under the weighted constraint sum(gamma*phi) = xi.size.
 
@@ -171,13 +187,14 @@ def waterfill(xi: np.ndarray, phi: np.ndarray, snr: float) -> tuple[np.ndarray, 
     thresh = np.full_like(phi, np.inf)
     thresh[usable] = phi[usable] / (xi[usable] * snr)
 
+    # levels relative to the smallest threshold t_(1), so that xi.size is not
+    # lost against thresholds near 1/snr at very low SNR
     t_sorted = np.sort(thresh[usable])
-    mu_k = (xi.size + np.cumsum(t_sorted)) / np.arange(1, t_sorted.size + 1)
-    above = np.flatnonzero(mu_k > t_sorted)
-    # mu_1 = xi.size + t_(1) exceeds t_(1) unless rounding swallows xi.size
-    mu = float(mu_k[above[-1] if above.size else 0])
-    gamma = np.maximum(mu - thresh, 0.0) / phi
-    return gamma, mu
+    rel = t_sorted - t_sorted[0]
+    nu_k = (xi.size + np.cumsum(rel)) / np.arange(1, rel.size + 1)
+    nu = float(nu_k[np.flatnonzero(nu_k > rel)[-1]])  # nu_1 = xi.size > 0 = rel[0]
+    gamma = np.maximum(nu - (thresh - t_sorted[0]), 0.0) / phi
+    return gamma, float(t_sorted[0] + nu)
 
 
 def uniform_gamma(phi: np.ndarray) -> np.ndarray:

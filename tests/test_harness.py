@@ -216,6 +216,18 @@ class TestRateSweep:
         keys = [(r.alpha, r.snr_db) for r in result.rows]
         assert keys == sorted(keys)
 
+    def test_nyquist_rows_share_one_mi(self):
+        cfg = parse_config(FIG1_STYLE.replace("M: 128", "M: 8").replace("N: 12", "N: 4"))
+        result = run_rate_sweep(cfg)
+        for snr_db in cfg.snr_db_grid:
+            rows = {r.beta: r for r in result.rows if r.mode == "nyquist" and r.snr_db == snr_db}
+            assert sorted(rows) == [0.0, cfg.beta]
+            rect, rolled = rows[0.0], rows[cfg.beta]
+            assert rect.mi_bits == rolled.mi_bits
+            # R = mi / ((1+beta) * alpha * MN) at alpha = 1
+            assert rect.rate_bps_hz == pytest.approx((1.0 + cfg.beta) * rolled.rate_bps_hz, rel=1e-15)
+            assert rect.rate_bps_hz == pytest.approx(rect.mi_bits / cfg.MN, rel=1e-15)
+
     def test_threads_change_nothing(self):
         cfg = parse_config(FIG1_STYLE.replace("M: 128", "M: 8").replace("N: 12", "N: 4"))
         a = run_rate_sweep(cfg, threads=1).to_csv()
@@ -238,8 +250,21 @@ class TestNoiseShapePerInstance:
 
         monkeypatch.setattr(otfsftn.pulse, "noise_shape", counting)
         run_rate_sweep(parse_config(self.SMALL), threads=2)
-        # alphas 0.8, 0.9, 1.0 plus the two alpha = 1 Nyquist baselines
-        assert len(built) == 5
+        # alphas 0.8, 0.9, 1.0; the alpha = 1 Nyquist baselines share the 1.0 solve
+        assert len(built) == 3
+
+    def test_subchannel_evd_only_where_g_is_not_identity(self, monkeypatch):
+        import otfsftn.precoder as precoder
+
+        sizes = []
+        real = precoder.hermitian_evd_desc
+        monkeypatch.setattr(
+            precoder, "hermitian_evd_desc", lambda a: sizes.append(a.shape) or real(a))
+        cfg = parse_config(self.SMALL)
+        assert 1.0 in cfg.alpha_grid
+        run_rate_sweep(cfg, threads=2)
+        # one per trial at alphas 0.8 and 0.9, none at alpha = 1 (G = I)
+        assert len(sizes) == 2 * cfg.trials
 
     def test_rate_sweep_never_forms_receive_weights(self, monkeypatch):
         import otfsftn.precoder as precoder
@@ -597,6 +622,17 @@ class TestCli:
         assert cli_main(["ber", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: target rate 5.9 bps/Hz needs 252 bits")
+
+    def test_failed_sweep_leaves_no_llr_dump(self, tmp_path, capsys):
+        # the 20 dB point writes records before the -10 dB point is rejected
+        cfg = tmp_path / "cfg.yaml"
+        text = MINIMAL.replace("M: 4", "M: 8").replace("N: 2", "N: 4").replace("alpha: 1.0", "alpha: 0.8")
+        cfg.write_text(text + "snr_db_grid: [20, -10]\ntrials: 3\ntarget_rate_bps_hz: 5.9\n")
+        llr_out = tmp_path / "llr.csv"
+        assert cli_main(["ber", "--config", str(cfg), "--llr-out", str(llr_out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not llr_out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_validate_rejects_seed_out_of_range(self, capsys, seed):

@@ -22,8 +22,8 @@ from otfsftn import (
     uniform_gamma,
     waterfill,
 )
-from otfsftn.channel import channel_for_config
-from otfsftn.precoder import XI_ACTIVE_REL
+from otfsftn.channel import channel_for_config, synthetic_channel
+from otfsftn.precoder import XI_ACTIVE_REL, subchannel_gains
 from otfsftn.pulse import EIG_FLOOR_REL
 
 from conftest import complex_gaussian, eva_config, identity_config
@@ -267,6 +267,15 @@ class TestWaterfill:
         gamma, _ = waterfill(xi, phi, snr=0.1)
         assert gamma[1] == 0.0 and gamma[0] > 0.0
 
+    @pytest.mark.parametrize("snr_db", [-200.0, -300.0])
+    def test_constraint_holds_at_extreme_low_snr(self, snr_db):
+        # thresholds near 1/snr dwarf the budget n; the best subchannel takes all of it
+        n = 32
+        xi, phi = np.linspace(0.5, 2.0, n), np.ones(n)
+        gamma, _ = waterfill(xi, phi, 10.0 ** (snr_db / 10.0))
+        assert abs(float(gamma @ phi) - n) <= 1e-10 * n
+        assert np.count_nonzero(gamma) == 1
+
     def test_numerically_dead_subchannels_inactive(self):
         xi = np.array([1.0, 1e-15])
         gamma, _ = waterfill(xi, np.ones(2), snr=1e6)
@@ -340,6 +349,25 @@ class TestWaterfill:
     def test_rejects_non_finite_snr(self, snr):
         with pytest.raises(ValueError, match="finite"):
             waterfill(np.ones(2), np.ones(2), snr)
+
+
+class TestSubchannelGains:
+    def test_eigenvalues_only_at_nyquist(self):
+        shape = GridShape(8, 4)
+        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        cfg = identity_config(8, 4, 1.0, cp_len=4)
+        chan = synthetic_channel(12, 3, 2, True, np.random.default_rng(5))
+        h = effective_channel(chan, cfg)
+        xi, phi = subchannel_gains(h, noise)
+        ref = derive_subchannels(h, noise).xi
+        assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
+        assert np.all(phi == 1.0)
+
+    def test_full_derivation_where_g_is_not_identity(self):
+        _, noise, h = eva_instance(8, 4, 0.9, seed=3)
+        xi, phi = subchannel_gains(h, noise)
+        sub = derive_subchannels(h, noise)
+        assert np.array_equal(xi, sub.xi) and np.array_equal(phi, sub.phi)
 
 
 class TestFinalize:
