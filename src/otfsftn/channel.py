@@ -184,6 +184,8 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
     cp = cfg.effective_cp_len()
     if chan.max_delay_tap() >= cp:
         raise ValueError(f"channel delay tap {chan.max_delay_tap()} exceeds CP length {cp} - 1")
+    if cp > mn:  # the prefix image at m - MN would have to wrap more than once
+        raise ValueError(f"CP length {cp} exceeds the frame length MN = {mn}")
 
     # lookup table over every integer lag the sum can touch: g((k - m - l)*T_f)
     # for delay tap l sits at lag_table[l_top - l:][k - m + mn - 1]

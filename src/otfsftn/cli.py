@@ -1,6 +1,7 @@
 """Command-line front end: rate/BER sweeps, channel dump and self-validation.
 
-Exit codes: 0 on success, 1 on validation failure, 2 on configuration errors.
+Exit codes: 0 on success, 1 on validation failure, 2 on configuration errors
+and on outputs that cannot be written.
 """
 
 from __future__ import annotations
@@ -94,12 +95,12 @@ def main(argv: list[str] | None = None) -> int:
             _emit(result.to_csv(), args.out)
         elif args.command == "ber":
             if args.llr_out is not None:
-                try:
-                    with open(args.llr_out, "w") as sink:
+                with open(args.llr_out, "w") as sink:
+                    try:
                         result = run_ber_sweep(cfg, threads=args.threads, digest=digest, llr_sink=sink)
-                except BaseException:  # a failed sweep leaves no partial dump
-                    Path(args.llr_out).unlink(missing_ok=True)
-                    raise
+                    except BaseException:  # a failed sweep leaves no partial dump
+                        Path(args.llr_out).unlink(missing_ok=True)
+                        raise
             else:
                 result = run_ber_sweep(cfg, threads=args.threads, digest=digest)
             _emit(result.to_csv(), args.out)
@@ -112,6 +113,11 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None or exc.filename not in (args.out, getattr(args, "llr_out", None)):
+            raise
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
 

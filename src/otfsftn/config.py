@@ -21,6 +21,9 @@ class ConfigError(ValueError):
 _PROFILES = ("eva", "synthetic", "identity")
 _CP_MODES = ("literal", "circular")
 
+# The largest supported frame, in symbols.
+MAX_FRAME_SYMBOLS = 1536
+
 # The transmission rate counts information bits of a rate-3/4 code.
 CODE_RATE = 0.75
 
@@ -143,6 +146,10 @@ _CHANNEL_KEYS = {"profile", "nu_max_hz", "num_paths", "l_max", "k_max", "frac_do
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every schema invariant; returns the config on success."""
     _require(cfg.M >= 1 and cfg.N >= 1, f"grid must satisfy M >= 1 and N >= 1, got ({cfg.M}, {cfg.N})")
+    _require(
+        cfg.MN <= MAX_FRAME_SYMBOLS,
+        f"frame size MN={cfg.MN} exceeds the supported maximum {MAX_FRAME_SYMBOLS}",
+    )
     _require(0.0 <= cfg.beta <= 1.0, f"beta must lie in [0, 1], got {cfg.beta}")
     lo = 1.0 / (1.0 + cfg.beta)
     for a in cfg.alpha_grid:
@@ -197,6 +204,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     l_max = cfg.max_delay_tap()
     cp = cfg.effective_cp_len()
     _require(cp > l_max, f"cp_len {cp} must exceed the maximum delay tap {l_max}")
+    _require(cp <= cfg.MN, f"cp_len {cp} exceeds the frame length MN = {cfg.MN}")
     return cfg
 
 

@@ -19,7 +19,8 @@ alpha, and trial indices are cut into consecutive blocks of FRAME_BLOCK
 frames, each one matrix-matrix pass of the link; a per-trial channel gives
 blocks of one frame.  Block boundaries depend only on trial indices, and
 worker threads map whole blocks, so the thread count never changes which
-frames share a product.
+frames share a product.  A derivation carries its receive weights from the
+start, so workers only read it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import (
-    ChannelConfig, ConfigError, SystemConfig, config_digest, snr_linear, validate_config,
+    ChannelConfig, SystemConfig, config_digest, snr_linear, validate_config,
 )
 from .channel import (
     DdChannel,
@@ -63,7 +64,6 @@ from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time
 RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
 BER_CSV_HEADER = "snr_db,alpha,beta,target_rate,bits,errors,ber,trials"
 
-MAX_FRAME_SYMBOLS = 1536
 # frames per block on a shared channel: wide enough for matrix-matrix
 # products, small enough that the MN x FRAME_BLOCK working set stays minor
 FRAME_BLOCK = 64
@@ -125,12 +125,6 @@ def trial_rng(master_seed: int, point_idx: int, trial_idx: int) -> np.random.Gen
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(point_idx, trial_idx))
     )
-
-
-def assert_memory_budget(cfg: SystemConfig) -> None:
-    """Guard the frame size."""
-    if cfg.MN > MAX_FRAME_SYMBOLS:
-        raise ConfigError(f"frame size MN={cfg.MN} exceeds the supported maximum {MAX_FRAME_SYMBOLS}")
 
 
 # thread-count functions of scipy-openblas, ILP64 and LP64 OpenBLAS; "{}" is get or set
@@ -208,7 +202,6 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     G = I, and the gains are eigenvalues of H^H H alone (subchannel_gains).
     """
     validate_config(cfg)
-    assert_memory_budget(cfg)
     shape = GridShape(cfg.M, cfg.N)
     channels = [
         channel_for_config(cfg, trial_rng(cfg.master_seed, 0, t)) for t in range(cfg.trials)
@@ -249,56 +242,6 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     return SweepResult(kind="rate", rows=tuple(rows), provenance=_provenance(cfg, digest))
 
 
-def _ber_point(
-    cfg_a: SystemConfig,
-    snr_db: float,
-    point_idx: int,
-    noise,
-    shared,
-    trial_map,
-    collect_llrs: bool,
-) -> tuple[BerCounter, list[str]]:
-    snr = snr_linear(snr_db)
-    sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
-
-    def load(sub):
-        """Water-fill, finalize and bit-load the derivation at this SNR."""
-        sol = finalize(sub, waterfill(sub.xi, sub.phi, snr)[0])
-        return sol, bit_loading(sub.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
-
-    link = None
-    if shared is not None:
-        h, sub = shared
-        link = (h, *load(sub))
-        starts = range(0, cfg_a.trials, FRAME_BLOCK)
-        blocks = [range(t, min(t + FRAME_BLOCK, cfg_a.trials)) for t in starts]
-    else:
-        blocks = [range(t, t + 1) for t in range(cfg_a.trials)]
-
-    def one_block(block: range) -> tuple[BerCounter, list[str]]:
-        rngs = [trial_rng(cfg_a.master_seed, point_idx, t) for t in block]
-        if link is None:
-            h = effective_channel(channel_for_config(cfg_a, rngs[0]), cfg_a)
-            sol, loading = load(derive_subchannels(h, noise))
-        else:
-            h, sol, loading = link
-        frame = run_frame(loading, sol, h, noise, sigma0_sq, rngs)
-        rx = hard_detect(frame.y_d, sol, loading)
-        counter = ber_accumulate(frame.tx_bits, rx, BerCounter())
-        records = []
-        if collect_llrs:
-            llrs = llr(frame.y_d, sol, loading, sigma0_sq)
-            records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
-        return counter, records
-
-    total = BerCounter()
-    llr_lines = []
-    for counter, records in trial_map(one_block, blocks):
-        total = total.merge(counter)
-        llr_lines.extend(rec for rec in records if rec)
-    return total, llr_lines
-
-
 def run_ber_sweep(
     cfg: SystemConfig,
     threads: int = 1,
@@ -314,7 +257,9 @@ def run_ber_sweep(
     layer.
     """
     validate_config(cfg)
-    assert_memory_budget(cfg)
+    shared = cfg.channel.profile == "identity"
+    width = FRAME_BLOCK if shared else 1
+    blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
     rows: list[BerRow] = []
     with _trial_map(threads) as trial_map:
         if llr_sink is not None:
@@ -326,24 +271,47 @@ def run_ber_sweep(
         for alpha in cfg.alpha_grid:
             cfg_a = cfg.with_alpha(alpha)
             noise = gram_matrix(shape, alpha, PulseSpec(beta=cfg.beta))
-            shared = None
-            if cfg.channel.profile == "identity":
-                h = effective_channel(identity_channel(), cfg_a)
-                sub = derive_subchannels(h, noise)
-                sub.D  # form the receive weights now, not racing in the workers
-                shared = (h, sub)
+            if shared:
+                h_shared = effective_channel(identity_channel(), cfg_a)
+                sub_shared = derive_subchannels(h_shared, noise)
             for snr_db in cfg.snr_db_grid:
-                counter, llr_lines = _ber_point(
-                    cfg_a, snr_db, point_idx, noise, shared, trial_map, llr_sink is not None
-                )
-                if llr_sink is not None:
-                    for chunk in llr_lines:
-                        llr_sink.write(chunk + "\n")
+                snr = snr_linear(snr_db)
+                sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
+
+                def load(sub):
+                    """Water-fill, finalize and bit-load the derivation at this SNR."""
+                    sol = finalize(sub, waterfill(sub.xi, sub.phi, snr)[0])
+                    return sol, bit_loading(sub.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
+
+                link = (h_shared, *load(sub_shared)) if shared else None
+
+                def one_block(block: range) -> tuple[BerCounter, list[str]]:
+                    rngs = [trial_rng(cfg.master_seed, point_idx, t) for t in block]
+                    if link is None:
+                        h = effective_channel(channel_for_config(cfg_a, rngs[0]), cfg_a)
+                        sol, loading = load(derive_subchannels(h, noise))
+                    else:
+                        h, sol, loading = link
+                    frame = run_frame(loading, sol, h, noise, sigma0_sq, rngs)
+                    rx = hard_detect(frame.y_d, sol, loading)
+                    counter = ber_accumulate(frame.tx_bits, rx, BerCounter())
+                    records = []
+                    if llr_sink is not None:
+                        llrs = llr(frame.y_d, sol, loading, sigma0_sq)
+                        records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
+                    return counter, records
+
+                total = BerCounter()
+                for counter, records in trial_map(one_block, blocks):
+                    total = total.merge(counter)
+                    for rec in records:
+                        if rec:
+                            llr_sink.write(rec + "\n")
                 rows.append(
                     BerRow(
                         snr_db=snr_db, alpha=alpha, beta=cfg.beta,
                         target_rate=cfg.target_rate_bps_hz,
-                        bits=counter.total, errors=counter.errors, ber=counter.ber,
+                        bits=total.total, errors=total.errors, ber=total.ber,
                         trials=cfg.trials,
                     )
                 )
@@ -483,18 +451,13 @@ def _check_gram_structure(seed: int) -> tuple[bool, str]:
 
 
 def _check_floor_policy(seed: int) -> tuple[bool, str]:
-    shape = GridShape(8, 4)
     spec = PulseSpec(beta=0.25)
-    alpha = spec.admissible_alpha()
-    noise = gram_matrix(shape, alpha, spec)
-    cfg = _eva_cfg(shape, alpha, seed)
-    chan = channel_for_config(cfg, trial_rng(seed, 0, 0))
-    sol = derive_subchannels(effective_channel(chan, cfg), noise)
-    if sol.noise.floor <= 0.0:
+    noise = gram_matrix(GridShape(8, 4), spec.admissible_alpha(), spec)
+    if noise.floor <= 0.0:
         return False, "eigenvalue floor policy is disabled on the noise-shape spectrum"
-    lam_min = float(sol.noise.lam.min())
-    ok = lam_min >= 1e-10 * float(sol.noise.lam.max()) and lam_min > 0.0
-    return ok, f"floored spectrum min {lam_min:.2e}, clamped {sol.floored} value(s)"
+    lam_min = float(noise.lam.min())
+    ok = lam_min >= 1e-10 * float(noise.lam.max()) and lam_min > 0.0
+    return ok, f"floored spectrum min {lam_min:.2e}, clamped {noise.floored} value(s)"
 
 
 def _check_gram_dd_spectrum(seed: int) -> tuple[bool, str]:

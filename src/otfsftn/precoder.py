@@ -6,11 +6,12 @@ G = V diag(lam) V^T it whitens the channel into C = diag(lam)^{-1/2} V^T H,
 eigendecomposes C^H C = U_t diag(xi) U_t^H and reads the per-direction
 energy weights phi from U_t^H G U_t.  finalize works once per power
 allocation: given powers gamma (water-filled under sum(gamma*phi) = MN, the
-subchannel count, or uniform) it forms the precoder P_t = U_t diag(gamma)^{1/2}.  The receive
-weights D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on gamma; a
-derivation forms them on first read.  D_t H P_t = diag(xi*sqrt(gamma)) and
-D_t G D_t^H = diag(xi), so the link becomes a bank of parallel scalar
-Gaussian subchannels with gains xi and powers gamma.
+subchannel count, or uniform) it forms the precoder P_t = U_t diag(gamma)^{1/2}.
+The receive weights D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on
+gamma, so the derivation forms them and keeps D_t, not C; subchannel_gains
+runs the same decomposition for the gains alone.  D_t H P_t =
+diag(xi*sqrt(gamma)) and D_t G D_t^H = diag(xi), so the link becomes a bank
+of parallel scalar Gaussian subchannels with gains xi and powers gamma.
 
 The delay-Doppler map F = F_N kron I_M is unitary, so the DD-domain pair
 P = F P_t, D = D_t F^H diagonalizes H_eq = F H F^H and G_eq = F G F^H with
@@ -20,7 +21,6 @@ the same xi and phi.  Only the oracles form that pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,25 +33,20 @@ XI_ACTIVE_REL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Subchannels:
-    """The derivation for one channel: C, the basis U_t, gains xi and energy weights phi.
+    """The derivation for one channel: basis U_t, gains xi, energy weights phi, receive weights D.
 
     Every power allocation on the channel shares it read-only.
     """
 
     noise: NoiseShape
-    C: np.ndarray
     U_t: np.ndarray
     xi: np.ndarray
     phi: np.ndarray
+    D: np.ndarray
 
     @property
     def floored(self) -> int:
         return self.noise.floored
-
-    @cached_property
-    def D(self) -> np.ndarray:
-        """Receive weights D_t = (V diag(lam)^{-1/2} C U_t)^H, formed on first read."""
-        return _receive_weights(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,36 +118,41 @@ def _real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (r @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
-def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
-    """Whiten the time-domain channel H and decompose it into scalar subchannels.
-
-    The noise shape carries the floored spectrum, and floored reports how
-    many eigenvalues it clamped.
-    """
+def _decompose(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
+    """The whitened channel C, basis U_t, gains xi and energy weights phi of H."""
     h = np.asarray(h)
     if h.shape != noise.V.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {noise.V.shape}")
     c = _real_matmul(noise.V.T, h) / np.sqrt(noise.lam)[:, None]
     u_t, xi = hermitian_evd_desc(c.conj().T @ c)
-    xi = np.maximum(xi, 0.0)
 
     phi_c = np.einsum("in,in->n", u_t.conj(), _real_matmul(noise.G, u_t))
     imag_max = float(np.abs(phi_c.imag).max())
     if imag_max > 1e-10 * max(1.0, float(np.abs(phi_c.real).max())):
         raise AssertionError(f"energy weights are not real: max imag {imag_max:.3e}")
-    return Subchannels(noise=noise, C=c, U_t=u_t, xi=xi, phi=phi_c.real.copy())
+    return c, u_t, np.maximum(xi, 0.0), phi_c.real.copy()
+
+
+def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
+    """Whiten the time-domain channel H, decompose it into scalar subchannels and form D_t.
+
+    The noise shape carries the floored spectrum, and floored reports how
+    many eigenvalues it clamped.
+    """
+    c, u_t, xi, phi = _decompose(h, noise)
+    w = (c @ u_t) / np.sqrt(noise.lam)[:, None]
+    return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=_real_matmul(noise.V, w).conj().T)
 
 
 def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.ndarray]:
-    """The gains xi and energy weights phi of derive_subchannels(h, noise), without its basis.
+    """The gains xi and energy weights phi of derive_subchannels(h, noise), with no basis or D_t.
 
     Where G is exactly the identity, C = H and phi = 1, so xi are the
-    eigenvalues of H^H H alone; any other G takes the full derivation.
+    eigenvalues of H^H H alone; any other G takes the full decomposition.
     """
     g = noise.G
     if np.count_nonzero(g) != g.shape[0] or not np.all(g.diagonal() == 1.0):
-        sub = derive_subchannels(h, noise)
-        return sub.xi, sub.phi
+        return _decompose(h, noise)[2:]
     if h.shape != g.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")
     xi = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
@@ -201,11 +201,6 @@ def uniform_gamma(phi: np.ndarray) -> np.ndarray:
     """Equal powers rescaled to meet sum(gamma*phi) = phi.size; the no-PA case."""
     phi = np.asarray(phi, dtype=float)
     return np.full_like(phi, phi.size / float(phi.sum()))
-
-
-def _receive_weights(sub: Subchannels) -> np.ndarray:
-    w = (sub.C @ sub.U_t) / np.sqrt(sub.noise.lam)[:, None]
-    return _real_matmul(sub.noise.V, w).conj().T
 
 
 def finalize(sub: Subchannels, gamma: np.ndarray) -> PrecoderSolution:

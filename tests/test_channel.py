@@ -373,6 +373,21 @@ class TestWaveformOracle:
         z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)
         assert np.abs(z_model - z_wave).max() <= 1e-3 * np.abs(z_wave).max()
 
+    def test_prefix_as_long_as_frame(self, rng):
+        # cp_len = MN: the prefix image of every column wraps exactly once
+        shape = GridShape(4, 2)
+        cfg = identity_config(4, 2, 0.9, cp_len=8)
+        chan = single_path_channel(0.8 - 0.3j, 7, 0)
+        x_p = complex_gaussian(rng, shape.MN)
+        z_model = effective_channel(chan, cfg) @ dd_to_time(x_p, shape)
+        z_wave = waveform_oracle(x_p, chan, cfg, PulseSpec(beta=0.25, span=32.0), oversample=16)
+        assert np.abs(z_model - z_wave).max() <= 1e-3 * np.abs(z_wave).max()
+
+    def test_rejects_prefix_longer_than_frame(self):
+        cfg = identity_config(4, 2, 0.9, cp_len=9)
+        with pytest.raises(ValueError, match="CP length 9 exceeds the frame length MN = 8"):
+            effective_channel(single_path_channel(1.0 + 0j, 3, 0), cfg)
+
     def test_rejects_low_oversampling(self, rng):
         cfg = identity_config(4, 2, 0.9, cp_len=2)
         with pytest.raises(ValueError, match="oversample"):

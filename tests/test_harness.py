@@ -181,11 +181,18 @@ class TestParseConfig:
 
     def test_frame_size_cap(self):
         big = MINIMAL.replace("M: 4", "M: 1600")
-        cfg = parse_config(big)
-        from otfsftn.harness import assert_memory_budget
-
         with pytest.raises(ConfigError, match="1536"):
-            assert_memory_budget(cfg)
+            parse_config(big)
+
+    def test_prefix_longer_than_frame_rejected(self):
+        # MN = 8: a prefix of 9 symbols would wrap around the frame twice
+        with pytest.raises(ConfigError, match="cp_len 9 exceeds the frame length MN = 8"):
+            parse_config(MINIMAL + "cp_len: 9\n")
+        assert parse_config(MINIMAL + "cp_len: 8\n").effective_cp_len() == 8
+        # the default prefix, max delay tap + 1, is held to the same bound
+        deep = MINIMAL.replace("profile: identity", "profile: synthetic\n  l_max: 8")
+        with pytest.raises(ConfigError, match="cp_len 9 exceeds"):
+            parse_config(deep)
 
 
 class TestRateSweep:
@@ -269,9 +276,12 @@ class TestNoiseShapePerInstance:
     def test_rate_sweep_never_forms_receive_weights(self, monkeypatch):
         import otfsftn.precoder as precoder
 
+        # the gains need no derivation, so no receive weights either
         calls = []
-        real = precoder._receive_weights
-        monkeypatch.setattr(precoder, "_receive_weights", lambda sub: calls.append(1) or real(sub))
+        real = precoder.derive_subchannels
+        spy = lambda *a: calls.append(1) or real(*a)
+        monkeypatch.setattr(precoder, "derive_subchannels", spy)
+        monkeypatch.setattr(harness, "derive_subchannels", spy)
         run_rate_sweep(parse_config(self.SMALL), threads=2)
         assert calls == []
 
@@ -350,33 +360,20 @@ class TestBerSweep:
         monkeypatch.setattr(
             harness, "derive_subchannels", lambda *a: calls.append(1) or real(*a)
         )
-        cfg = parse_config(AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]"))
-        result = run_ber_sweep(cfg)
-        assert len(result.rows) == 4 and len(calls) == 2
-
-    def test_identity_receive_weights_formed_once_per_alpha(self, monkeypatch):
-        import otfsftn.precoder as precoder
-
-        calls = []
-        real = precoder._receive_weights
-
-        def spy(sub):
-            calls.append(1)
-            return real(sub)
-
-        # the helper behind Subchannels.D; more workers than cores and a short
-        # switch interval, over three frame blocks a point, give a race its chance
-        monkeypatch.setattr(precoder, "_receive_weights", spy)
         cfg = parse_config(
             AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]").replace("trials: 40", "trials: 140")
         )
+        # more workers than cores and a short switch interval, over three
+        # frame blocks a point, give a race in the workers its chance
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = run_ber_sweep(cfg, threads=8)
+            for threads in (1, 8):
+                calls.clear()
+                result = run_ber_sweep(cfg, threads=threads)
+                assert len(result.rows) == 4 and len(calls) == 2
         finally:
             sys.setswitchinterval(interval)
-        assert len(result.rows) == 4 and len(calls) == 2
 
     def test_llr_dump_identical_across_threads(self):
         cfg = parse_config(EVA_BER.replace("trials: 6", "trials: 4"))
@@ -633,6 +630,33 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not llr_out.exists()
+
+    def test_prefix_longer_than_frame_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL + "cp_len: 9\n")
+        assert cli_main(["rate", "--config", str(cfg)]) == 2
+        assert "config error: cp_len 9 exceeds the frame length MN = 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--llr-out"])
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        bad = tmp_path / "missing" / "x.csv"
+        command = "rate" if flag == "--out" else "ber"
+        assert cli_main([command, "--config", str(cfg), flag, str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot write output:") and str(bad) in err[0]
+        assert not bad.parent.exists()
+
+    def test_unwritable_csv_keeps_complete_llr_dump(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        llr_out = tmp_path / "llr.csv"
+        args = ["ber", "--config", str(cfg), "--llr-out", str(llr_out)]
+        assert cli_main(args + ["--out", str(tmp_path / "missing" / "ber.csv")]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output:")
+        dump = llr_out.read_text()
+        assert cli_main(args) == 0 and llr_out.read_text() == dump
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_validate_rejects_seed_out_of_range(self, capsys, seed):

@@ -88,7 +88,7 @@ class TestDeriveSubchannels:
         sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)))
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-12)
         np.testing.assert_allclose(sol.phi, np.ones(shape.MN), atol=1e-12)
-        assert np.abs(sol.C - eye).max() <= 1e-12
+        assert np.abs(sol.D - eye).max() <= 1e-12
 
     def test_identity_channel_basis_exact(self):
         # at alpha = 1 G and H are exactly I, so the basis is not set by rounding
