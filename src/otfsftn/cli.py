@@ -7,6 +7,7 @@ and on outputs that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -78,6 +79,27 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+@contextlib.contextmanager
+def _sink(path: str | None):
+    """The file at path opened for writing (None: no file) before a sweep fills it.
+
+    An unwritable path fails before any work; a sweep that raises leaves no
+    partial file behind.  Only a regular file is removed, never a link or a
+    device such as /dev/stdout.
+    """
+    if path is None:
+        yield None
+        return
+    with open(path, "w") as f:
+        try:
+            yield f
+        except BaseException:
+            target = Path(path)
+            if target.is_file() and not target.is_symlink():
+                target.unlink()
+            raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -90,20 +112,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        if args.command == "rate":
-            result = run_rate_sweep(cfg, threads=args.threads, digest=digest)
-            _emit(result.to_csv(), args.out)
-        elif args.command == "ber":
-            if args.llr_out is not None:
-                with open(args.llr_out, "w") as sink:
-                    try:
-                        result = run_ber_sweep(cfg, threads=args.threads, digest=digest, llr_sink=sink)
-                    except BaseException:  # a failed sweep leaves no partial dump
-                        Path(args.llr_out).unlink(missing_ok=True)
-                        raise
-            else:
-                result = run_ber_sweep(cfg, threads=args.threads, digest=digest)
-            _emit(result.to_csv(), args.out)
+        if args.command in ("rate", "ber"):
+            with _sink(args.out) as out, _sink(getattr(args, "llr_out", None)) as llr_sink:
+                if args.command == "rate":
+                    result = run_rate_sweep(cfg, threads=args.threads, digest=digest)
+                else:
+                    result = run_ber_sweep(
+                        cfg, threads=args.threads, digest=digest, llr_sink=llr_sink)
+                (out or sys.stdout).write(result.to_csv())
         elif args.command == "channel-dump":
             _emit(channel_dump(cfg, digest=digest), args.out)
         elif args.command == "validate":

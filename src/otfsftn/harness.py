@@ -26,13 +26,13 @@ start, so workers only read it.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._openblas import thread_controls
 from ._version import __version__
 from .config import (
     ChannelConfig, SystemConfig, config_digest, snr_linear, validate_config,
@@ -127,29 +127,6 @@ def trial_rng(master_seed: int, point_idx: int, trial_idx: int) -> np.random.Gen
     )
 
 
-# thread-count functions of scipy-openblas, ILP64 and LP64 OpenBLAS; "{}" is get or set
-_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads")
-
-
-def _openblas_threads() -> list[tuple]:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:  # no /proc: BLAS is left alone
-        return []
-    found = []
-    for lib in map(ctypes.CDLL, libs):
-        name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("set"))), None)
-        if name is not None:
-            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            found.append((get, put))
-    return found
-
-
 @contextlib.contextmanager
 def single_blas_thread():
     """Pin every loaded OpenBLAS to one thread, restoring its count on exit.
@@ -158,7 +135,7 @@ def single_blas_thread():
     meanwhile.  A no-op when no OpenBLAS thread setter is found (a numpy on
     another BLAS).
     """
-    controls = _openblas_threads()
+    controls = thread_controls()
     before = [get() for get, _ in controls]
     for _, put in controls:
         put(1)

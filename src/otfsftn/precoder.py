@@ -24,11 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._openblas import eigh_inplace
 from .pulse import NoiseShape
 
 # subchannels whose whitened gain falls below this fraction of the largest
 # are excluded from allocation (guards 1/(xi*snr) against blowup)
 XI_ACTIVE_REL = 1e-12
+
+# columns per strip wherever a full MN x MN temporary would otherwise be formed
+STRIP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +66,9 @@ class PrecoderSolution:
         return self.sub.xi
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+def _strips(n: int):
+    """Column slices of width STRIP covering range(n)."""
+    return (slice(j, min(j + STRIP, n)) for j in range(0, n, STRIP))
 
 
 def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,26 +78,38 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first non-negligible component is real positive, and columns inside a
     degenerate eigenvalue group are ordered by a lexicographic key.
     Returns (eigvecs, eigvals) with a = eigvecs @ diag(eigvals) @ eigvecs^H.
+    a is not modified; the one working copy, -(a + a^H)/2, is handed to
+    LAPACK's MRRR driver, which overwrites it.  Its ascending eigenvalues
+    are those of a descending, so no reordering copy is made.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    herm_err = float(np.abs(a - a.conj().T).max())
+    n = a.shape[0]
+    s = np.empty(a.shape, np.result_type(a.dtype, np.float64))
+    scale, herm_err = 1.0, 0.0
+    for j in _strips(n):
+        col, row_h = a[:, j], a[j, :].conj().T
+        scale = max(scale, float(np.abs(col).max()))
+        herm_err = max(herm_err, float(np.abs(col - row_h).max()))
+        np.add(col, row_h, out=s[:, j])
     if herm_err > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm_err:.3e}")
-    w, v = np.linalg.eigh(_symmetrize(a))
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    s *= -0.5
+    w, v = eigh_inplace(s)
+    del s
+    w = -w
 
     # phase-normalize: first component with |.| > 1e-8 made real positive
-    lead = np.argmax(np.abs(v) > 1e-8, axis=0)
-    pivots = v[lead, np.arange(v.shape[1])]
-    v *= (np.conj(pivots) / np.abs(pivots))[None, :]
+    lead = np.empty(n, dtype=np.intp)
+    for j in _strips(n):
+        vj = v[:, j]
+        lead[j] = np.argmax(np.abs(vj) > 1e-8, axis=0)
+        pivots = vj[lead[j], np.arange(vj.shape[1])]
+        vj *= (np.conj(pivots) / np.abs(pivots))[None, :]
 
     # deterministic ordering inside degenerate groups: leading-component
     # index first (keeps standard bases in natural order), full vector next
-    n = w.size
     tie = 1e-12 * max(1.0, float(np.abs(w).max()))
     i = 0
     while i < n:
@@ -118,19 +135,35 @@ def _real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (r @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
-def _decompose(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
-    """The whitened channel C, basis U_t, gains xi and energy weights phi of H."""
+def _whiten(h: np.ndarray, noise: NoiseShape) -> np.ndarray:
+    """The whitened channel C = diag(lam)^{-1/2} V^T H."""
     h = np.asarray(h)
     if h.shape != noise.V.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {noise.V.shape}")
-    c = _real_matmul(noise.V.T, h) / np.sqrt(noise.lam)[:, None]
-    u_t, xi = hermitian_evd_desc(c.conj().T @ c)
+    c = _real_matmul(noise.V.T, h)
+    c /= np.sqrt(noise.lam)[:, None]
+    return c
 
-    phi_c = np.einsum("in,in->n", u_t.conj(), _real_matmul(noise.G, u_t))
+
+def _gram(c: np.ndarray) -> np.ndarray:
+    """C^H C, formed in row strips so that no full conj(C) is made."""
+    g = np.empty((c.shape[1], c.shape[1]), dtype=np.result_type(c.dtype, np.float64))
+    for j in _strips(c.shape[1]):
+        np.matmul(c[:, j].conj().T, c, out=g[j])
+    return g
+
+
+def _decompose(gram: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
+    """Basis U_t, gains xi and energy weights phi = diag(U_t^H G U_t) of gram = C^H C."""
+    u_t, xi = hermitian_evd_desc(gram)
+    phi_c = np.empty(xi.size, dtype=complex)
+    for j in _strips(xi.size):
+        u = u_t[:, j]
+        phi_c[j] = np.einsum("in,in->n", u.conj(), _real_matmul(noise.G, u))
     imag_max = float(np.abs(phi_c.imag).max())
     if imag_max > 1e-10 * max(1.0, float(np.abs(phi_c.real).max())):
         raise AssertionError(f"energy weights are not real: max imag {imag_max:.3e}")
-    return c, u_t, np.maximum(xi, 0.0), phi_c.real.copy()
+    return u_t, np.maximum(xi, 0.0), phi_c.real.copy()
 
 
 def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
@@ -139,23 +172,27 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     The noise shape carries the floored spectrum, and floored reports how
     many eigenvalues it clamped.
     """
-    c, u_t, xi, phi = _decompose(h, noise)
-    w = (c @ u_t) / np.sqrt(noise.lam)[:, None]
-    return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=_real_matmul(noise.V, w).conj().T)
+    c = _whiten(h, noise)
+    u_t, xi, phi = _decompose(_gram(c), noise)
+    w = c @ u_t
+    w /= np.sqrt(noise.lam)[:, None]
+    d = _real_matmul(noise.V, w)
+    return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=np.conjugate(d, out=d).T)
 
 
 def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.ndarray]:
     """The gains xi and energy weights phi of derive_subchannels(h, noise), with no basis or D_t.
 
     Where G is exactly the identity, C = H and phi = 1, so xi are the
-    eigenvalues of H^H H alone; any other G takes the full decomposition.
+    eigenvalues of H^H H alone; any other G takes the full decomposition,
+    with C released once its Gram matrix is formed.
     """
     g = noise.G
     if np.count_nonzero(g) != g.shape[0] or not np.all(g.diagonal() == 1.0):
-        return _decompose(h, noise)[2:]
+        return _decompose(_gram(_whiten(h, noise)), noise)[1:]
     if h.shape != g.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")
-    xi = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
+    xi = np.linalg.eigvalsh(_gram(h))[::-1]
     return np.maximum(xi, 0.0), np.ones(xi.size)
 
 

@@ -12,6 +12,7 @@ import pytest
 import otfsftn.pulse
 from otfsftn import ConfigError, parse_config, run_ber_sweep, run_rate_sweep, validate
 from otfsftn.cli import main as cli_main
+import otfsftn._openblas as _openblas
 import otfsftn.harness as harness
 from otfsftn.harness import channel_dump, single_blas_thread, trial_rng
 
@@ -393,7 +394,7 @@ class TestThreads:
     @pytest.fixture
     def blas_two(self):
         """OpenBLAS set to two threads for the test, so a pin to one shows."""
-        controls = harness._openblas_threads()
+        controls = _openblas.thread_controls()
         if not controls:
             pytest.skip("numpy is not linked to OpenBLAS")
         before = _blas_counts(controls)
@@ -451,16 +452,16 @@ class TestThreads:
         assert run_ber_sweep(cfg).to_csv() == pinned
 
     def test_pin_is_no_op_without_setter(self, blas_two, monkeypatch):
-        monkeypatch.setattr(harness, "_OPENBLAS_THREADS", ("no_such_blas_{}_num_threads",))
-        assert harness._openblas_threads() == []
+        monkeypatch.setattr(_openblas, "THREAD_FUNCTIONS", ("no_such_blas_{}_num_threads",))
+        assert _openblas.thread_controls() == []
         with single_blas_thread():
             assert _blas_counts(blas_two) == [2] * len(blas_two)
 
         def unreadable(*args):
             raise OSError("process maps unreadable")
 
-        monkeypatch.setattr(harness, "open", unreadable, raising=False)
-        assert harness._openblas_threads() == []
+        monkeypatch.setattr(_openblas, "open", unreadable, raising=False)
+        assert _openblas.thread_controls() == []
 
     def test_eva192_outputs_identical_for_any_pool_size(self):
         text = (
@@ -620,11 +621,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: target rate 5.9 bps/Hz needs 252 bits")
 
+    # the 20 dB point writes records before the -10 dB point is rejected
+    FAILS_MID_SWEEP = (
+        MINIMAL.replace("M: 4", "M: 8").replace("N: 2", "N: 4").replace("alpha: 1.0", "alpha: 0.8")
+        + "snr_db_grid: [20, -10]\ntrials: 3\ntarget_rate_bps_hz: 5.9\n"
+    )
+
     def test_failed_sweep_leaves_no_llr_dump(self, tmp_path, capsys):
-        # the 20 dB point writes records before the -10 dB point is rejected
         cfg = tmp_path / "cfg.yaml"
-        text = MINIMAL.replace("M: 4", "M: 8").replace("N: 2", "N: 4").replace("alpha: 1.0", "alpha: 0.8")
-        cfg.write_text(text + "snr_db_grid: [20, -10]\ntrials: 3\ntarget_rate_bps_hz: 5.9\n")
+        cfg.write_text(self.FAILS_MID_SWEEP)
         llr_out = tmp_path / "llr.csv"
         assert cli_main(["ber", "--config", str(cfg), "--llr-out", str(llr_out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -648,15 +653,47 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("cannot write output:") and str(bad) in err[0]
         assert not bad.parent.exists()
 
+    @pytest.mark.parametrize("command", ["rate", "ber"])
+    def test_unwritable_output_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, command):
+        import otfsftn.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, f"run_{command}_sweep", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        bad = tmp_path / "missing" / "x.csv"
+        assert cli_main([command, "--config", str(cfg), "--out", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output:")
+        assert calls == []
+
+    def test_failed_sweep_leaves_no_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(self.FAILS_MID_SWEEP)
+        out = tmp_path / "ber.csv"
+        assert cli_main(["ber", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_failed_sweep_keeps_a_linked_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(self.FAILS_MID_SWEEP)
+        link = tmp_path / "out.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        assert cli_main(["ber", "--config", str(cfg), "--out", str(link)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert link.is_symlink() and link.exists()
+
     def test_unwritable_csv_keeps_complete_llr_dump(self, tmp_path, capsys):
+        # the unwritable CSV stops the run before the earlier dump is reopened
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(MINIMAL)
         llr_out = tmp_path / "llr.csv"
         args = ["ber", "--config", str(cfg), "--llr-out", str(llr_out)]
+        assert cli_main(args) == 0
+        dump = llr_out.read_text()
         assert cli_main(args + ["--out", str(tmp_path / "missing" / "ber.csv")]) == 2
         assert capsys.readouterr().err.startswith("cannot write output:")
-        dump = llr_out.read_text()
-        assert cli_main(args) == 0 and llr_out.read_text() == dump
+        assert llr_out.read_text() == dump
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_validate_rejects_seed_out_of_range(self, capsys, seed):
@@ -697,6 +734,7 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
+import otfsftn._openblas as _openblas
 import otfsftn.harness as harness
 from otfsftn import parse_config
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -22,6 +23,7 @@ from otfsftn import (
     uniform_gamma,
     waterfill,
 )
+import otfsftn._openblas as _openblas
 from otfsftn.channel import channel_for_config, synthetic_channel
 from otfsftn.precoder import XI_ACTIVE_REL, subchannel_gains
 from otfsftn.pulse import EIG_FLOOR_REL
@@ -79,6 +81,58 @@ class TestHermitianEvd:
         a = complex_gaussian(rng, 16).reshape(4, 4)
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_evd_desc(a)
+
+
+class TestMrrrKernel:
+    """hermitian_evd_desc on LAPACKE_zheevr against its np.linalg.eigh fallback."""
+
+    @pytest.fixture
+    def both_paths(self, monkeypatch):
+        if _openblas.zheevr() is None:
+            pytest.skip("numpy's BLAS exports no LAPACKE_zheevr")
+
+        def no_eigh(*args):
+            raise AssertionError("the kernel path called np.linalg.eigh")
+
+        def run(a):
+            before = a.copy()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", no_eigh)
+                kernel = hermitian_evd_desc(a)
+            assert np.array_equal(a, before)
+            with monkeypatch.context() as m:
+                m.setattr(_openblas, "zheevr", lambda: None)
+                fallback = hermitian_evd_desc(a)
+            assert np.array_equal(a, before)
+            (v_k, w_k), (v_f, w_f) = kernel, fallback
+            assert np.abs(w_k - w_f).max() <= 1e-12 * np.abs(w_f).max()
+            return v_k, v_f, w_f
+
+        return run
+
+    def test_random_hermitian(self, rng, both_paths):
+        v_k, v_f, _ = both_paths(random_hermitian(rng, 40))
+        assert np.abs(v_k - v_f).max() <= 1e-8
+
+    def test_degenerate_spectrum(self, rng, both_paths):
+        q, _ = np.linalg.qr(complex_gaussian(rng, 24 * 24).reshape(24, 24))
+        lam = np.repeat([5.0, 2.0, 0.5], [6, 10, 8])
+        v_k, v_f, w = both_paths((q * lam) @ q.conj().T)
+        # inside a group any basis of the eigenspace is valid: compare projectors
+        for value in np.unique(lam):
+            g = np.abs(w - value) <= 1e-9
+            assert g.sum() == np.count_nonzero(lam == value)
+            proj_k, proj_f = v_k[:, g] @ v_k[:, g].conj().T, v_f[:, g] @ v_f[:, g].conj().T
+            assert np.abs(proj_k - proj_f).max() <= 1e-8
+
+    def test_degenerate_diagonal_gives_one_basis(self, both_paths):
+        v_k, v_f, _ = both_paths(np.diag([2.0, 1.0, 2.0, 3.0, 1.0, 2.0]).astype(complex))
+        assert np.abs(v_k - v_f).max() <= 1e-8
+
+    def test_identity_is_exact_on_both_paths(self, both_paths):
+        v_k, v_f, w = both_paths(np.eye(16, dtype=complex))
+        assert np.array_equal(w, np.ones(16))
+        assert np.array_equal(v_k, np.eye(16)) and np.array_equal(v_f, np.eye(16))
 
 
 class TestDeriveSubchannels:
@@ -368,6 +422,22 @@ class TestSubchannelGains:
         xi, phi = subchannel_gains(h, noise)
         sub = derive_subchannels(h, noise)
         assert np.array_equal(xi, sub.xi) and np.array_equal(phi, sub.phi)
+
+
+    def test_numpy_peak_memory_is_three_matrices(self):
+        # the gains hold C^H C, LAPACK's working copy of it and the basis,
+        # plus column strips; C is released once C^H C is formed
+        shape, noise, h = eva_instance(64, 6, 0.8, seed=1)
+        assert shape.MN == 384
+        subchannel_gains(h, noise)  # resolves the LAPACK binding
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            subchannel_gains(h, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3.5 * 16 * shape.MN**2
 
 
 class TestFinalize:
