@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EVA_DELAYS_NS, EVA_POWERS_DB, SystemConfig
-from .pulse import PulseSpec, check_alpha, rrc_impulse, sampled_autocorr
+from .pulse import PulseSpec, check_alpha, lag_windows, rrc_impulse
 from .transforms import GridShape, dd_to_time
 
 
@@ -187,25 +187,24 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
     if cp > mn:  # the prefix image at m - MN would have to wrap more than once
         raise ValueError(f"CP length {cp} exceeds the frame length MN = {mn}")
 
-    # lookup table over every integer lag the sum can touch: g((k - m - l)*T_f)
-    # for delay tap l sits at lag_table[l_top - l:][k - m + mn - 1]
+    # rows l_top - l + k of the windows hold g((k - m - l)*T_f) for delay tap l,
+    # and the MN rows after those its prefix image at m - MN, which in circular
+    # mode each of the last cp columns also receives
     l_top = chan.max_delay_tap()
-    lags = np.arange(-(mn - 1) - l_top, 2 * mn)
-    lag_table = sampled_autocorr(lags, alpha, pulse)
+    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, alpha, pulse)
+    keep = mn - cp if mode == "circular" else mn
     k = np.arange(mn)
-    diff = k[:, None] - k[None, :] + (mn - 1)
 
     h = np.zeros((mn, mn), dtype=complex)
     for tap in sorted({p.delay_tap for p in chan.paths}):
         # every path on this tap shares one matched-filter response; sum their
         # Doppler-rotated gains into a single row weight
         weight = sum(p.gain * np.exp(2j * np.pi * p.doppler_tap * (k - tap) / mn)
-                     for p in chan.paths if p.delay_tap == tap)
-        gv = lag_table[l_top - tap :][diff]
-        if mode == "circular":
-            # each of the last cp symbols also arrives through its prefix copy at m - mn
-            gv[:, mn - cp :] += lag_table[l_top - tap + mn :][diff[:, mn - cp :]]
-        h += weight[:, None] * gv
+                     for p in chan.paths if p.delay_tap == tap)[:, None]
+        main = w[l_top - tap : l_top - tap + mn]
+        image = w[l_top - tap + mn : l_top - tap + 2 * mn]
+        h[:, :keep] += weight * main[:, :keep]
+        h[:, keep:] += weight * (main[:, keep:] + image[:, keep:])
     return h
 
 

@@ -72,18 +72,11 @@ def _load_config(path: str | None, seed: int | None) -> tuple[SystemConfig | Non
     return cfg, config_digest(text)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 @contextlib.contextmanager
 def _sink(path: str | None):
-    """The file at path opened for writing (None: no file) before a sweep fills it.
+    """The file at path opened for writing (None: no file) before a command fills it.
 
-    An unwritable path fails before any work; a sweep that raises leaves no
+    An unwritable path fails before any work; a command that raises leaves no
     partial file behind.  Only a regular file is removed, never a link or a
     device such as /dev/stdout.
     """
@@ -112,21 +105,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        if args.command in ("rate", "ber"):
-            with _sink(args.out) as out, _sink(getattr(args, "llr_out", None)) as llr_sink:
-                if args.command == "rate":
-                    result = run_rate_sweep(cfg, threads=args.threads, digest=digest)
-                else:
-                    result = run_ber_sweep(
-                        cfg, threads=args.threads, digest=digest, llr_sink=llr_sink)
-                (out or sys.stdout).write(result.to_csv())
-        elif args.command == "channel-dump":
-            _emit(channel_dump(cfg, digest=digest), args.out)
-        elif args.command == "validate":
-            report = validate(cfg, seed=args.seed)
-            _emit(report.format() + "\n", args.out)
-            if not report.passed:
-                return 1
+        with _sink(args.out) as out, _sink(getattr(args, "llr_out", None)) as llr_sink:
+            passed = True
+            if args.command == "rate":
+                text = run_rate_sweep(cfg, threads=args.threads, digest=digest).to_csv()
+            elif args.command == "ber":
+                text = run_ber_sweep(
+                    cfg, threads=args.threads, digest=digest, llr_sink=llr_sink).to_csv()
+            elif args.command == "channel-dump":
+                text = channel_dump(cfg, digest=digest)
+            else:
+                report = validate(cfg, seed=args.seed)
+                passed, text = report.passed, report.format() + "\n"
+            (out or sys.stdout).write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -135,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -269,7 +269,7 @@ def run_ber_sweep(
                         sol, loading = load(derive_subchannels(h, noise))
                     else:
                         h, sol, loading = link
-                    frame = run_frame(loading, sol, h, noise, sigma0_sq, rngs)
+                    frame = run_frame(loading, sol, h, sigma0_sq, rngs)
                     rx = hard_detect(frame.y_d, sol, loading)
                     counter = ber_accumulate(frame.tx_bits, rx, BerCounter())
                     records = []
@@ -567,7 +567,7 @@ def _check_link_noiseless(seed: int) -> tuple[bool, str]:
         h = effective_channel(chan, cfg)
         sol = solve_precoder(h, noise, 100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, h, noise, 0.0, [trial_rng(seed, 1, 7)])
+        frame = run_frame(loading, sol, h, 0.0, [trial_rng(seed, 1, 7)])
         rx = hard_detect(frame.y_d, sol, loading)
         total_err += int(np.count_nonzero(rx != frame.tx_bits))
     return total_err == 0, f"{total_err} bit errors across noiseless frames"

@@ -26,7 +26,7 @@ for bit 0.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +89,16 @@ class Loading:
     def loaded(self) -> np.ndarray:
         return np.flatnonzero(self.bits_per_symbol > 0)
 
+    def groups(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield (nbits, sel, rows) for each loaded order: the subchannels sel
+        carrying nbits bits and their bit rows, rows[i, j] = bit j of sel[i]."""
+        b = self.bits_per_symbol
+        offsets = np.concatenate([[0], np.cumsum(b)])
+        for nbits in SUPPORTED_BITS:
+            sel = np.flatnonzero(b == nbits)
+            if sel.size:
+                yield nbits, sel, offsets[sel][:, None] + np.arange(nbits)
+
 
 @dataclass
 class FrameRecord:
@@ -149,15 +159,9 @@ def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
         raise ValueError(f"expected {loading.total_bits} bits, got shape {bits.shape}")
     if bits.size and not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bit stream must contain only 0s and 1s")
-    b = loading.bits_per_symbol
-    x = np.zeros((b.size,) + bits.shape[1:], dtype=complex)
-    offsets = np.concatenate([[0], np.cumsum(b)])
-    for nbits in SUPPORTED_BITS:
-        sel = np.flatnonzero(b == nbits)
-        if sel.size == 0:
-            continue
-        idx = offsets[sel][:, None] + np.arange(nbits)[None, :]
-        labels = np.moveaxis(bits[idx], 1, -1) @ (1 << np.arange(nbits - 1, -1, -1))
+    x = np.zeros((loading.bits_per_symbol.size,) + bits.shape[1:], dtype=complex)
+    for nbits, sel, rows in loading.groups():
+        labels = np.moveaxis(bits[rows], 1, -1) @ (1 << np.arange(nbits - 1, -1, -1))
         x[sel] = _POINTS[nbits][labels]
     return x
 
@@ -229,13 +233,8 @@ def llr(
     _subchannel_scales(sol, loading)
     y_d = np.asarray(y_d)
     cols = y_d.reshape(y_d.shape[0], -1)
-    b = loading.bits_per_symbol
     out = np.empty((loading.total_bits, cols.shape[1]))
-    offsets = np.concatenate([[0], np.cumsum(b)])
-    for nbits in SUPPORTED_BITS:
-        sel = np.flatnonzero(b == nbits)
-        if sel.size == 0:
-            continue
+    for nbits, sel, rows in loading.groups():
         pts = _POINTS[nbits]
         bit_tab = _BIT_TABLE[nbits]
         a = sol.xi[sel] * np.sqrt(sol.gamma[sel])
@@ -246,7 +245,7 @@ def llr(
             for j in range(nbits):
                 zero = metric[:, bit_tab[:, j] == 0]
                 one = metric[:, bit_tab[:, j] == 1]
-                out[offsets[sel] + j, f] = _logsumexp(zero) - _logsumexp(one)
+                out[rows[:, j], f] = _logsumexp(zero) - _logsumexp(one)
     return out.reshape((loading.total_bits,) + y_d.shape[1:])
 
 
@@ -264,13 +263,8 @@ def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.
     _subchannel_scales(sol, loading)
     y_d = np.asarray(y_d)
     cols = y_d.reshape(y_d.shape[0], -1)
-    b = loading.bits_per_symbol
     out = np.empty((loading.total_bits, cols.shape[1]), dtype=np.uint8)
-    offsets = np.concatenate([[0], np.cumsum(b)])
-    for nbits in SUPPORTED_BITS:
-        sel = np.flatnonzero(b == nbits)
-        if sel.size == 0:
-            continue
+    for nbits, sel, rows in loading.groups():
         a = sol.xi[sel] * np.sqrt(sol.gamma[sel])
         est = cols[sel] / a[:, None]
         # running minimum over the points: first-index ties as in argmin,
@@ -282,8 +276,7 @@ def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.
             closer = d < best
             best = np.where(closer, d, best)
             nearest[closer] = c
-        idx = offsets[sel][:, None] + np.arange(nbits)[None, :]
-        out[idx] = _BIT_TABLE[nbits][nearest].transpose(0, 2, 1)
+        out[rows] = _BIT_TABLE[nbits][nearest].transpose(0, 2, 1)
     return out.reshape((loading.total_bits,) + y_d.shape[1:])
 
 
@@ -291,18 +284,21 @@ def run_frame(
     loading: Loading,
     sol: PrecoderSolution,
     h: np.ndarray,
-    noise: NoiseShape,
     sigma0_sq: float,
     rngs: Sequence[np.random.Generator],
 ) -> FrameRecord:
     """Push a block of frames through the full pipeline; frame t draws its
-    bits and then its noise from rngs[t] and fills column t of the record."""
+    bits and then its noise, shaped by the noise shape sol was derived on,
+    from rngs[t] and fills column t of the record."""
     tx_bits = np.stack(
         [rng.integers(0, 2, size=loading.total_bits, dtype=np.int64) for rng in rngs], axis=1
     )
     x = map_bits(tx_bits, loading)
     s = transmit(x, sol)
-    eta = colored_noise(noise, sigma0_sq, rngs) if sigma0_sq > 0.0 else np.zeros(s.shape, complex)
+    if sigma0_sq > 0.0:
+        eta = colored_noise(sol.sub.noise, sigma0_sq, rngs)
+    else:
+        eta = np.zeros(s.shape, complex)
     z = propagate(s, h, eta)
     return FrameRecord(tx_bits=tx_bits, x=x, s=s, z=z, y_d=receive(z, sol))
 

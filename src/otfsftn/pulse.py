@@ -151,23 +151,23 @@ def noise_shape(g: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseSha
     return NoiseShape(G=g, V=v, lam=np.maximum(lam, floor), floored=floored, floor=floor)
 
 
-def sampled_autocorr(lags: np.ndarray, alpha: float, spec: PulseSpec) -> np.ndarray:
-    """g(n*T_f) at the integer lags n, T_f = alpha*T0.
+def lag_windows(lags: np.ndarray, n: int, alpha: float, spec: PulseSpec) -> np.ndarray:
+    """The read-only strided view W[i, m] = g(lags[i+n-1-m]*T_f), T_f = alpha*T0.
 
-    At alpha = 1 the closed form's zero crossings at nonzero lags are exact
-    only up to rounding; they are pinned to exact zeros, so G and the
-    identity channel's H are exactly the identity.
+    Any n consecutive rows of W form one n x n Toeplitz matrix.  At alpha = 1
+    the closed form's zero crossings at nonzero lags, exact only up to
+    rounding, are pinned to exact zeros, so G and the identity channel's H
+    are exactly the identity.
     """
-    if alpha == 1.0:
-        return (lags == 0).astype(float)
-    return np.asarray(rc_autocorr(lags * alpha, spec))
+    g = (lags == 0).astype(float) if alpha == 1.0 else np.asarray(rc_autocorr(lags * alpha, spec))
+    return np.lib.stride_tricks.sliding_window_view(g, n)[:, ::-1]
 
 
 def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> NoiseShape:
     """Build the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) and factor it."""
     check_alpha(alpha, spec)
-    idx = np.arange(shape.MN)
-    return noise_shape(sampled_autocorr(idx, alpha, spec)[np.abs(np.subtract.outer(idx, idx))])
+    lags = np.abs(np.arange(1 - shape.MN, shape.MN))
+    return noise_shape(np.ascontiguousarray(lag_windows(lags, shape.MN, alpha, spec)))
 
 
 def gram_dd(noise: NoiseShape, shape: GridShape) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from otfsftn import (
     dump_paths,
     effective_channel,
     eva_channel,
+    gram_matrix,
     identity_channel,
     load_paths,
     rc_autocorr,
@@ -345,6 +347,79 @@ class TestPerTapBuild:
         assert h.shape == (shape.MN, shape.MN)
         kron = np.kron(np.fft.fft(np.eye(shape.N), norm="ortho"), np.eye(shape.M))
         assert np.abs(conjugate_by_dd(h, shape) - kron @ h @ kron.conj().T).max() <= 1e-12
+
+
+def gather_effective_channel(chan, cfg):
+    """Effective channel by an integer lag-index gather per delay tap, the
+    prefix image added in its own branch: the construction the strided
+    windows replaced, kept as the byte-level reference."""
+    mn = cfg.MN
+    cp = cfg.effective_cp_len()
+    l_top = chan.max_delay_tap()
+    lags = np.arange(-(mn - 1) - l_top, 2 * mn)
+    lag_table = (lags == 0).astype(float) if cfg.alpha == 1.0 else np.asarray(
+        rc_autocorr(lags * cfg.alpha, PulseSpec(beta=cfg.beta)))
+    k = np.arange(mn)
+    diff = k[:, None] - k[None, :] + (mn - 1)
+    h = np.zeros((mn, mn), dtype=complex)
+    for tap in sorted({p.delay_tap for p in chan.paths}):
+        weight = sum(p.gain * np.exp(2j * np.pi * p.doppler_tap * (k - tap) / mn)
+                     for p in chan.paths if p.delay_tap == tap)
+        gv = lag_table[l_top - tap :][diff]
+        if cfg.cp_mode == "circular":
+            gv[:, mn - cp :] += lag_table[l_top - tap + mn :][diff[:, mn - cp :]]
+        h += weight[:, None] * gv
+    return h
+
+
+def gather_gram(mn, alpha, spec):
+    """G by gathering g(|k - m|*T_f) through an integer index matrix."""
+    idx = np.arange(mn)
+    g = (idx == 0).astype(float) if alpha == 1.0 else np.asarray(rc_autocorr(idx * alpha, spec))
+    return g[np.abs(np.subtract.outer(idx, idx))]
+
+
+class TestStridedBuild:
+    # (M, N, cp_len): an odd MN = 15, the rate grid's MN = 96, and cp_len = MN
+    @pytest.mark.parametrize("m,n,cp_len", [(5, 3, 4), (16, 6, 4), (4, 2, 8)])
+    @pytest.mark.parametrize("profile", ["identity", "synthetic", "eva"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8])
+    @pytest.mark.parametrize("beta", [0.25, 0.5])
+    def test_bytes_match_index_gather(self, m, n, cp_len, profile, alpha, beta):
+        channel = {
+            "identity": ChannelConfig(),
+            "synthetic": ChannelConfig(profile="synthetic", num_paths=6, l_max=3, k_max=1),
+            "eva": ChannelConfig(profile="eva", nu_max_hz=2000.0),
+        }[profile]
+        cfg = identity_config(m, n, alpha, beta=beta, cp_len=cp_len, delta_f_hz=30e3,
+                              channel=channel)
+        spec = PulseSpec(beta=beta)
+        gram = gram_matrix(GridShape(m, n), alpha, spec).G
+        assert gram.flags.c_contiguous
+        assert gram.tobytes() == gather_gram(m * n, alpha, spec).tobytes()
+        for seed in range(2):
+            chan = channel_for_config(cfg, np.random.default_rng(seed))
+            for mode in ("circular", "literal"):
+                mode_cfg = replace(cfg, cp_mode=mode)
+                h = effective_channel(chan, mode_cfg)
+                assert h.tobytes() == gather_effective_channel(chan, mode_cfg).tobytes()
+
+    def test_peak_memory_is_two_matrices(self):
+        # H itself plus one complex product per tap; no lag-index matrix
+        cfg = identity_config(
+            64, 6, 0.8, cp_len=4,
+            channel=ChannelConfig(profile="synthetic", num_paths=20, l_max=3, k_max=5),
+        )
+        chan = channel_for_config(cfg, np.random.default_rng(1))
+        effective_channel(chan, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            effective_channel(chan, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.5 * 16 * cfg.MN**2
 
 
 class TestWaveformOracle:

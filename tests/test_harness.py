@@ -666,6 +666,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith("cannot write output:")
         assert calls == []
 
+    @pytest.mark.parametrize("command,target", [
+        ("validate", "validate"), ("channel-dump", "channel_dump"),
+    ])
+    def test_unwritable_output_fails_before_any_check(
+        self, tmp_path, capsys, monkeypatch, command, target,
+    ):
+        import otfsftn.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, target, lambda *a, **k: calls.append(a))
+        bad = tmp_path / "missing" / "x.txt"
+        args = [command, "--out", str(bad)]
+        if command == "channel-dump":
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(MINIMAL)
+            args += ["--config", str(cfg)]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith("cannot write output:")
+        assert calls == []
+        assert not bad.parent.exists()
+
     def test_failed_sweep_leaves_no_csv(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(self.FAILS_MID_SWEEP)

@@ -276,7 +276,7 @@ class TestLlr:
     def test_noiseless_signs_match_bits(self, rng):
         shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, h, noise, 0.0, [np.random.default_rng(2)])
+        frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(2)])
         vals = llr(frame.y_d, sol, loading, sigma0_sq=0.01)
         detected = (vals < 0).astype(int)
         np.testing.assert_array_equal(detected, frame.tx_bits)
@@ -326,7 +326,7 @@ class TestHardDetect:
     def test_noiseless_recovery_exact(self):
         shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
         loading = bit_loading(sol.xi, sol.gamma, 50.0, None, cfg)
-        frame = run_frame(loading, sol, h, noise, 0.0, [np.random.default_rng(3)])
+        frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(3)])
         rx = hard_detect(frame.y_d, sol, loading)
         np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -362,7 +362,7 @@ class TestLlrConsistency:
         rng2 = np.random.default_rng(41)
         soft0, soft1 = [], []
         for _ in range(300):
-            frame = run_frame(loading, sol, h, noise, sigma0_sq, [rng2])
+            frame = run_frame(loading, sol, h, sigma0_sq, [rng2])
             soft = np.tanh(llr(frame.y_d, sol, loading, sigma0_sq) / 2.0)
             soft0.extend(soft[frame.tx_bits == 0])
             soft1.extend(soft[frame.tx_bits == 1])
@@ -389,7 +389,7 @@ class TestNoiselessRecoveryGrid:
             h = effective_channel(chan, cfg)
             sol = solve_precoder(h, noise, snr=30.0)
             loading = bit_loading(sol.xi, sol.gamma, 30.0, None, cfg)
-            frame = run_frame(loading, sol, h, noise, 0.0, [np.random.default_rng(seed + 7)])
+            frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(seed + 7)])
             rx = hard_detect(frame.y_d, sol, loading)
             np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -413,13 +413,13 @@ class TestFrameBlock:
         loading = bit_loading(sol.xi, sol.gamma, 10.0, target, cfg)
         sigma0_sq, k = 0.3, 5
         rngs = [np.random.default_rng(100 + t) for t in range(k)]
-        block = run_frame(loading, sol, h, noise, sigma0_sq, rngs)
+        block = run_frame(loading, sol, h, sigma0_sq, rngs)
         rx = hard_detect(block.y_d, sol, loading)
         soft = llr(block.y_d, sol, loading, sigma0_sq)
         assert block.tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, k)
         assert block.y_d.shape == (shape.MN, k)
         for t in range(k):
-            one = run_frame(loading, sol, h, noise, sigma0_sq, [np.random.default_rng(100 + t)])
+            one = run_frame(loading, sol, h, sigma0_sq, [np.random.default_rng(100 + t)])
             y_d = one.y_d[:, 0]
             np.testing.assert_array_equal(block.tx_bits[:, t], one.tx_bits[:, 0])
             assert np.abs(block.y_d[:, t] - y_d).max() <= 1e-12 * np.abs(y_d).max()
@@ -432,7 +432,7 @@ class TestFrameRecord:
     def test_pipeline_consistency(self, rng):
         shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=10)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
-        frame = run_frame(loading, sol, h, noise, 0.1, [rng])
+        frame = run_frame(loading, sol, h, 0.1, [rng])
         assert frame.tx_bits.size == loading.total_bits
         np.testing.assert_allclose(frame.s, sol.P @ frame.x, atol=1e-12)
         np.testing.assert_allclose(frame.y_d, sol.sub.D @ frame.z, atol=1e-12)

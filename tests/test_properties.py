@@ -1,11 +1,16 @@
 """Property tests on generated inputs; derandomized, so every run draws the same examples."""
 
+import dataclasses
+import re
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+import yaml
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otfsftn import DdChannel, DdPath, Subchannels, dump_paths, finalize, load_paths, noise_shape, waterfill
-from otfsftn.config import snr_linear
+from otfsftn.config import EVA_DELAYS_NS, ConfigError, parse_config, snr_linear
 from otfsftn.link import SUPPORTED_BITS, Loading, constellation, llr, map_bits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -93,3 +98,81 @@ def test_noiseless_llr_sign_is_the_gray_mapped_bit(link):
     llrs = llr(y_d, sol, loading, sigma0_sq)
     assert np.all(np.isfinite(llrs))
     assert np.array_equal(llrs > 0.0, tx_bits == 0)
+
+
+@st.composite
+def config_mappings(draw):
+    """A valid config mapping; target_rate_bps_hz is sometimes left out."""
+    m, n = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    beta = draw(st.floats(0.0, 1.0))
+    delta_f = draw(st.floats(1e3, 6e4))
+    raw = {
+        "M": m, "N": n, "beta": beta, "delta_f_hz": delta_f,
+        "alpha": draw(st.lists(st.floats(1.0 / (1.0 + beta), 1.0), min_size=1, max_size=4, unique=True)),
+        "snr_db_grid": draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=4)),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "trials": draw(st.integers(1, 10**6)),
+        "cp_mode": draw(st.sampled_from(["literal", "circular"])),
+    }
+    profile = draw(st.sampled_from(["identity", "eva", "synthetic"]))
+    channel = {"profile": profile}
+    l_top = 0
+    if profile == "eva":
+        channel["nu_max_hz"] = draw(st.floats(0.0, delta_f / 2.0))
+        l_top = round(EVA_DELAYS_NS[-1] * 1e-9 * m * delta_f)
+    elif profile == "synthetic":
+        l_top, k_max = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+        channel.update(l_max=l_top, k_max=k_max, frac_doppler=draw(st.booleans()),
+                       num_paths=draw(st.integers(1, (l_top + 1) * (2 * k_max + 1))))
+    assume(l_top < m * n)
+    raw["channel"] = channel
+    raw["cp_len"] = draw(st.integers(l_top + 1, m * n))
+    if draw(st.booleans()):
+        raw["target_rate_bps_hz"] = draw(st.floats(1e-3, 3.0))  # at most 8 bits per symbol
+    return raw
+
+
+def _as_mapping(cfg):
+    raw = dataclasses.asdict(cfg)
+    raw["alpha"] = list(raw.pop("alpha_grid"))
+    raw["snr_db_grid"] = list(raw["snr_db_grid"])
+    return raw
+
+
+@PROPERTY
+@given(config_mappings())
+def test_config_parses_and_round_trips(raw):
+    cfg = parse_config(yaml.safe_dump(raw))
+    parsed = _as_mapping(cfg)
+    for key, value in raw.items():
+        expect = {**parsed[key], **value} if key == "channel" else value
+        assert parsed[key] == expect, key
+    assert parse_config(yaml.safe_dump(parsed)) == cfg
+
+
+# an out-of-range value for every config key; the channel section has none
+_OUT_OF_RANGE = {
+    "M": 0, "N": 0, "alpha": 1.5, "beta": 1.5, "delta_f_hz": -1.0, "cp_len": 0,
+    "snr_db_grid": 1e6, "master_seed": -1, "trials": 0, "cp_mode": "helical",
+    "target_rate_bps_hz": -1.0, "channel": None,
+    "profile": "rayleigh", "nu_max_hz": -1.0, "num_paths": 0, "l_max": -1, "k_max": -1,
+    "frac_doppler": 1,
+}
+_CHANNEL_KEYS = ("profile", "nu_max_hz", "num_paths", "l_max", "k_max", "frac_doppler")
+
+
+@settings(PROPERTY, max_examples=12)
+@given(config_mappings())
+def test_config_mutation_names_its_key(raw):
+    synthetic = raw["channel"]["profile"] == "synthetic"
+    for key, out_of_range in _OUT_OF_RANGE.items():
+        values = ["1", float("inf"), float("nan")]
+        if key != "frac_doppler":  # any bool is a valid frac_doppler
+            values.append(True)
+        if out_of_range is not None and (synthetic or key not in ("num_paths", "l_max", "k_max")):
+            values.append(out_of_range)  # only the synthetic profile bounds its path counts
+        for value in values:
+            bad = {**raw, "channel": dict(raw["channel"])}
+            (bad["channel"] if key in _CHANNEL_KEYS else bad)[key] = value
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                parse_config(yaml.safe_dump(bad))
