@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._openblas import eigh_inplace
-from .pulse import NoiseShape
+from .pulse import NoiseShape, is_identity
 
 # subchannels whose whitened gain falls below this fraction of the largest
 # are excluded from allocation (guards 1/(xi*snr) against blowup)
@@ -188,7 +188,7 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
     with C released once its Gram matrix is formed.
     """
     g = noise.G
-    if np.count_nonzero(g) != g.shape[0] or not np.all(g.diagonal() == 1.0):
+    if not is_identity(g):
         return _decompose(_gram(_whiten(h, noise)), noise)[1:]
     if h.shape != g.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")

@@ -6,9 +6,10 @@ the Nyquist interval T0.  Sampling g at the compressed interval T_f = alpha*T0
 yields a symmetric Toeplitz matrix G that is simultaneously the
 intersymbol-interference operator and the shape of the matched-filter noise
 covariance.  gram_matrix builds G and factors it, once per (alpha, beta, MN),
-into the NoiseShape that whitens the channel and colors the noise.  The
-simulator works in the time domain; the delay-Doppler image G_eq, which
-shares G's spectrum, is formed only by the oracles (gram_dd).
+into the NoiseShape that whitens the channel and colors the noise: as two
+half-order real EVDs, since G is centrosymmetric, and with none at alpha = 1,
+where G = I.  The simulator works in the time domain; the delay-Doppler image
+G_eq, which shares G's spectrum, is formed only by the oracles (gram_dd).
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ class NoiseShape:
     """The noise shape G factored once as G = V diag(lam) V^H.
 
     V is unitary, and real (so V^H = V^T) when G is real, as the simulator's
-    G always is; the delay-Doppler G_eq gives a complex V.  lam is descending
-    and clamped from below at floor (0.0 when the floor policy is disabled);
-    floored counts the clamped eigenvalues.  Every trial of an (alpha, beta,
-    MN) instance shares it read-only.
+    G always is; the delay-Doppler G_eq gives a complex V.  V is exactly I
+    where G is.  lam is descending and clamped from below at floor (0.0 when
+    the floor policy is disabled); floored counts the clamped eigenvalues.
+    Every trial of an (alpha, beta, MN) instance shares it read-only.
     """
 
     G: np.ndarray
@@ -130,16 +131,56 @@ def check_alpha(alpha: float, spec: PulseSpec) -> None:
         )
 
 
+def is_identity(g: np.ndarray) -> bool:
+    """Whether the square matrix g is exactly the identity, tested with no n x n temporary."""
+    return np.count_nonzero(g) == g.shape[0] and bool(np.all(g.diagonal() == 1.0))
+
+
+def _centrosymmetric_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenpairs of a real symmetric g = J g J from two half-order blocks.
+
+    With n = 2m + r, A = g[:m, :m] and C = g[m+r:, :m], the even vectors
+    [u; t; J u] solve A + J C, bordered for odd n by sqrt(2) times the middle
+    column and by the middle entry, and the odd ones [u; 0; -J u] solve
+    A - J C (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Ties keep the
+    order [even, odd]; each column's first entry above 1e-8 is positive.
+    """
+    n = g.shape[0]
+    m, r = divmod(n, 2)
+    even = g[: m + r, : m + r] + g[m:, : m + r][::-1]  # odd n: row and column m doubled
+    even[m:] /= np.sqrt(2.0)
+    even[:, m:] /= np.sqrt(2.0)
+    blocks = (np.linalg.eigh(even), np.linalg.eigh(g[:m, :m] - g[m + r:, :m][::-1]))
+    w = np.concatenate([blocks[0][0], blocks[1][0]])
+    order = np.argsort(-w, kind="stable")
+    col = np.argsort(order)
+    v = np.zeros((n, n))
+    for (_, b), cols, mirror in zip(blocks, (col[: m + r], col[m + r:]), (1.0, -1.0)):
+        b[:m] *= np.sqrt(0.5)
+        if b.size:
+            b *= np.sign(b[np.argmax(np.abs(b) > 1e-8, axis=0), np.arange(b.shape[1])])
+        v[: len(b), cols] = b
+        v[m + r:, cols] = mirror * b[:m][::-1]
+    return w[order], v
+
+
 def noise_shape(g: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseShape:
     """Eigendecomposition of the Hermitian noise shape G, floor policy applied.
 
-    A positive eig_floor_rel clamps eigenvalues below that fraction of the
-    largest one and logs one warning; zero disables the floor, and a singular
-    G is then rejected.  Ties keep eigh's column order, so G = I gives V = I.
+    G = I gives V = I with no eigensolver; a real centrosymmetric G (every
+    gram_matrix G) is split in two halves; any other G, such as the complex
+    G_eq, goes to eigh.  A positive eig_floor_rel clamps eigenvalues below
+    that fraction of the largest one and logs one warning; zero disables the
+    floor, and a singular G is then rejected.
     """
-    w, v = np.linalg.eigh(g)
-    order = np.argsort(-w, kind="stable")
-    lam, v = w[order], v[:, order]
+    if is_identity(g):
+        lam, v = np.ones(g.shape[0]), np.eye(g.shape[0])
+    elif np.isrealobj(g) and np.array_equal(g, g[::-1, ::-1]):
+        lam, v = _centrosymmetric_eigh(g)
+    else:
+        w, v = np.linalg.eigh(g)
+        order = np.argsort(-w, kind="stable")
+        lam, v = w[order], v[:, order]
     if lam[0] <= 0.0:
         raise ValueError("noise-shape matrix has no positive eigenvalue")
     floor = eig_floor_rel * lam[0] if eig_floor_rel > 0.0 else 0.0

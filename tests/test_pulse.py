@@ -27,6 +27,20 @@ def rrc_self_convolution(beta: float, tau: float, oversample: int = 1000, span: 
     return float(np.dot(h[shift:], h[:-shift]) * dt)
 
 
+def eigh_spy(monkeypatch) -> list[int]:
+    """Record the order of every np.linalg.eigh / eigvalsh call."""
+    orders: list[int] = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def spy(a, *args, _original=original, **kw):
+            orders.append(np.shape(a)[0])
+            return _original(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return orders
+
+
 class TestRcAutocorr:
     def test_unit_peak(self):
         for beta in (0.0, 0.25, 0.5, 1.0):
@@ -169,10 +183,12 @@ class TestNoiseShape:
         assert np.abs((ns.V * ns.lam) @ ns.V.T - ns.G).max() <= 1e-12
         assert ns.floored == 0
 
-    def test_identity_at_nyquist(self):
-        ns = gram_matrix(GridShape(4, 3), 1.0, PulseSpec(beta=0.25))
-        np.testing.assert_array_equal(ns.V, np.eye(12))
-        np.testing.assert_array_equal(ns.lam, np.ones(12))
+    def test_identity_at_nyquist(self, monkeypatch):
+        orders = eigh_spy(monkeypatch)
+        ns = gram_matrix(GridShape(64, 6), 1.0, PulseSpec(beta=0.25))
+        assert orders == []
+        np.testing.assert_array_equal(ns.V, np.eye(384))
+        np.testing.assert_array_equal(ns.lam, np.ones(384))
 
     def test_floor_clamps_and_warns_once(self, caplog):
         g = gram_matrix(GridShape(8, 4), 0.8, PulseSpec(beta=0.25)).G
@@ -188,3 +204,49 @@ class TestNoiseShape:
         with pytest.raises(ValueError, match="singular"):
             noise_shape(np.diag([1.0, 0.0]), eig_floor_rel=0.0)
         assert noise_shape(np.diag([1.0, 0.0])).floored == 1
+
+
+class TestCentrosymmetricSplit:
+    GRIDS = ((1, 1), (2, 1), (3, 1), (15, 1), (8, 4), (32, 6))
+
+    @pytest.mark.parametrize("m, n", GRIDS, ids=[f"MN{m * n}" for m, n in GRIDS])
+    @pytest.mark.parametrize("beta", (0.25, 0.5))
+    def test_agrees_with_eigh(self, m, n, beta):
+        spec = PulseSpec(beta=beta)
+        for alpha in (spec.admissible_alpha(), 0.85, 0.9):
+            ns = gram_matrix(GridShape(m, n), alpha, spec)
+            raw = np.linalg.eigvalsh(ns.G)[::-1]
+            mn = m * n
+            assert np.abs(ns.lam - np.maximum(raw, ns.floor)).max() <= 1e-13 * raw[0]
+            assert np.abs(ns.V.T @ ns.V - np.eye(mn)).max() <= 1e-12
+            assert np.abs((ns.V * ns.lam) @ ns.V.T - ns.G).max() <= 1e-12
+            assert ns.floored == int(np.count_nonzero(raw < ns.floor))
+            if alpha == spec.admissible_alpha():
+                edge = noise_shape(ns.G, eig_floor_rel=0.05)
+                assert edge.floored == int(np.count_nonzero(raw < edge.floor))
+
+    def test_half_order_solves_only(self, monkeypatch):
+        orders = eigh_spy(monkeypatch)
+        ns = gram_matrix(GridShape(64, 6), 0.8, PulseSpec(beta=0.25))
+        assert orders and max(orders) <= 192
+        assert ns.V.shape == (384, 384)
+
+    @pytest.mark.parametrize("mn", (2, 7, 15, 32, 33))
+    def test_deterministic_column_sign(self, mn):
+        v = gram_matrix(GridShape(mn, 1), 0.85, PulseSpec(beta=0.25)).V
+        first = np.argmax(np.abs(v) > 1e-8, axis=0)
+        assert np.all(v[first, np.arange(mn)] > 0.0)
+
+    @pytest.mark.parametrize("kind", ("complex-hermitian", "real-not-centrosymmetric"))
+    def test_eigh_fallback(self, kind, rng, monkeypatch):
+        n = 9
+        a = rng.standard_normal((n, n))
+        if kind == "complex-hermitian":
+            a = a + 1j * rng.standard_normal((n, n))
+        g = a @ a.conj().T + n * np.eye(n)
+        orders = eigh_spy(monkeypatch)
+        ns = noise_shape(g)
+        assert orders == [n]
+        assert np.all(np.diff(ns.lam) <= 0.0)
+        assert np.abs(ns.V.conj().T @ ns.V - np.eye(n)).max() <= 1e-12
+        assert np.abs((ns.V * ns.lam) @ ns.V.conj().T - g).max() <= 1e-12 * ns.lam[0]
