@@ -58,7 +58,7 @@ from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet
 from .precoder import (
     derive_subchannels, finalize, solve_precoder, subchannel_gains, uniform_gamma, waterfill,
 )
-from .pulse import PulseSpec, gram_dd, gram_matrix, rc_autocorr
+from .pulse import NoiseShape, PulseSpec, gram_dd, gram_matrix, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
 RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
@@ -192,12 +192,13 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
 
             def one_trial(chan):
                 xi, phi = subchannel_gains(effective_channel(chan, cfg_a), noise)
+                gamma_uniform = uniform_gamma(phi)
                 mi = np.empty((len(cfg.snr_db_grid), 2))
                 for i, snr_db in enumerate(cfg.snr_db_grid):
                     snr = snr_linear(snr_db)
                     gamma_pa, _ = waterfill(xi, phi, snr)
                     mi[i, 0] = mi_sum(xi, gamma_pa, snr)
-                    mi[i, 1] = mi_sum(xi, uniform_gamma(phi), snr)
+                    mi[i, 1] = mi_sum(xi, gamma_uniform, snr)
                 return mi
 
             mean_mi = np.mean(trial_map(one_trial, channels), axis=0)
@@ -350,6 +351,16 @@ def _eva_cfg(shape: GridShape, alpha: float, seed: int, nu_max: float = 400.0) -
     )
 
 
+def _eva_instance(
+    shape: GridShape, alpha: float, seed: int, stream: int
+) -> tuple[NoiseShape, SystemConfig, np.ndarray]:
+    """Noise shape, config and effective channel H of one EVA instance, its
+    channel drawn from trial_rng(seed, 0, stream)."""
+    cfg = _eva_cfg(shape, alpha, seed)
+    chan = channel_for_config(cfg, trial_rng(seed, 0, stream))
+    return gram_matrix(shape, alpha, PulseSpec(beta=0.25)), cfg, effective_channel(chan, cfg)
+
+
 def _check_dft_unitarity(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for n in list(range(1, 17)) + [32, 64]:
@@ -489,10 +500,7 @@ def _check_precoder_identities(seed: int) -> tuple[bool, str]:
     detail = []
     ok = True
     for shape in _VALIDATE_SHAPES:
-        noise = gram_matrix(shape, 0.9, PulseSpec(beta=0.25))
-        cfg = _eva_cfg(shape, 0.9, seed)
-        chan = channel_for_config(cfg, trial_rng(seed, 0, 4))
-        h = effective_channel(chan, cfg)
+        noise, _, h = _eva_instance(shape, 0.9, seed, 4)
         sol = solve_precoder(h, noise, 10.0)
         # the delay-Doppler pair P = (F_N kron I_M) P_t, D = D_t (F_N kron I_M)^H
         kron = _kron_dd(shape)
@@ -529,10 +537,7 @@ def _check_waterfill_kkt(seed: int) -> tuple[bool, str]:
 def _check_mi_equivalence(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
-        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
-        cfg = _eva_cfg(shape, 0.85, seed)
-        chan = channel_for_config(cfg, trial_rng(seed, 0, 5))
-        h = effective_channel(chan, cfg)
+        noise, _, h = _eva_instance(shape, 0.85, seed, 5)
         snr = 10.0
         sol = solve_precoder(h, noise, snr)
         p = _kron_dd(shape) @ sol.P  # the delay-Doppler precoder
@@ -546,10 +551,8 @@ def _check_mi_equivalence(seed: int) -> tuple[bool, str]:
 def _check_pa_dominance(seed: int) -> tuple[bool, str]:
     worst = -np.inf
     for shape in _VALIDATE_SHAPES:
-        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
-        cfg = _eva_cfg(shape, 0.85, seed)
-        chan = channel_for_config(cfg, trial_rng(seed, 0, 6))
-        sol = derive_subchannels(effective_channel(chan, cfg), noise)
+        noise, _, h = _eva_instance(shape, 0.85, seed, 6)
+        sol = derive_subchannels(h, noise)
         for snr_db in (0.0, 10.0, 20.0):
             snr = snr_linear(snr_db)
             gamma, _ = waterfill(sol.xi, sol.phi, snr)
@@ -561,10 +564,7 @@ def _check_pa_dominance(seed: int) -> tuple[bool, str]:
 def _check_link_noiseless(seed: int) -> tuple[bool, str]:
     total_err = 0
     for shape in _VALIDATE_SHAPES:
-        noise = gram_matrix(shape, 0.9, PulseSpec(beta=0.25))
-        cfg = _eva_cfg(shape, 0.9, seed)
-        chan = channel_for_config(cfg, trial_rng(seed, 0, 7))
-        h = effective_channel(chan, cfg)
+        noise, cfg, h = _eva_instance(shape, 0.9, seed, 7)
         sol = solve_precoder(h, noise, 100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
         frame = run_frame(loading, sol, h, 0.0, [trial_rng(seed, 1, 7)])

@@ -6,8 +6,10 @@ dense channel adds matched-filter-correlated noise, z = H s + eta, and the
 receive weights diagonalize the result, y_d = D z.  P and D are the
 time-domain pair of the precoder module, so no frame visits the
 delay-Doppler grid.  The result is one scalar Gaussian observation per
-subchannel, from which hard decisions and exact log-likelihood ratios are
-computed.
+subchannel.  On a square Gray QAM that observation separates once more
+into two Gray PAM axes, so hard decisions take the nearest level on each
+axis and each bit's exact log-likelihood ratio sums over the levels of its
+own axis only; no search visits the 2^b points of a constellation.
 
 Frames travel in blocks: run_frame takes one generator per frame and pushes
 an MN x k block, one frame per column, through the chain as matrix-matrix
@@ -38,30 +40,24 @@ from .pulse import NoiseShape
 SUPPORTED_BITS = (2, 4, 6, 8)
 
 
-def _gray_to_binary(v: int) -> int:
-    b = 0
-    while v:
-        b ^= v
-        v >>= 1
-    return b
-
-
-def _build_constellation(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-energy square QAM points indexed by the MSB-first bit label."""
+def _build_constellation(bits: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Unit-energy square QAM points indexed by the MSB-first bit label, and
+    the Gray PAM axis they are built from: its levels, indexed by the axis
+    label, and each axis label's bits."""
     half = bits // 2
     m_axis = 1 << half
-    pam = np.array([m_axis - 1 - 2 * _gray_to_binary(v) for v in range(m_axis)], dtype=float)
-    scale = np.sqrt(3.0 / (2.0 * (m_axis**2 - 1)))
-    labels = np.arange(1 << bits)
-    points = scale * (pam[labels >> half] + 1j * pam[labels & (m_axis - 1)])
-    bit_table = (labels[:, None] >> np.arange(bits - 1, -1, -1)[None, :]) & 1
-    return points, bit_table.astype(np.uint8)
+    k = np.arange(m_axis)  # level rank, top level first; k ^ (k >> 1) is its Gray label
+    levels = np.empty(m_axis)
+    levels[k ^ (k >> 1)] = np.sqrt(3.0 / (2.0 * (m_axis**2 - 1))) * (m_axis - 1 - 2 * k)
+    inphase, quadrature = np.divmod(np.arange(1 << bits), m_axis)
+    axis_bits = (k[:, None] >> np.arange(half - 1, -1, -1)[None, :]) & 1
+    return levels[inphase] + 1j * levels[quadrature], (levels, axis_bits.astype(np.uint8))
 
 
 _POINTS: dict[int, np.ndarray] = {}
-_BIT_TABLE: dict[int, np.ndarray] = {}
+_PAM: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 for _b in SUPPORTED_BITS:
-    _POINTS[_b], _BIT_TABLE[_b] = _build_constellation(_b)
+    _POINTS[_b], _PAM[_b] = _build_constellation(_b)
 
 
 def constellation(bits: int) -> np.ndarray:
@@ -184,7 +180,10 @@ def colored_noise(
 
     One generator gives one noise vector; a sequence gives an MN x k block
     whose column t draws its real and then its imaginary part from rng[t].
+    A variance of 0 gives zero noise; a negative or non-finite one raises.
     """
+    if not 0.0 <= sigma0_sq < np.inf:
+        raise ValueError(f"sigma0_sq must be non-negative and finite, got {sigma0_sq}")
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     w = np.stack([r.standard_normal(noise.lam.size) for r in rngs for _ in "ri"], axis=1)
     # color the real and imaginary parts of every frame in one real product;
@@ -209,11 +208,12 @@ def receive(z: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
 
 
 def _subchannel_scales(sol: PrecoderSolution, loading: Loading) -> np.ndarray:
+    """The per-subchannel scale xi*sqrt(gamma) of the observation y_d = a x + noise."""
+    a = sol.xi * np.sqrt(sol.gamma)
     sel = loading.loaded()
-    a = sol.xi[sel] * np.sqrt(sol.gamma[sel])
-    if np.any(a == 0.0):
-        bad = sel[np.flatnonzero(a == 0.0)[0]]
-        raise ValueError(f"subchannel {bad} is loaded but has zero effective gain")
+    dead = sel[a[sel] == 0.0]
+    if dead.size:
+        raise ValueError(f"subchannel {dead[0]} is loaded but has zero effective gain")
     return a
 
 
@@ -225,58 +225,56 @@ def llr(
 ) -> np.ndarray:
     """Exact per-bit log-likelihood ratios, log P[bit=0] - log P[bit=1].
 
-    Uses the Gaussian kernel exp(-|y_n - xi_n*sqrt(gamma_n)*x|^2/(xi_n*sigma0^2))
-    summed over constellation points via a stable log-sum-exp.  An MN x k
-    block of observations gives a total_bits x k block, computed column by
-    column so the per-point metrics of only one frame are held at a time.
+    The Gaussian kernel exp(-|y_n - a_n x|^2/(xi_n sigma0^2)), a_n =
+    xi_n sqrt(gamma_n), factors into an in-phase and a quadrature part, and
+    each bit of a square Gray QAM label selects the level of one axis only,
+    so the other axis cancels exactly from that bit's LLR.  Each bit's LLR
+    is therefore a stable log-sum-exp over the 2^(b/2) levels of its axis.
+    An MN x k block of observations gives a total_bits x k block.
     """
-    _subchannel_scales(sol, loading)
+    if not 0.0 < sigma0_sq < np.inf:
+        raise ValueError(f"sigma0_sq must be positive and finite, got {sigma0_sq}")
+    a = _subchannel_scales(sol, loading)
     y_d = np.asarray(y_d)
     cols = y_d.reshape(y_d.shape[0], -1)
     out = np.empty((loading.total_bits, cols.shape[1]))
     for nbits, sel, rows in loading.groups():
-        pts = _POINTS[nbits]
-        bit_tab = _BIT_TABLE[nbits]
-        a = sol.xi[sel] * np.sqrt(sol.gamma[sel])
-        var = sol.xi[sel] * sigma0_sq
-        for f in range(cols.shape[1]):
-            # metric[i, c]: log-likelihood of point c on the i-th selected subchannel
-            metric = -np.abs(cols[sel, f][:, None] - a[:, None] * pts[None, :]) ** 2 / var[:, None]
-            for j in range(nbits):
-                zero = metric[:, bit_tab[:, j] == 0]
-                one = metric[:, bit_tab[:, j] == 1]
-                out[rows[:, j], f] = _logsumexp(zero) - _logsumexp(one)
+        levels, axis_bits = _PAM[nbits]
+        y = cols[sel]
+        # metric[i, axis, f, l]: log-likelihood of level l on the in-phase (axis 0)
+        # or quadrature (axis 1) part of frame f on the i-th selected subchannel
+        dist = np.stack((y.real, y.imag), axis=1)[..., None] - a[sel, None, None, None] * levels
+        metric = -(dist**2) / (sol.xi[sel, None, None, None] * sigma0_sq)
+        per_bit = [_logsumexp(metric[..., bit == 0]) - _logsumexp(metric[..., bit == 1])
+                   for bit in axis_bits.T]
+        # (i, axis, bit of the axis, f): the in-phase bits lead the label
+        out[rows] = np.stack(per_bit, axis=2).reshape(sel.size, nbits, -1)
     return out.reshape((loading.total_bits,) + y_d.shape[1:])
 
 
 def _logsumexp(m: np.ndarray) -> np.ndarray:
-    peak = m.max(axis=1)
-    return peak + np.log(np.exp(m - peak[:, None]).sum(axis=1))
+    peak = m.max(axis=-1)
+    return peak + np.log(np.exp(m - peak[..., None]).sum(axis=-1))
 
 
 def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.ndarray:
     """Minimum-distance decisions per diagonal subchannel, demapped to bits.
 
-    An MN x k block of observations, one frame per column, gives a
-    total_bits x k block of bits.
+    The nearest square-QAM point is the nearest level on each axis; argmin
+    takes the lowest Gray label on a tie, as a first-index search over the
+    2D labels would.  An MN x k block of observations, one frame per
+    column, gives a total_bits x k block of bits.
     """
-    _subchannel_scales(sol, loading)
+    a = _subchannel_scales(sol, loading)
     y_d = np.asarray(y_d)
     cols = y_d.reshape(y_d.shape[0], -1)
     out = np.empty((loading.total_bits, cols.shape[1]), dtype=np.uint8)
     for nbits, sel, rows in loading.groups():
-        a = sol.xi[sel] * np.sqrt(sol.gamma[sel])
-        est = cols[sel] / a[:, None]
-        # running minimum over the points: first-index ties as in argmin,
-        # without holding a (subchannel, frame, point) array
-        best = np.full(est.shape, np.inf)
-        nearest = np.zeros(est.shape, dtype=np.intp)
-        for c, p in enumerate(_POINTS[nbits]):
-            d = np.abs(est - p) ** 2
-            closer = d < best
-            best = np.where(closer, d, best)
-            nearest[closer] = c
-        out[rows] = _BIT_TABLE[nbits][nearest].transpose(0, 2, 1)
+        levels, axis_bits = _PAM[nbits]
+        est = cols[sel] / a[sel, None]
+        axes = np.stack((est.real, est.imag), axis=1)
+        nearest = np.argmin(np.abs(axes[..., None] - levels), axis=-1)
+        out[rows] = axis_bits[nearest].transpose(0, 1, 3, 2).reshape(sel.size, nbits, -1)
     return out.reshape((loading.total_bits,) + y_d.shape[1:])
 
 
@@ -295,10 +293,10 @@ def run_frame(
     )
     x = map_bits(tx_bits, loading)
     s = transmit(x, sol)
-    if sigma0_sq > 0.0:
-        eta = colored_noise(sol.sub.noise, sigma0_sq, rngs)
-    else:
+    if sigma0_sq == 0.0:
         eta = np.zeros(s.shape, complex)
+    else:  # colored_noise rejects a negative or non-finite variance
+        eta = colored_noise(sol.sub.noise, sigma0_sq, rngs)
     z = propagate(s, h, eta)
     return FrameRecord(tx_bits=tx_bits, x=x, s=s, z=z, y_d=receive(z, sol))
 

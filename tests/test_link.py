@@ -28,7 +28,7 @@ from otfsftn import (
     solve_precoder,
     transmit,
 )
-from otfsftn.link import _BIT_TABLE, format_llr_records
+from otfsftn.link import format_llr_records
 
 from conftest import complex_gaussian, eva_config, identity_config
 
@@ -62,7 +62,7 @@ class TestConstellations:
     def test_gray_neighbours_differ_in_one_bit(self, bits):
         # nearest geometric neighbours along each axis flip exactly one bit
         pts = constellation(bits)
-        labels = _BIT_TABLE[bits]
+        labels = (np.arange(1 << bits)[:, None] >> np.arange(bits - 1, -1, -1)) & 1
         step = np.min(np.abs(pts[1:] - pts[0])[np.abs(pts[1:] - pts[0]) > 1e-12])
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
@@ -229,6 +229,17 @@ class TestColoredNoise:
         assert abs(prods.mean() - expect) <= 3.0 * se
 
 
+    @pytest.mark.parametrize("sigma0_sq", [-0.5, np.nan, np.inf])
+    def test_rejects_bad_variance(self, rng, sigma0_sq):
+        noise = gram_matrix(GridShape(4, 2), 0.85, PulseSpec(beta=0.25))
+        with pytest.raises(ValueError, match="sigma0_sq"):
+            colored_noise(noise, sigma0_sq, rng)
+
+    def test_zero_variance_is_noiseless(self, rng):
+        noise = gram_matrix(GridShape(4, 2), 0.85, PulseSpec(beta=0.25))
+        np.testing.assert_array_equal(colored_noise(noise, 0.0, [rng, rng]), np.zeros((8, 2)))
+
+
 class TestReceive:
     def test_noiseless_diagonal_identity(self, rng):
         shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=6)
@@ -289,29 +300,39 @@ class TestLlr:
         vals = llr(np.zeros(1, complex), Sol(), loading, 1.0)
         np.testing.assert_allclose(vals, np.zeros(2), atol=1e-12)
 
-    def test_matches_bruteforce_16qam(self, rng):
-        # direct 16-term likelihood sums, written independently of the
-        # vectorized implementation
-        loading = Loading(bits_per_symbol=np.array([4]))
+    @pytest.mark.parametrize("bits", [2, 4, 6, 8])
+    def test_matches_bruteforce(self, rng, bits):
+        # direct 2^bits-term likelihood sums over the 2D constellation, written
+        # independently of the per-axis implementation, on a block of frames
+        loading = Loading(bits_per_symbol=np.array([bits, 0, bits, bits]))
         class Sol:
-            xi = np.array([0.8])
-            gamma = np.array([1.3])
-        sigma0_sq = 0.37
-        pts = constellation(4)
-        a = 0.8 * np.sqrt(1.3)
-        for _ in range(50):
-            y = complex_gaussian(rng, 1)
-            vals = llr(y, Sol(), loading, sigma0_sq)
-            for j in range(4):
-                num = 0.0
-                den = 0.0
-                for label in range(16):
-                    like = np.exp(-abs(y[0] - a * pts[label]) ** 2 / (0.8 * sigma0_sq))
-                    if (label >> (3 - j)) & 1:
-                        den += like
-                    else:
-                        num += like
-                assert abs(vals[j] - np.log(num / den)) <= 1e-10
+            xi = np.array([0.8, 1.0, 1.7, 0.3])
+            gamma = np.array([1.3, 0.0, 0.6, 2.1])
+        sigma0_sq, frames = 0.37, 5
+        pts = constellation(bits)
+        labels = np.arange(1 << bits)
+        y = complex_gaussian(rng, 4 * frames).reshape(4, frames)
+        vals = llr(y, Sol(), loading, sigma0_sq)
+        assert vals.shape == (3 * bits, frames)
+        pos = 0
+        for n in (0, 2, 3):
+            a = Sol.xi[n] * np.sqrt(Sol.gamma[n])
+            for j in range(bits):
+                one = (labels >> (bits - 1 - j)) & 1 == 1
+                for f in range(frames):
+                    like = np.exp(-np.abs(y[n, f] - a * pts) ** 2 / (Sol.xi[n] * sigma0_sq))
+                    expect = np.log(like[~one].sum() / like[one].sum())
+                    assert abs(vals[pos, f] - expect) <= 1e-10 * max(1.0, abs(expect))
+                pos += 1
+
+    @pytest.mark.parametrize("sigma0_sq", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_bad_noise_variance(self, sigma0_sq):
+        loading = Loading(bits_per_symbol=np.array([2]))
+        class Sol:
+            xi = np.ones(1)
+            gamma = np.ones(1)
+        with pytest.raises(ValueError, match="sigma0_sq"):
+            llr(np.ones(1, complex), Sol(), loading, sigma0_sq)
 
     def test_rejects_zero_gain_loaded_subchannel(self):
         loading = Loading(bits_per_symbol=np.array([2]))
@@ -352,6 +373,25 @@ class TestHardDetect:
             soft = (llr(y, Sol(), loading, sigma0_sq) < 0).astype(np.uint8)
             np.testing.assert_array_equal(hard, soft)
 
+
+    @pytest.mark.parametrize("bits", [2, 4, 6, 8])
+    def test_matches_bruteforce_nearest_point(self, rng, bits):
+        # first-index nearest point of the 2D constellation, demapped MSB first
+        loading = Loading(bits_per_symbol=np.array([bits, bits, 0, bits]))
+        class Sol:
+            xi = np.array([1.2, 0.4, 1.0, 2.5])
+            gamma = np.array([0.9, 1.6, 0.0, 0.3])
+        frames = 200
+        pts = constellation(bits)
+        y = 1.5 * complex_gaussian(rng, 4 * frames).reshape(4, frames)
+        rx = hard_detect(y, Sol(), loading)
+        pos = 0
+        for n in (0, 1, 3):
+            est = y[n] / (Sol.xi[n] * np.sqrt(Sol.gamma[n]))
+            nearest = np.argmin(np.abs(est[:, None] - pts[None, :]) ** 2, axis=1)
+            for j in range(bits):
+                np.testing.assert_array_equal(rx[pos], (nearest >> (bits - 1 - j)) & 1)
+                pos += 1
 
 class TestLlrConsistency:
     def test_tanh_sign_structure(self):
@@ -442,6 +482,13 @@ class TestFrameRecord:
         dhp = (sol.sub.D @ kron.conj().T) @ conjugate_by_dd(h, shape) @ (kron @ sol.P)
         bound = 1e-8 * sol.xi.max()
         assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
+
+    @pytest.mark.parametrize("sigma0_sq", [-0.5, np.nan, np.inf])
+    def test_rejects_bad_noise_variance(self, sigma0_sq):
+        shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=10)
+        loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
+        with pytest.raises(ValueError, match="sigma0_sq"):
+            run_frame(loading, sol, h, sigma0_sq, [np.random.default_rng(1)])
 
     def test_llr_dump_format(self):
         loading = Loading(bits_per_symbol=np.array([2, 0, 2]))
