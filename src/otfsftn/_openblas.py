@@ -1,19 +1,14 @@
-"""The OpenBLAS that numpy loaded: its thread count and its MRRR Hermitian eigensolver.
+"""The OpenBLAS that numpy loaded: its thread count and two LAPACK Hermitian eigensolvers.
 
-numpy's wheels link one OpenBLAS, found here by name among the libraries
-mapped into the process.  Two things are taken from it through ctypes:
-
-* the thread-count functions, which single_blas_thread uses to pin BLAS to
-  one thread while trial workers run;
-* the ILP64 LAPACKE_zheevr, LAPACK's Hermitian eigensolver on multiple
-  relatively robust representations (MRRR).  It works in place on the
-  matrix and needs O(n) workspace besides the eigenvectors; numpy's eigh
-  (zheevd) copies the matrix and takes about two more n x n matrices of
-  workspace.  ctypes releases the GIL for the call, so worker threads
-  still overlap.
-
-Where numpy runs on another BLAS, neither is found: thread pinning is a
-no-op and eigh_inplace falls back to np.linalg.eigh.
+numpy's wheels link one OpenBLAS, found here by name among the mapped
+libraries.  Through ctypes it gives single_blas_thread its thread-count
+functions, and lapacke binds ILP64 LAPACKE routines on first use, not at
+import: zheevr, the MRRR eigensolver, works in place with O(n) workspace
+besides the eigenvectors (numpy's eigh, zheevd, takes about two more n x n
+matrices), and zhbev takes the eigenvalues of a Hermitian band matrix from
+its band storage.  ctypes releases the GIL, so worker threads overlap.  On
+another BLAS none is found: thread pinning is a no-op, eigh_inplace falls
+back to np.linalg.eigh, and lapacke returns None.
 """
 
 from __future__ import annotations
@@ -26,8 +21,12 @@ import numpy as np
 # thread-count functions of scipy-openblas, ILP64 and LP64 OpenBLAS; "{}" is get or set
 THREAD_FUNCTIONS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                     "openblas_{}_num_threads")
-# ILP64 LAPACKE_zheevr, as scipy-openblas and a 64_-suffixed OpenBLAS export it
-ZHEEVR = ("scipy_LAPACKE_zheevr64_", "LAPACKE_zheevr64_")
+# ILP64 LAPACKE routines, as scipy-openblas and a 64_-suffixed OpenBLAS export them
+LAPACKE_NAMES = ("scipy_LAPACKE_{}64_", "LAPACKE_{}64_")
+# argument codes after the int layout: zheevr(jobz, range, uplo, n, a, lda, vl, vu, il,
+# iu, abstol, m, w, z, ldz, isuppz) and zhbev(jobz, uplo, n, kd, ab, ldab, w, z, ldz)
+SIGNATURES = {"zheevr": "cccipiddiidpppip", "zhbev": "cciipippi"}
+_CTYPES = {"c": ctypes.c_char, "i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
@@ -56,16 +55,14 @@ def thread_controls() -> list[tuple]:
 
 
 @functools.cache
-def zheevr():
-    """The bound ILP64 LAPACKE_zheevr of the loaded OpenBLAS, or None; resolved once."""
-    lint, ptr, real = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+def lapacke(routine: str):
+    """The bound ILP64 LAPACKE_<routine> of the loaded OpenBLAS, or None; resolved once."""
     for lib in _libraries():
-        fn = next((getattr(lib, n) for n in ZHEEVR if hasattr(lib, n)), None)
+        fn = next((getattr(lib, n.format(routine)) for n in LAPACKE_NAMES
+                   if hasattr(lib, n.format(routine))), None)
         if fn is not None:
-            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
-            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, lint,
-                           ptr, lint, real, real, lint, lint, real, ptr, ptr, ptr, lint, ptr]
-            fn.restype = lint
+            fn.argtypes = [ctypes.c_int, *(_CTYPES[c] for c in SIGNATURES[routine])]
+            fn.restype = ctypes.c_int64
             return fn
     return None
 
@@ -79,7 +76,7 @@ def eigh_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Fortran-ordered.  Any other s, or a process with no LAPACKE_zheevr
     loaded, takes np.linalg.eigh, which leaves s intact.
     """
-    fn = zheevr()
+    fn = lapacke("zheevr")
     square = s.ndim == 2 and s.shape[0] == s.shape[1]
     if fn is None or not square or s.dtype != np.complex128 or not s.flags.c_contiguous:
         return np.linalg.eigh(s)
@@ -95,3 +92,15 @@ def eigh_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError(f"zheevr failed: info {info}, {found[0]} of {n} eigenpairs")
     np.conjugate(z, out=z)
     return w, z
+
+
+def band_eigvalsh(ab: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian A stored as ab[j, i - j] = A[i, j]; overwrites ab."""
+    if ab.dtype != np.complex128 or not ab.flags.c_contiguous:
+        raise ValueError("band storage must be C-contiguous complex128")
+    w = np.empty(ab.shape[0])
+    info = lapacke("zhbev")(_COL_MAJOR, b"N", b"L", ab.shape[0], ab.shape[1] - 1,
+                            ab.ctypes.data, ab.shape[1], w.ctypes.data, None, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zhbev failed: info {info}")
+    return w

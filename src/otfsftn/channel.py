@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EVA_DELAYS_NS, EVA_POWERS_DB, SystemConfig
+from .precoder import STRIP
 from .pulse import PulseSpec, check_alpha, lag_windows, rrc_impulse
 from .transforms import GridShape, dd_to_time
 
@@ -203,8 +204,10 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
                      for p in chan.paths if p.delay_tap == tap)[:, None]
         main = w[l_top - tap : l_top - tap + mn]
         image = w[l_top - tap + mn : l_top - tap + 2 * mn]
-        h[:, :keep] += weight * main[:, :keep]
-        h[:, keep:] += weight * (main[:, keep:] + image[:, keep:])
+        # a strip's product and numpy's complex copy of its real window fit in STRIP x MN
+        for rows in (slice(r, r + STRIP // 2) for r in range(0, mn, STRIP // 2)):
+            h[rows, :keep] += weight[rows] * main[rows, :keep]
+            h[rows, keep:] += weight[rows] * (main[rows, keep:] + image[rows, keep:])
     return h
 
 

@@ -176,7 +176,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     and the rectangular beta = 0 bound) are emitted as mode "nyquist", both
     water-filled: at alpha = 1 neither G nor H depends on beta, so they share
     one MI and differ only in the time-bandwidth normalization.  There
-    G = I, and the gains are eigenvalues of H^H H alone (subchannel_gains).
+    G = I, and the gains are the eigenvalues of the band H^H H (subchannel_gains).
     """
     validate_config(cfg)
     shape = GridShape(cfg.M, cfg.N)

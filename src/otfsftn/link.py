@@ -28,6 +28,7 @@ for bit 0.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -138,12 +139,14 @@ def bit_loading(
             f"target rate {target_rate_bps_hz} bps/Hz needs {total} bits but only "
             f"{max_total} fit; maximum achievable rate is {max_rate:.6g} bps/Hz"
         )
-    s_eff = xi * gamma * snr
-    margin = np.where(active, s_eff, -np.inf)
+    s_eff = (xi * gamma * snr).tolist()
+    heap = [(-s_eff[n], n, 0) for n in np.flatnonzero(active).tolist()]
+    heapq.heapify(heap)  # largest margin first, the lowest index on ties
     for _ in range(total // 2):
-        n = int(np.argmax(margin))  # argmax takes the lowest index on ties
-        b[n] += 2
-        margin[n] = s_eff[n] / (1 << b[n]) if b[n] < 8 else -np.inf
+        _, n, bits = heapq.heappop(heap)
+        b[n] = bits = bits + 2
+        if bits < 8:
+            heapq.heappush(heap, (-s_eff[n] / (1 << bits), n, bits))
     return Loading(bits_per_symbol=b)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._openblas import eigh_inplace
+from . import _openblas
 from .pulse import NoiseShape, is_identity
 
 # subchannels whose whitened gain falls below this fraction of the largest
@@ -96,7 +96,7 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if herm_err > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm_err:.3e}")
     s *= -0.5
-    w, v = eigh_inplace(s)
+    w, v = _openblas.eigh_inplace(s)
     del s
     w = -w
 
@@ -180,19 +180,44 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=np.conjugate(d, out=d).T)
 
 
+def _folded_band(h: np.ndarray) -> np.ndarray | None:
+    """H^H H as lower band storage in the order (0, n-1, 1, n-2, ...); None where kd > n/16.
+
+    Where G = I, H has one nonzero per delay tap in each row, so H^H H is a
+    cyclic band and its folded half-width, read from H's nonzeros, is at most
+    2*l_max.  The band sums the products of pairs of nonzeros in each row.
+    """
+    n = h.shape[0]
+    rows, cols = np.nonzero(h)
+    f = np.where(cols < (n + 1) // 2, 2 * cols, 2 * (n - cols) - 1)  # folded positions
+    start = np.flatnonzero(np.diff(rows, prepend=-1))
+    kd = int((np.maximum.reduceat(f, start) - np.minimum.reduceat(f, start)).max(initial=0))
+    if 16 * kd > n:
+        return None
+    v, ab = h[rows, cols], np.zeros((n, kd + 1), dtype=complex)
+    for d in range(kd + 1):  # a row's nonzeros are at most kd apart
+        same = rows[d:] == rows[: rows.size - d]
+        p, q, z = f[: rows.size - d][same], f[d:][same], (v[: rows.size - d].conj() * v[d:])[same]
+        np.add.at(ab.reshape(-1), np.minimum(p, q) * kd + np.maximum(p, q),
+                  np.where(p >= q, z, z.conj()))  # ab[j, i - j] = (H^H H)[i, j], i >= j
+    return ab
+
+
 def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.ndarray]:
     """The gains xi and energy weights phi of derive_subchannels(h, noise), with no basis or D_t.
 
-    Where G is exactly the identity, C = H and phi = 1, so xi are the
-    eigenvalues of H^H H alone; any other G takes the full decomposition,
-    with C released once its Gram matrix is formed.
+    Where G is exactly the identity, C = H and phi = 1: zhbev takes xi from
+    the folded band of H^H H, the dense eigvalsh where kd > n/16 (faster
+    there) or with no zhbev.  Any other G takes the full decomposition, with
+    C released once C^H C is formed.
     """
     g = noise.G
     if not is_identity(g):
         return _decompose(_gram(_whiten(h, noise)), noise)[1:]
     if h.shape != g.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")
-    xi = np.linalg.eigvalsh(_gram(h))[::-1]
+    band = _folded_band(h) if _openblas.lapacke("zhbev") is not None else None
+    xi = (np.linalg.eigvalsh(_gram(h)) if band is None else _openblas.band_eigvalsh(band))[::-1]
     return np.maximum(xi, 0.0), np.ones(xi.size)
 
 

@@ -28,6 +28,7 @@ from otfsftn import (
     solve_precoder,
     transmit,
 )
+from otfsftn.config import CODE_RATE, target_bits
 from otfsftn.link import format_llr_records
 
 from conftest import complex_gaussian, eva_config, identity_config
@@ -118,6 +119,37 @@ class TestBitLoading:
             if sum(a) == total
         )
         assert abs(min_margin(loading.bits_per_symbol) - best) <= 1e-12
+
+    def test_heap_matches_argmax_loop(self):
+        # the former greedy loop, one argmax over all margins per two bits, as
+        # the oracle: seeded cases with tied and zero margins, unpowered
+        # subchannels, and bit totals up to every powered subchannel at 256-QAM
+        def argmax_loading(xi, gamma, snr, total):
+            active = gamma > 0.0
+            b = np.zeros(xi.size, dtype=int)
+            s_eff = xi * gamma * snr
+            margin = np.where(active, s_eff, -np.inf)
+            for _ in range(total // 2):
+                n = int(np.argmax(margin))
+                b[n] += 2
+                margin[n] = s_eff[n] / (1 << b[n]) if b[n] < 8 else -np.inf
+            return b
+
+        rng = np.random.default_rng(7)
+        cfg = identity_config(4, 2, 0.8)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            xi = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, rng.uniform(0.1, 10.0)], size=n)
+            gamma = np.where(rng.random(n) < 0.2, 0.0, rng.choice([1.0, 2.0, 0.5], size=n))
+            powered = int(np.count_nonzero(gamma > 0.0))
+            if powered == 0:
+                continue
+            total = 2 * int(rng.integers(1, 4 * powered + 1))
+            target = CODE_RATE * total / cfg.time_bandwidth
+            assert target_bits(target, cfg) == total
+            loading = bit_loading(xi, gamma, 3.0, target, cfg)
+            np.testing.assert_array_equal(loading.bits_per_symbol,
+                                          argmax_loading(xi, gamma, 3.0, total))
 
     def test_unreachable_target_reports_maximum(self):
         cfg = identity_config(4, 2, 0.8)

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,8 @@ from otfsftn import (
 )
 import otfsftn._openblas as _openblas
 from otfsftn.channel import channel_for_config, synthetic_channel
+import otfsftn.precoder as precoder
+from otfsftn.harness import run_rate_sweep
 from otfsftn.precoder import XI_ACTIVE_REL, subchannel_gains
 from otfsftn.pulse import EIG_FLOOR_REL
 
@@ -88,7 +90,7 @@ class TestMrrrKernel:
 
     @pytest.fixture
     def both_paths(self, monkeypatch):
-        if _openblas.zheevr() is None:
+        if _openblas.lapacke("zheevr") is None:
             pytest.skip("numpy's BLAS exports no LAPACKE_zheevr")
 
         def no_eigh(*args):
@@ -101,7 +103,7 @@ class TestMrrrKernel:
                 kernel = hermitian_evd_desc(a)
             assert np.array_equal(a, before)
             with monkeypatch.context() as m:
-                m.setattr(_openblas, "zheevr", lambda: None)
+                m.setattr(_openblas, "lapacke", lambda routine: None)
                 fallback = hermitian_evd_desc(a)
             assert np.array_equal(a, before)
             (v_k, w_k), (v_f, w_f) = kernel, fallback
@@ -416,6 +418,90 @@ class TestSubchannelGains:
         ref = derive_subchannels(h, noise).xi
         assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
         assert np.all(phi == 1.0)
+
+    # (profile, M, N, cp_len, synthetic l_max, whether the band route runs):
+    # even and odd MN, prefixes as long as the frame, and at MN = 15 a
+    # multi-tap channel too wide for the band (kd > MN/16); EVA's taps reach 5
+    # at M = 63 and 64 and all round to 0 at M = 5
+    NYQUIST_CASES = [
+        ("identity", 8, 4, 4, 0, True),
+        ("identity", 5, 3, 15, 0, True),
+        ("eva", 5, 3, 15, 0, True),
+        ("synthetic", 5, 3, 15, 3, False),
+        ("synthetic", 15, 3, 45, 1, True),
+        ("synthetic", 64, 6, 4, 3, True),
+        ("eva", 63, 5, 315, 0, True),
+        ("eva", 64, 6, 6, 0, True),
+    ]
+
+    @pytest.mark.parametrize("mode", ["circular", "literal"])
+    @pytest.mark.parametrize("profile, m, n, cp_len, l_max, band", NYQUIST_CASES)
+    def test_band_gains_match_dense_eigvalsh(self, monkeypatch, profile, m, n, cp_len, l_max,
+                                             band, mode):
+        channel = ChannelConfig(profile=profile, nu_max_hz=2000.0, num_paths=8, l_max=l_max,
+                                k_max=2, frac_doppler=True)
+        cfg = identity_config(m, n, 1.0, cp_len=cp_len, cp_mode=mode, channel=channel)
+        cfg = replace(cfg, delta_f_hz=30e3)
+        h = effective_channel(channel_for_config(cfg, np.random.default_rng(m * n)), cfg)
+        noise = gram_matrix(GridShape(m, n), 1.0, PulseSpec(beta=0.25))
+        ref = np.maximum(np.linalg.eigvalsh(h.conj().T @ h)[::-1], 0.0)
+        assert (precoder._folded_band(h) is not None) == band
+        if band and _openblas.lapacke("zhbev") is None:
+            pytest.skip("numpy's BLAS exports no LAPACKE_zhbev")
+        xi, phi = subchannel_gains(h, noise)
+        assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
+        assert np.all(phi == 1.0)
+        with monkeypatch.context() as mp:  # a BLAS with no zhbev takes the dense route
+            mp.setattr(_openblas, "lapacke", lambda routine: None)
+            dense, _ = subchannel_gains(h, noise)
+        assert np.abs(dense - ref).max() <= 1e-12 * ref.max()
+
+    def test_wide_band_takes_the_dense_route(self, monkeypatch):
+        # delay taps up to 7 give kd > MN/16 = 4 at MN = 64; a dense H has
+        # too many nonzeros for any band
+        cfg = identity_config(8, 8, 1.0, cp_len=8, channel=ChannelConfig(
+            profile="synthetic", num_paths=16, l_max=7, k_max=2))
+        h = effective_channel(channel_for_config(cfg, np.random.default_rng(2)), cfg)
+        noise = gram_matrix(GridShape(8, 8), 1.0, PulseSpec(beta=0.25))
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        monkeypatch.setattr(_openblas, "band_eigvalsh", lambda ab: pytest.fail("band route ran"))
+        xi, _ = subchannel_gains(h, noise)
+        assert calls == [(64, 64)]
+        assert np.array_equal(xi, np.maximum(real(h.conj().T @ h)[::-1], 0.0))
+        assert precoder._folded_band(complex_gaussian(np.random.default_rng(3), 64 * 64)
+                                     .reshape(64, 64)) is None
+
+    def test_nyquist_rate_sweep_calls_no_eigvalsh(self, monkeypatch):
+        if _openblas.lapacke("zhbev") is None:
+            pytest.skip("numpy's BLAS exports no LAPACKE_zhbev")
+        cfg = identity_config(64, 6, 1.0, cp_len=4, trials=2, snr_db_grid=(0.0, 20.0),
+                              channel=ChannelConfig(profile="synthetic", num_paths=20,
+                                                    l_max=3, k_max=5, frac_doppler=True))
+        assert cfg.MN == 384
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh called"))
+        rows = run_rate_sweep(cfg).rows
+        assert len(rows) == 8 and all(r.mi_bits > 0.0 for r in rows)  # pa, no_pa, 2 nyquist
+
+    def test_nyquist_peak_memory_is_a_band(self):
+        # the dense route holds H^H H and eigvalsh's working copy, 1.22
+        # MN x MN matrices at MN = 384; the band route O(MN * taps), about 0.1
+        if _openblas.lapacke("zhbev") is None:
+            pytest.skip("numpy's BLAS exports no LAPACKE_zhbev")
+        cfg = identity_config(64, 6, 1.0, cp_len=4, channel=ChannelConfig(
+            profile="synthetic", num_paths=20, l_max=3, k_max=5, frac_doppler=True))
+        h = effective_channel(channel_for_config(cfg, np.random.default_rng(1)), cfg)
+        noise = gram_matrix(GridShape(64, 6), 1.0, PulseSpec(beta=0.25))
+        subchannel_gains(h, noise)  # resolves the LAPACK binding
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            subchannel_gains(h, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 0.25 * 16 * cfg.MN**2
 
     def test_full_derivation_where_g_is_not_identity(self):
         _, noise, h = eva_instance(8, 4, 0.9, seed=3)
