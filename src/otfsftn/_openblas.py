@@ -68,18 +68,18 @@ def lapacke(routine: str):
 
 
 def eigh_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of the Hermitian matrix s, overwriting s.
+    """Ascending eigenvalues and eigenvectors of the Hermitian s, read from its upper triangle.
 
-    A square C-contiguous complex128 s goes to LAPACKE_zheevr.  LAPACK
-    reads the buffer column-major, which is s^T = conj(s), so the
-    eigenvectors it returns are conjugated back in place; they come
-    Fortran-ordered.  Any other s, or a process with no LAPACKE_zheevr
-    loaded, takes np.linalg.eigh, which leaves s intact.
+    A square C-contiguous complex128 s goes to LAPACKE_zheevr, which reads it
+    column-major with uplo L, as s^T = conj(s): so it returns conjugated
+    eigenvectors, conjugated back in place and Fortran-ordered, and overwrites
+    s.  Any other s, or a process with no LAPACKE_zheevr loaded, takes
+    np.linalg.eigh on the same upper triangle, which leaves s intact.
     """
     fn = lapacke("zheevr")
     square = s.ndim == 2 and s.shape[0] == s.shape[1]
     if fn is None or not square or s.dtype != np.complex128 or not s.flags.c_contiguous:
-        return np.linalg.eigh(s)
+        return np.linalg.eigh(s, UPLO="U")
     n = s.shape[0]
     w = np.empty(n)
     z = np.empty((n, n), dtype=np.complex128, order="F")

@@ -65,7 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str | None, seed: int | None) -> tuple[SystemConfig | None, str | None]:
     if path is None:
         return None, None
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     cfg = parse_config(text)
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)

@@ -309,10 +309,8 @@ LLR_DUMP_HEADER = "frame,subchannel,bit,llr"
 
 def format_llr_records(frame_idx: int, loading: Loading, llrs: np.ndarray) -> str:
     """Delimited LLR records for one frame, one line per transmitted bit."""
-    lines = []
-    pos = 0
-    for n in loading.loaded():
-        for j in range(int(loading.bits_per_symbol[n])):
-            lines.append(f"{frame_idx},{n},{j},{llrs[pos]:.12g}")
-            pos += 1
-    return "\n".join(lines)
+    b = loading.bits_per_symbol
+    sub = np.repeat(np.arange(b.size), b)  # (subchannel, bit) labels of the LLRs in order
+    bit = np.arange(sub.size) - np.repeat(np.cumsum(b) - b, b)
+    record = f"{frame_idx},{{}},{{}},{{:.12g}}".format
+    return "\n".join(map(record, sub.tolist(), bit.tolist(), llrs.tolist()))

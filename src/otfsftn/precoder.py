@@ -4,14 +4,17 @@ The transceiver is solved in two steps, both in the time domain.
 derive_subchannels works once per channel: on the factored noise shape
 G = V diag(lam) V^T it whitens the channel into C = diag(lam)^{-1/2} V^T H,
 eigendecomposes C^H C = U_t diag(xi) U_t^H and reads the per-direction
-energy weights phi from U_t^H G U_t.  finalize works once per power
-allocation: given powers gamma (water-filled under sum(gamma*phi) = MN, the
-subchannel count, or uniform) it forms the precoder P_t = U_t diag(gamma)^{1/2}.
-The receive weights D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on
-gamma, so the derivation forms them and keeps D_t, not C; subchannel_gains
-runs the same decomposition for the gains alone.  D_t H P_t =
-diag(xi*sqrt(gamma)) and D_t G D_t^H = diag(xi), so the link becomes a bank
-of parallel scalar Gaussian subchannels with gains xi and powers gamma.
+energy weights phi from U_t^H G U_t.  -C^H C is formed once, in row strips
+of the one triangle the eigensolver reads, straight into the buffer it
+overwrites, and C is released as soon as nothing reads it.  finalize works
+once per power allocation: given powers gamma (water-filled under
+sum(gamma*phi) = MN, the subchannel count, or uniform) it forms the
+precoder P_t = U_t diag(gamma)^{1/2}.  The receive weights
+D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on gamma, so the derivation
+forms them and keeps D_t, not C; subchannel_gains runs the same
+decomposition for the gains alone.  D_t H P_t = diag(xi*sqrt(gamma)) and
+D_t G D_t^H = diag(xi), so the link becomes a bank of parallel scalar
+Gaussian subchannels with gains xi and powers gamma.
 
 The delay-Doppler map F = F_N kron I_M is unitary, so the DD-domain pair
 P = F P_t, D = D_t F^H diagonalizes H_eq = F H F^H and G_eq = F G F^H with
@@ -78,17 +81,16 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first non-negligible component is real positive, and columns inside a
     degenerate eigenvalue group are ordered by a lexicographic key.
     Returns (eigvecs, eigvals) with a = eigvecs @ diag(eigvals) @ eigvecs^H.
-    a is not modified; the one working copy, -(a + a^H)/2, is handed to
-    LAPACK's MRRR driver, which overwrites it.  Its ascending eigenvalues
-    are those of a descending, so no reordering copy is made.
+    a is checked to be Hermitian and is not modified; its one working copy,
+    -(a + a^H)/2, goes to _evd_desc_inplace, the kernel the derivations
+    call on their own buffer.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
     s = np.empty(a.shape, np.result_type(a.dtype, np.float64))
     scale, herm_err = 1.0, 0.0
-    for j in _strips(n):
+    for j in _strips(a.shape[0]):
         col, row_h = a[:, j], a[j, :].conj().T
         scale = max(scale, float(np.abs(col).max()))
         herm_err = max(herm_err, float(np.abs(col - row_h).max()))
@@ -96,9 +98,17 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if herm_err > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm_err:.3e}")
     s *= -0.5
+    return _evd_desc_inplace(s)
+
+
+def _evd_desc_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_evd_desc of -s, read from s's row-major upper triangle; zheevr overwrites s.
+
+    The ascending eigenvalues of s are those of -s descending, so no reordering copy is made.
+    """
     w, v = _openblas.eigh_inplace(s)
-    del s
     w = -w
+    n = w.size
 
     # phase-normalize: first component with |.| > 1e-8 made real positive
     lead = np.empty(n, dtype=np.intp)
@@ -117,13 +127,9 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         while j + 1 < n and abs(w[j + 1] - w[i]) <= tie:
             j += 1
         if j > i:
-            keys = [
-                (
-                    int(lead[c]),
-                    np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 9).tobytes(),
-                )
-                for c in range(i, j + 1)
-            ]
+            keys = [(int(lead[c]),
+                     np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 9).tobytes())
+                    for c in range(i, j + 1)]
             order = sorted(range(j + 1 - i), key=keys.__getitem__)
             v[:, i : j + 1] = v[:, [i + o for o in order]]
         i = j + 1
@@ -145,17 +151,16 @@ def _whiten(h: np.ndarray, noise: NoiseShape) -> np.ndarray:
     return c
 
 
-def _gram(c: np.ndarray) -> np.ndarray:
-    """C^H C, formed in row strips so that no full conj(C) is made."""
-    g = np.empty((c.shape[1], c.shape[1]), dtype=np.result_type(c.dtype, np.float64))
+def _neg_gram(c: np.ndarray) -> np.ndarray:
+    """-C^H C in the row-major upper triangle only, one row strip at a time; the rest is unset."""
+    s = np.empty((c.shape[1], c.shape[1]), dtype=np.result_type(c.dtype, np.float64))
     for j in _strips(c.shape[1]):
-        np.matmul(c[:, j].conj().T, c, out=g[j])
-    return g
+        np.matmul(-c[:, j].conj().T, c[:, j.start :], out=s[j, j.start :])
+    return s
 
 
-def _decompose(gram: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
-    """Basis U_t, gains xi and energy weights phi = diag(U_t^H G U_t) of gram = C^H C."""
-    u_t, xi = hermitian_evd_desc(gram)
+def _gains(u_t: np.ndarray, xi: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
+    """Gains xi clamped at 0 and energy weights phi = diag(U_t^H G U_t) of C^H C's EVD."""
     phi_c = np.empty(xi.size, dtype=complex)
     for j in _strips(xi.size):
         u = u_t[:, j]
@@ -163,7 +168,7 @@ def _decompose(gram: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
     imag_max = float(np.abs(phi_c.imag).max())
     if imag_max > 1e-10 * max(1.0, float(np.abs(phi_c.real).max())):
         raise AssertionError(f"energy weights are not real: max imag {imag_max:.3e}")
-    return u_t, np.maximum(xi, 0.0), phi_c.real.copy()
+    return np.maximum(xi, 0.0), phi_c.real.copy()
 
 
 def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
@@ -173,8 +178,10 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     many eigenvalues it clamped.
     """
     c = _whiten(h, noise)
-    u_t, xi, phi = _decompose(_gram(c), noise)
+    u_t, xi = _evd_desc_inplace(_neg_gram(c))  # the buffer is released once it returns
+    xi, phi = _gains(u_t, xi, noise)
     w = c @ u_t
+    del c
     w /= np.sqrt(noise.lam)[:, None]
     d = _real_matmul(noise.V, w)
     return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=np.conjugate(d, out=d).T)
@@ -213,11 +220,12 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
     """
     g = noise.G
     if not is_identity(g):
-        return _decompose(_gram(_whiten(h, noise)), noise)[1:]
+        return _gains(*_evd_desc_inplace(_neg_gram(_whiten(h, noise))), noise)
     if h.shape != g.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")
     band = _folded_band(h) if _openblas.lapacke("zhbev") is not None else None
-    xi = (np.linalg.eigvalsh(_gram(h)) if band is None else _openblas.band_eigvalsh(band))[::-1]
+    xi = (-np.linalg.eigvalsh(_neg_gram(h), UPLO="U") if band is None
+          else _openblas.band_eigvalsh(band)[::-1])
     return np.maximum(xi, 0.0), np.ones(xi.size)
 
 

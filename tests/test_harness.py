@@ -265,9 +265,9 @@ class TestNoiseShapePerInstance:
         import otfsftn.precoder as precoder
 
         sizes = []
-        real = precoder.hermitian_evd_desc
+        real = precoder._evd_desc_inplace
         monkeypatch.setattr(
-            precoder, "hermitian_evd_desc", lambda a: sizes.append(a.shape) or real(a))
+            precoder, "_evd_desc_inplace", lambda s: sizes.append(s.shape) or real(s))
         cfg = parse_config(self.SMALL)
         assert 1.0 in cfg.alpha_grid
         run_rate_sweep(cfg, threads=2)
@@ -725,6 +725,13 @@ class TestCli:
 
     def test_missing_config_exit_two(self, capsys):
         assert cli_main(["rate", "--config", "/nonexistent/x.yaml"]) == 2
+
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(MINIMAL.encode() + b"# \xff\xfe latin-1 comment\n")
+        assert cli_main(["rate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg) in err and "UTF-8" in err
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

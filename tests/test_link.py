@@ -29,7 +29,7 @@ from otfsftn import (
     transmit,
 )
 from otfsftn.config import CODE_RATE, target_bits
-from otfsftn.link import format_llr_records
+from otfsftn.link import SUPPORTED_BITS, format_llr_records
 
 from conftest import complex_gaussian, eva_config, identity_config
 
@@ -531,3 +531,27 @@ class TestFrameRecord:
             "7,2,0,0.25",
             "7,2,1,3",
         ]
+
+    @staticmethod
+    def format_llr_records_loop(frame_idx, loading, llrs):
+        # the per-record double loop the vectorized formatter replaced, kept as its oracle
+        lines = []
+        pos = 0
+        for n in loading.loaded():
+            for j in range(int(loading.bits_per_symbol[n])):
+                lines.append(f"{frame_idx},{n},{j},{llrs[pos]:.12g}")
+                pos += 1
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_llr_dump_matches_double_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 200))
+        b = rng.choice([0, *SUPPORTED_BITS], size=size, p=[0.4, 0.3, 0.1, 0.1, 0.1])
+        loading = Loading(bits_per_symbol=b)
+        # LLR columns as the BER sweep passes them: strided views of a frame block
+        llrs = (rng.standard_normal((loading.total_bits, 3)) * 10.0 ** rng.integers(-3, 4))[:, 1]
+        llrs[rng.random(llrs.size) < 0.05] = 0.0
+        frame = int(rng.integers(0, 10**6))
+        assert format_llr_records(frame, loading, llrs) == self.format_llr_records_loop(
+            frame, loading, llrs)

@@ -38,6 +38,18 @@ def random_hermitian(rng, n):
     return 0.5 * (a + a.conj().T)
 
 
+def traced_peak(call):
+    """Bytes that call() holds at its peak beyond what was allocated before it."""
+    call()  # resolves the LAPACK bindings
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def eva_instance(m, n, alpha, seed, nu_max=2000.0, beta=0.25):
     shape = GridShape(m, n)
     spec = PulseSpec(beta=beta)
@@ -465,11 +477,13 @@ class TestSubchannelGains:
         noise = gram_matrix(GridShape(8, 8), 1.0, PulseSpec(beta=0.25))
         calls = []
         real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, **kw: calls.append(a.shape) or real(a, **kw))
         monkeypatch.setattr(_openblas, "band_eigvalsh", lambda ab: pytest.fail("band route ran"))
         xi, _ = subchannel_gains(h, noise)
         assert calls == [(64, 64)]
-        assert np.array_equal(xi, np.maximum(real(h.conj().T @ h)[::-1], 0.0))
+        ref = np.maximum(real(h.conj().T @ h)[::-1], 0.0)
+        assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
         assert precoder._folded_band(complex_gaussian(np.random.default_rng(3), 64 * 64)
                                      .reshape(64, 64)) is None
 
@@ -493,15 +507,7 @@ class TestSubchannelGains:
             profile="synthetic", num_paths=20, l_max=3, k_max=5, frac_doppler=True))
         h = effective_channel(channel_for_config(cfg, np.random.default_rng(1)), cfg)
         noise = gram_matrix(GridShape(64, 6), 1.0, PulseSpec(beta=0.25))
-        subchannel_gains(h, noise)  # resolves the LAPACK binding
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            subchannel_gains(h, noise)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 0.25 * 16 * cfg.MN**2
+        assert traced_peak(lambda: subchannel_gains(h, noise)) <= 0.25 * 16 * cfg.MN**2
 
     def test_full_derivation_where_g_is_not_identity(self):
         _, noise, h = eva_instance(8, 4, 0.9, seed=3)
@@ -510,20 +516,58 @@ class TestSubchannelGains:
         assert np.array_equal(xi, sub.xi) and np.array_equal(phi, sub.phi)
 
 
-    def test_numpy_peak_memory_is_three_matrices(self):
-        # the gains hold C^H C, LAPACK's working copy of it and the basis,
-        # plus column strips; C is released once C^H C is formed
+    def test_numpy_peak_memory_is_two_matrices(self):
+        # the gains hold C and the EVD buffer while it is built, then the
+        # buffer and the basis zheevr writes, plus column strips; C is
+        # released before the EVD (3.17 matrices when C^H C was formed whole
+        # and then copied for LAPACK)
         shape, noise, h = eva_instance(64, 6, 0.8, seed=1)
         assert shape.MN == 384
-        subchannel_gains(h, noise)  # resolves the LAPACK binding
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            subchannel_gains(h, noise)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 3.5 * 16 * shape.MN**2
+        assert traced_peak(lambda: subchannel_gains(h, noise)) <= 2.5 * 16 * shape.MN**2
+
+
+class TestGramBuffer:
+    """-C^H C built as one triangle in the buffer the eigensolver overwrites."""
+
+    @pytest.mark.parametrize("m, n", [(5, 3), (32, 6), (64, 6)])
+    def test_kernel_matches_checked_entry(self, m, n):
+        # MN = 15, 192 and 384: odd, and not a multiple of STRIP
+        _, noise, h = eva_instance(m, n, 0.8, seed=m)
+        c = precoder._whiten(h, noise)
+        g = c.conj().T @ c
+        g = np.triu(g) + np.triu(g, 1).conj().T  # the Hermitian matrix the upper triangle holds
+        u_ref, xi_ref = hermitian_evd_desc(g)
+        u_t, xi = precoder._evd_desc_inplace(precoder._neg_gram(c))
+        assert np.array_equal(xi, xi_ref) and np.array_equal(u_t, u_ref)
+
+    @pytest.mark.parametrize("zheevr", [True, False])
+    def test_only_the_upper_triangle_is_read(self, monkeypatch, zheevr):
+        if zheevr and _openblas.lapacke("zheevr") is None:
+            pytest.skip("numpy's BLAS exports no LAPACKE_zheevr")
+        _, noise, h = eva_instance(8, 5, 0.8, seed=4)
+        ref = derive_subchannels(h, noise)
+        real = precoder._neg_gram
+
+        def poisoned(c):
+            s = real(c)
+            s[np.tril_indices(s.shape[0], -1)] = np.nan
+            return s
+
+        monkeypatch.setattr(precoder, "_neg_gram", poisoned)
+        if not zheevr:
+            monkeypatch.setattr(_openblas, "lapacke", lambda routine: None)
+        sub = derive_subchannels(h, noise)
+        assert np.abs(sub.xi - ref.xi).max() <= 1e-12 * ref.xi.max()
+        assert np.abs(sub.U_t - ref.U_t).max() <= 1e-8
+        xi, phi = subchannel_gains(h, noise)
+        assert np.array_equal(xi, sub.xi) and np.array_equal(phi, sub.phi)
+
+    def test_derivation_peak_memory(self):
+        # C, the buffer and the basis during the EVD; C, U_t and W = C U_t
+        # after it; then U_t, W and D.  4.17 matrices when C^H C was formed
+        # whole and then copied for LAPACK
+        shape, noise, h = eva_instance(64, 6, 0.8, seed=1)
+        assert traced_peak(lambda: derive_subchannels(h, noise)) <= 3.25 * 16 * shape.MN**2
 
 
 class TestFinalize:
