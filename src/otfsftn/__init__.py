@@ -40,6 +40,7 @@ from .link import (
     propagate,
     receive,
     run_frame,
+    scalar_frames,
     transmit,
 )
 from .metrics import (
@@ -73,7 +74,8 @@ __all__ = [
     "PrecoderSolution", "Subchannels", "derive_subchannels", "finalize",
     "hermitian_evd_desc", "solve_precoder", "uniform_gamma", "waterfill",
     "FrameRecord", "Loading", "bit_loading", "colored_noise", "constellation",
-    "hard_detect", "llr", "map_bits", "propagate", "receive", "run_frame", "transmit",
+    "hard_detect", "llr", "map_bits", "propagate", "receive", "run_frame", "scalar_frames",
+    "transmit",
     "BerCounter", "RatePoint", "ber_accumulate", "frame_energy", "info_rate",
     "mi_logdet", "mi_sum", "transmission_rate",
     "SweepResult", "ValidationReport", "channel_dump", "run_ber_sweep",

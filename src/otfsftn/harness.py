@@ -9,18 +9,17 @@ threads, with OpenBLAS pinned to one thread while they run; set-up outside
 the trials, and threads == 1, keep the user's BLAS thread count.  CSVs are
 byte-identical for any thread count.  The LLR dump is byte-identical for any
 threads >= 2, and at threads == 1 when BLAS runs one thread; other BLAS
-counts split reductions differently and may move LLRs in the last digits.
-The identity channel's G, H and subchannel basis are exactly the identity,
-so its BER CSV does not depend on the BLAS thread count either.
+counts split reductions differently and may move gains and LLRs in the last
+digits.  At alpha = 1 the identity channel's G and H are exactly I and its
+gains exactly 1, so its BER CSV does not depend on the BLAS thread count.
 
-A BER sweep point runs its frames in blocks.  On a shared channel (profile
-identity) the channel and its subchannel decomposition are solved once per
-alpha, and trial indices are cut into consecutive blocks of FRAME_BLOCK
-frames, each one matrix-matrix pass of the link; a per-trial channel gives
-blocks of one frame.  Block boundaries depend only on trial indices, and
-worker threads map whole blocks, so the thread count never changes which
-frames share a product.  A derivation carries its receive weights from the
-start, so workers only read it.
+A BER point water-fills and bit-loads each channel's gains (subchannel_gains)
+and draws its frames on the scalar-equivalent link (link.scalar_frames),
+with no precoder or receive weights; validate holds it against the matrix
+link.  On a shared channel (profile identity) the gains are solved once per
+alpha and trial indices are cut into consecutive blocks of FRAME_BLOCK
+frames; a per-trial channel gives blocks of one frame.  Block boundaries
+depend only on trial indices, and worker threads map whole blocks.
 """
 
 from __future__ import annotations
@@ -53,10 +52,11 @@ from .link import (
     hard_detect,
     llr,
     run_frame,
+    scalar_frames,
 )
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
 from .precoder import (
-    derive_subchannels, finalize, solve_precoder, subchannel_gains, uniform_gamma, waterfill,
+    derive_subchannels, solve_precoder, subchannel_gains, uniform_gamma, waterfill,
 )
 from .pulse import NoiseShape, PulseSpec, gram_dd, gram_matrix, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
@@ -64,8 +64,8 @@ from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time
 RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
 BER_CSV_HEADER = "snr_db,alpha,beta,target_rate,bits,errors,ber,trials"
 
-# frames per block on a shared channel: wide enough for matrix-matrix
-# products, small enough that the MN x FRAME_BLOCK working set stays minor
+# frames per block on a shared channel: wide enough to vectorize the draws
+# and detection, small enough that the MN x FRAME_BLOCK working set stays minor
 FRAME_BLOCK = 64
 
 
@@ -229,10 +229,10 @@ def run_ber_sweep(
     """Uncoded BER over the (alpha, snr) grid with exact bit and error counts.
 
     A fresh channel realization is drawn per trial, except on the identity
-    channel, whose subchannels are derived once per alpha and power-loaded
-    per SNR point.  When llr_sink (a writable text file) is given, per-frame
-    exact LLR records are streamed to it in the delimited format of the link
-    layer.
+    channel, whose gains are solved once per alpha and power-loaded per SNR
+    point; frames run on the scalar-equivalent link.  When llr_sink (a
+    writable text file) is given, per-frame exact LLR records are streamed to
+    it in the delimited format of the link layer.
     """
     validate_config(cfg)
     shared = cfg.channel.profile == "identity"
@@ -250,32 +250,31 @@ def run_ber_sweep(
             cfg_a = cfg.with_alpha(alpha)
             noise = gram_matrix(shape, alpha, PulseSpec(beta=cfg.beta))
             if shared:
-                h_shared = effective_channel(identity_channel(), cfg_a)
-                sub_shared = derive_subchannels(h_shared, noise)
+                gains_shared = subchannel_gains(effective_channel(identity_channel(), cfg_a), noise)
             for snr_db in cfg.snr_db_grid:
                 snr = snr_linear(snr_db)
                 sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
 
-                def load(sub):
-                    """Water-fill, finalize and bit-load the derivation at this SNR."""
-                    sol = finalize(sub, waterfill(sub.xi, sub.phi, snr)[0])
-                    return sol, bit_loading(sub.xi, sol.gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
+                def load(xi, phi):
+                    """Water-fill and bit-load the gains at this SNR."""
+                    gamma = waterfill(xi, phi, snr)[0]
+                    return xi, gamma, bit_loading(xi, gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
 
-                link = (h_shared, *load(sub_shared)) if shared else None
+                link = load(*gains_shared) if shared else None
 
                 def one_block(block: range) -> tuple[BerCounter, list[str]]:
                     rngs = [trial_rng(cfg.master_seed, point_idx, t) for t in block]
                     if link is None:
                         h = effective_channel(channel_for_config(cfg_a, rngs[0]), cfg_a)
-                        sol, loading = load(derive_subchannels(h, noise))
+                        xi, gamma, loading = load(*subchannel_gains(h, noise))
                     else:
-                        h, sol, loading = link
-                    frame = run_frame(loading, sol, h, sigma0_sq, rngs)
-                    rx = hard_detect(frame.y_d, sol, loading)
-                    counter = ber_accumulate(frame.tx_bits, rx, BerCounter())
+                        xi, gamma, loading = link
+                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rngs)
+                    rx = hard_detect(y_d, xi, gamma, loading)
+                    counter = ber_accumulate(tx_bits, rx, BerCounter())
                     records = []
                     if llr_sink is not None:
-                        llrs = llr(frame.y_d, sol, loading, sigma0_sq)
+                        llrs = llr(y_d, xi, gamma, loading, sigma0_sq)
                         records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
                     return counter, records
 
@@ -568,9 +567,35 @@ def _check_link_noiseless(seed: int) -> tuple[bool, str]:
         sol = solve_precoder(h, noise, 100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
         frame = run_frame(loading, sol, h, 0.0, [trial_rng(seed, 1, 7)])
-        rx = hard_detect(frame.y_d, sol, loading)
+        rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
         total_err += int(np.count_nonzero(rx != frame.tx_bits))
     return total_err == 0, f"{total_err} bit errors across noiseless frames"
+
+
+def _check_llr_calibration(seed: int) -> tuple[bool, str]:
+    """Matrix-link hard-decision errors against the count the exact LLRs predict.
+
+    An exact LLR L makes its hard decision wrong with probability
+    p = 1/(1 + e^|L|), so the errors of independent bits have mean sum(p)
+    and variance sum(p(1 - p)) for any channel and seed (Land, Hoeher et al.,
+    2005).  QPSK makes the hard decision the LLR's sign.  One 2 dB point over
+    four EVA instances of 256 frames each.
+    """
+    snr = snr_linear(2.0)
+    errors, mean, var = 0, 0.0, 0.0
+    for stream in range(9, 13):
+        noise, cfg, h = _eva_instance(GridShape(16, 4), 0.9, seed, stream)
+        sol = solve_precoder(h, noise, snr)
+        loading = bit_loading(sol.xi, sol.gamma, snr, None, cfg)
+        frame = run_frame(loading, sol, h, 1.0 / snr, [trial_rng(seed, stream, t) for t in range(256)])
+        rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
+        soft = llr(frame.y_d, sol.xi, sol.gamma, loading, 1.0 / snr)
+        p = np.exp(-np.logaddexp(0.0, np.abs(soft)))  # 1/(1 + e^|L|) without overflow
+        errors += int(np.count_nonzero(rx != frame.tx_bits))
+        mean += float(p.sum())
+        var += float((p * (1.0 - p)).sum())
+    z = (errors - mean) / var**0.5
+    return abs(z) <= 5.0, f"{errors} errors, LLRs predict {mean:.1f}: z = {z:+.2f} (bound 5)"
 
 
 def _check_waveform_oracle(seed: int) -> tuple[bool, str]:
@@ -603,6 +628,7 @@ _CHECKS = (
     ("mi-equivalence", _check_mi_equivalence),
     ("pa-dominance", _check_pa_dominance),
     ("link-noiseless", _check_link_noiseless),
+    ("link-llr-calibration", _check_llr_calibration),
     ("waveform-oracle", _check_waveform_oracle),
 )
 

@@ -1,22 +1,23 @@
-"""End-to-end frame pipeline on the diagonalized link.
+"""End-to-end frame pipeline on the diagonalized link, and its scalar equivalent.
 
 Bits are Gray-mapped onto per-subchannel QAM constellations chosen by the
-bit loader and precoded straight into time-domain samples, s = P x.  The
-dense channel adds matched-filter-correlated noise, z = H s + eta, and the
-receive weights diagonalize the result, y_d = D z.  P and D are the
-time-domain pair of the precoder module, so no frame visits the
-delay-Doppler grid.  The result is one scalar Gaussian observation per
-subchannel.  On a square Gray QAM that observation separates once more
+bit loader.  The matrix link, run_frame, precodes them into time-domain
+samples, s = P x, adds matched-filter-correlated noise behind the dense
+channel, z = H s + eta, and diagonalizes the result, y_d = D z, with the
+precoder module's time-domain pair P, D.  That leaves one scalar Gaussian
+observation per subchannel, y_d = xi sqrt(gamma) x + n with independent
+n_k ~ CN(0, sigma0^2 xi_k), which scalar_frames draws with no matrix
+product: the BER sweep runs on it, and run_frame is its oracle.  Detection
+reads only xi and gamma.  On a square Gray QAM the observation separates
 into two Gray PAM axes, so hard decisions take the nearest level on each
-axis and each bit's exact log-likelihood ratio sums over the levels of its
-own axis only; no search visits the 2^b points of a constellation.
+axis and each bit's exact LLR sums over the levels of its own axis only.
 
-Frames travel in blocks: run_frame takes one generator per frame and pushes
-an MN x k block, one frame per column, through the chain as matrix-matrix
-products (P X, H S + E, D Z).  Frame t draws its bits and then its two noise
-vectors from its own generator, so a frame's realization does not depend on
-the block it rides in.  The transmit, noise, channel, receive and detection
-functions accept one frame or a block.
+Both paths take one generator per frame and fill an MN x k block, one frame
+per column; frame t draws its bits and then its two noise vectors from its
+own generator, so a frame does not depend on its block, and where H, P, D
+and the noise basis are exactly I (the identity channel at alpha = 1) the
+paths agree bit for bit.  The transmit, noise, channel, receive and
+detection functions accept one frame or a block.
 
 Gray mapping conventions (fixed here so golden files are portable):
 QPSK maps the bit pair (b0, b1) to ((1-2*b0) + 1j*(1-2*b1))/sqrt(2); square
@@ -174,6 +175,15 @@ def transmit(x: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
     return sol.P @ x
 
 
+def _scaled_white(var: np.ndarray, sigma0_sq: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """sqrt(sigma0^2 var / 2) w for an MN x 2k standard normal w whose columns 2t and 2t + 1,
+    read as one complex column, are frame t's real and then imaginary draw from rngs[t]."""
+    if not 0.0 <= sigma0_sq < np.inf:
+        raise ValueError(f"sigma0_sq must be non-negative and finite, got {sigma0_sq}")
+    w = np.stack([r.standard_normal(var.size) for r in rngs for _ in "ri"], axis=1)
+    return np.sqrt(0.5 * sigma0_sq * var)[:, None] * w
+
+
 def colored_noise(
     noise: NoiseShape,
     sigma0_sq: float,
@@ -185,14 +195,9 @@ def colored_noise(
     whose column t draws its real and then its imaginary part from rng[t].
     A variance of 0 gives zero noise; a negative or non-finite one raises.
     """
-    if not 0.0 <= sigma0_sq < np.inf:
-        raise ValueError(f"sigma0_sq must be non-negative and finite, got {sigma0_sq}")
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    w = np.stack([r.standard_normal(noise.lam.size) for r in rngs for _ in "ri"], axis=1)
-    # color the real and imaginary parts of every frame in one real product;
-    # adjacent (real, imaginary) columns of e read as one complex column
-    e = noise.V @ (np.sqrt(0.5 * sigma0_sq * noise.lam)[:, None] * w)
-    eta = e.view(np.complex128)
+    # color the real and imaginary parts of every frame in one real product
+    eta = (noise.V @ _scaled_white(noise.lam, sigma0_sq, rngs)).view(np.complex128)
     return eta[:, 0] if isinstance(rng, np.random.Generator) else eta
 
 
@@ -210,9 +215,9 @@ def receive(z: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
     return sol.sub.D @ z
 
 
-def _subchannel_scales(sol: PrecoderSolution, loading: Loading) -> np.ndarray:
+def _subchannel_scales(xi: np.ndarray, gamma: np.ndarray, loading: Loading) -> np.ndarray:
     """The per-subchannel scale xi*sqrt(gamma) of the observation y_d = a x + noise."""
-    a = sol.xi * np.sqrt(sol.gamma)
+    a = xi * np.sqrt(gamma)
     sel = loading.loaded()
     dead = sel[a[sel] == 0.0]
     if dead.size:
@@ -221,10 +226,7 @@ def _subchannel_scales(sol: PrecoderSolution, loading: Loading) -> np.ndarray:
 
 
 def llr(
-    y_d: np.ndarray,
-    sol: PrecoderSolution,
-    loading: Loading,
-    sigma0_sq: float,
+    y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loading, sigma0_sq: float
 ) -> np.ndarray:
     """Exact per-bit log-likelihood ratios, log P[bit=0] - log P[bit=1].
 
@@ -237,7 +239,7 @@ def llr(
     """
     if not 0.0 < sigma0_sq < np.inf:
         raise ValueError(f"sigma0_sq must be positive and finite, got {sigma0_sq}")
-    a = _subchannel_scales(sol, loading)
+    a = _subchannel_scales(xi, gamma, loading)
     y_d = np.asarray(y_d)
     cols = y_d.reshape(y_d.shape[0], -1)
     out = np.empty((loading.total_bits, cols.shape[1]))
@@ -247,7 +249,7 @@ def llr(
         # metric[i, axis, f, l]: log-likelihood of level l on the in-phase (axis 0)
         # or quadrature (axis 1) part of frame f on the i-th selected subchannel
         dist = np.stack((y.real, y.imag), axis=1)[..., None] - a[sel, None, None, None] * levels
-        metric = -(dist**2) / (sol.xi[sel, None, None, None] * sigma0_sq)
+        metric = -(dist**2) / (xi[sel, None, None, None] * sigma0_sq)
         per_bit = [_logsumexp(metric[..., bit == 0]) - _logsumexp(metric[..., bit == 1])
                    for bit in axis_bits.T]
         # (i, axis, bit of the axis, f): the in-phase bits lead the label
@@ -260,7 +262,7 @@ def _logsumexp(m: np.ndarray) -> np.ndarray:
     return peak + np.log(np.exp(m - peak[..., None]).sum(axis=-1))
 
 
-def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.ndarray:
+def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loading) -> np.ndarray:
     """Minimum-distance decisions per diagonal subchannel, demapped to bits.
 
     The nearest square-QAM point is the nearest level on each axis; argmin
@@ -268,7 +270,7 @@ def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.
     2D labels would.  An MN x k block of observations, one frame per
     column, gives a total_bits x k block of bits.
     """
-    a = _subchannel_scales(sol, loading)
+    a = _subchannel_scales(xi, gamma, loading)
     y_d = np.asarray(y_d)
     cols = y_d.reshape(y_d.shape[0], -1)
     out = np.empty((loading.total_bits, cols.shape[1]), dtype=np.uint8)
@@ -281,6 +283,10 @@ def hard_detect(y_d: np.ndarray, sol: PrecoderSolution, loading: Loading) -> np.
     return out.reshape((loading.total_bits,) + y_d.shape[1:])
 
 
+def _draw_bits(loading: Loading, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    return np.stack([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], axis=1)
+
+
 def run_frame(
     loading: Loading,
     sol: PrecoderSolution,
@@ -291,9 +297,7 @@ def run_frame(
     """Push a block of frames through the full pipeline; frame t draws its
     bits and then its noise, shaped by the noise shape sol was derived on,
     from rngs[t] and fills column t of the record."""
-    tx_bits = np.stack(
-        [rng.integers(0, 2, size=loading.total_bits, dtype=np.int64) for rng in rngs], axis=1
-    )
+    tx_bits = _draw_bits(loading, rngs)
     x = map_bits(tx_bits, loading)
     s = transmit(x, sol)
     if sigma0_sq == 0.0:
@@ -302,6 +306,19 @@ def run_frame(
         eta = colored_noise(sol.sub.noise, sigma0_sq, rngs)
     z = propagate(s, h, eta)
     return FrameRecord(tx_bits=tx_bits, x=x, s=s, z=z, y_d=receive(z, sol))
+
+
+def scalar_frames(
+    loading: Loading, xi: np.ndarray, gamma: np.ndarray, sigma0_sq: float,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """run_frame's tx_bits and y_d, drawn from the same generators on the scalar
+    equivalent y_d = xi sqrt(gamma) x + n, n_k ~ CN(0, sigma0^2 xi_k), as
+    D H P = diag(xi*sqrt(gamma)) and D G D^H = diag(xi).  A variance of 0 gives
+    no noise; a negative or non-finite one raises."""
+    tx_bits = _draw_bits(loading, rngs)
+    noise = _scaled_white(xi, sigma0_sq, rngs).view(np.complex128)
+    return tx_bits, (xi * np.sqrt(gamma))[:, None] * map_bits(tx_bits, loading) + noise
 
 
 LLR_DUMP_HEADER = "frame,subchannel,bit,llr"

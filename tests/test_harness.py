@@ -357,9 +357,9 @@ class TestBerSweep:
         import otfsftn.harness as harness
 
         calls = []
-        real = harness.derive_subchannels
+        real = harness.subchannel_gains
         monkeypatch.setattr(
-            harness, "derive_subchannels", lambda *a: calls.append(1) or real(*a)
+            harness, "subchannel_gains", lambda *a: calls.append(1) or real(*a)
         )
         cfg = parse_config(
             AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]").replace("trials: 40", "trials: 140")
@@ -404,34 +404,34 @@ class TestThreads:
         for (_, put), count in zip(controls, before):
             put(count)
 
-    def _spy_derive(self, monkeypatch, controls, fail=False):
+    def _spy_gains(self, monkeypatch, controls, fail=False):
         seen = []
-        real = harness.derive_subchannels
+        real = harness.subchannel_gains
 
         def spy(*args):
             seen.append(_blas_counts(controls))
             if fail:
-                raise RuntimeError("derive failed")
+                raise RuntimeError("gains failed")
             return real(*args)
 
-        monkeypatch.setattr(harness, "derive_subchannels", spy)
+        monkeypatch.setattr(harness, "subchannel_gains", spy)
         return seen
 
     def test_pool_pins_blas_and_restores_it(self, blas_two, monkeypatch):
-        seen = self._spy_derive(monkeypatch, blas_two)
+        seen = self._spy_gains(monkeypatch, blas_two)
         run_ber_sweep(parse_config(EVA_BER), threads=2)
         assert len(seen) == 6 and all(c == [1] * len(blas_two) for c in seen)
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     def test_blas_restored_when_sweep_raises(self, blas_two, monkeypatch):
-        seen = self._spy_derive(monkeypatch, blas_two, fail=True)
-        with pytest.raises(RuntimeError, match="derive failed"):
+        seen = self._spy_gains(monkeypatch, blas_two, fail=True)
+        with pytest.raises(RuntimeError, match="gains failed"):
             run_ber_sweep(parse_config(EVA_BER), threads=2)
         assert seen and seen[0] == [1] * len(blas_two)
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     def test_single_thread_leaves_blas_alone(self, blas_two, monkeypatch):
-        seen = self._spy_derive(monkeypatch, blas_two)
+        seen = self._spy_gains(monkeypatch, blas_two)
         run_ber_sweep(parse_config(EVA_BER), threads=1)
         assert seen and all(c == [2] * len(blas_two) for c in seen)
 
@@ -556,6 +556,23 @@ class TestValidate:
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["gram-floor-policy"]
 
+
+    def test_mismatched_noise_variance_detected(self, monkeypatch):
+        # the matrix link draws its noise 10 % stronger than the LLRs assume:
+        # only the LLR calibration check can see it
+        import otfsftn.link as link
+
+        real = link.colored_noise
+        monkeypatch.setattr(
+            link, "colored_noise", lambda noise, sigma0_sq, rng: real(noise, 1.1 * sigma0_sq, rng))
+        report = validate()
+        failed = [c.name for c in report.checks if not c.ok]
+        assert failed == ["link-llr-calibration"]
+
+    @pytest.mark.parametrize("seed", [20240901, 7919])
+    def test_llr_calibration_passes_at_ci_seeds(self, seed):
+        ok, detail = harness._check_llr_calibration(seed)
+        assert ok, detail
 
 class TestCli:
     def test_validate_exit_zero(self, capsys):
@@ -768,6 +785,7 @@ from otfsftn import parse_config
 
 harness.run_rate_sweep(parse_config({rate!r}))
 harness.run_ber_sweep(parse_config({ber!r}), threads=2, llr_sink=io.StringIO())
+harness.validate()  # the matrix link, the BER sweep's oracle
 summary = tracer.summary()
 print(json.dumps({{
     "failed": sorted({{span[1] for span in tracer.spans if not span[6]}}),
@@ -779,8 +797,9 @@ print(json.dumps({{
 
 def test_bench_tracer_runs_both_sweeps():
     # the tracer's counters read the return values of derive_subchannels,
-    # waterfill and bit_loading; a traced MN = 32 rate sweep and BER sweep
-    # with an LLR sink must complete with every span ok and every count filled
+    # waterfill and bit_loading; a traced MN = 32 rate sweep, BER sweep with
+    # an LLR sink and validate (which alone runs the matrix link) must
+    # complete with every span ok and every count filled
     root = Path(__file__).resolve().parents[1]
     script = _TRACED_SWEEPS.format(
         bench=str(root / "bench"), src=str(root / "src"),

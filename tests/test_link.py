@@ -25,11 +25,14 @@ from otfsftn import (
     rc_autocorr,
     receive,
     run_frame,
+    scalar_frames,
     solve_precoder,
     transmit,
+    waterfill,
 )
-from otfsftn.config import CODE_RATE, target_bits
+from otfsftn.config import CODE_RATE, snr_linear, target_bits
 from otfsftn.link import SUPPORTED_BITS, format_llr_records
+from otfsftn.precoder import subchannel_gains
 
 from conftest import complex_gaussian, eva_config, identity_config
 
@@ -179,11 +182,9 @@ class TestMapBits:
         bits = rng.integers(0, 2, loading.total_bits)
         x = map_bits(bits, loading)
         assert x[2] == 0.0 and x[6] == 0.0
-        # demap through a unit-gain solution
-        class Ident:
-            xi = np.ones(8)
-            gamma = np.ones(8)
-        out = hard_detect(x, Ident(), loading)
+        # demap through unit gains
+        xi, gamma = np.ones(8), np.ones(8)
+        out = hard_detect(x, xi, gamma, loading)
         np.testing.assert_array_equal(out, bits)
 
     def test_bit_count_mismatch(self):
@@ -320,16 +321,14 @@ class TestLlr:
         shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
         frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(2)])
-        vals = llr(frame.y_d, sol, loading, sigma0_sq=0.01)
+        vals = llr(frame.y_d, sol.xi, sol.gamma, loading, sigma0_sq=0.01)
         detected = (vals < 0).astype(int)
         np.testing.assert_array_equal(detected, frame.tx_bits)
 
     def test_zero_observation_gives_zero_llrs(self):
         loading = Loading(bits_per_symbol=np.array([2]))
-        class Sol:
-            xi = np.ones(1)
-            gamma = np.ones(1)
-        vals = llr(np.zeros(1, complex), Sol(), loading, 1.0)
+        xi, gamma = np.ones(1), np.ones(1)
+        vals = llr(np.zeros(1, complex), xi, gamma, loading, 1.0)
         np.testing.assert_allclose(vals, np.zeros(2), atol=1e-12)
 
     @pytest.mark.parametrize("bits", [2, 4, 6, 8])
@@ -337,22 +336,20 @@ class TestLlr:
         # direct 2^bits-term likelihood sums over the 2D constellation, written
         # independently of the per-axis implementation, on a block of frames
         loading = Loading(bits_per_symbol=np.array([bits, 0, bits, bits]))
-        class Sol:
-            xi = np.array([0.8, 1.0, 1.7, 0.3])
-            gamma = np.array([1.3, 0.0, 0.6, 2.1])
+        xi, gamma = np.array([0.8, 1.0, 1.7, 0.3]), np.array([1.3, 0.0, 0.6, 2.1])
         sigma0_sq, frames = 0.37, 5
         pts = constellation(bits)
         labels = np.arange(1 << bits)
         y = complex_gaussian(rng, 4 * frames).reshape(4, frames)
-        vals = llr(y, Sol(), loading, sigma0_sq)
+        vals = llr(y, xi, gamma, loading, sigma0_sq)
         assert vals.shape == (3 * bits, frames)
         pos = 0
         for n in (0, 2, 3):
-            a = Sol.xi[n] * np.sqrt(Sol.gamma[n])
+            a = xi[n] * np.sqrt(gamma[n])
             for j in range(bits):
                 one = (labels >> (bits - 1 - j)) & 1 == 1
                 for f in range(frames):
-                    like = np.exp(-np.abs(y[n, f] - a * pts) ** 2 / (Sol.xi[n] * sigma0_sq))
+                    like = np.exp(-np.abs(y[n, f] - a * pts) ** 2 / (xi[n] * sigma0_sq))
                     expect = np.log(like[~one].sum() / like[one].sum())
                     assert abs(vals[pos, f] - expect) <= 1e-10 * max(1.0, abs(expect))
                 pos += 1
@@ -360,19 +357,15 @@ class TestLlr:
     @pytest.mark.parametrize("sigma0_sq", [0.0, -0.5, np.nan, np.inf])
     def test_rejects_bad_noise_variance(self, sigma0_sq):
         loading = Loading(bits_per_symbol=np.array([2]))
-        class Sol:
-            xi = np.ones(1)
-            gamma = np.ones(1)
+        xi, gamma = np.ones(1), np.ones(1)
         with pytest.raises(ValueError, match="sigma0_sq"):
-            llr(np.ones(1, complex), Sol(), loading, sigma0_sq)
+            llr(np.ones(1, complex), xi, gamma, loading, sigma0_sq)
 
     def test_rejects_zero_gain_loaded_subchannel(self):
         loading = Loading(bits_per_symbol=np.array([2]))
-        class Sol:
-            xi = np.array([1.0])
-            gamma = np.array([0.0])
+        xi, gamma = np.array([1.0]), np.array([0.0])
         with pytest.raises(ValueError, match="zero effective gain"):
-            llr(np.zeros(1, complex), Sol(), loading, 1.0)
+            llr(np.zeros(1, complex), xi, gamma, loading, 1.0)
 
 
 class TestHardDetect:
@@ -380,29 +373,25 @@ class TestHardDetect:
         shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
         loading = bit_loading(sol.xi, sol.gamma, 50.0, None, cfg)
         frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(3)])
-        rx = hard_detect(frame.y_d, sol, loading)
+        rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
         np.testing.assert_array_equal(rx, frame.tx_bits)
 
     def test_sign_flip_flips_qpsk_bits(self):
         loading = Loading(bits_per_symbol=np.array([2]))
-        class Sol:
-            xi = np.ones(1)
-            gamma = np.ones(1)
+        xi, gamma = np.ones(1), np.ones(1)
         y = np.array([(1 + 1j) / np.sqrt(2)])
-        np.testing.assert_array_equal(hard_detect(y, Sol(), loading), [0, 0])
-        np.testing.assert_array_equal(hard_detect(-y, Sol(), loading), [1, 1])
+        np.testing.assert_array_equal(hard_detect(y, xi, gamma, loading), [0, 0])
+        np.testing.assert_array_equal(hard_detect(-y, xi, gamma, loading), [1, 1])
 
     def test_agrees_with_llr_signs_qpsk(self, rng):
         # Gray QPSK: minimum-distance decisions equal LLR sign decisions
         loading = Loading(bits_per_symbol=np.array([2] * 10))
-        class Sol:
-            xi = np.full(10, 1.2)
-            gamma = np.full(10, 0.9)
+        xi, gamma = np.full(10, 1.2), np.full(10, 0.9)
         sigma0_sq = 0.5
         for _ in range(1000):
             y = complex_gaussian(rng, 10) * 2.0
-            hard = hard_detect(y, Sol(), loading)
-            soft = (llr(y, Sol(), loading, sigma0_sq) < 0).astype(np.uint8)
+            hard = hard_detect(y, xi, gamma, loading)
+            soft = (llr(y, xi, gamma, loading, sigma0_sq) < 0).astype(np.uint8)
             np.testing.assert_array_equal(hard, soft)
 
 
@@ -410,16 +399,14 @@ class TestHardDetect:
     def test_matches_bruteforce_nearest_point(self, rng, bits):
         # first-index nearest point of the 2D constellation, demapped MSB first
         loading = Loading(bits_per_symbol=np.array([bits, bits, 0, bits]))
-        class Sol:
-            xi = np.array([1.2, 0.4, 1.0, 2.5])
-            gamma = np.array([0.9, 1.6, 0.0, 0.3])
+        xi, gamma = np.array([1.2, 0.4, 1.0, 2.5]), np.array([0.9, 1.6, 0.0, 0.3])
         frames = 200
         pts = constellation(bits)
         y = 1.5 * complex_gaussian(rng, 4 * frames).reshape(4, frames)
-        rx = hard_detect(y, Sol(), loading)
+        rx = hard_detect(y, xi, gamma, loading)
         pos = 0
         for n in (0, 1, 3):
-            est = y[n] / (Sol.xi[n] * np.sqrt(Sol.gamma[n]))
+            est = y[n] / (xi[n] * np.sqrt(gamma[n]))
             nearest = np.argmin(np.abs(est[:, None] - pts[None, :]) ** 2, axis=1)
             for j in range(bits):
                 np.testing.assert_array_equal(rx[pos], (nearest >> (bits - 1 - j)) & 1)
@@ -435,7 +422,7 @@ class TestLlrConsistency:
         soft0, soft1 = [], []
         for _ in range(300):
             frame = run_frame(loading, sol, h, sigma0_sq, [rng2])
-            soft = np.tanh(llr(frame.y_d, sol, loading, sigma0_sq) / 2.0)
+            soft = np.tanh(llr(frame.y_d, sol.xi, sol.gamma, loading, sigma0_sq) / 2.0)
             soft0.extend(soft[frame.tx_bits == 0])
             soft1.extend(soft[frame.tx_bits == 1])
         soft0 = np.asarray(soft0)
@@ -462,7 +449,7 @@ class TestNoiselessRecoveryGrid:
             sol = solve_precoder(h, noise, snr=30.0)
             loading = bit_loading(sol.xi, sol.gamma, 30.0, None, cfg)
             frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(seed + 7)])
-            rx = hard_detect(frame.y_d, sol, loading)
+            rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
             np.testing.assert_array_equal(rx, frame.tx_bits)
 
 
@@ -486,8 +473,8 @@ class TestFrameBlock:
         sigma0_sq, k = 0.3, 5
         rngs = [np.random.default_rng(100 + t) for t in range(k)]
         block = run_frame(loading, sol, h, sigma0_sq, rngs)
-        rx = hard_detect(block.y_d, sol, loading)
-        soft = llr(block.y_d, sol, loading, sigma0_sq)
+        rx = hard_detect(block.y_d, sol.xi, sol.gamma, loading)
+        soft = llr(block.y_d, sol.xi, sol.gamma, loading, sigma0_sq)
         assert block.tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, k)
         assert block.y_d.shape == (shape.MN, k)
         for t in range(k):
@@ -495,9 +482,69 @@ class TestFrameBlock:
             y_d = one.y_d[:, 0]
             np.testing.assert_array_equal(block.tx_bits[:, t], one.tx_bits[:, 0])
             assert np.abs(block.y_d[:, t] - y_d).max() <= 1e-12 * np.abs(y_d).max()
-            np.testing.assert_array_equal(rx[:, t], hard_detect(y_d, sol, loading))
-            ref = llr(y_d, sol, loading, sigma0_sq)
+            np.testing.assert_array_equal(rx[:, t], hard_detect(y_d, sol.xi, sol.gamma, loading))
+            ref = llr(y_d, sol.xi, sol.gamma, loading, sigma0_sq)
             assert np.abs(soft[:, t] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestScalarFrames:
+    """scalar_frames, the BER sweep's frame path, against run_frame, its oracle."""
+
+    def test_identity_block_matches_matrix_link_bit_for_bit(self):
+        # the ber-awgn512 link: identity channel at alpha = 1, MN = 512, one
+        # 64-frame block; there xi = 1 and H, V, P and D are exactly I
+        snr = snr_linear(4.0)
+        shape, cfg, noise, h, sol = _solved_identity_link(32, 16, 1.0, snr=snr)
+        xi, phi = subchannel_gains(h, noise)
+        gamma = waterfill(xi, phi, snr)[0]
+        np.testing.assert_array_equal(xi, sol.xi)
+        np.testing.assert_array_equal(gamma, sol.gamma)
+        loading = bit_loading(xi, gamma, snr, None, cfg)
+        rngs = lambda: [np.random.default_rng(300 + t) for t in range(64)]
+        oracle = run_frame(loading, sol, h, 1.0 / snr, rngs())
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, 1.0 / snr, rngs())
+        np.testing.assert_array_equal(tx_bits, oracle.tx_bits)
+        assert y_d.shape == (shape.MN, 64)
+        assert y_d.tobytes() == oracle.y_d.tobytes()
+
+    def test_eva_matches_matrix_link_in_distribution(self):
+        # at alpha = 0.8 the oracle colors its noise in G's eigenbasis, so the
+        # paths agree in distribution only: independent frames on one loading
+        # give error counts within Z = 5 binomial deviations of each other,
+        # and each path's LLR-sign errors lie within Z = 5 of the count its
+        # LLRs predict, sum(p) with p = 1/(1 + e^|L|)
+        snr = snr_linear(8.0)
+        shape, cfg, noise, h, sol = solved_eva_link(16, 4, 0.8, seed=21, snr=snr)
+        loading = bit_loading(sol.xi, sol.gamma, snr, 1.5, cfg)
+        sigma0_sq, k = 1.0 / snr, 512
+        oracle = run_frame(loading, sol, h, sigma0_sq, [np.random.default_rng(t) for t in range(k)])
+        scalar = scalar_frames(
+            loading, sol.xi, sol.gamma, sigma0_sq, [np.random.default_rng(k + t) for t in range(k)])
+        errors = []
+        for tx_bits, y_d in ((oracle.tx_bits, oracle.y_d), scalar):
+            errors.append(np.count_nonzero(hard_detect(y_d, sol.xi, sol.gamma, loading) != tx_bits))
+            soft = llr(y_d, sol.xi, sol.gamma, loading, sigma0_sq)
+            p = np.exp(-np.logaddexp(0.0, np.abs(soft)))
+            sign_errors = np.count_nonzero((soft < 0) != (tx_bits == 1))
+            assert abs(sign_errors - p.sum()) <= 5.0 * np.sqrt((p * (1.0 - p)).sum())
+        n = loading.total_bits * k
+        p_bar = sum(errors) / (2.0 * n)
+        assert min(errors) > 1000  # the point is far from error-free
+        assert abs(errors[0] - errors[1]) <= 5.0 * np.sqrt(2.0 * n * p_bar * (1.0 - p_bar)) + 1.0
+
+    def test_zero_variance_is_noiseless(self):
+        loading = Loading(bits_per_symbol=np.array([2, 0, 4]))
+        xi, gamma = np.array([0.7, 1.0, 2.0]), np.array([1.5, 0.0, 0.4])
+        rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, 0.0, rngs)
+        np.testing.assert_array_equal(y_d, (xi * np.sqrt(gamma))[:, None] * map_bits(tx_bits, loading))
+        np.testing.assert_array_equal(hard_detect(y_d, xi, gamma, loading), tx_bits)
+
+    @pytest.mark.parametrize("sigma0_sq", [-0.5, np.nan, np.inf])
+    def test_rejects_bad_noise_variance(self, sigma0_sq):
+        loading = Loading(bits_per_symbol=np.array([2]))
+        with pytest.raises(ValueError, match="sigma0_sq"):
+            scalar_frames(loading, np.ones(1), np.ones(1), sigma0_sq, [np.random.default_rng(1)])
 
 
 class TestFrameRecord:
