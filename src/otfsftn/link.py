@@ -9,8 +9,8 @@ observation per subchannel, y_d = xi sqrt(gamma) x + n with independent
 n_k ~ CN(0, sigma0^2 xi_k), which scalar_frames draws with no matrix
 product: the BER sweep runs on it, and run_frame is its oracle.  Detection
 reads only xi and gamma.  On a square Gray QAM the observation separates
-into two Gray PAM axes, so hard decisions take the nearest level on each
-axis and each bit's exact LLR sums over the levels of its own axis only.
+into two Gray PAM axes, so a hard decision is a threshold test per axis and
+each bit's exact LLR sums over the levels of its own axis only.
 
 Both paths take one generator per frame and fill an MN x k block, one frame
 per column; frame t draws its bits and then its two noise vectors from its
@@ -30,8 +30,9 @@ for bit 0.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +43,11 @@ from .pulse import NoiseShape
 SUPPORTED_BITS = (2, 4, 6, 8)
 
 
-def _build_constellation(bits: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Unit-energy square QAM points indexed by the MSB-first bit label, and
-    the Gray PAM axis they are built from: its levels, indexed by the axis
-    label, and each axis label's bits."""
+def _build_constellation(bits: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, tuple]]:
+    """Unit-energy square QAM points by MSB-first bit label, and their Gray PAM axis:
+    its levels and bits by label, and its decision tables: the inner levels, ascending;
+    per gap between them the lower label, the higher label and their levels; and
+    the labels that can win a tie of over two levels far off the axis (running minima)."""
     half = bits // 2
     m_axis = 1 << half
     k = np.arange(m_axis)  # level rank, top level first; k ^ (k >> 1) is its Gray label
@@ -53,11 +55,15 @@ def _build_constellation(bits: int) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     levels[k ^ (k >> 1)] = np.sqrt(3.0 / (2.0 * (m_axis**2 - 1))) * (m_axis - 1 - 2 * k)
     inphase, quadrature = np.divmod(np.arange(1 << bits), m_axis)
     axis_bits = (k[:, None] >> np.arange(half - 1, -1, -1)[None, :]) & 1
-    return levels[inphase] + 1j * levels[quadrature], (levels, axis_bits.astype(np.uint8))
+    up = (k ^ (k >> 1)).tolist()[::-1]  # labels in ascending level order
+    low, high = (np.array(t, np.uint8) for t in zip(*(sorted(pair) for pair in zip(up, up[1:]))))
+    runs = sorted({min(e[:i]) for e in (up, up[::-1]) for i in range(3, m_axis + 1)})
+    decision = (levels[up[1:-1]], low, high, levels[low], levels[high], runs)
+    return levels[inphase] + 1j * levels[quadrature], (levels, axis_bits.astype(np.uint8), decision)
 
 
 _POINTS: dict[int, np.ndarray] = {}
-_PAM: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_PAM: dict[int, tuple[np.ndarray, np.ndarray, tuple]] = {}
 for _b in SUPPORTED_BITS:
     _POINTS[_b], _PAM[_b] = _build_constellation(_b)
 
@@ -80,22 +86,21 @@ class Loading:
         if bad:
             raise ValueError(f"unsupported bits-per-symbol value(s): {sorted(bad)}")
 
-    @property
+    @cached_property
     def total_bits(self) -> int:
         return int(self.bits_per_symbol.sum())
 
     def loaded(self) -> np.ndarray:
         return np.flatnonzero(self.bits_per_symbol > 0)
 
-    def groups(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (nbits, sel, rows) for each loaded order: the subchannels sel
+    @cached_property
+    def groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """(nbits, sel, rows) for each loaded order: the subchannels sel
         carrying nbits bits and their bit rows, rows[i, j] = bit j of sel[i]."""
         b = self.bits_per_symbol
         offsets = np.concatenate([[0], np.cumsum(b)])
-        for nbits in SUPPORTED_BITS:
-            sel = np.flatnonzero(b == nbits)
-            if sel.size:
-                yield nbits, sel, offsets[sel][:, None] + np.arange(nbits)
+        sels = ((nbits, np.flatnonzero(b == nbits)) for nbits in SUPPORTED_BITS)
+        return tuple((nbits, sel, offsets[sel][:, None] + np.arange(nbits)) for nbits, sel in sels if sel.size)
 
 
 @dataclass
@@ -154,16 +159,19 @@ def bit_loading(
 def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
     """Map a bit stream (or a block, one frame per column) onto the loaded
     subchannels; unloaded ones carry 0."""
-    bits = np.asarray(bits).astype(np.int64)
+    bits = np.asarray(bits)
     if bits.ndim not in (1, 2) or bits.shape[0] != loading.total_bits:
         raise ValueError(f"expected {loading.total_bits} bits, got shape {bits.shape}")
     if bits.size and not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bit stream must contain only 0s and 1s")
-    x = np.zeros((loading.bits_per_symbol.size,) + bits.shape[1:], dtype=complex)
-    for nbits, sel, rows in loading.groups():
-        labels = np.moveaxis(bits[rows], 1, -1) @ (1 << np.arange(nbits - 1, -1, -1))
-        x[sel] = _POINTS[nbits][labels]
-    return x
+    frames = np.asarray(bits, dtype=np.uint8).reshape(bits.shape[0], -1).T  # one frame per row
+    x = np.zeros((frames.shape[0], loading.bits_per_symbol.size), dtype=complex)
+    for nbits, sel, rows in loading.groups:
+        labels = frames[:, rows[:, 0]]
+        for j in range(1, nbits):
+            labels = labels << 1 | frames[:, rows[:, j]]
+        x[:, sel] = np.take(_POINTS[nbits], labels)
+    return x.T.reshape((x.shape[1],) + bits.shape[1:])
 
 
 def transmit(x: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
@@ -176,12 +184,14 @@ def transmit(x: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
 
 
 def _scaled_white(var: np.ndarray, sigma0_sq: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """sqrt(sigma0^2 var / 2) w for an MN x 2k standard normal w whose columns 2t and 2t + 1,
-    read as one complex column, are frame t's real and then imaginary draw from rngs[t]."""
+    """sqrt(sigma0^2 var / 2) w for a 2k x MN standard normal w whose rows 2t and
+    2t + 1 are frame t's real and then imaginary draw from rngs[t]."""
     if not 0.0 <= sigma0_sq < np.inf:
         raise ValueError(f"sigma0_sq must be non-negative and finite, got {sigma0_sq}")
-    w = np.stack([r.standard_normal(var.size) for r in rngs for _ in "ri"], axis=1)
-    return np.sqrt(0.5 * sigma0_sq * var)[:, None] * w
+    w = np.empty((2 * len(rngs), var.size))
+    for rng, row in zip([rng for rng in rngs for _ in "ri"], w):
+        rng.standard_normal(out=row)
+    return np.multiply(w, np.sqrt(0.5 * sigma0_sq * var), out=w)
 
 
 def colored_noise(
@@ -196,8 +206,8 @@ def colored_noise(
     A variance of 0 gives zero noise; a negative or non-finite one raises.
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    # color the real and imaginary parts of every frame in one real product
-    eta = (noise.V @ _scaled_white(noise.lam, sigma0_sq, rngs)).view(np.complex128)
+    # one real product colors every frame's real and imaginary parts; C order fixes BLAS's sum order
+    eta = (noise.V @ _scaled_white(noise.lam, sigma0_sq, rngs).T.copy()).view(np.complex128)
     return eta[:, 0] if isinstance(rng, np.random.Generator) else eta
 
 
@@ -215,14 +225,17 @@ def receive(z: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
     return sol.sub.D @ z
 
 
-def _subchannel_scales(xi: np.ndarray, gamma: np.ndarray, loading: Loading) -> np.ndarray:
-    """The per-subchannel scale xi*sqrt(gamma) of the observation y_d = a x + noise."""
+def _observations(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loading) -> tuple:
+    """The scales a = xi*sqrt(gamma) of the observation y_d = a x + noise and y_d as a
+    k x MN block, one frame per row; a loaded subchannel needs a nonzero a and finite y_d."""
     a = xi * np.sqrt(gamma)
+    frames = np.asarray(y_d).reshape(np.shape(y_d)[0], -1).T
     sel = loading.loaded()
-    dead = sel[a[sel] == 0.0]
-    if dead.size:
-        raise ValueError(f"subchannel {dead[0]} is loaded but has zero effective gain")
-    return a
+    for bad, what in ((a[sel] == 0.0, "is loaded but has zero effective gain"),
+                      (~np.isfinite(frames).all(axis=0)[sel], "has a non-finite observation")):
+        if bad.any():
+            raise ValueError(f"subchannel {sel[bad][0]} {what}")
+    return a, frames
 
 
 def llr(
@@ -239,13 +252,11 @@ def llr(
     """
     if not 0.0 < sigma0_sq < np.inf:
         raise ValueError(f"sigma0_sq must be positive and finite, got {sigma0_sq}")
-    a = _subchannel_scales(xi, gamma, loading)
-    y_d = np.asarray(y_d)
-    cols = y_d.reshape(y_d.shape[0], -1)
-    out = np.empty((loading.total_bits, cols.shape[1]))
-    for nbits, sel, rows in loading.groups():
-        levels, axis_bits = _PAM[nbits]
-        y = cols[sel]
+    a, frames = _observations(y_d, xi, gamma, loading)
+    out = np.empty((loading.total_bits, frames.shape[0]))
+    for nbits, sel, rows in loading.groups:
+        levels, axis_bits, _ = _PAM[nbits]
+        y = frames[:, sel].T
         # metric[i, axis, f, l]: log-likelihood of level l on the in-phase (axis 0)
         # or quadrature (axis 1) part of frame f on the i-th selected subchannel
         dist = np.stack((y.real, y.imag), axis=1)[..., None] - a[sel, None, None, None] * levels
@@ -254,7 +265,7 @@ def llr(
                    for bit in axis_bits.T]
         # (i, axis, bit of the axis, f): the in-phase bits lead the label
         out[rows] = np.stack(per_bit, axis=2).reshape(sel.size, nbits, -1)
-    return out.reshape((loading.total_bits,) + y_d.shape[1:])
+    return out.reshape((loading.total_bits,) + np.shape(y_d)[1:])
 
 
 def _logsumexp(m: np.ndarray) -> np.ndarray:
@@ -265,26 +276,29 @@ def _logsumexp(m: np.ndarray) -> np.ndarray:
 def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loading) -> np.ndarray:
     """Minimum-distance decisions per diagonal subchannel, demapped to bits.
 
-    The nearest square-QAM point is the nearest level on each axis; argmin
-    takes the lowest Gray label on a tie, as a first-index search over the
-    2D labels would.  An MN x k block of observations, one frame per
-    column, gives a total_bits x k block of bits.
+    Per axis, |v - level| picks one of the two levels bracketing v; a tie (or, far
+    off the axis, a lower label tying them) goes to the lowest Gray label, as in a
+    first-index argmin.  An MN x k block of observations gives a total_bits x k block.
     """
-    a = _subchannel_scales(xi, gamma, loading)
-    y_d = np.asarray(y_d)
-    cols = y_d.reshape(y_d.shape[0], -1)
-    out = np.empty((loading.total_bits, cols.shape[1]), dtype=np.uint8)
-    for nbits, sel, rows in loading.groups():
-        levels, axis_bits = _PAM[nbits]
-        est = cols[sel] / a[sel, None]
-        axes = np.stack((est.real, est.imag), axis=1)
-        nearest = np.argmin(np.abs(axes[..., None] - levels), axis=-1)
-        out[rows] = axis_bits[nearest].transpose(0, 1, 3, 2).reshape(sel.size, nbits, -1)
-    return out.reshape((loading.total_bits,) + y_d.shape[1:])
+    a, frames = _observations(y_d, xi, gamma, loading)
+    out = np.empty((frames.shape[0], loading.total_bits), dtype=np.uint8)
+    for nbits, sel, rows in loading.groups:
+        levels, _, (inner, low, high, lev_low, lev_high, runs) = _PAM[nbits]
+        # per frame, each subchannel's y / a as (re, im), times 1/a as numpy's y / a rounds
+        v = np.take(frames, sel, axis=1).view(np.float64)
+        v *= np.repeat(1.0 / a[sel], 2)
+        j = np.searchsorted(inner, v) if inner.size else 0
+        d_low, d_high = (np.abs(d, out=d) for d in (v - lev_low[j], v - lev_high[j]))
+        labels = low[j] + (high[j] - low[j]) * (d_high < d_low)  # a tie keeps the lower label
+        for lab in runs:
+            labels[(np.abs(v - levels[lab]) == np.minimum(d_low, d_high)) & (labels > lab)] = lab
+        bits = labels[..., None] >> np.arange(nbits // 2 - 1, -1, -1, dtype=np.uint8) & 1
+        out[:, rows.ravel()] = bits.reshape(len(frames), -1)
+    return out.T.reshape((loading.total_bits,) + np.shape(y_d)[1:])
 
 
 def _draw_bits(loading: Loading, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    return np.stack([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], axis=1)
+    return np.array([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], np.uint8).T
 
 
 def run_frame(
@@ -300,11 +314,7 @@ def run_frame(
     tx_bits = _draw_bits(loading, rngs)
     x = map_bits(tx_bits, loading)
     s = transmit(x, sol)
-    if sigma0_sq == 0.0:
-        eta = np.zeros(s.shape, complex)
-    else:  # colored_noise rejects a negative or non-finite variance
-        eta = colored_noise(sol.sub.noise, sigma0_sq, rngs)
-    z = propagate(s, h, eta)
+    z = propagate(s, h, colored_noise(sol.sub.noise, sigma0_sq, rngs))
     return FrameRecord(tx_bits=tx_bits, x=x, s=s, z=z, y_d=receive(z, sol))
 
 
@@ -317,8 +327,8 @@ def scalar_frames(
     D H P = diag(xi*sqrt(gamma)) and D G D^H = diag(xi).  A variance of 0 gives
     no noise; a negative or non-finite one raises."""
     tx_bits = _draw_bits(loading, rngs)
-    noise = _scaled_white(xi, sigma0_sq, rngs).view(np.complex128)
-    return tx_bits, (xi * np.sqrt(gamma))[:, None] * map_bits(tx_bits, loading) + noise
+    w = _scaled_white(xi, sigma0_sq, rngs)
+    return tx_bits, (xi * np.sqrt(gamma))[:, None] * map_bits(tx_bits, loading) + (w[::2] + 1j * w[1::2]).T
 
 
 LLR_DUMP_HEADER = "frame,subchannel,bit,llr"

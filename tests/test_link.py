@@ -367,6 +367,17 @@ class TestLlr:
         with pytest.raises(ValueError, match="zero effective gain"):
             llr(np.zeros(1, complex), xi, gamma, loading, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_rejects_non_finite_observation(self, bad):
+        loading = Loading(bits_per_symbol=np.array([2, 0, 4, 2]))
+        xi, gamma = np.ones(4), np.ones(4)
+        y = np.ones((4, 3), complex)
+        y[1, 0] = np.nan  # an unloaded subchannel is not read
+        assert np.all(np.isfinite(llr(y, xi, gamma, loading, 0.5)))
+        y[3, 0] = y[2, 2] = bad
+        with pytest.raises(ValueError, match="subchannel 2 has a non-finite observation"):
+            llr(y, xi, gamma, loading, 0.5)
+
 
 class TestHardDetect:
     def test_noiseless_recovery_exact(self):
@@ -411,6 +422,44 @@ class TestHardDetect:
             for j in range(bits):
                 np.testing.assert_array_equal(rx[pos], (nearest >> (bits - 1 - j)) & 1)
                 pos += 1
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bits", [2, 4, 6, 8])
+    def test_equals_first_index_argmin(self, bits, order):
+        # the threshold decision against the search it replaced, the first-index
+        # argmin of |v - level| over the Gray-indexed levels, where it matters most:
+        # every level, every midpoint and the floats one ulp either side of it,
+        # signed zero and subnormals (where QPSK ties exactly) and far off the axis
+        # (where every level ties); a tie must go to the lower Gray label
+        half = bits // 2
+        levels = constellation(bits)[:: 1 << half].real  # in-phase level of each axis label
+        ascending = np.sort(levels)
+        mids = (ascending[:-1] + ascending[1:]) / 2
+        v = np.concatenate([levels, mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]])
+        dist = np.abs(v[:, None] - levels)
+        nearest = np.argmin(dist, axis=1)
+        assert np.any((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1)  # ties occur
+        # subchannel n observes v[n] in phase and every v[f] in quadrature, frame f
+        y = np.empty((v.size, v.size), complex, order=order)
+        y.real, y.imag = v[:, None], v[None, :]
+        label_bits = (nearest[:, None] >> np.arange(half - 1, -1, -1)) & 1
+        expected = np.concatenate(np.broadcast_arrays(label_bits[:, :, None], label_bits.T[None]), axis=1)
+        loading = Loading(bits_per_symbol=np.full(v.size, bits))
+        rx = hard_detect(y, np.ones(v.size), np.ones(v.size), loading)
+        np.testing.assert_array_equal(rx, expected.reshape(v.size * bits, v.size))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_rejects_non_finite_observation(self, bad):
+        loading = Loading(bits_per_symbol=np.array([2, 0, 4, 2]))
+        xi, gamma = np.ones(4), np.ones(4)
+        y = np.ones((4, 3), complex)
+        y[1, 0] = np.nan  # an unloaded subchannel is not read
+        hard_detect(y, xi, gamma, loading)
+        y[3, 0] = y[2, 2] = bad
+        with pytest.raises(ValueError, match="subchannel 2 has a non-finite observation"):
+            hard_detect(y, xi, gamma, loading)
+
 
 class TestLlrConsistency:
     def test_tanh_sign_structure(self):
@@ -531,6 +580,33 @@ class TestScalarFrames:
         p_bar = sum(errors) / (2.0 * n)
         assert min(errors) > 1000  # the point is far from error-free
         assert abs(errors[0] - errors[1]) <= 5.0 * np.sqrt(2.0 * n * p_bar * (1.0 - p_bar)) + 1.0
+
+    def test_block_width_does_not_change_frames(self):
+        # the sweep cuts frames into blocks; frame t draws only from its own generator
+        loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))
+        xi, gamma = np.array([0.7, 1.2, 1.0, 2.0, 0.9, 1.4]), np.array([1.5, 0.8, 0.0, 0.4, 1.1, 0.6])
+
+        def draw(width):
+            blocks = [scalar_frames(loading, xi, gamma, 0.3,
+                                    [np.random.default_rng(40 + t) for t in range(s, min(s + width, 64))])
+                      for s in range(0, 64, width)]
+            return np.hstack([b[0] for b in blocks]), np.hstack([b[1] for b in blocks])
+
+        tx_bits, y_d = draw(64)
+        for width in (1, 7):
+            tx_w, y_w = draw(width)
+            assert tx_w.tobytes() == tx_bits.tobytes()
+            assert y_w.tobytes() == y_d.tobytes()
+
+    def test_detection_does_not_depend_on_memory_layout(self):
+        loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))
+        xi, gamma = np.array([0.7, 1.2, 1.0, 2.0, 0.9, 1.4]), np.array([1.5, 0.8, 0.0, 0.4, 1.1, 0.6])
+        _, y_d = scalar_frames(loading, xi, gamma, 0.3, [np.random.default_rng(t) for t in range(9)])
+        c_block, f_block = np.ascontiguousarray(y_d), np.asfortranarray(y_d)
+        np.testing.assert_array_equal(hard_detect(c_block, xi, gamma, loading),
+                                      hard_detect(f_block, xi, gamma, loading))
+        assert (llr(c_block, xi, gamma, loading, 0.3).tobytes()
+                == llr(f_block, xi, gamma, loading, 0.3).tobytes())
 
     def test_zero_variance_is_noiseless(self):
         loading = Loading(bits_per_symbol=np.array([2, 0, 4]))
