@@ -1,14 +1,17 @@
-"""The OpenBLAS that numpy loaded: its thread count and two LAPACK Hermitian eigensolvers.
+"""The OpenBLAS that numpy loaded: its thread count and LAPACK Hermitian eigensolvers.
 
 numpy's wheels link one OpenBLAS, found here by name among the mapped
 libraries.  Through ctypes it gives single_blas_thread its thread-count
 functions, and lapacke binds ILP64 LAPACKE routines on first use, not at
-import: zheevr, the MRRR eigensolver, works in place with O(n) workspace
-besides the eigenvectors (numpy's eigh, zheevd, takes about two more n x n
-matrices), and zhbev takes the eigenvalues of a Hermitian band matrix from
-its band storage.  ctypes releases the GIL, so worker threads overlap.  On
-another BLAS none is found: thread pinning is a no-op, eigh_inplace falls
-back to np.linalg.eigh, and lapacke returns None.
+import.  eigh_inplace runs the divide-and-conquer EVD (Gu & Eisenstat,
+SIAM J. Matrix Anal. Appl. 16, 1995) as its three LAPACK stages, zhetrd,
+dstedc and zunmtr, through their _work entry points, so every workspace is
+a numpy buffer the solve owns: the eigenvectors and dstedc's n^2-sized
+workspace share one buffer, where numpy's eigh (zheevd) takes about two
+more n x n matrices.  zhbev takes the eigenvalues of a Hermitian band
+matrix from its band storage.  ctypes releases the GIL, so worker threads
+overlap.  On another BLAS none is found: thread pinning is a no-op,
+eigh_inplace falls back to np.linalg.eigh, and lapacke returns None.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ THREAD_FUNCTIONS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads
                     "openblas_{}_num_threads")
 # ILP64 LAPACKE routines, as scipy-openblas and a 64_-suffixed OpenBLAS export them
 LAPACKE_NAMES = ("scipy_LAPACKE_{}64_", "LAPACKE_{}64_")
-# argument codes after the int layout: zheevr(jobz, range, uplo, n, a, lda, vl, vu, il,
-# iu, abstol, m, w, z, ldz, isuppz) and zhbev(jobz, uplo, n, kd, ab, ldab, w, z, ldz)
-SIGNATURES = {"zheevr": "cccipiddiidpppip", "zhbev": "cciipippi"}
+# argument codes after the int layout: zhetrd_work(uplo, n, a, lda, d, e, tau, work, lwork),
+# dstedc_work(compz, n, d, e, z, ldz, work, lwork, iwork, liwork), zunmtr_work(side, uplo,
+# trans, m, n, a, lda, tau, c, ldc, work, lwork) and zhbev(jobz, uplo, n, kd, ab, ldab, w, z, ldz)
+SIGNATURES = {"zhetrd_work": "cipippppi", "dstedc_work": "cipppipipi",
+              "zunmtr_work": "ccciipippipi", "zhbev": "cciipippi"}
+_STAGES = ("zhetrd_work", "dstedc_work", "zunmtr_work")
 _CTYPES = {"c": ctypes.c_char, "i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
@@ -67,31 +73,66 @@ def lapacke(routine: str):
     return None
 
 
+def _call(routine: str, *args) -> None:
+    """LAPACKE_<routine> on column-major arrays, passed by address; a nonzero info raises."""
+    info = lapacke(routine)(_COL_MAJOR, *(a.ctypes.data if isinstance(a, np.ndarray) else a
+                                          for a in args))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed: info {info}")
+
+
+def _widen(buf: np.ndarray, n: int) -> np.ndarray:
+    """The real column-major n x n matrix in buf's first n^2 doubles, as complex in place.
+
+    Columns [a, b) with b <= 2a never overlap their target, so the blocks
+    move last first, halving, with no temporary (a whole-matrix assignment
+    would copy all n^2 doubles first); column 0 overlaps its target and is
+    copied.
+    """
+    real = buf.view(np.float64)[: n * n].reshape(n, n).T
+    z = buf[: n * n].reshape(n, n).T
+    b = n
+    while b > 1:
+        a = (b + 1) // 2
+        z[:, a:b] = real[:, a:b]
+        b = a
+    z[:, :1] = real[:, :1].copy()
+    return z
+
+
 def eigh_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of the Hermitian s, read from its upper triangle.
 
-    A square C-contiguous complex128 s goes to LAPACKE_zheevr, which reads it
-    column-major with uplo L, as s^T = conj(s): so it returns conjugated
-    eigenvectors, conjugated back in place and Fortran-ordered, and overwrites
-    s.  Any other s, or a process with no LAPACKE_zheevr loaded, takes
+    A square C-contiguous complex128 s is read column-major with uplo L, as
+    s^T = conj(s): zhetrd reduces it to a real tridiagonal T in place (s is
+    overwritten by its reflectors), dstedc writes T's real eigenvectors and
+    its 1 + 4n + n^2 workspace into one complex buffer of (n + 1)^2 entries,
+    and zunmtr applies the reflectors to those eigenvectors once widened in
+    place.  They are conj(s)'s, conjugated back in place and Fortran-ordered.
+    Any other s, or a process without the three routines, takes
     np.linalg.eigh on the same upper triangle, which leaves s intact.
     """
-    fn = lapacke("zheevr")
     square = s.ndim == 2 and s.shape[0] == s.shape[1]
-    if fn is None or not square or s.dtype != np.complex128 or not s.flags.c_contiguous:
+    if (any(lapacke(r) is None for r in _STAGES) or not square or s.dtype != np.complex128
+            or not s.flags.c_contiguous):
         return np.linalg.eigh(s, UPLO="U")
     n = s.shape[0]
-    w = np.empty(n)
-    z = np.empty((n, n), dtype=np.complex128, order="F")
-    isuppz = np.empty(2 * max(n, 1), dtype=np.int64)
-    found = np.zeros(1, dtype=np.int64)
-    info = fn(_COL_MAJOR, b"V", b"A", b"L", n, s.ctypes.data, max(n, 1), 0.0, 0.0, 0, 0,
-              0.0, found.ctypes.data, w.ctypes.data, z.ctypes.data, max(n, 1),
-              isuppz.ctypes.data)
-    if info != 0 or found[0] != n:
-        raise np.linalg.LinAlgError(f"zheevr failed: info {info}, {found[0]} of {n} eigenpairs")
+    ld = max(n, 1)
+    d, e, tau = np.empty(n), np.empty(ld), np.empty(ld, dtype=np.complex128)
+    buf = np.empty((n + 1) ** 2, dtype=np.complex128)
+    real = buf.view(np.float64)  # T's eigenvectors in the first n^2 doubles, workspace after
+    lwork = np.empty(2, dtype=np.complex128)  # the optimal sizes of zhetrd's and zunmtr's
+    _call("zhetrd_work", b"L", n, s, ld, d, e, tau, lwork, -1)
+    _call("zunmtr_work", b"L", b"L", b"N", n, n, s, ld, tau, buf, ld, lwork[1:], -1)
+    work = np.empty(max(1, int(lwork.real.max())), dtype=np.complex128)
+    _call("zhetrd_work", b"L", n, s, ld, d, e, tau, work, work.size)
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    _call("dstedc_work", b"I", n, d, e, real, ld, real[n * n :], real.size - n * n,
+          iwork, iwork.size)
+    z = _widen(buf, n)
+    _call("zunmtr_work", b"L", b"L", b"N", n, n, s, ld, tau, z, ld, work, work.size)
     np.conjugate(z, out=z)
-    return w, z
+    return d, z
 
 
 def band_eigvalsh(ab: np.ndarray) -> np.ndarray:
@@ -99,8 +140,5 @@ def band_eigvalsh(ab: np.ndarray) -> np.ndarray:
     if ab.dtype != np.complex128 or not ab.flags.c_contiguous:
         raise ValueError("band storage must be C-contiguous complex128")
     w = np.empty(ab.shape[0])
-    info = lapacke("zhbev")(_COL_MAJOR, b"N", b"L", ab.shape[0], ab.shape[1] - 1,
-                            ab.ctypes.data, ab.shape[1], w.ctypes.data, None, 1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zhbev failed: info {info}")
+    _call("zhbev", b"N", b"L", ab.shape[0], ab.shape[1] - 1, ab, ab.shape[1], w, None, 1)
     return w

@@ -202,6 +202,12 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
         # Doppler-rotated gains into a single row weight
         weight = sum(p.gain * np.exp(2j * np.pi * p.doppler_tap * (k - tap) / mn)
                      for p in chan.paths if p.delay_tap == tap)[:, None]
+        if alpha == 1.0:
+            # the windows are Kronecker deltas: row k takes the weight at column
+            # k - tap, or in circular mode its prefix image at k - tap + MN >= keep
+            rows = k if mode == "circular" else k[tap:]
+            h[rows, (rows - tap) % mn] += weight[rows, 0]
+            continue
         main = w[l_top - tap : l_top - tap + mn]
         image = w[l_top - tap + mn : l_top - tap + 2 * mn]
         # a strip's product and numpy's complex copy of its real window fit in STRIP x MN

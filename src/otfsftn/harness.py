@@ -265,8 +265,8 @@ def run_ber_sweep(
                 def one_block(block: range) -> tuple[BerCounter, list[str]]:
                     rngs = [trial_rng(cfg.master_seed, point_idx, t) for t in block]
                     if link is None:
-                        h = effective_channel(channel_for_config(cfg_a, rngs[0]), cfg_a)
-                        xi, gamma, loading = load(*subchannel_gains(h, noise))
+                        chan = channel_for_config(cfg_a, rngs[0])
+                        xi, gamma, loading = load(*subchannel_gains(effective_channel(chan, cfg_a), noise))
                     else:
                         xi, gamma, loading = link
                     tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rngs)

@@ -103,6 +103,13 @@ class Loading:
         return tuple((nbits, sel, offsets[sel][:, None] + np.arange(nbits)) for nbits, sel in sels if sel.size)
 
 
+def _span(idx: np.ndarray) -> np.ndarray | slice:
+    """The increasing indices idx as a slice where they form one contiguous run, as
+    they do where one order covers every loaded subchannel; scatters through a
+    slice skip numpy's per-element index arithmetic."""
+    return slice(idx[0], idx[-1] + 1) if idx.size and idx[-1] - idx[0] + 1 == idx.size else idx
+
+
 @dataclass
 class FrameRecord:
     """A block of simulated frames, one per column, from bits to diagonalized observation."""
@@ -170,7 +177,7 @@ def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
         labels = frames[:, rows[:, 0]]
         for j in range(1, nbits):
             labels = labels << 1 | frames[:, rows[:, j]]
-        x[:, sel] = np.take(_POINTS[nbits], labels)
+        x[:, _span(sel)] = np.take(_POINTS[nbits], labels)
     return x.T.reshape((x.shape[1],) + bits.shape[1:])
 
 
@@ -293,7 +300,7 @@ def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loa
         for lab in runs:
             labels[(np.abs(v - levels[lab]) == np.minimum(d_low, d_high)) & (labels > lab)] = lab
         bits = labels[..., None] >> np.arange(nbits // 2 - 1, -1, -1, dtype=np.uint8) & 1
-        out[:, rows.ravel()] = bits.reshape(len(frames), -1)
+        out[:, _span(rows.ravel())] = bits.reshape(len(frames), -1)
     return out.T.reshape((loading.total_bits,) + np.shape(y_d)[1:])
 
 

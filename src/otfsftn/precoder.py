@@ -102,9 +102,11 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evd_desc_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_evd_desc of -s, read from s's row-major upper triangle; zheevr overwrites s.
+    """hermitian_evd_desc of -s, read from s's row-major upper triangle; the EVD overwrites s.
 
-    The ascending eigenvalues of s are those of -s descending, so no reordering copy is made.
+    The divide-and-conquer stages keep only s and the basis buffer resident.
+    The ascending eigenvalues of s are those of -s descending, so no
+    reordering copy is made.
     """
     w, v = _openblas.eigh_inplace(s)
     w = -w
@@ -215,12 +217,20 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
 
     Where G is exactly the identity, C = H and phi = 1: zhbev takes xi from
     the folded band of H^H H, the dense eigvalsh where kd > n/16 (faster
-    there) or with no zhbev.  Any other G takes the full decomposition, with
-    C released once C^H C is formed.
+    there) or with no zhbev.  Any other G takes the full decomposition.
+    H is never modified; it is released once C is formed, C once -C^H C
+    is, and the EVD buffer before phi, so a caller that passes H as a
+    temporary holds at most two MN x MN matrices through the EVD.
     """
     g = noise.G
     if not is_identity(g):
-        return _gains(*_evd_desc_inplace(_neg_gram(_whiten(h, noise))), noise)
+        c = _whiten(h, noise)
+        del h
+        s = _neg_gram(c)
+        del c
+        u_t, xi = _evd_desc_inplace(s)
+        del s
+        return _gains(u_t, xi, noise)
     if h.shape != g.shape:
         raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")
     band = _folded_band(h) if _openblas.lapacke("zhbev") is not None else None

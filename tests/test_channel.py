@@ -23,6 +23,7 @@ from otfsftn import (
 )
 from otfsftn.channel import channel_for_config, eva_profile
 from otfsftn.config import ChannelConfig
+from otfsftn.pulse import lag_windows
 
 from conftest import complex_gaussian, eva_config, identity_config
 
@@ -379,6 +380,25 @@ def gather_gram(mn, alpha, spec):
     return g[np.abs(np.subtract.outer(idx, idx))]
 
 
+def strip_effective_channel(chan, cfg):
+    """Effective channel as the sum of every tap's weighted window products, the
+    prefix image added in the last cp columns: the dense build alpha = 1 no
+    longer runs, kept as its byte-level reference."""
+    mn = cfg.MN
+    keep = mn - cfg.effective_cp_len() if cfg.cp_mode == "circular" else mn
+    l_top = chan.max_delay_tap()
+    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, cfg.alpha, PulseSpec(beta=cfg.beta))
+    k = np.arange(mn)
+    h = np.zeros((mn, mn), dtype=complex)
+    for tap in sorted({p.delay_tap for p in chan.paths}):
+        weight = sum(p.gain * np.exp(2j * np.pi * p.doppler_tap * (k - tap) / mn)
+                     for p in chan.paths if p.delay_tap == tap)[:, None]
+        main, image = w[l_top - tap : l_top - tap + mn], w[l_top - tap + mn : l_top - tap + 2 * mn]
+        h[:, :keep] += weight * main[:, :keep]
+        h[:, keep:] += weight * (main[:, keep:] + image[:, keep:])
+    return h
+
+
 class TestStridedBuild:
     # (M, N, cp_len): an odd MN = 15, the rate grid's MN = 96, and cp_len = MN
     @pytest.mark.parametrize("m,n,cp_len", [(5, 3, 4), (16, 6, 4), (4, 2, 8)])
@@ -403,6 +423,24 @@ class TestStridedBuild:
                 mode_cfg = replace(cfg, cp_mode=mode)
                 h = effective_channel(chan, mode_cfg)
                 assert h.tobytes() == gather_effective_channel(chan, mode_cfg).tobytes()
+
+    @pytest.mark.parametrize("mode", ["circular", "literal"])
+    @pytest.mark.parametrize("m,n,cp_len", [(5, 3, 4), (16, 6, 4), (4, 2, 8)])
+    def test_nyquist_scatter_matches_strip_build(self, m, n, cp_len, mode):
+        # at alpha = 1 each tap's weight is written straight into its column;
+        # delay taps up to cp_len - 1 reach the wrap-around columns in circular mode
+        channel = ChannelConfig(profile="synthetic", num_paths=6, l_max=cp_len - 1, k_max=1,
+                                frac_doppler=True)
+        cfg = identity_config(m, n, 1.0, cp_len=cp_len, cp_mode=mode, channel=channel)
+        mn, wrapped = m * n, 0
+        for seed in range(3):
+            chan = channel_for_config(cfg, np.random.default_rng(seed))
+            h = effective_channel(chan, cfg)
+            assert h.tobytes() == strip_effective_channel(chan, cfg).tobytes()
+            assert np.count_nonzero(h) == sum(mn - l * (mode == "literal")
+                                              for l in {p.delay_tap for p in chan.paths})
+            wrapped += np.count_nonzero(np.triu(h, mn - cp_len + 1))
+        assert (wrapped > 0) == (mode == "circular")
 
     def test_peak_memory_is_h_plus_a_strip(self):
         # H itself plus one row strip's product; no lag-index matrix and no

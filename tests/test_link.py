@@ -31,7 +31,7 @@ from otfsftn import (
     waterfill,
 )
 from otfsftn.config import CODE_RATE, snr_linear, target_bits
-from otfsftn.link import SUPPORTED_BITS, format_llr_records
+from otfsftn.link import SUPPORTED_BITS, _span, format_llr_records
 from otfsftn.precoder import subchannel_gains
 
 from conftest import complex_gaussian, eva_config, identity_config
@@ -186,6 +186,20 @@ class TestMapBits:
         xi, gamma = np.ones(8), np.ones(8)
         out = hard_detect(x, xi, gamma, loading)
         np.testing.assert_array_equal(out, bits)
+
+    @pytest.mark.parametrize("b", [[2] * 6, [0, 2, 2, 2, 0, 0], [2, 0, 2, 2, 0, 2], [4, 4, 2, 2, 0, 6]])
+    def test_slice_and_index_scatters_agree(self, rng, b):
+        # one order on one contiguous run scatters through a slice, any other
+        # through its indices; each subchannel must carry its own label
+        assert _span(np.arange(3, 7)) == slice(3, 7) and not isinstance(_span(np.array([0, 2])), slice)
+        loading = Loading(bits_per_symbol=np.array(b))
+        bits = rng.integers(0, 2, (loading.total_bits, 5))
+        x = map_bits(bits, loading)
+        offsets = np.cumsum([0, *b])
+        for n, nbits in enumerate(b):
+            alone = map_bits(bits[offsets[n] : offsets[n + 1]], Loading(np.array([nbits]))) if nbits else [0.0]
+            np.testing.assert_array_equal(x[n], alone[0])
+        np.testing.assert_array_equal(hard_detect(x, np.ones(len(b)), np.ones(len(b)), loading), bits)
 
     def test_bit_count_mismatch(self):
         loading = Loading(bits_per_symbol=np.array([2, 2]))

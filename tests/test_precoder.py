@@ -97,13 +97,17 @@ class TestHermitianEvd:
             hermitian_evd_desc(a)
 
 
-class TestMrrrKernel:
-    """hermitian_evd_desc on LAPACKE_zheevr against its np.linalg.eigh fallback."""
+def needs_staged_evd():
+    if _openblas.lapacke("dstedc_work") is None:
+        pytest.skip("numpy's BLAS exports no LAPACKE_dstedc_work")
+
+
+class TestDivideAndConquerKernel:
+    """hermitian_evd_desc on zhetrd + dstedc + zunmtr against its np.linalg.eigh fallback."""
 
     @pytest.fixture
     def both_paths(self, monkeypatch):
-        if _openblas.lapacke("zheevr") is None:
-            pytest.skip("numpy's BLAS exports no LAPACKE_zheevr")
+        needs_staged_evd()
 
         def no_eigh(*args):
             raise AssertionError("the kernel path called np.linalg.eigh")
@@ -128,9 +132,10 @@ class TestMrrrKernel:
         v_k, v_f, _ = both_paths(random_hermitian(rng, 40))
         assert np.abs(v_k - v_f).max() <= 1e-8
 
-    def test_degenerate_spectrum(self, rng, both_paths):
-        q, _ = np.linalg.qr(complex_gaussian(rng, 24 * 24).reshape(24, 24))
-        lam = np.repeat([5.0, 2.0, 0.5], [6, 10, 8])
+    @staticmethod
+    def assert_same_eigenspaces(both_paths, rng, lam):
+        n = lam.size
+        q, _ = np.linalg.qr(complex_gaussian(rng, n * n).reshape(n, n))
         v_k, v_f, w = both_paths((q * lam) @ q.conj().T)
         # inside a group any basis of the eigenspace is valid: compare projectors
         for value in np.unique(lam):
@@ -138,6 +143,9 @@ class TestMrrrKernel:
             assert g.sum() == np.count_nonzero(lam == value)
             proj_k, proj_f = v_k[:, g] @ v_k[:, g].conj().T, v_f[:, g] @ v_f[:, g].conj().T
             assert np.abs(proj_k - proj_f).max() <= 1e-8
+
+    def test_degenerate_spectrum(self, rng, both_paths):
+        self.assert_same_eigenspaces(both_paths, rng, np.repeat([5.0, 2.0, 0.5], [6, 10, 8]))
 
     def test_degenerate_diagonal_gives_one_basis(self, both_paths):
         v_k, v_f, _ = both_paths(np.diag([2.0, 1.0, 2.0, 3.0, 1.0, 2.0]).astype(complex))
@@ -147,6 +155,24 @@ class TestMrrrKernel:
         v_k, v_f, w = both_paths(np.eye(16, dtype=complex))
         assert np.array_equal(w, np.ones(16))
         assert np.array_equal(v_k, np.eye(16)) and np.array_equal(v_f, np.eye(16))
+
+    # sizes around dstedc's small-matrix cutoff, the widening's halving blocks and STRIP
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 384])
+    def test_sizes_match_eigh(self, rng, both_paths, n):
+        v_k, v_f, _ = both_paths(random_hermitian(rng, n))
+        assert np.abs(v_k - v_f).max() <= 1e-8
+        diagonal = np.diag(rng.choice([3.0, 1.0, 2.0, -1.0], n)).astype(complex)
+        v_k, v_f, _ = both_paths(diagonal)
+        assert np.array_equal(v_k, v_f)
+        self.assert_same_eigenspaces(both_paths, rng, np.resize([4.0, 1.5, 4.0, -2.0], n))
+
+    def test_basis_is_orthonormal(self, rng):
+        # zheevr's MRRR basis was orthonormal only to about 5e-13 here
+        needs_staged_evd()
+        a = random_hermitian(rng, 384)
+        w, u = _openblas.eigh_inplace(a.copy())
+        assert np.abs(u.conj().T @ u - np.eye(384)).max() <= 1e-13
+        assert np.abs(a @ u - u * w).max() <= 1e-12 * np.abs(w).max()
 
 
 class TestDeriveSubchannels:
@@ -518,12 +544,21 @@ class TestSubchannelGains:
 
     def test_numpy_peak_memory_is_two_matrices(self):
         # the gains hold C and the EVD buffer while it is built, then the
-        # buffer and the basis zheevr writes, plus column strips; C is
+        # buffer and the basis the EVD writes, plus column strips; C is
         # released before the EVD (3.17 matrices when C^H C was formed whole
         # and then copied for LAPACK)
         shape, noise, h = eva_instance(64, 6, 0.8, seed=1)
         assert shape.MN == 384
         assert traced_peak(lambda: subchannel_gains(h, noise)) <= 2.5 * 16 * shape.MN**2
+
+    def test_h_passed_as_a_temporary_is_released(self):
+        # H is released once C is formed, so H is not held through the EVD
+        # beside its buffer and basis (3.33 matrices while the gains kept H)
+        shape, noise, _ = eva_instance(64, 6, 0.8, seed=1)
+        cfg = eva_config(64, 6, 0.8, seed=1)
+        chan = eva_channel(2000.0, cfg, np.random.default_rng(1))
+        peak = traced_peak(lambda: subchannel_gains(effective_channel(chan, cfg), noise))
+        assert peak <= 2.5 * 16 * shape.MN**2
 
 
 class TestGramBuffer:
@@ -540,10 +575,10 @@ class TestGramBuffer:
         u_t, xi = precoder._evd_desc_inplace(precoder._neg_gram(c))
         assert np.array_equal(xi, xi_ref) and np.array_equal(u_t, u_ref)
 
-    @pytest.mark.parametrize("zheevr", [True, False])
-    def test_only_the_upper_triangle_is_read(self, monkeypatch, zheevr):
-        if zheevr and _openblas.lapacke("zheevr") is None:
-            pytest.skip("numpy's BLAS exports no LAPACKE_zheevr")
+    @pytest.mark.parametrize("staged", [True, False])
+    def test_only_the_upper_triangle_is_read(self, monkeypatch, staged):
+        if staged:
+            needs_staged_evd()
         _, noise, h = eva_instance(8, 5, 0.8, seed=4)
         ref = derive_subchannels(h, noise)
         real = precoder._neg_gram
@@ -554,7 +589,7 @@ class TestGramBuffer:
             return s
 
         monkeypatch.setattr(precoder, "_neg_gram", poisoned)
-        if not zheevr:
+        if not staged:
             monkeypatch.setattr(_openblas, "lapacke", lambda routine: None)
         sub = derive_subchannels(h, noise)
         assert np.abs(sub.xi - ref.xi).max() <= 1e-12 * ref.xi.max()
