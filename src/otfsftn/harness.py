@@ -415,7 +415,7 @@ def _check_nyquist_identity(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
         noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
-        worst = max(worst, float(np.abs(noise.G - np.eye(shape.MN)).max()))
+        worst = max(worst, float(np.abs(noise.dense_g() - np.eye(shape.MN)).max()))
         worst = max(worst, float(np.abs(gram_dd(noise, shape) - np.eye(shape.MN)).max()))
     return worst <= 1e-12, f"max deviation from identity {worst:.2e}"
 
@@ -426,7 +426,7 @@ def _check_gram_structure(seed: int) -> tuple[bool, str]:
     min_eig = np.inf
     for shape in _VALIDATE_SHAPES:
         alpha = spec.admissible_alpha()
-        g = gram_matrix(shape, alpha, spec).G
+        g = gram_matrix(shape, alpha, spec).dense_g()
         idx = np.arange(shape.MN)
         lags = np.abs(np.subtract.outer(idx, idx))
         ok &= bool(np.array_equal(g, g[0][lags]))
@@ -451,7 +451,7 @@ def _check_gram_dd_spectrum(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
         noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
-        wg = np.sort(np.linalg.eigvalsh(noise.G))
+        wg = np.sort(np.linalg.eigvalsh(noise.dense_g()))
         we = np.sort(np.linalg.eigvalsh(gram_dd(noise, shape)))
         worst = max(worst, float(np.abs(wg - we).max()))
     return worst <= 1e-9, f"max eigenvalue mismatch {worst:.2e} (bound 1e-9)"

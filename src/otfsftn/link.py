@@ -15,7 +15,7 @@ each bit's exact LLR sums over the levels of its own axis only.
 Both paths take one generator per frame and fill an MN x k block, one frame
 per column; frame t draws its bits and then its two noise vectors from its
 own generator, so a frame does not depend on its block, and where H, P, D
-and the noise basis are exactly I (the identity channel at alpha = 1) the
+and the noise basis V are exactly I (the identity channel at alpha = 1) the
 paths agree bit for bit.  The transmit, noise, channel, receive and
 detection functions accept one frame or a block.
 
@@ -171,7 +171,7 @@ def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
         raise ValueError(f"expected {loading.total_bits} bits, got shape {bits.shape}")
     if bits.size and not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bit stream must contain only 0s and 1s")
-    frames = np.asarray(bits, dtype=np.uint8).reshape(bits.shape[0], -1).T  # one frame per row
+    frames = np.atleast_2d(np.asarray(bits, dtype=np.uint8).T)  # one frame per row, even with no bits
     x = np.zeros((frames.shape[0], loading.bits_per_symbol.size), dtype=complex)
     for nbits, sel, rows in loading.groups:
         labels = frames[:, rows[:, 0]]
@@ -208,13 +208,14 @@ def colored_noise(
 ) -> np.ndarray:
     """Draw matched-filter noise with covariance sigma0^2 * G = sigma0^2 * V diag(lam) V^T.
 
+    White noise scaled by sqrt(lam) is colored by V's half-order product.
     One generator gives one noise vector; a sequence gives an MN x k block
     whose column t draws its real and then its imaginary part from rng[t].
     A variance of 0 gives zero noise; a negative or non-finite one raises.
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    # one real product colors every frame's real and imaginary parts; C order fixes BLAS's sum order
-    eta = (noise.V @ _scaled_white(noise.lam, sigma0_sq, rngs).T.copy()).view(np.complex128)
+    # one pair of half-order real products colors every frame's real and imaginary parts
+    eta = noise.v(_scaled_white(noise.lam, sigma0_sq, rngs).T.copy()).view(np.complex128)
     return eta[:, 0] if isinstance(rng, np.random.Generator) else eta
 
 
@@ -335,7 +336,11 @@ def scalar_frames(
     no noise; a negative or non-finite one raises."""
     tx_bits = _draw_bits(loading, rngs)
     w = _scaled_white(xi, sigma0_sq, rngs)
-    return tx_bits, (xi * np.sqrt(gamma))[:, None] * map_bits(tx_bits, loading) + (w[::2] + 1j * w[1::2]).T
+    y_d = np.multiply((xi * np.sqrt(gamma))[:, None], map_bits(tx_bits, loading), order="F")
+    parts = y_d.T.view(np.float64)  # row t: frame t's real and imaginary parts, interleaved
+    parts[:, 0::2] += w[0::2]
+    parts[:, 1::2] += w[1::2]
+    return tx_bits, y_d
 
 
 LLR_DUMP_HEADER = "frame,subchannel,bit,llr"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CODE_RATE, SystemConfig
-from .pulse import NoiseShape, noise_shape
+from .pulse import NoiseShape, floor_spectrum
 from .link import Loading
 
 _LN2 = float(np.log(2.0))
@@ -56,17 +56,17 @@ def mi_logdet(h_eq: np.ndarray, g_eq: np.ndarray, rxx: np.ndarray, sigma0_sq: fl
 
     Evaluated through the whitened congruence: eigenvalues of the Hermitian
     kernel C Rxx C^H / sigma0^2 with C = diag(lam)^{-1/2} V^H H_eq, never an
-    explicit determinant of raw entries.  G_eq is factored by noise_shape, so
-    its spectrum is floored as the simulator's noise shape is.  Returns bits
-    per frame.
+    explicit determinant of raw entries.  G_eq = V diag(lam) V^H is factored
+    here by eigh, and its spectrum floored by floor_spectrum as the
+    simulator's noise shape is.  Returns bits per frame.
     """
     rxx = np.asarray(rxx)
     w_r = np.linalg.eigvalsh(0.5 * (rxx + rxx.conj().T))
     scale = max(1.0, float(w_r.max())) if w_r.size else 1.0
     if w_r.size and w_r.min() < -1e-9 * scale:
         raise ValueError(f"input covariance is not PSD: min eigenvalue {w_r.min():.3e}")
-    noise = noise_shape(g_eq)
-    c = (noise.V.conj().T @ h_eq) / np.sqrt(noise.lam)[:, None]
+    w, v = np.linalg.eigh(g_eq)
+    c = (v.conj().T @ h_eq) / np.sqrt(floor_spectrum(w)[0])[:, None]
     kernel = c @ rxx @ c.conj().T / sigma0_sq
     w = np.linalg.eigvalsh(0.5 * (kernel + kernel.conj().T))
     w = np.maximum(w, 0.0)
@@ -95,11 +95,9 @@ def transmission_rate(loading: Loading, cfg: SystemConfig) -> float:
 
 
 def frame_energy(s: np.ndarray, noise: NoiseShape) -> float:
-    """Transmitted frame energy s^H G s of the matched-filter pulse train."""
+    """Transmitted frame energy s^H G s = sum_k raw_k |(V^T s)_k|^2 of the matched-filter pulses."""
     s = np.asarray(s)
-    if s.shape != (noise.G.shape[0],):
-        raise ValueError(f"expected {noise.G.shape[0]} samples, got {s.shape}")
-    e = complex(s.conj() @ (noise.G @ s))
-    if abs(e.imag) > 1e-9 * max(1.0, abs(e.real)):
-        raise AssertionError(f"frame energy has non-negligible imaginary part {e.imag:.3e}")
-    return e.real
+    if s.shape != (noise.n,):
+        raise ValueError(f"expected {noise.n} samples, got {s.shape}")
+    y = noise.vt(s)
+    return float(noise.raw @ (y.real**2 + y.imag**2))

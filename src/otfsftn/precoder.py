@@ -4,7 +4,9 @@ The transceiver is solved in two steps, both in the time domain.
 derive_subchannels works once per channel: on the factored noise shape
 G = V diag(lam) V^T it whitens the channel into C = diag(lam)^{-1/2} V^T H,
 eigendecomposes C^H C = U_t diag(xi) U_t^H and reads the per-direction
-energy weights phi from U_t^H G U_t.  -C^H C is formed once, in row strips
+energy weights phi = diag(U_t^H G U_t) from V^T U_t and G's spectrum.  V^T
+and V are applied as the noise shape's half-order products, in column
+strips, so neither G nor V is formed.  -C^H C is formed once, in row strips
 of the one triangle the eigensolver reads, straight into the buffer it
 overwrites, and C is released as soon as nothing reads it.  finalize works
 once per power allocation: given powers gamma (water-filled under
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _openblas
-from .pulse import NoiseShape, is_identity
+from .pulse import NoiseShape
 
 # subchannels whose whitened gain falls below this fraction of the largest
 # are excluded from allocation (guards 1/(xi*snr) against blowup)
@@ -138,18 +140,15 @@ def _evd_desc_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-def _real_matmul(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """r @ z for real r and complex z, as one real product on z's interleaved parts."""
-    return (r @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
-
-
 def _whiten(h: np.ndarray, noise: NoiseShape) -> np.ndarray:
-    """The whitened channel C = diag(lam)^{-1/2} V^T H."""
+    """The whitened channel C = diag(lam)^{-1/2} V^T H, one column strip at a time."""
     h = np.asarray(h)
-    if h.shape != noise.V.shape:
-        raise ValueError(f"H {h.shape} does not match the noise shape {noise.V.shape}")
-    c = _real_matmul(noise.V.T, h)
-    c /= np.sqrt(noise.lam)[:, None]
+    if h.shape != (noise.n, noise.n):
+        raise ValueError(f"H {h.shape} does not match the noise shape {(noise.n, noise.n)}")
+    c = np.empty(h.shape, dtype=complex)
+    root = np.sqrt(noise.lam)[:, None]
+    for j in _strips(noise.n):
+        np.divide(noise.vt(h[:, j]), root, out=c[:, j])
     return c
 
 
@@ -162,15 +161,12 @@ def _neg_gram(c: np.ndarray) -> np.ndarray:
 
 
 def _gains(u_t: np.ndarray, xi: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
-    """Gains xi clamped at 0 and energy weights phi = diag(U_t^H G U_t) of C^H C's EVD."""
-    phi_c = np.empty(xi.size, dtype=complex)
+    """Gains xi clamped at 0 and weights phi = diag(U_t^H G U_t) = sum_k raw_k |(V^T U_t)_k|^2."""
+    phi = np.empty(xi.size)
     for j in _strips(xi.size):
-        u = u_t[:, j]
-        phi_c[j] = np.einsum("in,in->n", u.conj(), _real_matmul(noise.G, u))
-    imag_max = float(np.abs(phi_c.imag).max())
-    if imag_max > 1e-10 * max(1.0, float(np.abs(phi_c.real).max())):
-        raise AssertionError(f"energy weights are not real: max imag {imag_max:.3e}")
-    return np.maximum(xi, 0.0), phi_c.real.copy()
+        y = noise.vt(u_t[:, j]).view(np.float64)  # each column as its real and imaginary pair
+        phi[j] = (noise.raw @ (y * y)).reshape(-1, 2).sum(axis=1)
+    return np.maximum(xi, 0.0), phi
 
 
 def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
@@ -185,8 +181,9 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     w = c @ u_t
     del c
     w /= np.sqrt(noise.lam)[:, None]
-    d = _real_matmul(noise.V, w)
-    return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=np.conjugate(d, out=d).T)
+    for j in _strips(w.shape[1]):
+        w[:, j] = noise.v(w[:, j])
+    return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=np.conjugate(w, out=w).T)
 
 
 def _folded_band(h: np.ndarray) -> np.ndarray | None:
@@ -222,8 +219,7 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
     is, and the EVD buffer before phi, so a caller that passes H as a
     temporary holds at most two MN x MN matrices through the EVD.
     """
-    g = noise.G
-    if not is_identity(g):
+    if not noise.identity:
         c = _whiten(h, noise)
         del h
         s = _neg_gram(c)
@@ -231,8 +227,8 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
         u_t, xi = _evd_desc_inplace(s)
         del s
         return _gains(u_t, xi, noise)
-    if h.shape != g.shape:
-        raise ValueError(f"H {h.shape} does not match the noise shape {g.shape}")
+    if h.shape != (noise.n, noise.n):
+        raise ValueError(f"H {h.shape} does not match the noise shape {(noise.n, noise.n)}")
     band = _folded_band(h) if _openblas.lapacke("zhbev") is not None else None
     xi = (-np.linalg.eigvalsh(_neg_gram(h), UPLO="U") if band is None
           else _openblas.band_eigvalsh(band)[::-1])

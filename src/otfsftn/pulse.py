@@ -5,11 +5,14 @@ the matched-filter cascade is the raised cosine g(t).  Times are in units of
 the Nyquist interval T0.  Sampling g at the compressed interval T_f = alpha*T0
 yields a symmetric Toeplitz matrix G that is simultaneously the
 intersymbol-interference operator and the shape of the matched-filter noise
-covariance.  gram_matrix builds G and factors it, once per (alpha, beta, MN),
-into the NoiseShape that whitens the channel and colors the noise: as two
-half-order real EVDs, since G is centrosymmetric, and with none at alpha = 1,
-where G = I.  The simulator works in the time domain; the delay-Doppler image
-G_eq, which shares G's spectrum, is formed only by the oracles (gram_dd).
+covariance.  gram_matrix samples G's first row and factors G from it, once
+per (alpha, beta, MN), into the NoiseShape that whitens the channel and
+colors the noise: G is centrosymmetric, so its eigenbasis V is kept as two
+half-order real factors, and at alpha = 1, where G = I, as nothing at all.
+Neither G nor V is ever formed; V^T x and V x are half-order products.  The
+simulator works in the time domain; G itself and the delay-Doppler image
+G_eq, which shares G's spectrum, are formed only by the oracles (dense_g,
+gram_dd).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ EIG_FLOOR_REL = 1e-10
 # Half-width around a removable singularity (in units of T0) that switches
 # evaluation to the analytic limit.
 _SING_TOL = 1e-8
+
+_windows = np.lib.stride_tricks.sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -52,20 +57,77 @@ class PulseSpec:
 
 @dataclass(frozen=True, eq=False)
 class NoiseShape:
-    """The noise shape G factored once as G = V diag(lam) V^H.
+    """The noise shape G = V diag(raw) V^T, kept as the two half-order real factors of V.
 
-    V is unitary, and real (so V^H = V^T) when G is real, as the simulator's
-    G always is; the delay-Doppler G_eq gives a complex V.  V is exactly I
-    where G is.  lam is descending and clamped from below at floor (0.0 when
-    the floor policy is disabled); floored counts the clamped eigenvalues.
-    Every trial of an (alpha, beta, MN) instance shares it read-only.
+    G is the real symmetric Toeplitz matrix with first row row = g(k*T_f),
+    k < n.  It is centrosymmetric, so with n = 2m + r its eigenvectors are
+    even, [u; t; J u], or odd, [u; 0; -J u] (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976): the columns of even ((m+r) x (m+r)) hold the
+    [u; t], those of odd (m x m) the u.  The eigenpairs are in block order
+    [even, odd], ascending in each block, so column k of V pairs with raw[k],
+    G's eigenvalue, and lam[k], the same clamped from below at floor (0.0
+    when the floor policy is disabled); floored counts the clamped ones.
+    Each column's first entry above 1e-8 is positive.  Where G = I only the
+    identity marker is kept: no row or factors, and raw and lam are unit
+    views that own no memory.  vt and v apply V^T and V to a real or complex
+    vector or block of n rows as two half-order real products on the folds
+    x_top +/- J x_bot; dense_g allocates G for the oracles.  Every trial of
+    an (alpha, beta, MN) instance shares it read-only.
     """
 
-    G: np.ndarray
-    V: np.ndarray
+    raw: np.ndarray
     lam: np.ndarray
-    floored: int
-    floor: float
+    row: np.ndarray | None = None
+    even: np.ndarray | None = None
+    odd: np.ndarray | None = None
+    floored: int = 0
+    floor: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return self.lam.size
+
+    @property
+    def identity(self) -> bool:
+        return self.even is None
+
+    def vt(self, x: np.ndarray) -> np.ndarray:
+        """V^T x as a new array (x itself, made contiguous, where G = I)."""
+        return self._fold(x, transpose=True)
+
+    def v(self, y: np.ndarray) -> np.ndarray:
+        """V y as a new array (y itself, made contiguous, where G = I)."""
+        return self._fold(y, transpose=False)
+
+    def dense_g(self, dtype: type = float) -> np.ndarray:
+        """G as a new n x n array; it allocates, so only the oracles call it."""
+        if self.identity:
+            return np.eye(self.n, dtype=dtype)
+        return np.array(_toeplitz(self.row, self.n), dtype)
+
+    def _fold(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """V^T x or V x on x's real C-ordered image: each complex column as a (real, imag) pair."""
+        x = np.asarray(x)
+        dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+        z = np.ascontiguousarray(x, dtype)
+        if self.identity:
+            return z
+        z = (z[:, None] if z.ndim == 1 else z).view(np.float64)
+        m, r = divmod(self.n, 2)
+        out = np.empty_like(z)
+        if transpose:  # [E^T (x_top + J x_bot; x_mid); O^T (x_top - J x_bot)]
+            top, bot = z[:m], z[m + r:][::-1]
+            f = np.empty((m + r, z.shape[1]))
+            np.add(top, bot, out=f[:m])
+            f[m:] = z[m : m + r]
+            np.matmul(self.even.T, f, out=out[: m + r])
+            np.matmul(self.odd.T, np.subtract(top, bot, out=f[:m]), out=out[m + r:])
+        else:  # with a = E y_even and b = O y_odd: [a_top + b; a_mid; J (a_top - b)]
+            a = np.matmul(self.even, z[: m + r], out=out[: m + r])
+            b = self.odd @ z[m + r:]
+            np.subtract(a[:m], b, out=out[m + r:][::-1])
+            a[:m] += b
+        return out.view(dtype).reshape(x.shape)
 
 
 def rc_autocorr(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
@@ -131,65 +193,62 @@ def check_alpha(alpha: float, spec: PulseSpec) -> None:
         )
 
 
-def is_identity(g: np.ndarray) -> bool:
-    """Whether the square matrix g is exactly the identity, tested with no n x n temporary."""
-    return np.count_nonzero(g) == g.shape[0] and bool(np.all(g.diagonal() == 1.0))
+def floor_spectrum(w: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> tuple[np.ndarray, int, float]:
+    """The floor policy on a noise shape's eigenvalues w: (w floored, clamped count, floor).
 
-
-def _centrosymmetric_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenpairs of a real symmetric g = J g J from two half-order blocks.
-
-    With n = 2m + r, A = g[:m, :m] and C = g[m+r:, :m], the even vectors
-    [u; t; J u] solve A + J C, bordered for odd n by sqrt(2) times the middle
-    column and by the middle entry, and the odd ones [u; 0; -J u] solve
-    A - J C (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Ties keep the
-    order [even, odd]; each column's first entry above 1e-8 is positive.
+    The floor is eig_floor_rel times the largest eigenvalue, and clamping
+    logs one warning; eig_floor_rel = 0 disables it and rejects a singular w.
     """
-    n = g.shape[0]
-    m, r = divmod(n, 2)
-    even = g[: m + r, : m + r] + g[m:, : m + r][::-1]  # odd n: row and column m doubled
-    even[m:] /= np.sqrt(2.0)
-    even[:, m:] /= np.sqrt(2.0)
-    blocks = (np.linalg.eigh(even), np.linalg.eigh(g[:m, :m] - g[m + r:, :m][::-1]))
-    w = np.concatenate([blocks[0][0], blocks[1][0]])
-    order = np.argsort(-w, kind="stable")
-    col = np.argsort(order)
-    v = np.zeros((n, n))
-    for (_, b), cols, mirror in zip(blocks, (col[: m + r], col[m + r:]), (1.0, -1.0)):
-        b[:m] *= np.sqrt(0.5)
-        if b.size:
-            b *= np.sign(b[np.argmax(np.abs(b) > 1e-8, axis=0), np.arange(b.shape[1])])
-        v[: len(b), cols] = b
-        v[m + r:, cols] = mirror * b[:m][::-1]
-    return w[order], v
-
-
-def noise_shape(g: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseShape:
-    """Eigendecomposition of the Hermitian noise shape G, floor policy applied.
-
-    G = I gives V = I with no eigensolver; a real centrosymmetric G (every
-    gram_matrix G) is split in two halves; any other G, such as the complex
-    G_eq, goes to eigh.  A positive eig_floor_rel clamps eigenvalues below
-    that fraction of the largest one and logs one warning; zero disables the
-    floor, and a singular G is then rejected.
-    """
-    if is_identity(g):
-        lam, v = np.ones(g.shape[0]), np.eye(g.shape[0])
-    elif np.isrealobj(g) and np.array_equal(g, g[::-1, ::-1]):
-        lam, v = _centrosymmetric_eigh(g)
-    else:
-        w, v = np.linalg.eigh(g)
-        order = np.argsort(-w, kind="stable")
-        lam, v = w[order], v[:, order]
-    if lam[0] <= 0.0:
+    top = float(w.max())
+    if top <= 0.0:
         raise ValueError("noise-shape matrix has no positive eigenvalue")
-    floor = eig_floor_rel * lam[0] if eig_floor_rel > 0.0 else 0.0
-    if floor == 0.0 and lam[-1] <= 0.0:
+    floor = eig_floor_rel * top if eig_floor_rel > 0.0 else 0.0
+    if floor == 0.0 and w.min() <= 0.0:
         raise ValueError("noise shape is singular and flooring is disabled")
-    floored = int(np.count_nonzero(lam < floor))
+    floored = int(np.count_nonzero(w < floor))
     if floored:
         log.warning("floored %d eigenvalue(s) of the noise shape at %.3e", floored, floor)
-    return NoiseShape(G=g, V=v, lam=np.maximum(lam, floor), floored=floored, floor=floor)
+    return np.maximum(w, floor), floored, floor
+
+
+def _toeplitz(row: np.ndarray, size: int) -> np.ndarray:
+    """The read-only strided view [i, j] = row[|i-j|], i, j < size ([:size] keeps size 0 empty)."""
+    return _windows(np.concatenate([row[size - 1 : 0 : -1], row[:size]]), size)[:size, ::-1]
+
+
+def noise_shape(row: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseShape:
+    """Factor the symmetric Toeplitz noise shape G with first row row, floor policy applied.
+
+    row = e_0 (G = I) takes no eigensolver.  Otherwise, with n = 2m + r,
+    A = G[:m, :m] and C = G[m+r:, :m], the even block A + J C, bordered for
+    odd n by sqrt(2) times the middle column and by the middle entry, and
+    the odd block A - J C are each written from strided Toeplitz and Hankel
+    views of row into a buffer of their own and factored in turn; G and V
+    are never formed.  The floor policy is floor_spectrum's.
+    """
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1 or not row.size:
+        raise ValueError(f"expected the first row of G, got shape {row.shape}")
+    if row[0] == 1.0 and np.count_nonzero(row) == 1:
+        unit = np.broadcast_to(1.0, row.size)
+        return NoiseShape(raw=unit, lam=unit)
+    m, r = divmod(row.size, 2)
+    pairs = []
+    for size, fold in ((m + r, np.add), (m, np.subtract)):
+        block = _toeplitz(row, size).copy()  # [i, j] = fold(row[|i-j|], row[n-1-i-j])
+        fold(block, _windows(row[::-1][: 2 * size - 1], size)[:size], out=block)
+        block[m:] /= np.sqrt(2.0)  # odd n: the even block's doubled row and column m
+        block[:, m:] /= np.sqrt(2.0)
+        w, b = np.linalg.eigh(block)
+        del block
+        b[:m] *= np.sqrt(0.5)  # the u of [u; t; J u] and of [u; 0; -J u]
+        if b.size:
+            b *= np.sign(b[np.argmax(np.abs(b) > 1e-8, axis=0), np.arange(b.shape[1])])
+        pairs.append((w, b))
+    (w_even, even), (w_odd, odd) = pairs
+    raw = np.concatenate([w_even, w_odd])
+    lam, floored, floor = floor_spectrum(raw, eig_floor_rel)
+    return NoiseShape(raw=raw, lam=lam, row=row, even=even, odd=odd, floored=floored, floor=floor)
 
 
 def lag_windows(lags: np.ndarray, n: int, alpha: float, spec: PulseSpec) -> np.ndarray:
@@ -201,17 +260,16 @@ def lag_windows(lags: np.ndarray, n: int, alpha: float, spec: PulseSpec) -> np.n
     are exactly the identity.
     """
     g = (lags == 0).astype(float) if alpha == 1.0 else np.asarray(rc_autocorr(lags * alpha, spec))
-    return np.lib.stride_tricks.sliding_window_view(g, n)[:, ::-1]
+    return _windows(g, n)[:, ::-1]
 
 
 def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> NoiseShape:
-    """Build the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) and factor it."""
+    """Factor the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) from its first row."""
     check_alpha(alpha, spec)
-    lags = np.abs(np.arange(1 - shape.MN, shape.MN))
-    return noise_shape(np.ascontiguousarray(lag_windows(lags, shape.MN, alpha, spec)))
+    return noise_shape(lag_windows(np.arange(shape.MN), 1, alpha, spec)[:, 0])  # g(k*T_f), k < MN
 
 
 def gram_dd(noise: NoiseShape, shape: GridShape) -> np.ndarray:
     """The delay-Doppler image G_eq = (F_N kron I_M) G (F_N^H kron I_M), symmetrized Hermitian."""
-    g_eq = conjugate_by_dd(noise.G.astype(complex), shape)
+    g_eq = conjugate_by_dd(noise.dense_g(complex), shape)
     return 0.5 * (g_eq + g_eq.conj().T)

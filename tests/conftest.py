@@ -23,6 +23,21 @@ def eva_config(
     )
 
 
+def dense_v(noise) -> np.ndarray:
+    """The noise shape's basis V, scattered from its half factors: the even
+    columns [u; t; J u] and then the odd ones [u; 0; -J u]."""
+    n = noise.n
+    if noise.identity:
+        return np.eye(n)
+    m, r = divmod(n, 2)
+    v = np.zeros((n, n))
+    v[: m + r, : m + r] = noise.even
+    v[m + r:, : m + r] = noise.even[:m][::-1]
+    v[:m, m + r:] = noise.odd
+    v[m + r:, m + r:] = -noise.odd[::-1]
+    return v
+
+
 def identity_config(m: int, n: int, alpha: float, beta: float = 0.25, **kw) -> SystemConfig:
     return SystemConfig(M=m, N=n, alpha_grid=(alpha,), beta=beta, **kw)
 

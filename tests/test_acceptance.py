@@ -49,7 +49,7 @@ def test_criterion_01_nyquist_degeneracy():
     t0 = time.perf_counter()
     shape = GridShape(128, 12)  # MN = 1536
     noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
-    dev = float(np.abs(noise.G - np.eye(shape.MN)).max())
+    dev = float(np.abs(noise.dense_g() - np.eye(shape.MN)).max())
     elapsed = time.perf_counter() - t0
     report(
         dev <= 1e-12 and elapsed < 5.0, 1, "nyquist-degeneracy",

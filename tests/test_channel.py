@@ -414,7 +414,7 @@ class TestStridedBuild:
         cfg = identity_config(m, n, alpha, beta=beta, cp_len=cp_len, delta_f_hz=30e3,
                               channel=channel)
         spec = PulseSpec(beta=beta)
-        gram = gram_matrix(GridShape(m, n), alpha, spec).G
+        gram = gram_matrix(GridShape(m, n), alpha, spec).dense_g()
         assert gram.flags.c_contiguous
         assert gram.tobytes() == gather_gram(m * n, alpha, spec).tobytes()
         for seed in range(2):

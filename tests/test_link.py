@@ -31,7 +31,7 @@ from otfsftn import (
     waterfill,
 )
 from otfsftn.config import CODE_RATE, snr_linear, target_bits
-from otfsftn.link import SUPPORTED_BITS, _span, format_llr_records
+from otfsftn.link import SUPPORTED_BITS, _draw_bits, _scaled_white, _span, format_llr_records
 from otfsftn.precoder import subchannel_gains
 
 from conftest import complex_gaussian, eva_config, identity_config
@@ -200,6 +200,15 @@ class TestMapBits:
             alone = map_bits(bits[offsets[n] : offsets[n + 1]], Loading(np.array([nbits]))) if nbits else [0.0]
             np.testing.assert_array_equal(x[n], alone[0])
         np.testing.assert_array_equal(hard_detect(x, np.ones(len(b)), np.ones(len(b)), loading), bits)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["frame", "block"])
+    def test_loading_without_bits(self, shape):
+        # no subchannel carries bits: all-zero symbols, and hard decisions
+        # give back an empty bit block of the shape map_bits was given
+        loading = Loading(bits_per_symbol=np.array([0, 0]))
+        x = map_bits(np.zeros(shape, dtype=np.uint8), loading)
+        assert x.shape == (2,) + shape[1:] and not x.any()
+        assert hard_detect(x, np.ones(2), np.ones(2), loading).shape == shape
 
     def test_bit_count_mismatch(self):
         loading = Loading(bits_per_symbol=np.array([2, 2]))
@@ -594,6 +603,21 @@ class TestScalarFrames:
         p_bar = sum(errors) / (2.0 * n)
         assert min(errors) > 1000  # the point is far from error-free
         assert abs(errors[0] - errors[1]) <= 5.0 * np.sqrt(2.0 * n * p_bar * (1.0 - p_bar)) + 1.0
+
+    def test_one_buffer_matches_the_complex_sum(self, rng):
+        # y_d is summed in one complex buffer through its float64 view; byte
+        # for byte it is a x + (w_re + 1j w_im)^T over separate temporaries
+        b = rng.choice(np.array([0, *SUPPORTED_BITS]), 512)
+        loading = Loading(bits_per_symbol=b)
+        xi, gamma = rng.uniform(0.1, 2.0, 512), rng.uniform(0.0, 2.0, 512)
+        rngs = lambda: [np.random.default_rng(70 + t) for t in range(64)]
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, 0.3, rngs())
+        gens = rngs()
+        bits = _draw_bits(loading, gens)
+        w = _scaled_white(xi, 0.3, gens)
+        oracle = (xi * np.sqrt(gamma))[:, None] * map_bits(bits, loading) + (w[::2] + 1j * w[1::2]).T
+        assert tx_bits.tobytes() == bits.tobytes()
+        assert y_d.tobytes() == oracle.tobytes()
 
     def test_block_width_does_not_change_frames(self):
         # the sweep cuts frames into blocks; frame t draws only from its own generator

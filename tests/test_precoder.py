@@ -30,7 +30,7 @@ from otfsftn.harness import run_rate_sweep
 from otfsftn.precoder import XI_ACTIVE_REL, subchannel_gains
 from otfsftn.pulse import EIG_FLOOR_REL
 
-from conftest import complex_gaussian, eva_config, identity_config
+from conftest import complex_gaussian, dense_v, eva_config, identity_config
 
 
 def random_hermitian(rng, n):
@@ -179,7 +179,7 @@ class TestDeriveSubchannels:
     def test_fully_degenerate_instance(self):
         shape = GridShape(4, 2)
         eye = np.eye(shape.MN, dtype=complex)
-        sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)))
+        sol = derive_subchannels(eye, noise_shape(np.eye(shape.MN)[0]))
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-12)
         np.testing.assert_allclose(sol.phi, np.ones(shape.MN), atol=1e-12)
         assert np.abs(sol.D - eye).max() <= 1e-12
@@ -196,7 +196,7 @@ class TestDeriveSubchannels:
     def test_unitary_channel_unit_gains(self, rng):
         shape = GridShape(4, 2)
         q, _ = np.linalg.qr(complex_gaussian(rng, shape.MN**2).reshape(shape.MN, shape.MN))
-        sol = derive_subchannels(q, noise_shape(np.eye(shape.MN)))
+        sol = derive_subchannels(q, noise_shape(np.eye(shape.MN)[0]))
         np.testing.assert_allclose(sol.xi, np.ones(shape.MN), atol=1e-10)
 
     def test_gain_sum_trace_identity(self):
@@ -213,13 +213,15 @@ class TestDeriveSubchannels:
         sol = derive_subchannels(h, noise)
         assert np.all(np.diff(sol.xi) <= 1e-12)
         assert np.all(sol.xi >= 0.0)
-        assert np.all(np.diff(sol.noise.lam) <= 1e-12)
+        lam, k = sol.noise.lam, sol.noise.even.shape[1]  # block order [even, odd], each ascending
+        assert np.all(np.diff(lam[:k]) >= 0.0) and np.all(np.diff(lam[k:]) >= 0.0)
 
     def test_bases_unitary(self):
         shape, noise, h = eva_instance(8, 4, 0.9, seed=3)
         sol = derive_subchannels(h, noise)
         eye = np.eye(shape.MN)
-        assert np.abs(sol.noise.V.conj().T @ sol.noise.V - eye).max() <= 1e-10
+        v = dense_v(sol.noise)
+        assert np.abs(v.T @ v - eye).max() <= 1e-10
         assert np.abs(sol.U_t.conj().T @ sol.U_t - eye).max() <= 1e-10
 
     def test_floor_never_activates_away_from_edge(self):
@@ -236,6 +238,16 @@ class TestDeriveSubchannels:
         sol = derive_subchannels(h, noise)
         assert sol.floored == 0
 
+    @pytest.mark.parametrize("m, n", [(5, 3), (64, 6)])
+    def test_phi_is_the_dense_quadratic_form(self, m, n):
+        # phi from the half-order products of V^T and G's unfloored spectrum
+        # equals diag(U_t^H G U_t) with the dense G
+        for alpha in (0.8, 0.9):
+            _, noise, h = eva_instance(m, n, alpha, seed=m)
+            sol = derive_subchannels(h, noise)
+            oracle = np.einsum("in,in->n", sol.U_t.conj(), noise.dense_g() @ sol.U_t).real
+            assert np.abs(sol.phi - oracle).max() <= 1e-12 * oracle.max()
+
     def test_phi_positive(self):
         shape, noise, h = eva_instance(8, 4, 0.85, seed=4)
         sol = derive_subchannels(h, noise)
@@ -244,9 +256,9 @@ class TestDeriveSubchannels:
     def test_dimension_mismatch(self):
         # H must have the noise shape's dimensions
         with pytest.raises(ValueError, match="noise shape"):
-            derive_subchannels(np.eye(8, dtype=complex), noise_shape(np.eye(4)))
+            derive_subchannels(np.eye(8, dtype=complex), noise_shape(np.eye(4)[0]))
         with pytest.raises(ValueError, match="noise shape"):
-            derive_subchannels(np.ones((4, 8), dtype=complex), noise_shape(np.eye(4)))
+            derive_subchannels(np.ones((4, 8), dtype=complex), noise_shape(np.eye(4)[0]))
 
 
 def dd_domain_oracle(h_eq, g_eq):
@@ -616,7 +628,7 @@ class TestFinalize:
     def test_degenerate_identity_link(self):
         shape = GridShape(4, 2)
         eye = np.eye(shape.MN, dtype=complex)
-        sub = derive_subchannels(eye, noise_shape(np.eye(shape.MN)))
+        sub = derive_subchannels(eye, noise_shape(np.eye(shape.MN)[0]))
         sol = finalize(sub, np.full(shape.MN, 1.0))
         dhp = sub.D @ eye @ sol.P
         assert np.abs(dhp - np.diag(np.sqrt(sol.gamma))).max() <= 1e-10
@@ -628,7 +640,7 @@ class TestFinalize:
         bound = 1e-8 * sol.xi.max()
         dhp = sol.sub.D @ h @ sol.P
         assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
-        dgd = sol.sub.D @ noise.G @ sol.sub.D.conj().T
+        dgd = sol.sub.D @ noise.dense_g() @ sol.sub.D.conj().T
         assert np.abs(dgd - np.diag(sol.xi)).max() <= bound
 
     def test_energy_constraint_satisfied(self):

@@ -1,11 +1,14 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from otfsftn import (
-    GridShape, PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse,
+    GridShape, PulseSpec, gram_dd, gram_matrix, mi_logdet, noise_shape, rc_autocorr, rrc_impulse,
 )
+
+from conftest import dense_v
 
 
 def rrc_self_convolution(beta: float, tau: float, oversample: int = 1000, span: int = 128) -> float:
@@ -117,30 +120,30 @@ class TestGramMatrix:
         shape = GridShape(4, 3)
         for beta in (0.0, 0.25, 0.5):
             gram = gram_matrix(shape, 1.0, PulseSpec(beta=beta))
-            assert np.array_equal(gram.G, np.eye(shape.MN))
+            assert np.array_equal(gram.dense_g(), np.eye(shape.MN))
 
     def test_first_offdiagonal(self):
         spec = PulseSpec(beta=0.25)
         gram = gram_matrix(GridShape(4, 2), 0.9, spec)
-        assert gram.G[0, 1] == rc_autocorr(0.9, spec)
-        assert gram.G[3, 2] == rc_autocorr(0.9, spec)
+        assert gram.dense_g()[0, 1] == rc_autocorr(0.9, spec)
+        assert gram.dense_g()[3, 2] == rc_autocorr(0.9, spec)
 
     def test_toeplitz_structure(self):
         spec = PulseSpec(beta=0.25)
         gram = gram_matrix(GridShape(8, 8), 0.85, spec)
-        mn = 64
-        for k in range(mn):
-            for m in range(mn):
-                assert gram.G[k, m] == gram.G[0, abs(k - m)]
+        g = gram.dense_g()
+        for k in range(64):
+            for m in range(64):
+                assert g[k, m] == g[0, abs(k - m)]
 
     def test_unit_diagonal(self):
         gram = gram_matrix(GridShape(6, 2), 0.82, PulseSpec(beta=0.25))
-        np.testing.assert_array_equal(np.diag(gram.G), np.ones(12))
+        np.testing.assert_array_equal(np.diag(gram.dense_g()), np.ones(12))
 
     def test_psd_at_admissibility_edge(self):
         spec = PulseSpec(beta=0.25)
         gram = gram_matrix(GridShape(4, 2), 0.8, spec)
-        assert np.linalg.eigvalsh(gram.G).min() >= -1e-9
+        assert np.linalg.eigvalsh(gram.dense_g()).min() >= -1e-9
 
     def test_rejects_inadmissible_alpha(self):
         spec = PulseSpec(beta=0.25)
@@ -164,13 +167,13 @@ class TestGramDd:
     def test_trace_preserved(self):
         shape = GridShape(8, 4)
         noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
-        tr_g = np.trace(noise.G)
+        tr_g = np.trace(noise.dense_g())
         assert abs(np.trace(gram_dd(noise, shape)) - tr_g) <= 1e-10 * abs(tr_g)
 
     def test_spectrum_preserved(self):
         shape = GridShape(4, 3)
         noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
-        w_g = np.sort(np.linalg.eigvalsh(noise.G))
+        w_g = np.sort(np.linalg.eigvalsh(noise.dense_g()))
         w_eq = np.sort(np.linalg.eigvalsh(gram_dd(noise, shape)))
         assert np.abs(w_g - w_eq).max() <= 1e-9
 
@@ -178,32 +181,40 @@ class TestGramDd:
 class TestNoiseShape:
     def test_factors_g(self):
         ns = gram_matrix(GridShape(8, 4), 0.85, PulseSpec(beta=0.25))
-        assert np.all(np.diff(ns.lam) <= 0.0)
-        assert np.abs(ns.V.T @ ns.V - np.eye(32)).max() <= 1e-12
-        assert np.abs((ns.V * ns.lam) @ ns.V.T - ns.G).max() <= 1e-12
+        v = dense_v(ns)
+        k = ns.even.shape[1]  # block order [even, odd], each ascending
+        assert np.all(np.diff(ns.lam[:k]) >= 0.0) and np.all(np.diff(ns.lam[k:]) >= 0.0)
+        assert np.abs(v.T @ v - np.eye(32)).max() <= 1e-12
+        assert np.abs((v * ns.lam) @ v.T - ns.dense_g()).max() <= 1e-12
         assert ns.floored == 0
 
     def test_identity_at_nyquist(self, monkeypatch):
         orders = eigh_spy(monkeypatch)
         ns = gram_matrix(GridShape(64, 6), 1.0, PulseSpec(beta=0.25))
         assert orders == []
-        np.testing.assert_array_equal(ns.V, np.eye(384))
+        assert ns.identity and ns.row is None and ns.odd is None
+        assert ns.lam.strides == ns.raw.strides == (0,)  # unit views that own no memory
         np.testing.assert_array_equal(ns.lam, np.ones(384))
+        x = np.arange(384.0)
+        assert ns.vt(x) is x and ns.v(x) is x
 
     def test_floor_clamps_and_warns_once(self, caplog):
-        g = gram_matrix(GridShape(8, 4), 0.8, PulseSpec(beta=0.25)).G
-        raw = np.linalg.eigvalsh(g)
+        gram = gram_matrix(GridShape(8, 4), 0.8, PulseSpec(beta=0.25))
+        raw = np.linalg.eigvalsh(gram.dense_g())
         with caplog.at_level(logging.WARNING, logger="otfsftn.pulse"):
-            ns = noise_shape(g, eig_floor_rel=0.05)
+            ns = noise_shape(gram.row, eig_floor_rel=0.05)
         assert abs(ns.floor - 0.05 * raw.max()) <= 1e-12
         assert ns.floored == int(np.count_nonzero(raw < ns.floor)) > 0
         assert ns.lam.min() == ns.floor
         assert len([r for r in caplog.records if "floored" in r.message]) == 1
 
     def test_disabled_floor_rejects_singular(self):
+        # the first row [1, 1] gives G = [[1, 1], [1, 1]], with eigenvalues 2 and 0
         with pytest.raises(ValueError, match="singular"):
-            noise_shape(np.diag([1.0, 0.0]), eig_floor_rel=0.0)
-        assert noise_shape(np.diag([1.0, 0.0])).floored == 1
+            noise_shape(np.array([1.0, 1.0]), eig_floor_rel=0.0)
+        assert noise_shape(np.array([1.0, 1.0])).floored == 1
+        with pytest.raises(ValueError, match="first row"):
+            noise_shape(np.eye(2))
 
 
 class TestCentrosymmetricSplit:
@@ -215,38 +226,71 @@ class TestCentrosymmetricSplit:
         spec = PulseSpec(beta=beta)
         for alpha in (spec.admissible_alpha(), 0.85, 0.9):
             ns = gram_matrix(GridShape(m, n), alpha, spec)
-            raw = np.linalg.eigvalsh(ns.G)[::-1]
+            raw = np.linalg.eigvalsh(ns.dense_g())
             mn = m * n
-            assert np.abs(ns.lam - np.maximum(raw, ns.floor)).max() <= 1e-13 * raw[0]
-            assert np.abs(ns.V.T @ ns.V - np.eye(mn)).max() <= 1e-12
-            assert np.abs((ns.V * ns.lam) @ ns.V.T - ns.G).max() <= 1e-12
+            v = dense_v(ns)
+            assert np.abs(np.sort(ns.raw) - raw).max() <= 1e-13 * raw[-1]
+            assert np.abs(np.sort(ns.lam) - np.maximum(raw, ns.floor)).max() <= 1e-13 * raw[-1]
+            assert np.abs(v.T @ v - np.eye(mn)).max() <= 1e-12
+            assert np.abs((v * ns.lam) @ v.T - ns.dense_g()).max() <= 1e-12
             assert ns.floored == int(np.count_nonzero(raw < ns.floor))
-            if alpha == spec.admissible_alpha():
-                edge = noise_shape(ns.G, eig_floor_rel=0.05)
+            if alpha == spec.admissible_alpha() and not ns.identity:
+                edge = noise_shape(ns.row, eig_floor_rel=0.05)
                 assert edge.floored == int(np.count_nonzero(raw < edge.floor))
+
+    @pytest.mark.parametrize("mn", (1, 2, 3, 15, 192, 384))
+    def test_half_order_products_match_dense_basis(self, mn, rng):
+        spec = PulseSpec(beta=0.25)
+        for alpha in (spec.admissible_alpha(), 0.85, 0.9):
+            ns = gram_matrix(GridShape(mn, 1), alpha, spec)
+            v = dense_v(ns)
+            x = rng.standard_normal((mn, 5)) + 1j * rng.standard_normal((mn, 5))
+            for y in (x, x[:, 0], x.real):
+                assert np.abs(ns.vt(y) - v.T @ y).max() <= 1e-13
+                assert np.abs(ns.v(y) - v @ y).max() <= 1e-13
+                assert ns.vt(y).shape == ns.v(y).shape == y.shape
 
     def test_half_order_solves_only(self, monkeypatch):
         orders = eigh_spy(monkeypatch)
         ns = gram_matrix(GridShape(64, 6), 0.8, PulseSpec(beta=0.25))
         assert orders and max(orders) <= 192
-        assert ns.V.shape == (384, 384)
+        assert ns.even.shape == ns.odd.shape == (192, 192)
+
+    def test_factors_leave_half_a_matrix_resident(self):
+        # the two half bases hold half a real MN x MN matrix; the dense G
+        # and V kept beside them left 1.9
+        mn = 768
+        gram_matrix(GridShape(mn, 1), 0.8, PulseSpec(beta=0.25))  # resolves the LAPACK bindings
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ns = gram_matrix(GridShape(mn, 1), 0.8, PulseSpec(beta=0.25))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert ns.even.shape == (mn // 2, mn // 2)
+        assert held <= 0.55 * 8 * mn**2
 
     @pytest.mark.parametrize("mn", (2, 7, 15, 32, 33))
     def test_deterministic_column_sign(self, mn):
-        v = gram_matrix(GridShape(mn, 1), 0.85, PulseSpec(beta=0.25)).V
+        v = dense_v(gram_matrix(GridShape(mn, 1), 0.85, PulseSpec(beta=0.25)))
         first = np.argmax(np.abs(v) > 1e-8, axis=0)
         assert np.all(v[first, np.arange(mn)] > 0.0)
 
     @pytest.mark.parametrize("kind", ("complex-hermitian", "real-not-centrosymmetric"))
     def test_eigh_fallback(self, kind, rng, monkeypatch):
+        # a G_eq the split cannot take is factored by mi_logdet itself, by one
+        # eigh and the shared floor rule: its MI is the log-determinant's
         n = 9
         a = rng.standard_normal((n, n))
         if kind == "complex-hermitian":
             a = a + 1j * rng.standard_normal((n, n))
         g = a @ a.conj().T + n * np.eye(n)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         orders = eigh_spy(monkeypatch)
-        ns = noise_shape(g)
-        assert orders == [n]
-        assert np.all(np.diff(ns.lam) <= 0.0)
-        assert np.abs(ns.V.conj().T @ ns.V - np.eye(n)).max() <= 1e-12
-        assert np.abs((ns.V * ns.lam) @ ns.V.conj().T - g).max() <= 1e-12 * ns.lam[0]
+        mi = mi_logdet(h, g, np.eye(n), 0.5)
+        assert orders == [n, n, n]  # Rxx, G_eq and the whitened kernel
+        direct = np.linalg.slogdet(np.eye(n) + h @ h.conj().T @ np.linalg.inv(g) / 0.5)[1]
+        assert abs(mi - direct / np.log(2.0)) <= 1e-10 * mi
+        # a singular G_eq is floored, not rejected
+        assert np.isfinite(mi_logdet(np.eye(2), np.diag([1.0, 0.0]), np.eye(2), 1.0))
