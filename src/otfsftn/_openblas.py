@@ -47,8 +47,9 @@ def _libraries() -> list[ctypes.CDLL]:
     return [ctypes.CDLL(p) for p in paths]
 
 
-def thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
+@functools.cache
+def thread_controls() -> tuple[tuple, ...]:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process; found once."""
     found = []
     for lib in _libraries():
         name = next((n for n in THREAD_FUNCTIONS if hasattr(lib, n.format("set"))), None)
@@ -57,7 +58,7 @@ def thread_controls() -> list[tuple]:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
             found.append((get, put))
-    return found
+    return tuple(found)
 
 
 @functools.cache

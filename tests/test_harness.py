@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from otfsftn import ConfigError, parse_config, run_ber_sweep, run_rate_sweep, va
 from otfsftn.cli import main as cli_main
 import otfsftn._openblas as _openblas
 import otfsftn.harness as harness
-from otfsftn.harness import channel_dump, single_blas_thread, trial_rng
+import otfsftn.link as link
+from otfsftn.harness import channel_dump, single_blas_thread, trial_rng, trial_rngs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -451,9 +453,16 @@ class TestThreads:
             pinned = run_ber_sweep(cfg).to_csv()
         assert run_ber_sweep(cfg).to_csv() == pinned
 
-    def test_pin_is_no_op_without_setter(self, blas_two, monkeypatch):
+    @pytest.fixture
+    def fresh_controls(self):
+        """thread_controls looked up anew in the test, and again after it."""
+        _openblas.thread_controls.cache_clear()
+        yield
+        _openblas.thread_controls.cache_clear()
+
+    def test_pin_is_no_op_without_setter(self, blas_two, monkeypatch, fresh_controls):
         monkeypatch.setattr(_openblas, "THREAD_FUNCTIONS", ("no_such_blas_{}_num_threads",))
-        assert _openblas.thread_controls() == []
+        assert _openblas.thread_controls() == ()
         with single_blas_thread():
             assert _blas_counts(blas_two) == [2] * len(blas_two)
 
@@ -461,7 +470,22 @@ class TestThreads:
             raise OSError("process maps unreadable")
 
         monkeypatch.setattr(_openblas, "open", unreadable, raising=False)
-        assert _openblas.thread_controls() == []
+        _openblas.thread_controls.cache_clear()
+        assert _openblas.thread_controls() == ()
+
+    def test_controls_read_the_maps_once(self, blas_two, monkeypatch, fresh_controls):
+        reads = []
+
+        def counting_open(*args, **kwargs):
+            reads.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(_openblas, "open", counting_open, raising=False)
+        for _ in range(2):
+            with single_blas_thread():
+                assert _blas_counts(blas_two) == [1] * len(blas_two)
+        assert reads == ["/proc/self/maps"]
+        assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     def test_eva192_outputs_identical_for_any_pool_size(self):
         text = (
@@ -526,6 +550,53 @@ class TestTrialRng:
 
     def test_streams_reproducible(self):
         assert np.array_equal(trial_rng(9, 3, 7).standard_normal(8), trial_rng(9, 3, 7).standard_normal(8))
+
+    @staticmethod
+    def seed_sequence_rngs(master_seed, point_idx, trials):
+        """The oracle: one SeedSequence per trial."""
+        return [np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, t)))
+                for t in trials]
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("point_idx", [0, 7, 2**32])
+    def test_states_match_seed_sequence(self, master_seed, point_idx):
+        # trials 0-130 in one pass and in the sweep's blocks of 64, and a block
+        # crossing 2^32, where the trial's key grows a word
+        blocks = [range(131), range(0, 64), range(64, 128), range(128, 131), range(2**32 - 3, 2**32 + 3)]
+        for trials in blocks:
+            got = [g.bit_generator.state for g in trial_rngs(master_seed, point_idx, trials)]
+            assert got == [g.bit_generator.state for g in self.seed_sequence_rngs(master_seed, point_idx, trials)]
+        one = trial_rng(master_seed, point_idx, 2**32)
+        assert one.bit_generator.state == self.seed_sequence_rngs(master_seed, point_idx, [2**32])[0].bit_generator.state
+
+    def test_empty_block_and_negative_seed(self):
+        assert trial_rngs(1, 2, range(0)) == []
+        with pytest.raises(ValueError, match="non-negative"):
+            trial_rngs(-1, 0, range(3))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_identity_sweep_matches_per_frame_oracle(self, monkeypatch, threads):
+        # 130 trials: blocks of 64, 64 and 2 frames; CSV and LLR dump byte for byte
+        # against one SeedSequence and one integers draw per frame
+        cfg = parse_config(AWGN_QPSK.replace("trials: 40", "trials: 130"))
+
+        def run():
+            sink = io.StringIO()
+            csv = run_ber_sweep(cfg, threads=threads, llr_sink=sink).to_csv()
+            return csv.encode(), sink.getvalue().encode()
+
+        fast = run()
+        monkeypatch.setattr(harness, "trial_rngs", self.seed_sequence_rngs)
+        monkeypatch.setattr(link, "_draw_bits", lambda loading, rngs: np.array(
+            [r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], np.uint8).T)
+        assert run() == fast
+        assert len(fast[1].splitlines()) == 2 + 2 * 130 * 32
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        code = "import sys, otfsftn.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")})
+        assert out.stdout.strip() == "False"
 
 
 class TestValidate:

@@ -660,6 +660,42 @@ class TestScalarFrames:
         with pytest.raises(ValueError, match="sigma0_sq"):
             scalar_frames(loading, np.ones(1), np.ones(1), sigma0_sq, [np.random.default_rng(1)])
 
+    def test_no_generators_give_empty_blocks(self):
+        # a block of no frames keeps its leading dimensions on both paths
+        loading = Loading(bits_per_symbol=np.array([2, 2]))
+        tx_bits, y_d = scalar_frames(loading, np.ones(2), np.ones(2), 0.3, [])
+        assert tx_bits.shape == (4, 0) and y_d.shape == (2, 0)
+        shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=10)
+        loading = bit_loading(sol.xi, sol.gamma, 10.0, 1.5, cfg)
+        frame = run_frame(loading, sol, h, 0.1, [])
+        assert frame.tx_bits.shape == (loading.total_bits, 0) and frame.y_d.shape == (shape.MN, 0)
+        assert hard_detect(frame.y_d, sol.xi, sol.gamma, loading).shape == (loading.total_bits, 0)
+
+
+class TestDrawBits:
+    """_draw_bits against the Generator.integers draws it reproduces."""
+
+    @staticmethod
+    def integers_oracle(loading, rngs):
+        return np.array([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs],
+                        np.uint8).T
+
+    @pytest.mark.parametrize("b", [[2, 4, 0, 6, 8, 2], [8, 6, 4, 2, 8], [0, 0], [2] * 7])
+    @pytest.mark.parametrize("k", [0, 1, 9])
+    def test_matches_integers(self, b, k):
+        loading = Loading(bits_per_symbol=np.array(b))
+        rngs, oracle_rngs = ([np.random.default_rng(50 + t) for t in range(k)] for _ in "ab")
+        bits = _draw_bits(loading, rngs)
+        assert bits.shape == (loading.total_bits, k)
+        if k:
+            assert bits.tobytes() == self.integers_oracle(loading, oracle_rngs).tobytes()
+        for rng, oracle in zip(rngs, oracle_rngs):  # the noise that follows is unchanged
+            assert rng.standard_normal(3).tobytes() == oracle.standard_normal(3).tobytes()
+
+    def test_rejects_other_bit_generators(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            _draw_bits(Loading(bits_per_symbol=np.array([2])), [np.random.Generator(np.random.MT19937(1))])
+
 
 class TestFrameRecord:
     def test_pipeline_consistency(self, rng):
