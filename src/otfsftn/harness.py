@@ -2,9 +2,7 @@
 
 Every random draw derives from (master_seed, sweep_point_index, trial_index)
 through a counter-style seed sequence, so results are a pure function of the
-configuration and seed: the cell's generator is exactly
-default_rng(SeedSequence(master_seed, spawn_key=(point, trial))).  trial_rngs
-derives a block's generators in one vectorized pass of SeedSequence's hash.
+configuration and seed; trial_rngs derives a block's generators in one pass.
 
 With threads >= 2 a sweep maps its trials on one pool of that many worker
 threads, with OpenBLAS pinned to one thread while they run; set-up outside
@@ -123,72 +121,45 @@ def _provenance(cfg: SystemConfig, digest: str | None) -> str:
     )
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): (init, mult) of its entropy and
-# state hashes, whose constants run init * mult^k mod 2^32, and its mix multipliers
-_HASHES = ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED))
-_MIX = (0xCA01F9DD, 0x4973F715)
-_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): _hashmix is its hashmix of v into `cols`
+# columns from constant k of its entropy hash (which = 0) or its state hash (which = 1)
+_HASH_CONSTS = np.array([[init * pow(mult, i, 1 << 32) % (1 << 32) for i in range(64)]
+                         for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED))], np.uint64)
 
 
-def _hash(v, c: np.ndarray, k: int, n: int):
-    """SeedSequence's hashmix of v's n rows with the hash constants c[k:k + n + 1]."""
-    v = (v ^ c[k:k + n]) * c[k + 1:k + n + 1] & _MASK32
+def _hashmix(v: np.ndarray, which: int, k: int, cols: int) -> np.ndarray:
+    v = (v ^ _HASH_CONSTS[which, k:k + cols]) * _HASH_CONSTS[which, k + 1:k + cols + 1] & 0xFFFFFFFF
     return v ^ v >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of the 32-bit words x and y, broadcast."""
-    r = _MIX[0] * x - _MIX[1] * y & _MASK32
-    return r ^ r >> 16
-
-
-@functools.lru_cache(maxsize=64)
-def _spawn_pool(master_seed: int, point_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pool of SeedSequence(master_seed, spawn_key=(point_idx,)) as a uint64 column,
-    which each trial's key words continue, and the constants of the entropy and state
-    hashes that follow."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(point_idx,))
-    # its entropy is the master seed's 32-bit words, zero-padded to four, then the point's
-    m, p = (max(1, -(-n.bit_length() // 32)) for n in (master_seed, point_idx))
-    k = 4 * (max(m, 4) + p)  # hashes so far; each further word takes four
-    a, b = (np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(k0, k0 + 9)],
-                     np.uint64)[:, None] for (init, mult), k0 in zip(_HASHES, (k, 0)))
-    return seq.pool.astype(np.uint64)[:, None], a, b
 
 
 @functools.cache
 def _fixed_seed() -> type:
-    """An ISeedSequence handing PCG64 the four state words it holds; defined on first
-    use, so that importing the package does not import numpy.random."""
-
+    """An ISeedSequence holding PCG64's state words, defined on first use so import skips numpy.random."""
     @dataclass
     class FixedSeed(np.random.bit_generator.ISeedSequence):
         words: np.ndarray
-
         def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, uint64)
             return self.words
-
     return FixedSeed
 
 
 def trial_rngs(master_seed: int, point_idx: int, trials) -> list[np.random.Generator]:
-    """default_rng(SeedSequence(master_seed, spawn_key=(point_idx, t))) for each trial
-    index t, derived in one pass: the point's pool is mixed once, and each trial's one
-    key word (two from t = 2^32) and the state hash that turns the pool into PCG64's
-    four seed words run for every trial at once."""
-    pool, a, b = _spawn_pool(master_seed, point_idx)
-    t = np.array(trials, dtype=np.uint64).reshape(-1)
-    pool = _mix(pool, _hash(t & _MASK32, a, 0, 4))
-    wide = t > _MASK32
-    if wide.any():
-        pool = np.where(wide, _mix(pool, _hash(t >> 32, a, 4, 4)), pool)
-    state = _hash(np.vstack((pool, pool)), b, 0, 8)  # eight 32-bit words per trial
-    words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)  # low word first
+    """trial_rng for each index in trials, in one pass: the trials' key words continue the
+    point's SeedSequence pool, whose state hash gives PCG64's four seed words."""
+    pool = np.random.SeedSequence(master_seed, spawn_key=(point_idx,)).pool.astype(np.uint64)
+    m, p = (max(1, -(-n.bit_length() // 32)) for n in (master_seed, point_idx))
+    k = 4 * (max(m, 4) + p)  # hashes so far: four per entropy word, the seed's padded to four
+    t = np.array(trials, np.uint64)[:, None]  # one row per trial
+    for j in range(1 + (t >> 32).any()):  # SeedSequence's mix of each key word, two from t = 2^32
+        r = 0xCA01F9DD * pool - 0x4973F715 * _hashmix(t >> 32 * j & 0xFFFFFFFF, 0, k + 4 * j, 4) & 0xFFFFFFFF
+        pool = np.where(j == 0 or t >> 32, r ^ r >> 16, pool)
+    state = _hashmix(np.hstack((pool, pool)), 1, 0, 8)  # eight 32-bit words per trial
+    words = np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)  # low word first
     return [np.random.Generator(np.random.PCG64(_fixed_seed()(w))) for w in words]
 
 
 def trial_rng(master_seed: int, point_idx: int, trial_idx: int) -> np.random.Generator:
-    """Counter-derived generator for one (sweep point, trial) cell."""
+    """default_rng(SeedSequence(master_seed, spawn_key=(point_idx, trial_idx)))."""
     return trial_rngs(master_seed, point_idx, [trial_idx])[0]
 
 

@@ -306,22 +306,14 @@ def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loa
 
 
 def _draw_bits(loading: Loading, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """A total_bits x k block whose column t is rngs[t].integers(0, 2, total_bits).
-
-    On a PCG64 with no buffered half word (a fresh one) those are the top bits of
-    the 32-bit halves of its raw words, low half first: Lemire's bound for a range
-    of 2 never rejects, and total_bits is even, so no half is left buffered either.
-    Shifts, not a byte view, read them on any byte order.
-    """
-    words = np.empty((len(rngs), loading.total_bits // 2), np.uint64)
-    for rng, row in zip(rngs, words):
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise TypeError(f"frames draw from PCG64 generators, got {type(rng.bit_generator).__name__}")
-        row[:] = rng.bit_generator.random_raw(row.size)
+    """A total_bits x k block whose column t is rngs[t].integers(0, 2, total_bits): from PCG64s
+    holding no buffered half word, the top bits of their raw words' 32-bit halves, low half first."""
+    if not all(isinstance(g := r.bit_generator, np.random.PCG64) and not g.state["has_uint32"] for r in rngs):
+        return np.array([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], np.uint8).T
     bits = np.empty((len(rngs), loading.total_bits), np.uint8)
-    low = np.right_shift(words, 31, out=bits[:, 0::2], casting="unsafe")  # keeps the low byte
-    low &= 1
-    np.right_shift(words, 63, out=bits[:, 1::2], casting="unsafe")
+    words = np.array([r.bit_generator.random_raw(loading.total_bits // 2) for r in rngs], np.uint64)
+    words = words.reshape(bits[:, 1::2].shape)  # Lemire's bound for a range of 2 never rejects
+    bits[:, 0::2], bits[:, 1::2] = words >> 31 & 1, words >> 63  # shifts read any byte order
     return bits.T
 
 

@@ -692,9 +692,19 @@ class TestDrawBits:
         for rng, oracle in zip(rngs, oracle_rngs):  # the noise that follows is unchanged
             assert rng.standard_normal(3).tobytes() == oracle.standard_normal(3).tobytes()
 
-    def test_rejects_other_bit_generators(self):
-        with pytest.raises(TypeError, match="PCG64"):
-            _draw_bits(Loading(bits_per_symbol=np.array([2])), [np.random.Generator(np.random.MT19937(1))])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_used_and_other_generators_match_integers(self, bit_generator):
+        # a PCG64 that drew one 32-bit half holds the other, which integers reads
+        # first; other bit generators have no raw-word path at all
+        loading = Loading(bits_per_symbol=np.array([2, 4, 6]))
+        rngs, oracle_rngs = ([np.random.Generator(bit_generator(60 + t)) for t in range(5)] for _ in "ab")
+        for rng in rngs[1::2] + oracle_rngs[1::2]:
+            rng.integers(0, 2**32, dtype=np.uint32)
+        bits = _draw_bits(loading, rngs)
+        assert bits.tobytes() == self.integers_oracle(loading, oracle_rngs).tobytes()
+        for rng, oracle in zip(rngs, oracle_rngs):  # and leaves the generators alike
+            draw = lambda g: g.integers(0, 2**31, 3, np.uint32).tobytes()  # reads any buffered half
+            assert draw(rng) == draw(oracle)
 
 
 class TestFrameRecord:
