@@ -4,9 +4,7 @@ delay-Doppler grid over doubly selective fading channels."""
 from ._version import __version__
 from .config import ChannelConfig, ConfigError, SystemConfig, parse_config
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
-from .pulse import (
-    NoiseShape, PulseSpec, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse,
-)
+from .pulse import NoiseShape, gram_dd, gram_matrix, noise_shape, rc_autocorr, rrc_impulse
 from .channel import (
     DdChannel,
     DdPath,
@@ -67,7 +65,7 @@ __all__ = [
     "__version__",
     "ChannelConfig", "ConfigError", "SystemConfig", "parse_config",
     "GridShape", "conjugate_by_dd", "dd_to_time", "dft_matrix", "time_to_dd",
-    "NoiseShape", "PulseSpec", "gram_dd", "gram_matrix", "noise_shape",
+    "NoiseShape", "gram_dd", "gram_matrix", "noise_shape",
     "rc_autocorr", "rrc_impulse",
     "DdChannel", "DdPath", "dump_paths", "effective_channel",
     "eva_channel", "identity_channel", "load_paths", "synthetic_channel", "waveform_oracle",

@@ -5,12 +5,13 @@ integer + fractional Doppler tap) tuple.  The EVA profile maps the 3GPP
 excess-delay table onto the grid's tap resolution with Jakes-model Doppler
 per tap; the synthetic profile draws distinct (delay, Doppler) pairs with
 unit average total power.  From a path list the dense effective matrix H
-combines channel dispersion with the pulse's matched-filter response; only
-the oracles form its delay-Doppler image H_eq = conjugate_by_dd(H, shape).
+combines channel dispersion with the matched-filter response of the config's
+pulse, its roll-off beta sampled at its packing ratio alpha; only the oracles
+form its delay-Doppler image H_eq = conjugate_by_dd(H, shape).
 
 A brute-force continuous-time simulator (oversampled pulse train, per-path
 delay-and-Doppler, discrete matched filtering) serves as the independent
-oracle for the matrix model.
+oracle for the matrix model; it reads alpha and beta from the same config.
 """
 
 from __future__ import annotations
@@ -22,8 +23,13 @@ import numpy as np
 
 from .config import EVA_DELAYS_NS, EVA_POWERS_DB, SystemConfig
 from .precoder import STRIP
-from .pulse import PulseSpec, check_alpha, lag_windows, rrc_impulse
+from .pulse import check_alpha, lag_windows, rrc_impulse
 from .transforms import GridShape, dd_to_time
+
+# waveform_oracle's pulse truncation half-width, in units of T0, and its
+# samples per compressed symbol interval T_f
+ORACLE_SPAN = 32.0
+ORACLE_OVERSAMPLE = 16
 
 
 @dataclass(frozen=True)
@@ -179,8 +185,7 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
     if mode not in ("literal", "circular"):
         raise ValueError(f"cp_mode must be 'literal' or 'circular', got '{mode}'")
     alpha = cfg.alpha
-    pulse = PulseSpec(beta=cfg.beta)
-    check_alpha(alpha, pulse)
+    check_alpha(alpha, cfg.beta)
     mn = cfg.MN
     cp = cfg.effective_cp_len()
     if chan.max_delay_tap() >= cp:
@@ -192,7 +197,7 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
     # and the MN rows after those its prefix image at m - MN, which in circular
     # mode each of the last cp columns also receives
     l_top = chan.max_delay_tap()
-    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, alpha, pulse)
+    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, alpha, cfg.beta)
     keep = mn - cp if mode == "circular" else mn
     k = np.arange(mn)
 
@@ -217,61 +222,51 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
     return h
 
 
-def waveform_oracle(
-    x_p: np.ndarray,
-    chan: DdChannel,
-    cfg: SystemConfig,
-    pulse: PulseSpec,
-    oversample: int,
-) -> np.ndarray:
-    """Noiseless continuous-time reference for the matrix model.
+def waveform_oracle(x_p: np.ndarray, chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
+    """Noiseless continuous-time reference for the matrix model at cfg's alpha and beta.
 
-    Builds the oversampled pulse train with an explicit cyclic prefix,
-    applies each path as a delay plus Doppler rotation, matched-filters by
-    discrete convolution with the time-reversed pulse, removes the prefix
-    and samples at the compressed symbol instants.
+    Builds the pulse train (ORACLE_OVERSAMPLE samples per T_f, truncated at
+    +/- ORACLE_SPAN) with an explicit cyclic prefix, applies each path as a
+    delay plus Doppler rotation, matched-filters by discrete convolution with
+    the time-reversed pulse, removes the prefix and samples at the symbol instants.
     """
-    if oversample < 8:
-        raise ValueError(f"oversample must be >= 8, got {oversample}")
-    if pulse.span < 16.0:
-        raise ValueError(f"oracle requires pulse span >= 16*T0, got {pulse.span}")
     alpha = cfg.alpha
-    check_alpha(alpha, pulse)
+    check_alpha(alpha, cfg.beta)
     shape = GridShape(cfg.M, cfg.N)
     mn = shape.MN
     cp = cfg.effective_cp_len()
 
-    # all times live on the grid t = i*dt with dt = T_f/oversample; integer
-    # delay taps land exactly on it
-    dt = alpha / oversample
-    hw = int(np.ceil(pulse.span / dt))
-    h_taps = np.asarray(rrc_impulse(np.arange(-hw, hw + 1) * dt, pulse))
+    # all times live on the grid t = i*dt with dt = T_f/ORACLE_OVERSAMPLE;
+    # integer delay taps land exactly on it
+    dt = alpha / ORACLE_OVERSAMPLE
+    hw = int(np.ceil(ORACLE_SPAN / dt))
+    h_taps = np.asarray(rrc_impulse(np.arange(-hw, hw + 1) * dt, cfg.beta))
 
     s = dd_to_time(np.asarray(x_p, dtype=complex), shape)
     positions = np.arange(-cp, mn)  # symbol slots, prefix = tail copy
     amps = s[positions % mn]
 
-    i_min = -cp * oversample - hw
-    i_max = (mn - 1) * oversample + hw
+    i_min = -cp * ORACLE_OVERSAMPLE - hw
+    i_max = (mn - 1) * ORACLE_OVERSAMPLE + hw
     tx = np.zeros(i_max - i_min + 1, dtype=complex)
     for n, a in zip(positions, amps):
-        c = n * oversample - i_min
+        c = n * ORACLE_OVERSAMPLE - i_min
         tx[c - hw : c + hw + 1] += a * h_taps
 
     l_top = chan.max_delay_tap()
-    r_min, r_max = i_min, i_max + l_top * oversample
+    r_min, r_max = i_min, i_max + l_top * ORACLE_OVERSAMPLE
     rx = np.zeros(r_max - r_min + 1, dtype=complex)
     grid = np.arange(r_min, r_max + 1)
     for p in chan.paths:
-        shift = p.delay_tap * oversample
+        shift = p.delay_tap * ORACLE_OVERSAMPLE
         # Doppler exponent 2*pi*nu*(t - tau) with nu = doppler_tap/(MN*T_f)
-        rot = np.exp(2j * np.pi * p.doppler_tap * (grid - shift) / (mn * oversample))
+        rot = np.exp(2j * np.pi * p.doppler_tap * (grid - shift) / (mn * ORACLE_OVERSAMPLE))
         lo = i_min + shift - r_min
         rx[lo : lo + tx.size] += p.gain * rot[lo : lo + tx.size] * tx
 
     mf = np.convolve(rx, np.conj(h_taps[::-1])) * dt
     # output index c sits at absolute grid index r_min - hw + c
-    sample_idx = np.arange(mn) * oversample - (r_min - hw)
+    sample_idx = np.arange(mn) * ORACLE_OVERSAMPLE - (r_min - hw)
     return mf[sample_idx]
 
 

@@ -96,8 +96,20 @@ def _sink(path: str | None):
             raise
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same resolved path, or the same inode where it exists."""
+    try:
+        return Path(a).resolve() == Path(b).resolve() or Path(a).samefile(b)
+    except OSError:
+        return False
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    llr_out = getattr(args, "llr_out", None)
+    if args.out is not None and llr_out is not None and _same_file(args.out, llr_out):
+        print(f"cannot write output: --out and --llr-out both name {args.out}", file=sys.stderr)
+        return 2
     try:
         cfg, digest = _load_config(args.config, args.seed)
     except ConfigError as exc:
@@ -108,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        with _sink(args.out) as out, _sink(getattr(args, "llr_out", None)) as llr_sink:
+        with _sink(args.out) as out, _sink(llr_out) as llr_sink:
             passed = True
             if args.command == "rate":
                 text = run_rate_sweep(cfg, threads=args.threads, digest=digest).to_csv()
@@ -125,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if exc.filename is None or exc.filename not in (args.out, getattr(args, "llr_out", None)):
+        if exc.filename is None or exc.filename not in (args.out, llr_out):
             raise
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ import contextlib
 import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -59,11 +59,8 @@ from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet
 from .precoder import (
     derive_subchannels, solve_precoder, subchannel_gains, uniform_gamma, waterfill,
 )
-from .pulse import NoiseShape, PulseSpec, gram_dd, gram_matrix, rc_autocorr
+from .pulse import NoiseShape, gram_dd, gram_matrix, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
-
-RATE_CSV_HEADER = "snr_db,alpha,beta,mode,mi_bits,rate_bps_hz,seeds"
-BER_CSV_HEADER = "snr_db,alpha,beta,target_rate,bits,errors,ber,trials"
 
 # frames per block on a shared channel: wide enough to vectorize the draws
 # and detection, small enough that the MN x FRAME_BLOCK working set stays minor
@@ -84,32 +81,22 @@ class BerRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    kind: str  # "rate" | "ber"
-    rows: tuple
+    rows: tuple  # of RatePoint or of BerRow
     provenance: str
 
     def to_csv(self) -> str:
-        lines = [f"# provenance {self.provenance}"]
-        if self.kind == "rate":
-            lines.append(RATE_CSV_HEADER)
-            for r in self.rows:
-                lines.append(
-                    f"{_fmt(r.snr_db)},{_fmt(r.alpha)},{_fmt(r.beta)},{r.mode},"
-                    f"{_fmt(r.mi_bits)},{_fmt(r.rate_bps_hz)},{r.seeds}"
-                )
-        else:
-            lines.append(BER_CSV_HEADER)
-            for r in self.rows:
-                tr = "" if r.target_rate is None else _fmt(r.target_rate)
-                lines.append(
-                    f"{_fmt(r.snr_db)},{_fmt(r.alpha)},{_fmt(r.beta)},{tr},"
-                    f"{r.bits},{r.errors},{_fmt(r.ber)},{r.trials}"
-                )
+        """The provenance line, a header of the row dataclass's field names and one line per row."""
+        header = ",".join(f.name for f in fields(self.rows[0]))
+        lines = [f"# provenance {self.provenance}", header]
+        lines += [",".join(map(_fmt, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x) -> str:
+    """One CSV cell: a float to 12 significant digits, None empty, anything else through str."""
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return "" if x is None else str(x)
 
 
 def _provenance(cfg: SystemConfig, digest: str | None) -> str:
@@ -224,7 +211,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     with _trial_map(threads) as trial_map:
         for alpha in sorted({*cfg.alpha_grid, 1.0}):
             cfg_a = cfg.with_alpha(alpha)
-            noise = gram_matrix(shape, alpha, PulseSpec(beta=cfg.beta))
+            noise = gram_matrix(shape, alpha, cfg.beta)
 
             def one_trial(chan):
                 xi, phi = subchannel_gains(effective_channel(chan, cfg_a), noise)
@@ -253,7 +240,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
                         )
                     )
     rows.sort(key=lambda r: (r.alpha, r.snr_db, r.beta, r.mode))
-    return SweepResult(kind="rate", rows=tuple(rows), provenance=_provenance(cfg, digest))
+    return SweepResult(rows=tuple(rows), provenance=_provenance(cfg, digest))
 
 
 def run_ber_sweep(
@@ -284,7 +271,7 @@ def run_ber_sweep(
         point_idx = 0
         for alpha in cfg.alpha_grid:
             cfg_a = cfg.with_alpha(alpha)
-            noise = gram_matrix(shape, alpha, PulseSpec(beta=cfg.beta))
+            noise = gram_matrix(shape, alpha, cfg.beta)
             if shared:
                 gains_shared = subchannel_gains(effective_channel(identity_channel(), cfg_a), noise)
             for snr_db in cfg.snr_db_grid:
@@ -330,7 +317,7 @@ def run_ber_sweep(
                 )
                 point_idx += 1
     rows.sort(key=lambda r: (r.alpha, r.snr_db))
-    return SweepResult(kind="ber", rows=tuple(rows), provenance=_provenance(cfg, digest))
+    return SweepResult(rows=tuple(rows), provenance=_provenance(cfg, digest))
 
 
 def channel_dump(cfg: SystemConfig, digest: str | None = None) -> str:
@@ -393,7 +380,7 @@ def _eva_instance(
     channel drawn from trial_rng(seed, 0, stream)."""
     cfg = _eva_cfg(shape, alpha, seed)
     chan = channel_for_config(cfg, trial_rng(seed, 0, stream))
-    return gram_matrix(shape, alpha, PulseSpec(beta=0.25)), cfg, effective_channel(chan, cfg)
+    return gram_matrix(shape, alpha, cfg.beta), cfg, effective_channel(chan, cfg)
 
 
 def _check_dft_unitarity(seed: int) -> tuple[bool, str]:
@@ -436,9 +423,8 @@ def _check_conjugation(seed: int) -> tuple[bool, str]:
 
 
 def _check_pulse_shape(seed: int) -> tuple[bool, str]:
-    spec = PulseSpec(beta=0.25)
     t = np.linspace(-8.0, 8.0, 2001)
-    g = np.asarray(rc_autocorr(t, spec))
+    g = np.asarray(rc_autocorr(t, 0.25))
     even = float(np.abs(g - g[::-1]).max())
     inside = bool(np.all(np.abs(g) <= 1.0 + 1e-12))
     peak_only = bool(np.all(np.abs(g[np.abs(t) > 1e-9]) < 1.0))
@@ -450,23 +436,22 @@ def _check_pulse_shape(seed: int) -> tuple[bool, str]:
 def _check_nyquist_identity(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
-        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 1.0, 0.25)
         worst = max(worst, float(np.abs(noise.dense_g() - np.eye(shape.MN)).max()))
         worst = max(worst, float(np.abs(gram_dd(noise, shape) - np.eye(shape.MN)).max()))
     return worst <= 1e-12, f"max deviation from identity {worst:.2e}"
 
 
 def _check_gram_structure(seed: int) -> tuple[bool, str]:
-    spec = PulseSpec(beta=0.25)
+    alpha, beta = 0.8, 0.25  # the admissible edge alpha = 1/(1+beta)
     ok = True
     min_eig = np.inf
     for shape in _VALIDATE_SHAPES:
-        alpha = spec.admissible_alpha()
-        g = gram_matrix(shape, alpha, spec).dense_g()
+        g = gram_matrix(shape, alpha, beta).dense_g()
         idx = np.arange(shape.MN)
         lags = np.abs(np.subtract.outer(idx, idx))
         ok &= bool(np.array_equal(g, g[0][lags]))
-        expect = rc_autocorr(alpha, spec)
+        expect = rc_autocorr(alpha, beta)
         ok &= abs(g[0, 1] - expect) <= 1e-15
         min_eig = min(min_eig, float(np.linalg.eigvalsh(g).min()))
     ok &= min_eig >= -1e-9
@@ -474,10 +459,7 @@ def _check_gram_structure(seed: int) -> tuple[bool, str]:
 
 
 def _check_floor_policy(seed: int) -> tuple[bool, str]:
-    spec = PulseSpec(beta=0.25)
-    noise = gram_matrix(GridShape(8, 4), spec.admissible_alpha(), spec)
-    if noise.floor <= 0.0:
-        return False, "eigenvalue floor policy is disabled on the noise-shape spectrum"
+    noise = gram_matrix(GridShape(8, 4), 0.8, 0.25)  # at the admissible edge 1/(1+beta)
     lam_min = float(noise.lam.min())
     ok = lam_min >= 1e-10 * float(noise.lam.max()) and lam_min > 0.0
     return ok, f"floored spectrum min {lam_min:.2e}, clamped {noise.floored} value(s)"
@@ -486,7 +468,7 @@ def _check_floor_policy(seed: int) -> tuple[bool, str]:
 def _check_gram_dd_spectrum(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for shape in _VALIDATE_SHAPES:
-        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 0.85, 0.25)
         wg = np.sort(np.linalg.eigvalsh(noise.dense_g()))
         we = np.sort(np.linalg.eigvalsh(gram_dd(noise, shape)))
         worst = max(worst, float(np.abs(wg - we).max()))
@@ -636,13 +618,12 @@ def _check_llr_calibration(seed: int) -> tuple[bool, str]:
 
 def _check_waveform_oracle(seed: int) -> tuple[bool, str]:
     shape = GridShape(16, 4)
-    spec = PulseSpec(beta=0.25, span=32.0)
     cfg = _eva_cfg(shape, 0.9, seed, nu_max=50.0)
     chan = channel_for_config(cfg, trial_rng(seed, 0, 8))
     rng = trial_rng(seed, 1, 8)
     x_p = (rng.standard_normal(shape.MN) + 1j * rng.standard_normal(shape.MN)) / np.sqrt(2.0)
     z_model = effective_channel(chan, cfg) @ dd_to_time(x_p, shape)
-    z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)
+    z_wave = waveform_oracle(x_p, chan, cfg)
     rel = float(np.abs(z_model - z_wave).max() / np.abs(z_wave).max())
     return rel <= 1e-3, f"matrix-vs-waveform relative max-abs {rel:.2e} (bound 1e-3)"
 

@@ -83,24 +83,18 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first non-negligible component is real positive, and columns inside a
     degenerate eigenvalue group are ordered by a lexicographic key.
     Returns (eigvecs, eigvals) with a = eigvecs @ diag(eigvals) @ eigvecs^H.
-    a is checked to be Hermitian and is not modified; its one working copy,
-    -(a + a^H)/2, goes to _evd_desc_inplace, the kernel the derivations
-    call on their own buffer.
+    a is checked to be Hermitian and is not modified; its working copy
+    -(a + a^H)/2 goes to _evd_desc_inplace, the kernel the derivations call
+    on their own buffer.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    s = np.empty(a.shape, np.result_type(a.dtype, np.float64))
-    scale, herm_err = 1.0, 0.0
-    for j in _strips(a.shape[0]):
-        col, row_h = a[:, j], a[j, :].conj().T
-        scale = max(scale, float(np.abs(col).max()))
-        herm_err = max(herm_err, float(np.abs(col - row_h).max()))
-        np.add(col, row_h, out=s[:, j])
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    herm_err = float(np.abs(a - a.conj().T).max(initial=0.0))
     if herm_err > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm_err:.3e}")
-    s *= -0.5
-    return _evd_desc_inplace(s)
+    return _evd_desc_inplace(-0.5 * (a + a.conj().T))
 
 
 def _evd_desc_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 """Root-raised-cosine pulse shaping and the symbol-rate correlation matrix.
 
-With transmit and receive filters equal to the same unit-energy RRC pulse,
-the matched-filter cascade is the raised cosine g(t).  Times are in units of
+The pulse is its roll-off beta in [0, 1], which every function here takes as
+a float; check_alpha rejects a roll-off outside that range by name.  With
+transmit and receive filters equal to the same unit-energy RRC pulse, the
+matched-filter cascade is the raised cosine g(t).  Times are in units of
 the Nyquist interval T0.  Sampling g at the compressed interval T_f = alpha*T0
 yields a symmetric Toeplitz matrix G that is simultaneously the
 intersymbol-interference operator and the shape of the matched-filter noise
@@ -37,24 +39,6 @@ _SING_TOL = 1e-8
 _windows = np.lib.stride_tricks.sliding_window_view
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """Roll-off and oracle-only truncation span (in units of T0) of the pulse."""
-
-    beta: float
-    span: float = 32.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"roll-off must lie in [0, 1], got {self.beta}")
-        if self.span < 1.0:
-            raise ValueError(f"span must be >= 1 symbol interval, got {self.span}")
-
-    def admissible_alpha(self) -> float:
-        """Smallest packing ratio with a well-conditioned correlation matrix."""
-        return 1.0 / (1.0 + self.beta)
-
-
 @dataclass(frozen=True, eq=False)
 class NoiseShape:
     """The noise shape G = V diag(raw) V^T, kept as the two half-order real factors of V.
@@ -65,8 +49,8 @@ class NoiseShape:
     Algebra Appl. 13, 1976): the columns of even ((m+r) x (m+r)) hold the
     [u; t], those of odd (m x m) the u.  The eigenpairs are in block order
     [even, odd], ascending in each block, so column k of V pairs with raw[k],
-    G's eigenvalue, and lam[k], the same clamped from below at floor (0.0
-    when the floor policy is disabled); floored counts the clamped ones.
+    G's eigenvalue, and lam[k], the same clamped from below by
+    floor_spectrum; floored counts the clamped ones.
     Each column's first entry above 1e-8 is positive.  Where G = I only the
     identity marker is kept: no row or factors, and raw and lam are unit
     views that own no memory.  vt and v apply V^T and V to a real or complex
@@ -81,7 +65,6 @@ class NoiseShape:
     even: np.ndarray | None = None
     odd: np.ndarray | None = None
     floored: int = 0
-    floor: float = 0.0
 
     @property
     def n(self) -> int:
@@ -130,7 +113,7 @@ class NoiseShape:
         return out.view(dtype).reshape(x.shape)
 
 
-def rc_autocorr(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
+def rc_autocorr(t: float | np.ndarray, beta: float) -> float | np.ndarray:
     """Raised-cosine matched-filter response g(t) of the unit-energy RRC pulse.
 
     Evaluated in closed form; the removable singularity at |t| = T0/(2*beta)
@@ -140,20 +123,18 @@ def rc_autocorr(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
     x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if spec.beta == 0.0:
+    if beta == 0.0:
         out = np.sinc(x)
     else:
         out = np.empty_like(x)
-        sing = np.abs(np.abs(x) - 1.0 / (2.0 * spec.beta)) < _SING_TOL
-        out[sing] = np.sinc(1.0 / (2.0 * spec.beta)) * np.pi / 4.0
+        sing = np.abs(np.abs(x) - 1.0 / (2.0 * beta)) < _SING_TOL
+        out[sing] = np.sinc(1.0 / (2.0 * beta)) * np.pi / 4.0
         xr = x[~sing]
-        out[~sing] = (
-            np.sinc(xr) * np.cos(np.pi * spec.beta * xr) / (1.0 - (2.0 * spec.beta * xr) ** 2)
-        )
+        out[~sing] = np.sinc(xr) * np.cos(np.pi * beta * xr) / (1.0 - (2.0 * beta * xr) ** 2)
     return out.item() if scalar else out
 
 
-def rrc_impulse(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
+def rrc_impulse(t: float | np.ndarray, beta: float) -> float | np.ndarray:
     """Unit-energy root-raised-cosine impulse response in closed form.
 
     The singular points t = 0 and |t| = T0/(4*beta) are evaluated by their
@@ -163,29 +144,30 @@ def rrc_impulse(t: float | np.ndarray, spec: PulseSpec) -> float | np.ndarray:
     x = np.asarray(t, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if spec.beta == 0.0:
+    if beta == 0.0:
         out = np.sinc(x)
         return out.item() if scalar else out
     out = np.empty_like(x)
-    b = spec.beta
     zero = np.abs(x) < _SING_TOL
-    sing = np.abs(np.abs(x) - 1.0 / (4.0 * b)) < _SING_TOL
+    sing = np.abs(np.abs(x) - 1.0 / (4.0 * beta)) < _SING_TOL
     rest = ~(zero | sing)
-    out[zero] = 1.0 - b + 4.0 * b / np.pi
-    out[sing] = (b / np.sqrt(2.0)) * (
-        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * b))
-        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * b))
+    out[zero] = 1.0 - beta + 4.0 * beta / np.pi
+    out[sing] = (beta / np.sqrt(2.0)) * (
+        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
+        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
     )
     xr = x[rest]
-    num = np.sin(np.pi * xr * (1.0 - b)) + 4.0 * b * xr * np.cos(np.pi * xr * (1.0 + b))
-    den = np.pi * xr * (1.0 - (4.0 * b * xr) ** 2)
+    num = np.sin(np.pi * xr * (1.0 - beta)) + 4.0 * beta * xr * np.cos(np.pi * xr * (1.0 + beta))
+    den = np.pi * xr * (1.0 - (4.0 * beta * xr) ** 2)
     out[rest] = num / den
     return out.item() if scalar else out
 
 
-def check_alpha(alpha: float, spec: PulseSpec) -> None:
-    """Reject packing ratios outside [1/(1+beta), 1]."""
-    lo = spec.admissible_alpha()
+def check_alpha(alpha: float, beta: float) -> None:
+    """Reject roll-offs outside [0, 1] and packing ratios outside [1/(1+beta), 1]."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"roll-off must lie in [0, 1], got {beta}")
+    lo = 1.0 / (1.0 + beta)
     if not lo <= alpha <= 1.0:
         raise ValueError(
             f"packing ratio {alpha} outside admissible range "
@@ -193,22 +175,20 @@ def check_alpha(alpha: float, spec: PulseSpec) -> None:
         )
 
 
-def floor_spectrum(w: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> tuple[np.ndarray, int, float]:
-    """The floor policy on a noise shape's eigenvalues w: (w floored, clamped count, floor).
+def floor_spectrum(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """The floor policy on a noise shape's eigenvalues w: (w floored, clamped count).
 
-    The floor is eig_floor_rel times the largest eigenvalue, and clamping
-    logs one warning; eig_floor_rel = 0 disables it and rejects a singular w.
+    The floor is EIG_FLOOR_REL times the largest eigenvalue, and clamping
+    logs one warning.
     """
     top = float(w.max())
     if top <= 0.0:
         raise ValueError("noise-shape matrix has no positive eigenvalue")
-    floor = eig_floor_rel * top if eig_floor_rel > 0.0 else 0.0
-    if floor == 0.0 and w.min() <= 0.0:
-        raise ValueError("noise shape is singular and flooring is disabled")
+    floor = EIG_FLOOR_REL * top
     floored = int(np.count_nonzero(w < floor))
     if floored:
         log.warning("floored %d eigenvalue(s) of the noise shape at %.3e", floored, floor)
-    return np.maximum(w, floor), floored, floor
+    return np.maximum(w, floor), floored
 
 
 def _toeplitz(row: np.ndarray, size: int) -> np.ndarray:
@@ -216,7 +196,7 @@ def _toeplitz(row: np.ndarray, size: int) -> np.ndarray:
     return _windows(np.concatenate([row[size - 1 : 0 : -1], row[:size]]), size)[:size, ::-1]
 
 
-def noise_shape(row: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseShape:
+def noise_shape(row: np.ndarray) -> NoiseShape:
     """Factor the symmetric Toeplitz noise shape G with first row row, floor policy applied.
 
     row = e_0 (G = I) takes no eigensolver.  Otherwise, with n = 2m + r,
@@ -247,11 +227,11 @@ def noise_shape(row: np.ndarray, eig_floor_rel: float = EIG_FLOOR_REL) -> NoiseS
         pairs.append((w, b))
     (w_even, even), (w_odd, odd) = pairs
     raw = np.concatenate([w_even, w_odd])
-    lam, floored, floor = floor_spectrum(raw, eig_floor_rel)
-    return NoiseShape(raw=raw, lam=lam, row=row, even=even, odd=odd, floored=floored, floor=floor)
+    lam, floored = floor_spectrum(raw)
+    return NoiseShape(raw=raw, lam=lam, row=row, even=even, odd=odd, floored=floored)
 
 
-def lag_windows(lags: np.ndarray, n: int, alpha: float, spec: PulseSpec) -> np.ndarray:
+def lag_windows(lags: np.ndarray, n: int, alpha: float, beta: float) -> np.ndarray:
     """The read-only strided view W[i, m] = g(lags[i+n-1-m]*T_f), T_f = alpha*T0.
 
     Any n consecutive rows of W form one n x n Toeplitz matrix.  At alpha = 1
@@ -259,14 +239,14 @@ def lag_windows(lags: np.ndarray, n: int, alpha: float, spec: PulseSpec) -> np.n
     rounding, are pinned to exact zeros, so G and the identity channel's H
     are exactly the identity.
     """
-    g = (lags == 0).astype(float) if alpha == 1.0 else np.asarray(rc_autocorr(lags * alpha, spec))
+    g = (lags == 0).astype(float) if alpha == 1.0 else np.asarray(rc_autocorr(lags * alpha, beta))
     return _windows(g, n)[:, ::-1]
 
 
-def gram_matrix(shape: GridShape, alpha: float, spec: PulseSpec) -> NoiseShape:
+def gram_matrix(shape: GridShape, alpha: float, beta: float) -> NoiseShape:
     """Factor the MN x MN symbol correlation matrix G(k, m) = g((k-m)*T_f) from its first row."""
-    check_alpha(alpha, spec)
-    return noise_shape(lag_windows(np.arange(shape.MN), 1, alpha, spec)[:, 0])  # g(k*T_f), k < MN
+    check_alpha(alpha, beta)
+    return noise_shape(lag_windows(np.arange(shape.MN), 1, alpha, beta)[:, 0])  # g(k*T_f), k < MN
 
 
 def gram_dd(noise: NoiseShape, shape: GridShape) -> np.ndarray:

@@ -12,7 +12,6 @@ from otfsftn import (
     ChannelConfig,
     GridShape,
     Loading,
-    PulseSpec,
     SystemConfig,
     bit_loading,
     conjugate_by_dd,
@@ -48,7 +47,7 @@ def report(ok: bool, num: int, name: str, detail: str) -> None:
 def test_criterion_01_nyquist_degeneracy():
     t0 = time.perf_counter()
     shape = GridShape(128, 12)  # MN = 1536
-    noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+    noise = gram_matrix(shape, 1.0, 0.25)
     dev = float(np.abs(noise.dense_g() - np.eye(shape.MN)).max())
     elapsed = time.perf_counter() - t0
     report(
@@ -60,8 +59,7 @@ def test_criterion_01_nyquist_degeneracy():
 def test_criterion_02_diagonalization_identities():
     t0 = time.perf_counter()
     shape = GridShape(32, 6)
-    spec = PulseSpec(beta=0.25)
-    noise = gram_matrix(shape, 0.9, spec)
+    noise = gram_matrix(shape, 0.9, 0.25)
     g_eq = gram_dd(noise, shape)
     kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))  # F = F_N kron I_M
     worst = 0.0
@@ -87,8 +85,7 @@ def test_criterion_02_diagonalization_identities():
 
 def test_criterion_03_waterfilling_optimality():
     shape = GridShape(8, 6)  # MN = 48
-    spec = PulseSpec(beta=0.25)
-    noise = gram_matrix(shape, 0.85, spec)
+    noise = gram_matrix(shape, 0.85, 0.25)
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=42)
     chan = eva_channel(2000.0, cfg, trial_rng(42, 0, 0))
     h = effective_channel(chan, cfg)
@@ -118,11 +115,10 @@ def test_criterion_03_waterfilling_optimality():
 
 def test_criterion_04_mi_formula_equivalence():
     shape = GridShape(16, 4)
-    spec = PulseSpec(beta=0.25)
     kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))
     worst = 0.0
     for alpha in (0.8, 0.9):
-        noise = gram_matrix(shape, alpha, spec)
+        noise = gram_matrix(shape, alpha, 0.25)
         g_eq = gram_dd(noise, shape)
         for seed in range(20):
             cfg = eva_config(16, 4, alpha, nu_max=2000.0, seed=seed)
@@ -183,14 +179,13 @@ def test_criterion_05_rate_curve_ordering():
 
 def test_criterion_06_waveform_oracle_crosscheck():
     shape = GridShape(16, 4)
-    spec = PulseSpec(beta=0.25, span=32.0)
     cfg = eva_config(16, 4, 0.9, nu_max=100.0, seed=5)
     chan = eva_channel(100.0, cfg, trial_rng(5, 0, 0))
     h = effective_channel(chan, replace(cfg, cp_mode="circular"))
     rng = np.random.default_rng(55)
     x_p = complex_gaussian(rng, shape.MN)
     z_model = h @ dd_to_time(x_p, shape)
-    z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)
+    z_wave = waveform_oracle(x_p, chan, cfg)
     rel = float(np.abs(z_model - z_wave).max() / np.abs(z_wave).max())
     report(
         rel <= 1e-3, 6, "waveform-oracle-crosscheck",
@@ -225,8 +220,7 @@ def test_criterion_07_awgn_ber_sanity():
 
 def test_criterion_08_energy_constraint():
     shape = GridShape(8, 6)
-    spec = PulseSpec(beta=0.25)
-    noise = gram_matrix(shape, 0.85, spec)
+    noise = gram_matrix(shape, 0.85, 0.25)
     cfg = eva_config(8, 6, 0.85, nu_max=2000.0, seed=3)
     chan = eva_channel(2000.0, cfg, trial_rng(3, 0, 0))
     h = effective_channel(chan, cfg)

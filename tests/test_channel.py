@@ -8,7 +8,6 @@ from otfsftn import (
     DdChannel,
     DdPath,
     GridShape,
-    PulseSpec,
     conjugate_by_dd,
     dd_to_time,
     dump_paths,
@@ -186,7 +185,6 @@ class TestEffectiveChannel:
         # direct elementwise evaluation of the two-dimensional formula
         m, n = 4, 2
         cfg = eva_config(m, n, 0.9, cp_len=3, cp_mode="literal")
-        spec = PulseSpec(beta=0.25)
         chan = DdChannel(
             paths=(
                 DdPath(0.7 - 0.2j, 1, 1, 0.25),
@@ -204,7 +202,7 @@ class TestEffectiveChannel:
                     expect[k, mm] += (
                         p.gain
                         * np.exp(2j * np.pi * (p.doppler_int + p.doppler_frac) * (k - p.delay_tap) / mn)
-                        * rc_autocorr((k - mm - p.delay_tap) * 0.9, spec)
+                        * rc_autocorr((k - mm - p.delay_tap) * 0.9, 0.25)
                     )
         assert np.abs(h - expect).max() <= 1e-12
 
@@ -212,7 +210,6 @@ class TestEffectiveChannel:
         # circular mode = literal plus the prefix image of the last cp_len columns
         m, n = 4, 3
         cfg = eva_config(m, n, 0.85, cp_len=3, nu_max=1000.0)
-        spec = PulseSpec(beta=0.25)
         chan = DdChannel(paths=(DdPath(0.9 + 0.1j, 2, 1, 0.2),))
         lit = effective_channel(chan, replace(cfg, cp_mode="literal"))
         circ = effective_channel(chan, replace(cfg, cp_mode="circular"))
@@ -226,7 +223,7 @@ class TestEffectiveChannel:
                 delta[k, mm] = (
                     p.gain
                     * np.exp(2j * np.pi * p.doppler_tap * (k - p.delay_tap) / mn)
-                    * rc_autocorr((k - (mm - mn) - p.delay_tap) * 0.85, spec)
+                    * rc_autocorr((k - (mm - mn) - p.delay_tap) * 0.85, 0.25)
                 )
         assert np.abs((circ - lit) - delta).max() <= 1e-12
 
@@ -290,7 +287,7 @@ class TestEffectiveChannel:
             effective_channel(single_path_channel(1.0 + 0j, 1, 0), cfg)
 
 
-def per_path_reference(chan, pulse, cfg, mode):
+def per_path_reference(chan, beta, cfg, mode):
     """Effective channel by one lag-table gather per path, the prefix image
     added through a full-matrix mask."""
     mn = cfg.MN
@@ -300,7 +297,7 @@ def per_path_reference(chan, pulse, cfg, mode):
     l_top = chan.max_delay_tap()
     d_min = -(mn - 1) - l_top
     d_max = (mn - 1) + mn
-    lag_table = np.asarray(rc_autocorr(np.arange(d_min, d_max + 1) * cfg.alpha, pulse))
+    lag_table = np.asarray(rc_autocorr(np.arange(d_min, d_max + 1) * cfg.alpha, beta))
     h = np.zeros((mn, mn), dtype=complex)
     cp_cols = k[None, :] >= mn - cp
     for p in chan.paths:
@@ -323,7 +320,6 @@ class TestPerTapBuild:
         for mode in ("circular", "literal")
     ])
     def test_matches_per_path_loop(self, profile, mode, beta):
-        spec = PulseSpec(beta=beta)
         if profile == "synthetic":
             # 20 paths on 4 delay taps, so most taps carry several paths
             cfg = identity_config(
@@ -338,7 +334,7 @@ class TestPerTapBuild:
         for seed in range(3):
             chan = channel_for_config(cfg, np.random.default_rng(seed))
             h = effective_channel(chan, replace(cfg, cp_mode=mode))
-            worst = max(worst, float(np.abs(h - per_path_reference(chan, spec, cfg, mode)).max()))
+            worst = max(worst, float(np.abs(h - per_path_reference(chan, beta, cfg, mode)).max()))
         assert worst <= 1e-13
 
     def test_dd_image_is_kron_conjugation(self, rng):
@@ -359,7 +355,7 @@ def gather_effective_channel(chan, cfg):
     l_top = chan.max_delay_tap()
     lags = np.arange(-(mn - 1) - l_top, 2 * mn)
     lag_table = (lags == 0).astype(float) if cfg.alpha == 1.0 else np.asarray(
-        rc_autocorr(lags * cfg.alpha, PulseSpec(beta=cfg.beta)))
+        rc_autocorr(lags * cfg.alpha, cfg.beta))
     k = np.arange(mn)
     diff = k[:, None] - k[None, :] + (mn - 1)
     h = np.zeros((mn, mn), dtype=complex)
@@ -373,10 +369,10 @@ def gather_effective_channel(chan, cfg):
     return h
 
 
-def gather_gram(mn, alpha, spec):
+def gather_gram(mn, alpha, beta):
     """G by gathering g(|k - m|*T_f) through an integer index matrix."""
     idx = np.arange(mn)
-    g = (idx == 0).astype(float) if alpha == 1.0 else np.asarray(rc_autocorr(idx * alpha, spec))
+    g = (idx == 0).astype(float) if alpha == 1.0 else np.asarray(rc_autocorr(idx * alpha, beta))
     return g[np.abs(np.subtract.outer(idx, idx))]
 
 
@@ -387,7 +383,7 @@ def strip_effective_channel(chan, cfg):
     mn = cfg.MN
     keep = mn - cfg.effective_cp_len() if cfg.cp_mode == "circular" else mn
     l_top = chan.max_delay_tap()
-    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, cfg.alpha, PulseSpec(beta=cfg.beta))
+    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, cfg.alpha, cfg.beta)
     k = np.arange(mn)
     h = np.zeros((mn, mn), dtype=complex)
     for tap in sorted({p.delay_tap for p in chan.paths}):
@@ -413,10 +409,9 @@ class TestStridedBuild:
         }[profile]
         cfg = identity_config(m, n, alpha, beta=beta, cp_len=cp_len, delta_f_hz=30e3,
                               channel=channel)
-        spec = PulseSpec(beta=beta)
-        gram = gram_matrix(GridShape(m, n), alpha, spec).dense_g()
+        gram = gram_matrix(GridShape(m, n), alpha, beta).dense_g()
         assert gram.flags.c_contiguous
-        assert gram.tobytes() == gather_gram(m * n, alpha, spec).tobytes()
+        assert gram.tobytes() == gather_gram(m * n, alpha, beta).tobytes()
         for seed in range(2):
             chan = channel_for_config(cfg, np.random.default_rng(seed))
             for mode in ("circular", "literal"):
@@ -466,27 +461,27 @@ class TestWaveformOracle:
     def test_identity_channel_nyquist(self, rng):
         shape = GridShape(8, 4)
         cfg = identity_config(8, 4, 1.0, cp_len=2)
-        spec = PulseSpec(beta=0.25, span=32.0)
         x_p = complex_gaussian(rng, shape.MN)
-        z = waveform_oracle(x_p, identity_channel(), cfg, spec, oversample=16)
+        z = waveform_oracle(x_p, identity_channel(), cfg)
         s = dd_to_time(x_p, shape)
         assert np.abs(z - s).max() <= 1e-3 * np.abs(s).max()
 
     def test_zero_input(self):
         cfg = identity_config(4, 2, 0.9, cp_len=2)
-        z = waveform_oracle(np.zeros(8, complex), identity_channel(), cfg, PulseSpec(beta=0.25, span=16.0), 8)
+        z = waveform_oracle(np.zeros(8, complex), identity_channel(), cfg)
         assert np.abs(z).max() == 0.0
 
     def test_matches_matrix_model_eva(self, rng):
+        # the oracle and the matrix model both read the roll-off from the config
         shape = GridShape(16, 4)
-        cfg = eva_config(16, 4, 0.9, nu_max=100.0, seed=5)
-        spec = PulseSpec(beta=0.25, span=32.0)
-        chan = eva_channel(100.0, cfg, np.random.default_rng(5))
-        h = effective_channel(chan, replace(cfg, cp_mode="circular"))
-        x_p = complex_gaussian(rng, shape.MN)
-        z_model = h @ dd_to_time(x_p, shape)
-        z_wave = waveform_oracle(x_p, chan, cfg, spec, oversample=16)
-        assert np.abs(z_model - z_wave).max() <= 1e-3 * np.abs(z_wave).max()
+        for beta in (0.25, 0.5):
+            cfg = eva_config(16, 4, 0.9, beta=beta, nu_max=100.0, seed=5)
+            chan = eva_channel(100.0, cfg, np.random.default_rng(5))
+            h = effective_channel(chan, replace(cfg, cp_mode="circular"))
+            x_p = complex_gaussian(rng, shape.MN)
+            z_model = h @ dd_to_time(x_p, shape)
+            z_wave = waveform_oracle(x_p, chan, cfg)
+            assert np.abs(z_model - z_wave).max() <= 1e-3 * np.abs(z_wave).max()
 
     def test_prefix_as_long_as_frame(self, rng):
         # cp_len = MN: the prefix image of every column wraps exactly once
@@ -495,7 +490,7 @@ class TestWaveformOracle:
         chan = single_path_channel(0.8 - 0.3j, 7, 0)
         x_p = complex_gaussian(rng, shape.MN)
         z_model = effective_channel(chan, cfg) @ dd_to_time(x_p, shape)
-        z_wave = waveform_oracle(x_p, chan, cfg, PulseSpec(beta=0.25, span=32.0), oversample=16)
+        z_wave = waveform_oracle(x_p, chan, cfg)
         assert np.abs(z_model - z_wave).max() <= 1e-3 * np.abs(z_wave).max()
 
     def test_rejects_prefix_longer_than_frame(self):
@@ -503,15 +498,15 @@ class TestWaveformOracle:
         with pytest.raises(ValueError, match="CP length 9 exceeds the frame length MN = 8"):
             effective_channel(single_path_channel(1.0 + 0j, 3, 0), cfg)
 
-    def test_rejects_low_oversampling(self, rng):
-        cfg = identity_config(4, 2, 0.9, cp_len=2)
-        with pytest.raises(ValueError, match="oversample"):
-            waveform_oracle(np.zeros(8, complex), identity_channel(), cfg, PulseSpec(beta=0.25, span=16.0), 4)
-
-    def test_rejects_short_span(self):
-        cfg = identity_config(4, 2, 0.9, cp_len=2)
-        with pytest.raises(ValueError, match="span"):
-            waveform_oracle(np.zeros(8, complex), identity_channel(), cfg, PulseSpec(beta=0.25, span=8.0), 16)
+    @pytest.mark.parametrize("beta", [-0.1, 1.5])
+    def test_rejects_roll_off_outside_unit_interval(self, beta):
+        cfg = identity_config(4, 2, 0.9, beta=beta, cp_len=2)
+        with pytest.raises(ValueError, match="roll-off must lie in"):
+            gram_matrix(GridShape(4, 2), 0.9, beta)
+        with pytest.raises(ValueError, match="roll-off must lie in"):
+            effective_channel(identity_channel(), cfg)
+        with pytest.raises(ValueError, match="roll-off must lie in"):
+            waveform_oracle(np.zeros(8, complex), identity_channel(), cfg)
 
 
 class TestDump:

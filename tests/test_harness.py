@@ -308,8 +308,7 @@ class TestNoiseShapePerInstance:
     def test_floor_warning_once_per_noise_shape(self, monkeypatch, caplog):
         # at MN = 32 the default relative floor never bites, even at the
         # admissibility edge, so a larger floor makes the edge instance clamp
-        original = otfsftn.pulse.noise_shape
-        monkeypatch.setattr(otfsftn.pulse, "noise_shape", lambda g: original(g, eig_floor_rel=0.05))
+        monkeypatch.setattr(otfsftn.pulse, "EIG_FLOOR_REL", 0.05)
         cfg = parse_config(self.SMALL.replace("alpha: [0.8, 0.9, 1.0]", "alpha: 0.8"))
         assert cfg.alpha_grid == (1.0 / (1.0 + cfg.beta),)
         with caplog.at_level(logging.WARNING, logger="otfsftn.pulse"):
@@ -645,16 +644,6 @@ class TestValidate:
             validate(seed=seed)
         assert ran == []
 
-    def test_injected_fault_detected(self, monkeypatch):
-        # the floor-policy check must catch a noise shape factored with the floor disabled
-        original = otfsftn.pulse.noise_shape
-        monkeypatch.setattr(otfsftn.pulse, "noise_shape", lambda g: original(g, eig_floor_rel=0.0))
-        report = validate()
-        assert not report.passed
-        failed = [c.name for c in report.checks if not c.ok]
-        assert failed == ["gram-floor-policy"]
-
-
     def test_mismatched_noise_variance_detected(self, monkeypatch):
         # the matrix link draws its noise 10 % stronger than the LLRs assume:
         # only the LLR calibration check can see it
@@ -830,6 +819,29 @@ class TestCli:
         assert cli_main(args + ["--out", str(tmp_path / "missing" / "ber.csv")]) == 2
         assert capsys.readouterr().err.startswith("cannot write output:")
         assert llr_out.read_text() == dump
+
+    @pytest.mark.parametrize("alias", ["absent", "same", "relative", "symlink", "hard-link"])
+    def test_out_and_llr_out_on_one_file_exit_two(self, tmp_path, capsys, monkeypatch, alias):
+        # the CSV would overwrite the start of the LLR dump; nothing is written
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        target = tmp_path / "out.txt"
+        if alias != "absent":
+            target.write_text("kept\n")
+        other = {"absent": target, "same": target, "relative": Path("out.txt"),
+                 "symlink": tmp_path / "sym.txt", "hard-link": tmp_path / "hard.txt"}[alias]
+        if alias == "symlink":
+            other.symlink_to(target)
+        elif alias == "hard-link":
+            os.link(target, other)
+        monkeypatch.chdir(tmp_path)
+        args = ["ber", "--config", str(cfg), "--out", str(target), "--llr-out", str(other)]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith("cannot write output:")
+        if alias == "absent":
+            assert not target.exists()
+        else:
+            assert target.read_text() == "kept\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_validate_rejects_seed_out_of_range(self, capsys, seed):

@@ -7,7 +7,6 @@ from otfsftn import (
     ConfigError,
     GridShape,
     Loading,
-    PulseSpec,
     bit_loading,
     colored_noise,
     conjugate_by_dd,
@@ -39,9 +38,8 @@ from conftest import complex_gaussian, eva_config, identity_config
 
 def solved_eva_link(m, n, alpha, seed, snr=10.0, nu_max=2000.0):
     shape = GridShape(m, n)
-    spec = PulseSpec(beta=0.25)
     cfg = eva_config(m, n, alpha, nu_max=nu_max, seed=seed)
-    noise = gram_matrix(shape, alpha, spec)
+    noise = gram_matrix(shape, alpha, 0.25)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
     h = effective_channel(chan, cfg)
     sol = solve_precoder(h, noise, snr)
@@ -254,7 +252,7 @@ class TestTransmitPropagate:
 class TestColoredNoise:
     def test_white_at_nyquist(self, rng):
         shape = GridShape(4, 2)
-        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 1.0, 0.25)
         draws = 20_000
         etas = np.stack([colored_noise(noise, 0.5, rng) for _ in range(draws)])
         cov = etas.conj().T @ etas / draws
@@ -262,7 +260,7 @@ class TestColoredNoise:
 
     def test_zero_mean(self, rng):
         shape = GridShape(4, 2)
-        noise = gram_matrix(shape, 0.85, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 0.85, 0.25)
         draws = 10_000
         etas = np.stack([colored_noise(noise, 1.0, rng) for _ in range(draws)])
         se = 1.0 / np.sqrt(draws)
@@ -271,8 +269,8 @@ class TestColoredNoise:
     def test_covariance_matches_pulse_lag(self, rng):
         # empirical E[eta_0 eta_1^*] = sigma0^2 g(T_f) at alpha = 0.85
         shape = GridShape(4, 4)
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, 0.85, spec)
+        beta = 0.25
+        noise = gram_matrix(shape, 0.85, beta)
         sigma0_sq = 0.8
         draws = 100_000
         rng2 = np.random.default_rng(23)
@@ -280,19 +278,19 @@ class TestColoredNoise:
         for i in range(draws):
             eta = colored_noise(noise, sigma0_sq, rng2)
             prods[i] = eta[0] * np.conj(eta[1])
-        expect = sigma0_sq * rc_autocorr(0.85, spec)
+        expect = sigma0_sq * rc_autocorr(0.85, beta)
         se = prods.std(ddof=1) / np.sqrt(draws)
         assert abs(prods.mean() - expect) <= 3.0 * se
 
 
     @pytest.mark.parametrize("sigma0_sq", [-0.5, np.nan, np.inf])
     def test_rejects_bad_variance(self, rng, sigma0_sq):
-        noise = gram_matrix(GridShape(4, 2), 0.85, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(4, 2), 0.85, 0.25)
         with pytest.raises(ValueError, match="sigma0_sq"):
             colored_noise(noise, sigma0_sq, rng)
 
     def test_zero_variance_is_noiseless(self, rng):
-        noise = gram_matrix(GridShape(4, 2), 0.85, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(4, 2), 0.85, 0.25)
         np.testing.assert_array_equal(colored_noise(noise, 0.0, [rng, rng]), np.zeros((8, 2)))
 
 
@@ -309,8 +307,7 @@ class TestReceive:
     def test_degenerate_identity_link(self, rng):
         shape = GridShape(4, 2)
         cfg = identity_config(4, 2, 1.0)
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, 1.0, spec)
+        noise = gram_matrix(shape, 1.0, 0.25)
         h = effective_channel(identity_channel(), cfg)
         sol = solve_precoder(h, noise, snr=10.0)
         x = complex_gaussian(rng, shape.MN)
@@ -511,11 +508,10 @@ class TestNoiselessRecoveryGrid:
         # noiseless hard decisions recover the bit stream exactly across the
         # admissible packing range, including the edge
         shape = GridShape(m, n)
-        spec = PulseSpec(beta=beta)
-        lo = spec.admissible_alpha()
+        lo = 1.0 / (1.0 + beta)
         for alpha in (lo + 0.02, 0.95, 1.0):
             cfg = eva_config(m, n, alpha, beta=beta, nu_max=2000.0, seed=seed)
-            noise = gram_matrix(shape, alpha, spec)
+            noise = gram_matrix(shape, alpha, beta)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed))
             h = effective_channel(chan, cfg)
             sol = solve_precoder(h, noise, snr=30.0)
@@ -527,9 +523,8 @@ class TestNoiselessRecoveryGrid:
 
 def _solved_identity_link(m, n, alpha, snr=10.0):
     shape = GridShape(m, n)
-    spec = PulseSpec(beta=0.25)
     cfg = identity_config(m, n, alpha)
-    noise = gram_matrix(shape, alpha, spec)
+    noise = gram_matrix(shape, alpha, 0.25)
     h = effective_channel(identity_channel(), cfg)
     return shape, cfg, noise, h, solve_precoder(h, noise, snr)
 

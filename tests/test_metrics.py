@@ -5,7 +5,6 @@ from otfsftn import (
     BerCounter,
     GridShape,
     Loading,
-    PulseSpec,
     ber_accumulate,
     conjugate_by_dd,
     derive_subchannels,
@@ -50,8 +49,7 @@ class TestMiLogdet:
     def test_equals_diagonalized_sum(self, m, n, alpha, snr_db):
         # the two formulations are mutual oracles; 20 seeds per shape
         shape = GridShape(m, n)
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, alpha, spec)
+        noise = gram_matrix(shape, alpha, 0.25)
         g_eq = gram_dd(noise, shape)
         kron = np.kron(dft_matrix(shape.N), np.eye(shape.M))
         snr = 10.0 ** (snr_db / 10.0)
@@ -121,16 +119,16 @@ class TestRates:
 class TestFrameEnergy:
     def test_nyquist_is_plain_norm(self, rng):
         shape = GridShape(4, 2)
-        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 1.0, 0.25)
         s = complex_gaussian(rng, shape.MN)
         assert abs(frame_energy(s, noise) - np.linalg.norm(s) ** 2) <= 1e-12
 
     def test_zero_signal(self):
-        noise = gram_matrix(GridShape(4, 2), 0.9, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(4, 2), 0.9, 0.25)
         assert frame_energy(np.zeros(8, complex), noise) == 0.0
 
     def test_dimension_mismatch(self):
-        noise = gram_matrix(GridShape(4, 2), 0.9, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(4, 2), 0.9, 0.25)
         with pytest.raises(ValueError):
             frame_energy(np.zeros(5, complex), noise)
 
@@ -168,8 +166,7 @@ class TestPaDominance:
         from otfsftn import uniform_gamma
 
         shape = GridShape(16, 4)
-        spec = PulseSpec(beta=0.25)
-        noise = gram_matrix(shape, 0.85, spec)
+        noise = gram_matrix(shape, 0.85, 0.25)
         for seed in range(5):
             cfg = eva_config(16, 4, 0.85, seed=seed)
             chan = eva_channel(2000.0, cfg, np.random.default_rng(seed + 100))

@@ -7,7 +7,6 @@ import pytest
 from otfsftn import (
     ChannelConfig,
     GridShape,
-    PulseSpec,
     conjugate_by_dd,
     derive_subchannels,
     effective_channel,
@@ -52,9 +51,8 @@ def traced_peak(call):
 
 def eva_instance(m, n, alpha, seed, nu_max=2000.0, beta=0.25):
     shape = GridShape(m, n)
-    spec = PulseSpec(beta=beta)
     cfg = eva_config(m, n, alpha, beta=beta, nu_max=nu_max, seed=seed)
-    noise = gram_matrix(shape, alpha, spec)
+    noise = gram_matrix(shape, alpha, beta)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
     h = effective_channel(chan, cfg)
     return shape, noise, h
@@ -187,9 +185,8 @@ class TestDeriveSubchannels:
     def test_identity_channel_basis_exact(self):
         # at alpha = 1 G and H are exactly I, so the basis is not set by rounding
         shape = GridShape(32, 16)
-        spec = PulseSpec(beta=0.25)
         h = effective_channel(identity_channel(), identity_config(32, 16, 1.0))
-        sol = derive_subchannels(h, gram_matrix(shape, 1.0, spec))
+        sol = derive_subchannels(h, gram_matrix(shape, 1.0, 0.25))
         assert np.array_equal(h, np.eye(shape.MN))
         assert np.array_equal(sol.U_t, np.eye(shape.MN))
 
@@ -276,7 +273,6 @@ def dd_domain_oracle(h_eq, g_eq):
 class TestTimeDomainDerivation:
     @pytest.mark.parametrize("profile", ["eva", "synthetic"])
     def test_matches_dd_domain_oracle(self, profile):
-        spec = PulseSpec(beta=0.25)
         worst_xi = worst_mi = 0.0
         for alpha in (0.8, 0.9):
             if profile == "eva":
@@ -287,7 +283,7 @@ class TestTimeDomainDerivation:
                     channel=ChannelConfig(profile="synthetic", num_paths=20, l_max=3, k_max=5),
                 )
             shape = GridShape(cfg.M, cfg.N)
-            noise = gram_matrix(shape, alpha, spec)
+            noise = gram_matrix(shape, alpha, 0.25)
             g_eq = gram_dd(noise, shape)
             for seed in range(3):
                 h = effective_channel(channel_for_config(cfg, np.random.default_rng(seed)), cfg)
@@ -460,7 +456,7 @@ class TestWaterfill:
 class TestSubchannelGains:
     def test_eigenvalues_only_at_nyquist(self):
         shape = GridShape(8, 4)
-        noise = gram_matrix(shape, 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(shape, 1.0, 0.25)
         cfg = identity_config(8, 4, 1.0, cp_len=4)
         chan = synthetic_channel(12, 3, 2, True, np.random.default_rng(5))
         h = effective_channel(chan, cfg)
@@ -493,7 +489,7 @@ class TestSubchannelGains:
         cfg = identity_config(m, n, 1.0, cp_len=cp_len, cp_mode=mode, channel=channel)
         cfg = replace(cfg, delta_f_hz=30e3)
         h = effective_channel(channel_for_config(cfg, np.random.default_rng(m * n)), cfg)
-        noise = gram_matrix(GridShape(m, n), 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(m, n), 1.0, 0.25)
         ref = np.maximum(np.linalg.eigvalsh(h.conj().T @ h)[::-1], 0.0)
         assert (precoder._folded_band(h) is not None) == band
         if band and _openblas.lapacke("zhbev") is None:
@@ -512,7 +508,7 @@ class TestSubchannelGains:
         cfg = identity_config(8, 8, 1.0, cp_len=8, channel=ChannelConfig(
             profile="synthetic", num_paths=16, l_max=7, k_max=2))
         h = effective_channel(channel_for_config(cfg, np.random.default_rng(2)), cfg)
-        noise = gram_matrix(GridShape(8, 8), 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(8, 8), 1.0, 0.25)
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -544,7 +540,7 @@ class TestSubchannelGains:
         cfg = identity_config(64, 6, 1.0, cp_len=4, channel=ChannelConfig(
             profile="synthetic", num_paths=20, l_max=3, k_max=5, frac_doppler=True))
         h = effective_channel(channel_for_config(cfg, np.random.default_rng(1)), cfg)
-        noise = gram_matrix(GridShape(64, 6), 1.0, PulseSpec(beta=0.25))
+        noise = gram_matrix(GridShape(64, 6), 1.0, 0.25)
         assert traced_peak(lambda: subchannel_gains(h, noise)) <= 0.25 * 16 * cfg.MN**2
 
     def test_full_derivation_where_g_is_not_identity(self):
