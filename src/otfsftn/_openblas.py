@@ -1,17 +1,18 @@
-"""The OpenBLAS that numpy loaded: its thread count and LAPACK Hermitian eigensolvers.
+"""The OpenBLAS that numpy loaded: its thread count, LAPACK Hermitian eigensolvers and zherk.
 
 numpy's wheels link one OpenBLAS, found here by name among the mapped
 libraries.  Through ctypes it gives single_blas_thread its thread-count
-functions, and lapacke binds ILP64 LAPACKE routines on first use, not at
-import.  eigh_inplace runs the divide-and-conquer EVD (Gu & Eisenstat,
-SIAM J. Matrix Anal. Appl. 16, 1995) as its three LAPACK stages, zhetrd,
-dstedc and zunmtr, through their _work entry points, so every workspace is
-a numpy buffer the solve owns: the eigenvectors and dstedc's n^2-sized
-workspace share one buffer, where numpy's eigh (zheevd) takes about two
-more n x n matrices.  zhbev takes the eigenvalues of a Hermitian band
-matrix from its band storage.  ctypes releases the GIL, so worker threads
-overlap.  On another BLAS none is found: thread pinning is a no-op,
-eigh_inplace falls back to np.linalg.eigh, and lapacke returns None.
+functions, and lapacke and cblas bind ILP64 LAPACKE and CBLAS routines on
+first use, not at import.  eigh_inplace runs the divide-and-conquer EVD
+(Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) as its three LAPACK
+stages, zhetrd, dstedc and zunmtr, through their _work entry points, so
+every workspace is a numpy buffer the solve owns: the eigenvectors and
+dstedc's n^2-sized workspace share one buffer, where numpy's eigh (zheevd)
+takes about two more n x n matrices.  zhbev takes the eigenvalues of a
+Hermitian band matrix from its band storage.  ctypes releases the GIL, so
+worker threads overlap.  On another BLAS none is found: thread pinning is a
+no-op, eigh_inplace falls back to np.linalg.eigh, and lapacke and cblas
+return None.
 """
 
 from __future__ import annotations
@@ -24,17 +25,20 @@ import numpy as np
 # thread-count functions of scipy-openblas, ILP64 and LP64 OpenBLAS; "{}" is get or set
 THREAD_FUNCTIONS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                     "openblas_{}_num_threads")
-# ILP64 LAPACKE routines, as scipy-openblas and a 64_-suffixed OpenBLAS export them
+# ILP64 LAPACKE and CBLAS routines, as scipy-openblas and a 64_-suffixed OpenBLAS export them
 LAPACKE_NAMES = ("scipy_LAPACKE_{}64_", "LAPACKE_{}64_")
+CBLAS_NAMES = ("scipy_cblas_{}64_", "cblas_{}64_")
 # argument codes after the int layout: zhetrd_work(uplo, n, a, lda, d, e, tau, work, lwork),
 # dstedc_work(compz, n, d, e, z, ldz, work, lwork, iwork, liwork), zunmtr_work(side, uplo,
-# trans, m, n, a, lda, tau, c, ldc, work, lwork) and zhbev(jobz, uplo, n, kd, ab, ldab, w, z, ldz)
+# trans, m, n, a, lda, tau, c, ldc, work, lwork), zhbev(jobz, uplo, n, kd, ab, ldab, w, z, ldz)
+# and cblas_zherk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc), its enums C ints
 SIGNATURES = {"zhetrd_work": "cipippppi", "dstedc_work": "cipppipipi",
-              "zunmtr_work": "ccciipippipi", "zhbev": "cciipippi"}
+              "zunmtr_work": "ccciipippipi", "zhbev": "cciipippi", "zherk": "eeiidpidpi"}
 _STAGES = ("zhetrd_work", "dstedc_work", "zunmtr_work")
-_CTYPES = {"c": ctypes.c_char, "i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
+_CTYPES = {"c": ctypes.c_char, "e": ctypes.c_int, "i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
+ROW_UPPER_CONJ = (101, 121, 113)  # CblasRowMajor, CblasUpper, CblasConjTrans
 
 
 def _libraries() -> list[ctypes.CDLL]:
@@ -62,16 +66,19 @@ def thread_controls() -> tuple[tuple, ...]:
 
 
 @functools.cache
-def lapacke(routine: str):
-    """The bound ILP64 LAPACKE_<routine> of the loaded OpenBLAS, or None; resolved once."""
+def lapacke(routine: str, names: tuple[str, ...] = LAPACKE_NAMES, restype=ctypes.c_int64):
+    """The bound ILP64 LAPACKE_<routine> (the first of names) of the loaded OpenBLAS, or None."""
     for lib in _libraries():
-        fn = next((getattr(lib, n.format(routine)) for n in LAPACKE_NAMES
+        fn = next((getattr(lib, n.format(routine)) for n in names
                    if hasattr(lib, n.format(routine))), None)
         if fn is not None:
             fn.argtypes = [ctypes.c_int, *(_CTYPES[c] for c in SIGNATURES[routine])]
-            fn.restype = ctypes.c_int64
+            fn.restype = restype
             return fn
     return None
+
+
+cblas = functools.partial(lapacke, names=CBLAS_NAMES, restype=None)  # cblas_<routine>, void
 
 
 def _call(routine: str, *args) -> None:

@@ -5,13 +5,14 @@ through a counter-style seed sequence, so results are a pure function of the
 configuration and seed; trial_rngs derives a block's generators in one pass.
 
 With threads >= 2 a sweep maps its trials on one pool of that many worker
-threads, with OpenBLAS pinned to one thread while they run; set-up outside
-the trials, and threads == 1, keep the user's BLAS thread count.  CSVs are
-byte-identical for any thread count.  The LLR dump is byte-identical for any
-threads >= 2, and at threads == 1 when BLAS runs one thread; other BLAS
-counts split reductions differently and may move gains and LLRs in the last
-digits.  At alpha = 1 the identity channel's G and H are exactly I and its
-gains exactly 1, so its BER CSV does not depend on the BLAS thread count.
+threads, with OpenBLAS pinned to one thread while they run.  A frame of at
+most SERIAL_BLAS_MAX_MN symbols pins it for the whole sweep, set-up included,
+at any threads; a larger frame's set-up, and its trials at threads == 1, keep
+the user's count.  CSVs, and LLR dumps run on one BLAS thread, are
+byte-identical for any threads; other BLAS counts split reductions
+differently and may move gains and LLRs in the last digits.  At alpha = 1 the
+identity channel's G, H and gains are exactly I, I and 1, so its BER CSV does
+not depend on the BLAS thread count.
 
 A BER point water-fills and bit-loads each channel's gains (subchannel_gains)
 and draws its frames on the scalar-equivalent link (link.scalar_frames),
@@ -59,12 +60,17 @@ from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet
 from .precoder import (
     derive_subchannels, solve_precoder, subchannel_gains, uniform_gamma, waterfill,
 )
-from .pulse import NoiseShape, gram_dd, gram_matrix, rc_autocorr
+from . import pulse
+from .pulse import NoiseShape, gram_dd, gram_matrix, noise_shape, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
 # frames per block on a shared channel: wide enough to vectorize the draws
 # and detection, small enough that the MN x FRAME_BLOCK working set stays minor
 FRAME_BLOCK = 64
+
+# the largest frame whose sweep runs on one BLAS thread: up to here a second thread barely
+# shortens the EVD and spins idle between calls; from about MN = 510 up two threads win
+SERIAL_BLAS_MAX_MN = 384
 
 
 @dataclass(frozen=True)
@@ -170,23 +176,25 @@ def single_blas_thread():
 
 
 @contextlib.contextmanager
-def _trial_map(threads: int):
+def _trial_map(threads: int, mn: int):
     """Map trials serially (threads == 1) or on one worker pool per sweep.
 
-    Pool maps pin BLAS to one thread; set-up between maps keeps the user's count.
+    Pool maps pin BLAS to one thread, and a frame of at most SERIAL_BLAS_MAX_MN
+    symbols pins it for the whole context, set-up between maps included.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        yield lambda fn, items: [fn(x) for x in items]
-        return
+    with single_blas_thread() if mn <= SERIAL_BLAS_MAX_MN else contextlib.nullcontext():
+        if threads == 1:
+            yield lambda fn, items: [fn(x) for x in items]
+            return
 
-    def pinned_map(fn, items):
-        with single_blas_thread():
-            return list(pool.map(fn, items))
+        def pinned_map(fn, items):
+            with single_blas_thread():
+                return list(pool.map(fn, items))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pinned_map
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield pinned_map
 
 
 def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = None) -> SweepResult:
@@ -203,12 +211,11 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     """
     validate_config(cfg)
     shape = GridShape(cfg.M, cfg.N)
-    channels = [
-        channel_for_config(cfg, trial_rng(cfg.master_seed, 0, t)) for t in range(cfg.trials)
-    ]
-
     rows: list[RatePoint] = []
-    with _trial_map(threads) as trial_map:
+    with _trial_map(threads, cfg.MN) as trial_map:
+        channels = [
+            channel_for_config(cfg, trial_rng(cfg.master_seed, 0, t)) for t in range(cfg.trials)
+        ]
         for alpha in sorted({*cfg.alpha_grid, 1.0}):
             cfg_a = cfg.with_alpha(alpha)
             noise = gram_matrix(shape, alpha, cfg.beta)
@@ -262,7 +269,7 @@ def run_ber_sweep(
     width = FRAME_BLOCK if shared else 1
     blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
     rows: list[BerRow] = []
-    with _trial_map(threads) as trial_map:
+    with _trial_map(threads, cfg.MN) as trial_map:
         if llr_sink is not None:
             llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
             llr_sink.write(LLR_DUMP_HEADER + "\n")
@@ -459,10 +466,15 @@ def _check_gram_structure(seed: int) -> tuple[bool, str]:
 
 
 def _check_floor_policy(seed: int) -> tuple[bool, str]:
-    noise = gram_matrix(GridShape(8, 4), 0.8, 0.25)  # at the admissible edge 1/(1+beta)
+    # the all-ones G: eigenvalues 8 and seven zeros, each clamped, deliberately, so not logged
+    pulse.log.addFilter(hush := lambda record: False)
+    try:
+        noise = noise_shape(np.ones(8))
+    finally:
+        pulse.log.removeFilter(hush)
     lam_min = float(noise.lam.min())
-    ok = lam_min >= 1e-10 * float(noise.lam.max()) and lam_min > 0.0
-    return ok, f"floored spectrum min {lam_min:.2e}, clamped {noise.floored} value(s)"
+    ok = noise.floored == 7 and lam_min == pulse.EIG_FLOOR_REL * float(noise.raw.max()) > 0.0
+    return ok, f"floored spectrum min {lam_min:.2e}, clamped {noise.floored} of 7 value(s)"
 
 
 def _check_gram_dd_spectrum(seed: int) -> tuple[bool, str]:

@@ -196,8 +196,8 @@ def _scaled_white(var: np.ndarray, sigma0_sq: float, rngs: Sequence[np.random.Ge
     if not 0.0 <= sigma0_sq < np.inf:
         raise ValueError(f"sigma0_sq must be non-negative and finite, got {sigma0_sq}")
     w = np.empty((2 * len(rngs), var.size))
-    for rng, row in zip([rng for rng in rngs for _ in "ri"], w):
-        rng.standard_normal(out=row)
+    for t, rng in enumerate(rngs):  # C order: the real row's draws, then the imaginary row's
+        rng.standard_normal(out=w[2 * t : 2 * t + 2])
     return np.multiply(w, np.sqrt(0.5 * sigma0_sq * var), out=w)
 
 

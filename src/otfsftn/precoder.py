@@ -6,8 +6,8 @@ G = V diag(lam) V^T it whitens the channel into C = diag(lam)^{-1/2} V^T H,
 eigendecomposes C^H C = U_t diag(xi) U_t^H and reads the per-direction
 energy weights phi = diag(U_t^H G U_t) from V^T U_t and G's spectrum.  V^T
 and V are applied as the noise shape's half-order products, in column
-strips, so neither G nor V is formed.  -C^H C is formed once, in row strips
-of the one triangle the eigensolver reads, straight into the buffer it
+strips, so neither G nor V is formed.  -C^H C is formed once, by zherk, as
+the one triangle the eigensolver reads, straight into the buffer it
 overwrites, and C is released as soon as nothing reads it.  finalize works
 once per power allocation: given powers gamma (water-filled under
 sum(gamma*phi) = MN, the subchannel count, or uniform) it forms the
@@ -135,21 +135,26 @@ def _evd_desc_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _whiten(h: np.ndarray, noise: NoiseShape) -> np.ndarray:
-    """The whitened channel C = diag(lam)^{-1/2} V^T H, one column strip at a time."""
-    h = np.asarray(h)
+    """The whitened channel C = diag(lam)^{-1/2} V^T H, each strip of H folded straight into C's."""
+    h = np.asarray(h, dtype=complex)
     if h.shape != (noise.n, noise.n):
         raise ValueError(f"H {h.shape} does not match the noise shape {(noise.n, noise.n)}")
     c = np.empty(h.shape, dtype=complex)
-    root = np.sqrt(noise.lam)[:, None]
     for j in _strips(noise.n):
-        np.divide(noise.vt(h[:, j]), root, out=c[:, j])
+        noise.vt(h[:, j], out=c[:, j])
+    c /= np.sqrt(noise.lam)[:, None]
     return c
 
 
 def _neg_gram(c: np.ndarray) -> np.ndarray:
-    """-C^H C in the row-major upper triangle only, one row strip at a time; the rest is unset."""
-    s = np.empty((c.shape[1], c.shape[1]), dtype=np.result_type(c.dtype, np.float64))
-    for j in _strips(c.shape[1]):
+    """-C^H C in the row-major upper triangle only; the rest is unset.  The loaded OpenBLAS's
+    zherk writes it, or where it has none numpy does, one row strip at a time."""
+    k, n = c.shape
+    s = np.empty((n, n), dtype=np.result_type(c.dtype, np.float64))
+    if (herk := _openblas.cblas("zherk")) is not None and c.dtype == np.complex128 and c.flags.c_contiguous:
+        herk(*_openblas.ROW_UPPER_CONJ, n, k, -1.0, c.ctypes.data, n, 0.0, s.ctypes.data, n)
+        return s
+    for j in _strips(n):
         np.matmul(-c[:, j].conj().T, c[:, j.start :], out=s[j, j.start :])
     return s
 

@@ -74,9 +74,9 @@ class NoiseShape:
     def identity(self) -> bool:
         return self.even is None
 
-    def vt(self, x: np.ndarray) -> np.ndarray:
-        """V^T x as a new array (x itself, made contiguous, where G = I)."""
-        return self._fold(x, transpose=True)
+    def vt(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """V^T x into out, else as a new array (x itself, made contiguous, where G = I)."""
+        return self._fold(x, transpose=True, out=out)
 
     def v(self, y: np.ndarray) -> np.ndarray:
         """V y as a new array (y itself, made contiguous, where G = I)."""
@@ -88,29 +88,30 @@ class NoiseShape:
             return np.eye(self.n, dtype=dtype)
         return np.array(_toeplitz(self.row, self.n), dtype)
 
-    def _fold(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """V^T x or V x on x's real C-ordered image: each complex column as a (real, imag) pair."""
+    def _fold(self, x: np.ndarray, transpose: bool, out: np.ndarray | None = None) -> np.ndarray:
+        """V^T x or V x on x's real image, each complex column as a (real, imag) pair, into out
+        (of x's shape and dtype) or a new array.  Rows may be strided, as in a column strip."""
         x = np.asarray(x)
         dtype = np.complex128 if np.iscomplexobj(x) else np.float64
-        z = np.ascontiguousarray(x, dtype)
+        z = x if x.dtype == dtype and x.strides[-1:] == (x.itemsize,) else np.ascontiguousarray(x, dtype)
         if self.identity:
-            return z
-        z = (z[:, None] if z.ndim == 1 else z).view(np.float64)
+            return np.ascontiguousarray(z) if out is None else np.copyto(out, z) or out
+        real = lambda a: (a[:, None] if a.ndim == 1 else a).view(np.float64)
+        z, o = real(z), real(np.empty(x.shape, dtype) if out is None else out)
         m, r = divmod(self.n, 2)
-        out = np.empty_like(z)
         if transpose:  # [E^T (x_top + J x_bot; x_mid); O^T (x_top - J x_bot)]
             top, bot = z[:m], z[m + r:][::-1]
             f = np.empty((m + r, z.shape[1]))
             np.add(top, bot, out=f[:m])
             f[m:] = z[m : m + r]
-            np.matmul(self.even.T, f, out=out[: m + r])
-            np.matmul(self.odd.T, np.subtract(top, bot, out=f[:m]), out=out[m + r:])
+            np.matmul(self.even.T, f, out=o[: m + r])
+            np.matmul(self.odd.T, np.subtract(top, bot, out=f[:m]), out=o[m + r:])
         else:  # with a = E y_even and b = O y_odd: [a_top + b; a_mid; J (a_top - b)]
-            a = np.matmul(self.even, z[: m + r], out=out[: m + r])
+            a = np.matmul(self.even, z[: m + r], out=o[: m + r])
             b = self.odd @ z[m + r:]
-            np.subtract(a[:m], b, out=out[m + r:][::-1])
+            np.subtract(a[:m], b, out=o[m + r:][::-1])
             a[:m] += b
-        return out.view(dtype).reshape(x.shape)
+        return o.view(dtype).reshape(x.shape) if out is None else out
 
 
 def rc_autocorr(t: float | np.ndarray, beta: float) -> float | np.ndarray:

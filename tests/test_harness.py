@@ -422,17 +422,18 @@ class TestThreads:
         for (_, put), count in zip(controls, before):
             put(count)
 
-    def _spy_gains(self, monkeypatch, controls, fail=False):
+    def _spy_gains(self, monkeypatch, controls, fail=False, name="subchannel_gains", stub=None):
+        """The BLAS counts each call of harness.<name> sees; stub(*args) replaces the call."""
         seen = []
-        real = harness.subchannel_gains
+        real = getattr(harness, name)
 
         def spy(*args):
             seen.append(_blas_counts(controls))
             if fail:
                 raise RuntimeError("gains failed")
-            return real(*args)
+            return (stub or real)(*args)
 
-        monkeypatch.setattr(harness, "subchannel_gains", spy)
+        monkeypatch.setattr(harness, name, spy)
         return seen
 
     def test_pool_pins_blas_and_restores_it(self, blas_two, monkeypatch):
@@ -442,16 +443,39 @@ class TestThreads:
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     def test_blas_restored_when_sweep_raises(self, blas_two, monkeypatch):
-        seen = self._spy_gains(monkeypatch, blas_two, fail=True)
-        with pytest.raises(RuntimeError, match="gains failed"):
-            run_ber_sweep(parse_config(EVA_BER), threads=2)
-        assert seen and seen[0] == [1] * len(blas_two)
+        for threads in (1, 2):  # MN = 64: pinned for the whole sweep at threads == 1 too
+            seen = self._spy_gains(monkeypatch, blas_two, fail=True)
+            with pytest.raises(RuntimeError, match="gains failed"):
+                run_ber_sweep(parse_config(EVA_BER), threads=threads)
+            assert seen and seen[0] == [1] * len(blas_two)
+            assert _blas_counts(blas_two) == [2] * len(blas_two)
+
+    @pytest.mark.parametrize("sweep", [run_rate_sweep, run_ber_sweep])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_small_frame_sweep_runs_on_one_blas_thread(self, blas_two, monkeypatch, sweep, threads):
+        # MN = 64 is below SERIAL_BLAS_MAX_MN: set-up (noise shapes; the rate sweep's
+        # channels) and trials (the BER sweep's channels; every gains solve) see one thread
+        cfg = parse_config(EVA_BER)
+        assert cfg.MN <= harness.SERIAL_BLAS_MAX_MN
+        seen = [self._spy_gains(monkeypatch, blas_two, name=name)
+                for name in ("gram_matrix", "channel_for_config", "subchannel_gains")]
+        sweep(cfg, threads=threads)
+        assert all(calls and all(c == [1] * len(blas_two) for c in calls) for calls in seen)
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
-    def test_single_thread_leaves_blas_alone(self, blas_two, monkeypatch):
-        seen = self._spy_gains(monkeypatch, blas_two)
-        run_ber_sweep(parse_config(EVA_BER), threads=1)
-        assert seen and all(c == [2] * len(blas_two) for c in seen)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_large_frame_sweep_keeps_blas_outside_pool_maps(self, blas_two, monkeypatch, threads):
+        # MN = 768 is above SERIAL_BLAS_MAX_MN: set-up keeps the user's count, and so do the
+        # trials at threads == 1; only pool maps pin.  Stub gains, so no 768-sized EVD runs.
+        cfg = parse_config(EVA_BER.replace("N: 4", "N: 48").replace("trials: 6", "trials: 2"))
+        assert cfg.MN == 768 > harness.SERIAL_BLAS_MAX_MN
+        set_up = self._spy_gains(monkeypatch, blas_two, name="gram_matrix")
+        gains = self._spy_gains(monkeypatch, blas_two,
+                                stub=lambda h, noise: (np.ones(noise.n), np.ones(noise.n)))
+        run_ber_sweep(cfg, threads=threads)
+        assert set_up == [[2] * len(blas_two)]
+        assert len(gains) == 2 and all(c == [1 if threads > 1 else 2] * len(blas_two) for c in gains)
+        assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     # MN = 512: large enough that BLAS splits the set-up products across threads
     AWGN_512 = (
@@ -503,7 +527,7 @@ class TestThreads:
         assert reads == ["/proc/self/maps"]
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
-    def test_eva192_outputs_identical_for_any_pool_size(self):
+    def test_eva192_outputs_identical_for_any_pool_size(self, blas_two):
         text = (
             (CONFIGS / "eva_ber.yaml").read_text()
             .replace("trials: 50", "trials: 2")
@@ -520,8 +544,7 @@ class TestThreads:
         pooled = run(2)
         assert len(pooled[1].splitlines()) > 2
         assert run(3) == pooled
-        with single_blas_thread():
-            assert run(1) == pooled
+        assert run(1) == pooled  # serial, with two BLAS threads outside the sweep
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_sweeps_reject_threads_below_one(self, threads):
@@ -655,6 +678,19 @@ class TestValidate:
         report = validate()
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["link-llr-calibration"]
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_broken_floor_policy_detected(self, monkeypatch, floor):
+        monkeypatch.setattr(otfsftn.pulse, "EIG_FLOOR_REL", floor)
+        failed = [c.name for c in validate().checks if not c.ok]
+        assert failed == ["gram-floor-policy"]
+
+    def test_floor_policy_clamp_is_not_logged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="otfsftn.pulse"):
+            ok, detail = harness._check_floor_policy(0)
+        assert ok and "clamped 7 of 7" in detail, detail
+        assert not [r for r in caplog.records if "floored" in r.getMessage()]
+        assert otfsftn.pulse.log.filters == []
 
     @pytest.mark.parametrize("seed", [20240901, 7919])
     def test_llr_calibration_passes_at_ci_seeds(self, seed):

@@ -614,6 +614,22 @@ class TestScalarFrames:
         assert tx_bits.tobytes() == bits.tobytes()
         assert y_d.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("kind", ["pcg64", "philox", "buffered-half-word"])
+    def test_scaled_white_matches_per_row_draws(self, kind):
+        # one draw fills a frame's real and imaginary rows, in C order, as two row draws do
+        def gens():
+            out = [np.random.Generator((np.random.Philox if kind == "philox" else np.random.PCG64)(s))
+                   for s in range(5)]
+            if kind == "buffered-half-word":
+                for g in out:
+                    g.integers(0, 7, dtype=np.uint32)
+                    assert g.bit_generator.state["has_uint32"]
+            return out
+
+        var = np.linspace(0.5, 2.0, 37)
+        rows = np.array([g.standard_normal(37) for g in gens() for _ in "ri"])
+        assert _scaled_white(var, 0.3, gens()).tobytes() == (rows * np.sqrt(0.5 * 0.3 * var)).tobytes()
+
     def test_block_width_does_not_change_frames(self):
         # the sweep cuts frames into blocks; frame t draws only from its own generator
         loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))

@@ -583,6 +583,32 @@ class TestGramBuffer:
         u_t, xi = precoder._evd_desc_inplace(precoder._neg_gram(c))
         assert np.array_equal(xi, xi_ref) and np.array_equal(u_t, u_ref)
 
+    @pytest.mark.parametrize("n", [1, 15, 64, 125, 193])
+    def test_zherk_triangle_matches_numpy_strips(self, monkeypatch, rng, n):
+        if _openblas.cblas("zherk") is None:
+            pytest.skip("numpy's BLAS exports no cblas_zherk")
+        c = complex_gaussian(rng, n * n).reshape(n, n)
+        upper = np.triu_indices(n)
+        herk = precoder._neg_gram(c)[upper]
+        fortran = precoder._neg_gram(np.asfortranarray(c))[upper]  # not C-ordered: the strips
+        monkeypatch.setattr(_openblas, "cblas", lambda routine: None)
+        strips = precoder._neg_gram(c)[upper]
+        assert np.array_equal(fortran, strips)
+        # the same sums, which zherk may accumulate in another order
+        assert np.abs(herk - strips).max() <= 4 * n * np.finfo(float).eps * np.abs(strips).max()
+
+    @pytest.mark.parametrize("m, n", [(5, 3), (25, 5), (32, 6)])
+    def test_whiten_matches_the_contiguous_strip_fold(self, m, n):
+        # MN = 15, 125 and 192: folding H's strips straight into C's and dividing
+        # once gives the bytes of folding contiguous copies and dividing per strip
+        for alpha in (0.8, 1.0):
+            _, noise, h = eva_instance(m, n, alpha, seed=m)
+            ref = np.empty(h.shape, complex)
+            for j in precoder._strips(noise.n):
+                np.divide(noise.vt(np.ascontiguousarray(h[:, j])), np.sqrt(noise.lam)[:, None],
+                          out=ref[:, j])
+            assert precoder._whiten(h, noise).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("staged", [True, False])
     def test_only_the_upper_triangle_is_read(self, monkeypatch, staged):
         if staged:
