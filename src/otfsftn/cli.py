@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, SystemConfig, config_digest, parse_config
-from .harness import channel_dump, run_ber_sweep, run_rate_sweep, validate
+from .harness import SERIAL_BLAS_MAX_MN, channel_dump, run_ber_sweep, run_rate_sweep, validate
 
 
 def _positive_int(text: str) -> int:
@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    threads_help = "trial worker threads, one BLAS thread each; 1 leaves parallelism to BLAS"
+    threads_help = (f"trial worker threads, one BLAS thread each; a frame of at most {SERIAL_BLAS_MAX_MN} "
+                    "symbols runs BLAS on one thread at any count, a larger one at 1 on your BLAS threads")
 
     p_rate = sub.add_parser("rate", help="information-rate sweep to CSV")
     common(p_rate, True)

@@ -299,7 +299,8 @@ def run_ber_sweep(
                         xi, gamma, loading = load(*subchannel_gains(effective_channel(chan, cfg_a), noise))
                     else:
                         xi, gamma, loading = link
-                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rngs)
+                    # a shared channel's generators come straight from trial_rngs: nothing drawn
+                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rngs, fresh=shared)
                     rx = hard_detect(y_d, xi, gamma, loading)
                     counter = ber_accumulate(tx_bits, rx, BerCounter())
                     records = []

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,11 +43,9 @@ from .pulse import NoiseShape
 SUPPORTED_BITS = (2, 4, 6, 8)
 
 
-def _build_constellation(bits: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, tuple]]:
+def _build_constellation(bits: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Unit-energy square QAM points by MSB-first bit label, and their Gray PAM axis:
-    its levels and bits by label, and its decision tables: the inner levels, ascending;
-    per gap between them the lower label, the higher label and their levels; and
-    the labels that can win a tie of over two levels far off the axis (running minima)."""
+    its levels and bits by label."""
     half = bits // 2
     m_axis = 1 << half
     k = np.arange(m_axis)  # level rank, top level first; k ^ (k >> 1) is its Gray label
@@ -55,17 +53,30 @@ def _build_constellation(bits: int) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     levels[k ^ (k >> 1)] = np.sqrt(3.0 / (2.0 * (m_axis**2 - 1))) * (m_axis - 1 - 2 * k)
     inphase, quadrature = np.divmod(np.arange(1 << bits), m_axis)
     axis_bits = (k[:, None] >> np.arange(half - 1, -1, -1)[None, :]) & 1
-    up = (k ^ (k >> 1)).tolist()[::-1]  # labels in ascending level order
-    low, high = (np.array(t, np.uint8) for t in zip(*(sorted(pair) for pair in zip(up, up[1:]))))
-    runs = sorted({min(e[:i]) for e in (up, up[::-1]) for i in range(3, m_axis + 1)})
-    decision = (levels[up[1:-1]], low, high, levels[low], levels[high], runs)
-    return levels[inphase] + 1j * levels[quadrature], (levels, axis_bits.astype(np.uint8), decision)
+    return levels[inphase] + 1j * levels[quadrature], (levels, axis_bits.astype(np.uint8))
 
 
 _POINTS: dict[int, np.ndarray] = {}
-_PAM: dict[int, tuple[np.ndarray, np.ndarray, tuple]] = {}
+_PAM: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 for _b in SUPPORTED_BITS:
     _POINTS[_b], _PAM[_b] = _build_constellation(_b)
+
+
+@cache
+def _decisions(nbits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints e and axis bits by count: bits[count of e <= v] are the first-index argmin's over the
+    Gray labels of |v - level|, as numpy rounds it.  The label changes where neighbouring levels'
+    distances cross and, far off the axis, where several distances round equal; between anchors (levels,
+    midpoints, +-2^e for |e| <= 60) it changes at most once, which bisecting the doubles' order finds."""
+    rank = lambda o: np.where(o < 0, np.int64(-(2**63)) - o, o)  # a double's bits <-> its rank
+    label = lambda o: np.argmin(np.abs(rank(o).view(np.float64)[:, None] - _PAM[nbits][0]), axis=1)
+    up, power = np.sort(_PAM[nbits][0]), 2.0 ** np.arange(-60, 61)
+    o = np.sort(rank(np.concatenate([up, (up[1:] + up[:-1]) / 2, power, -power]).view(np.int64)))
+    lo, hi = (side[label(o[1:]) != label(o[:-1])] for side in (o[:-1], o[1:]))
+    while np.any(hi - lo > 1):
+        left = label(mid := lo + (hi - lo) // 2) == label(lo)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return rank(hi).view(np.float64), _PAM[nbits][1][np.concatenate([label(o[:1]), label(hi)])]
 
 
 def constellation(bits: int) -> np.ndarray:
@@ -82,13 +93,18 @@ class Loading:
     bits_per_symbol: np.ndarray
 
     def __post_init__(self) -> None:
-        bad = set(np.unique(self.bits_per_symbol)) - {0, *SUPPORTED_BITS}
+        bad = set(self.bits_per_symbol.tolist()) - {0, *SUPPORTED_BITS}
         if bad:
             raise ValueError(f"unsupported bits-per-symbol value(s): {sorted(bad)}")
 
     @cached_property
     def total_bits(self) -> int:
         return int(self.bits_per_symbol.sum())
+
+    @cached_property
+    def bit_labels(self) -> list[str]:
+        """'subchannel,bit' for each transmitted bit, in order, as LLR records label them."""
+        return [f"{n},{j}" for n, b in enumerate(self.bits_per_symbol.tolist()) for j in range(b)]
 
     def loaded(self) -> np.ndarray:
         return np.flatnonzero(self.bits_per_symbol > 0)
@@ -173,12 +189,24 @@ def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
         raise ValueError("bit stream must contain only 0s and 1s")
     frames = np.atleast_2d(np.asarray(bits, dtype=np.uint8).T)  # one frame per row, even with no bits
     x = np.zeros((frames.shape[0], loading.bits_per_symbol.size), dtype=complex)
-    for nbits, sel, rows in loading.groups:
-        labels = frames[:, rows[:, 0]]
-        for j in range(1, nbits):
-            labels = labels << 1 | frames[:, rows[:, j]]
-        x[:, _span(sel)] = np.take(_POINTS[nbits], labels)
+    _axis_levels(frames, loading, x.view(np.float64))
     return x.T.reshape((x.shape[1],) + bits.shape[1:])
+
+
+def _axis_levels(frames: np.ndarray, loading: Loading, parts: np.ndarray) -> None:
+    """Write bit rows' symbols into zeroed rows of parts as complex bytes: an axis's label is its half of
+    the bits, its rank k the label's prefix XORs, its level the table's (2^(nbits/2) - 1 - 2k) d."""
+    for nbits, sel, rows in loading.groups:
+        g = frames[:, _span(rows.ravel())].reshape(len(frames), 2 * sel.size, nbits // 2)
+        rank = prefix = g[..., 0]
+        for j in range(1, nbits // 2):
+            prefix = prefix ^ g[..., j]
+            rank = rank << 1 | prefix
+        axes = _span((2 * sel[:, None] + np.arange(2)).ravel())
+        level = parts[:, axes] if isinstance(axes, slice) else np.empty(rank.shape)
+        np.multiply(((1 << nbits // 2) - 1 - 2 * rank).view(np.int8), np.abs(_PAM[nbits][0]).min(), out=level)
+        if not isinstance(axes, slice):
+            parts[:, axes] = level
 
 
 def transmit(x: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
@@ -263,7 +291,7 @@ def llr(
     a, frames = _observations(y_d, xi, gamma, loading)
     out = np.empty((loading.total_bits, frames.shape[0]))
     for nbits, sel, rows in loading.groups:
-        levels, axis_bits, _ = _PAM[nbits]
+        levels, axis_bits = _PAM[nbits]
         y = frames[:, sel].T
         # metric[i, axis, f, l]: log-likelihood of level l on the in-phase (axis 0)
         # or quadrature (axis 1) part of frame f on the i-th selected subchannel
@@ -284,36 +312,32 @@ def _logsumexp(m: np.ndarray) -> np.ndarray:
 def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loading) -> np.ndarray:
     """Minimum-distance decisions per diagonal subchannel, demapped to bits.
 
-    Per axis, |v - level| picks one of the two levels bracketing v; a tie (or, far
-    off the axis, a lower label tying them) goes to the lowest Gray label, as in a
-    first-index argmin.  An MN x k block of observations gives a total_bits x k block.
+    Per axis, v = y (1/a) and _decisions' breakpoints give the first-index argmin of |v - level|,
+    ties to the lowest Gray label.  An MN x k block of observations gives a total_bits x k block.
     """
     a, frames = _observations(y_d, xi, gamma, loading)
     out = np.empty((frames.shape[0], loading.total_bits), dtype=np.uint8)
     for nbits, sel, rows in loading.groups:
-        levels, _, (inner, low, high, lev_low, lev_high, runs) = _PAM[nbits]
-        # per frame, each subchannel's y / a as (re, im), times 1/a as numpy's y / a rounds
-        v = np.take(frames, sel, axis=1).view(np.float64)
-        v *= np.repeat(1.0 / a[sel], 2)
-        j = np.searchsorted(inner, v) if inner.size else 0
-        d_low, d_high = (np.abs(d, out=d) for d in (v - lev_low[j], v - lev_high[j]))
-        labels = low[j] + (high[j] - low[j]) * (d_high < d_low)  # a tie keeps the lower label
-        for lab in runs:
-            labels[(np.abs(v - levels[lab]) == np.minimum(d_low, d_high)) & (labels > lab)] = lab
-        bits = labels[..., None] >> np.arange(nbits // 2 - 1, -1, -1, dtype=np.uint8) & 1
+        edges, table = _decisions(nbits)
+        # per frame, each subchannel's y / a as (re, im), times 1/a as numpy's y / a rounds; the
+        # complex product can flip only the sign of an exact zero, which no label depends on
+        v = np.multiply(frames[:, _span(sel)], 1.0 / a[sel], order="C").view(np.float64)
+        # QPSK's bit is 1 from its first breakpoint to its second
+        bits = (v >= edges[0]) ^ (v >= edges[1]) if nbits == 2 else table[np.searchsorted(edges, v, side="right")]
         out[:, _span(rows.ravel())] = bits.reshape(len(frames), rows.size)
     return out.T.reshape((loading.total_bits,) + np.shape(y_d)[1:])
 
 
-def _draw_bits(loading: Loading, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """A total_bits x k block whose column t is rngs[t].integers(0, 2, total_bits): from PCG64s
-    holding no buffered half word, the top bits of their raw words' 32-bit halves, low half first."""
-    if not all(isinstance(g := r.bit_generator, np.random.PCG64) and not g.state["has_uint32"] for r in rngs):
+def _draw_bits(loading: Loading, rngs: Sequence[np.random.Generator], fresh: bool = False) -> np.ndarray:
+    """Column t is rngs[t].integers(0, 2, total_bits): from PCG64s holding no buffered half word (fresh:
+    straight from trial_rngs, unprobed), the top bits of their raw words' 32-bit halves, low half first."""
+    if not fresh and not all(isinstance(g := r.bit_generator, np.random.PCG64) and not g.state["has_uint32"]
+                             for r in rngs):
         return np.array([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], np.uint8).T
     bits = np.empty((len(rngs), loading.total_bits), np.uint8)
-    words = np.array([r.bit_generator.random_raw(loading.total_bits // 2) for r in rngs], np.uint64)
-    words = words.reshape(bits[:, 1::2].shape)  # Lemire's bound for a range of 2 never rejects
-    bits[:, 0::2], bits[:, 1::2] = words >> 31 & 1, words >> 63  # shifts read any byte order
+    words = np.array([r.bit_generator.random_raw(loading.total_bits // 2) for r in rngs], "<u8")
+    # Lemire's bound for a range of 2 never rejects; little-endian halves put the low half first
+    np.right_shift(words.reshape(len(rngs), loading.total_bits // 2).view("<u4"), 31, out=bits)
     return bits.T
 
 
@@ -336,16 +360,18 @@ def run_frame(
 
 def scalar_frames(
     loading: Loading, xi: np.ndarray, gamma: np.ndarray, sigma0_sq: float,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator], fresh: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """run_frame's tx_bits and y_d, drawn from the same generators on the scalar
     equivalent y_d = xi sqrt(gamma) x + n, n_k ~ CN(0, sigma0^2 xi_k), as
     D H P = diag(xi*sqrt(gamma)) and D G D^H = diag(xi).  A variance of 0 gives
-    no noise; a negative or non-finite one raises."""
-    tx_bits = _draw_bits(loading, rngs)
+    no noise; a negative or non-finite one raises.  fresh is _draw_bits'."""
+    tx_bits = _draw_bits(loading, rngs, fresh)
     w = _scaled_white(xi, sigma0_sq, rngs)
-    y_d = np.multiply((xi * np.sqrt(gamma))[:, None], map_bits(tx_bits, loading), order="F")
+    y_d = np.zeros((xi.size, len(rngs)), complex, order="F")
     parts = y_d.T.view(np.float64)  # row t: frame t's real and imaginary parts, interleaved
+    _axis_levels(tx_bits.T, loading, parts)
+    parts *= np.repeat(xi * np.sqrt(gamma), 2)
     parts[:, 0::2] += w[0::2]
     parts[:, 1::2] += w[1::2]
     return tx_bits, y_d
@@ -356,8 +382,5 @@ LLR_DUMP_HEADER = "frame,subchannel,bit,llr"
 
 def format_llr_records(frame_idx: int, loading: Loading, llrs: np.ndarray) -> str:
     """Delimited LLR records for one frame, one line per transmitted bit."""
-    b = loading.bits_per_symbol
-    sub = np.repeat(np.arange(b.size), b)  # (subchannel, bit) labels of the LLRs in order
-    bit = np.arange(sub.size) - np.repeat(np.cumsum(b) - b, b)
-    record = f"{frame_idx},{{}},{{}},{{:.12g}}".format
-    return "\n".join(map(record, sub.tolist(), bit.tolist(), llrs.tolist()))
+    record = f"{frame_idx},{{}},{{:.12g}}".format
+    return "\n".join(map(record, loading.bit_labels, llrs.tolist()))

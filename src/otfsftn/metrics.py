@@ -42,7 +42,7 @@ class BerCounter:
 
 
 def ber_accumulate(tx_bits: np.ndarray, rx_bits: np.ndarray, counter: BerCounter) -> BerCounter:
-    """Fold one frame's bit comparison into the counter."""
+    """Fold the bit comparison of a frame, or of a block of frames, into the counter."""
     tx_bits = np.asarray(tx_bits)
     rx_bits = np.asarray(rx_bits)
     if tx_bits.shape != rx_bits.shape:

@@ -636,7 +636,7 @@ class TestTrialRng:
 
         fast = run()
         monkeypatch.setattr(harness, "trial_rngs", self.seed_sequence_rngs)
-        monkeypatch.setattr(link, "_draw_bits", lambda loading, rngs: np.array(
+        monkeypatch.setattr(link, "_draw_bits", lambda loading, rngs, fresh=False: np.array(
             [r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], np.uint8).T)
         assert run() == fast
         assert len(fast[1].splitlines()) > 2 + frames

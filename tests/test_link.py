@@ -30,7 +30,8 @@ from otfsftn import (
     waterfill,
 )
 from otfsftn.config import CODE_RATE, snr_linear, target_bits
-from otfsftn.link import SUPPORTED_BITS, _draw_bits, _scaled_white, _span, format_llr_records
+from otfsftn.harness import trial_rngs
+from otfsftn.link import SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, format_llr_records
 from otfsftn.precoder import subchannel_gains
 
 from conftest import complex_gaussian, eva_config, identity_config
@@ -74,6 +75,10 @@ class TestConstellations:
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
             constellation(3)
+
+    def test_loading_names_unsupported_sizes(self):
+        with pytest.raises(ValueError, match=r"unsupported bits-per-symbol value\(s\): \[3, 5\]$"):
+            Loading(bits_per_symbol=np.array([2, 5, 0, 3, 5]))
 
 
 class TestBitLoading:
@@ -184,6 +189,14 @@ class TestMapBits:
         xi, gamma = np.ones(8), np.ones(8)
         out = hard_detect(x, xi, gamma, loading)
         np.testing.assert_array_equal(out, bits)
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_every_label_maps_to_its_table_point(self, bits):
+        # each axis level is built from its bits; to the bit, it is the constellation table's
+        labels = np.arange(1 << bits)
+        stream = ((labels[:, None] >> np.arange(bits - 1, -1, -1)) & 1).ravel()
+        x = map_bits(np.stack([stream, stream], axis=1), Loading(bits_per_symbol=np.full(labels.size, bits)))
+        assert x[:, 0].tobytes() == x[:, 1].tobytes() == constellation(bits).tobytes()
 
     @pytest.mark.parametrize("b", [[2] * 6, [0, 2, 2, 2, 0, 0], [2, 0, 2, 2, 0, 2], [4, 4, 2, 2, 0, 6]])
     def test_slice_and_index_scatters_agree(self, rng, b):
@@ -387,6 +400,30 @@ class TestLlr:
         with pytest.raises(ValueError, match="zero effective gain"):
             llr(np.zeros(1, complex), xi, gamma, loading, 1.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bits", [2, 4, 6, 8])
+    def test_breakpoints_and_neighbours_are_first_index_argmin(self, bits, order):
+        # each breakpoint of the decision table and the three doubles either side of it,
+        # where the label changes; subchannel n observes v[n] in phase, frame f v[f] in quadrature
+        edges, _ = _decisions(bits)
+        v = [edges]
+        for toward in (np.inf, -np.inf):
+            x = edges
+            for _ in range(3):
+                v.append(x := np.nextafter(x, toward))
+        v = np.unique(np.concatenate(v))
+        assert v.size == 7 * edges.size
+        half = bits // 2
+        levels = constellation(bits)[:: 1 << half].real
+        nearest = np.argmin(np.abs(v[:, None] - levels), axis=1)
+        assert np.unique(nearest).size == 1 << half  # every label wins somewhere
+        y = np.empty((v.size, v.size), complex, order=order)
+        y.real, y.imag = v[:, None], v[None, :]
+        label_bits = (nearest[:, None] >> np.arange(half - 1, -1, -1)) & 1
+        expected = np.concatenate(np.broadcast_arrays(label_bits[:, :, None], label_bits.T[None]), axis=1)
+        rx = hard_detect(y, np.ones(v.size), np.ones(v.size), Loading(bits_per_symbol=np.full(v.size, bits)))
+        np.testing.assert_array_equal(rx, expected.reshape(v.size * bits, v.size))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
     def test_rejects_non_finite_observation(self, bad):
         loading = Loading(bits_per_symbol=np.array([2, 0, 4, 2]))
@@ -467,6 +504,30 @@ class TestHardDetect:
         expected = np.concatenate(np.broadcast_arrays(label_bits[:, :, None], label_bits.T[None]), axis=1)
         loading = Loading(bits_per_symbol=np.full(v.size, bits))
         rx = hard_detect(y, np.ones(v.size), np.ones(v.size), loading)
+        np.testing.assert_array_equal(rx, expected.reshape(v.size * bits, v.size))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bits", [2, 4, 6, 8])
+    def test_breakpoints_and_neighbours_are_first_index_argmin(self, bits, order):
+        # each breakpoint of the decision table and the three doubles either side of it,
+        # where the label changes; subchannel n observes v[n] in phase, frame f v[f] in quadrature
+        edges, _ = _decisions(bits)
+        v = [edges]
+        for toward in (np.inf, -np.inf):
+            x = edges
+            for _ in range(3):
+                v.append(x := np.nextafter(x, toward))
+        v = np.unique(np.concatenate(v))
+        assert v.size == 7 * edges.size
+        half = bits // 2
+        levels = constellation(bits)[:: 1 << half].real
+        nearest = np.argmin(np.abs(v[:, None] - levels), axis=1)
+        assert np.unique(nearest).size == 1 << half  # every label wins somewhere
+        y = np.empty((v.size, v.size), complex, order=order)
+        y.real, y.imag = v[:, None], v[None, :]
+        label_bits = (nearest[:, None] >> np.arange(half - 1, -1, -1)) & 1
+        expected = np.concatenate(np.broadcast_arrays(label_bits[:, :, None], label_bits.T[None]), axis=1)
+        rx = hard_detect(y, np.ones(v.size), np.ones(v.size), Loading(bits_per_symbol=np.full(v.size, bits)))
         np.testing.assert_array_equal(rx, expected.reshape(v.size * bits, v.size))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
@@ -702,6 +763,20 @@ class TestDrawBits:
             assert bits.tobytes() == self.integers_oracle(loading, oracle_rngs).tobytes()
         for rng, oracle in zip(rngs, oracle_rngs):  # the noise that follows is unchanged
             assert rng.standard_normal(3).tobytes() == oracle.standard_normal(3).tobytes()
+
+    def test_fresh_generators_match_integers_unprobed(self):
+        # fresh vouches for generators straight from trial_rngs, so their state is never read
+        class Unprobed(np.random.PCG64):
+            state = property(lambda self: pytest.fail("state probed"))
+
+        loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))
+        rngs = []
+        for g in trial_rngs(5, 3, range(9)):
+            state = dict(g.bit_generator.state, bit_generator="Unprobed")
+            np.random.PCG64.state.__set__(bit_generator := Unprobed(), state)
+            rngs.append(np.random.Generator(bit_generator))
+        oracle = self.integers_oracle(loading, trial_rngs(5, 3, range(9)))
+        assert _draw_bits(loading, rngs, fresh=True).tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
     def test_used_and_other_generators_match_integers(self, bit_generator):

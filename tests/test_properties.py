@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from otfsftn import DdChannel, DdPath, dump_paths, load_paths, waterfill
 from otfsftn.config import EVA_DELAYS_NS, ConfigError, parse_config, snr_linear
-from otfsftn.link import SUPPORTED_BITS, Loading, constellation, llr, map_bits
+from otfsftn.link import (
+    SUPPORTED_BITS, Loading, _decisions, _draw_bits, _scaled_white, constellation, hard_detect, llr, map_bits,
+    scalar_frames,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -94,6 +97,62 @@ def test_noiseless_llr_sign_is_the_gray_mapped_bit(link):
     llrs = llr(y_d, xi, gamma, loading, sigma0_sq)
     assert np.all(np.isfinite(llrs))
     assert np.array_equal(llrs > 0.0, tx_bits == 0)
+
+
+def _argmin_bits(v, bits):
+    """Axis bits of the first-index argmin of |v - level| over the Gray-indexed levels."""
+    half = bits // 2
+    levels = constellation(bits)[:: 1 << half].real  # in-phase level of each axis label
+    label = np.argmin(np.abs(v[..., None] - levels), axis=-1)
+    return (label[..., None] >> np.arange(half - 1, -1, -1)) & 1
+
+
+# every order's decision breakpoints and the doubles one step either side of them
+_EDGES = np.concatenate([_decisions(b)[0] for b in SUPPORTED_BITS])
+near_edges = st.builds(lambda e, steps: float(np.nextafter(e, np.sign(steps) * np.inf)) if steps else float(e),
+                       st.sampled_from(_EDGES.tolist()), st.integers(-1, 1))
+
+
+@st.composite
+def axis_values(draw):
+    """A 2 x n x k block of axis values: arbitrary finite doubles (subnormals, both zeros
+    and magnitudes up to 1.8e308) and doubles at or beside a decision breakpoint."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    v = draw(st.lists(st.one_of(finite, near_edges), min_size=2 * n * k, max_size=2 * n * k))
+    return np.array(v).reshape(2, n, k)
+
+
+@PROPERTY
+@given(st.sampled_from(SUPPORTED_BITS), st.sampled_from("CF"), axis_values())
+def test_hard_detect_is_first_index_argmin(bits, order, v):
+    # subchannel i of frame f observes v[0, i, f] in phase and v[1, i, f] in quadrature
+    n, k = v.shape[1:]
+    y = np.empty((n, k), complex, order=order)
+    y.real, y.imag = v
+    expected = np.concatenate([_argmin_bits(v[0], bits), _argmin_bits(v[1], bits)], axis=-1)
+    rx = hard_detect(y, np.ones(n), np.ones(n), Loading(bits_per_symbol=np.full(n, bits)))
+    assert np.array_equal(rx, expected.transpose(0, 2, 1).reshape(n * bits, k))
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from((0, *SUPPORTED_BITS)), min_size=1, max_size=24), st.integers(0, 5),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 2.0]), st.booleans())
+def test_scalar_frames_is_scaled_symbols_plus_noise(b, k, seed, sigma0_sq, fresh):
+    # the direct build against a x with x from map_bits, plus the noise rows, bit for bit;
+    # unloaded subchannels may have no power and carry noise only
+    loading = Loading(bits_per_symbol=np.array(b))
+    rng = np.random.default_rng(seed)
+    xi, gamma = rng.uniform(0.05, 3.0, len(b)), rng.uniform(0.05, 3.0, len(b))
+    gamma[(loading.bits_per_symbol == 0) & (rng.random(len(b)) < 0.5)] = 0.0
+    gens = lambda: [np.random.default_rng([seed, t]) for t in range(k)]
+    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, gens(), fresh=fresh)
+    oracle_rngs = gens()
+    bits = _draw_bits(loading, oracle_rngs)
+    w = _scaled_white(xi, sigma0_sq, oracle_rngs)
+    noise = np.empty((len(b), k), complex)
+    noise.real, noise.imag = w[0::2].T, w[1::2].T
+    assert tx_bits.tobytes() == bits.tobytes()
+    assert y_d.tobytes() == ((xi * np.sqrt(gamma))[:, None] * map_bits(bits, loading) + noise).tobytes()
 
 
 @st.composite
