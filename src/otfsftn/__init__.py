@@ -23,7 +23,6 @@ from .precoder import (
     finalize,
     hermitian_evd_desc,
     solve_precoder,
-    uniform_gamma,
     waterfill,
 )
 from .link import (
@@ -70,7 +69,7 @@ __all__ = [
     "DdChannel", "DdPath", "dump_paths", "effective_channel",
     "eva_channel", "identity_channel", "load_paths", "synthetic_channel", "waveform_oracle",
     "PrecoderSolution", "Subchannels", "derive_subchannels", "finalize",
-    "hermitian_evd_desc", "solve_precoder", "uniform_gamma", "waterfill",
+    "hermitian_evd_desc", "solve_precoder", "waterfill",
     "FrameRecord", "Loading", "bit_loading", "colored_noise", "constellation",
     "hard_detect", "llr", "map_bits", "propagate", "receive", "run_frame", "scalar_frames",
     "transmit",

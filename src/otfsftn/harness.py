@@ -1,8 +1,8 @@
 """Seeded Monte-Carlo sweeps, self-validation and CSV emission.
 
 Every random draw derives from (master_seed, sweep_point_index, trial_index)
-through a counter-style seed sequence, so results are a pure function of the
-configuration and seed; trial_rngs derives a block's generators in one pass.
+through numpy's SeedSequence (trial_rng), so results are a pure function of
+the configuration and seed.
 
 With threads >= 2 a sweep maps its trials on one pool of that many worker
 threads, with OpenBLAS pinned to one thread while they run.  A frame of at
@@ -19,14 +19,15 @@ and draws its frames on the scalar-equivalent link (link.scalar_frames),
 with no precoder or receive weights; validate holds it against the matrix
 link.  On a shared channel (profile identity) the gains are solved once per
 alpha and trial indices are cut into consecutive blocks of FRAME_BLOCK
-frames; a per-trial channel gives blocks of one frame.  Block boundaries
-depend only on trial indices, and worker threads map whole blocks.
+frames; a per-trial channel gives blocks of one frame, which first draws its
+channel.  Each block draws from one stream, trial_rng(master_seed, point,
+first trial of the block).  Block boundaries depend only on trial indices,
+and worker threads map whole blocks.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
@@ -58,14 +59,15 @@ from .link import (
 )
 from .metrics import BerCounter, RatePoint, ber_accumulate, info_rate, mi_logdet, mi_sum
 from .precoder import (
-    derive_subchannels, solve_precoder, subchannel_gains, uniform_gamma, waterfill,
+    derive_subchannels, solve_precoder, subchannel_gains, waterfill,
 )
 from . import pulse
 from .pulse import NoiseShape, gram_dd, gram_matrix, noise_shape, rc_autocorr
 from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time_to_dd
 
 # frames per block on a shared channel: wide enough to vectorize the draws
-# and detection, small enough that the MN x FRAME_BLOCK working set stays minor
+# and detection, small enough that the MN x FRAME_BLOCK working set stays minor.
+# A block draws from one stream, so changing it changes the identity channel's outputs
 FRAME_BLOCK = 64
 
 # the largest frame whose sweep runs on one BLAS thread: up to here a second thread barely
@@ -114,46 +116,9 @@ def _provenance(cfg: SystemConfig, digest: str | None) -> str:
     )
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): _hashmix is its hashmix of v into `cols`
-# columns from constant k of its entropy hash (which = 0) or its state hash (which = 1)
-_HASH_CONSTS = np.array([[init * pow(mult, i, 1 << 32) % (1 << 32) for i in range(64)]
-                         for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED))], np.uint64)
-
-
-def _hashmix(v: np.ndarray, which: int, k: int, cols: int) -> np.ndarray:
-    v = (v ^ _HASH_CONSTS[which, k:k + cols]) * _HASH_CONSTS[which, k + 1:k + cols + 1] & 0xFFFFFFFF
-    return v ^ v >> 16
-
-
-@functools.cache
-def _fixed_seed() -> type:
-    """An ISeedSequence holding PCG64's state words, defined on first use so import skips numpy.random."""
-    @dataclass
-    class FixedSeed(np.random.bit_generator.ISeedSequence):
-        words: np.ndarray
-        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, uint64)
-            return self.words
-    return FixedSeed
-
-
-def trial_rngs(master_seed: int, point_idx: int, trials) -> list[np.random.Generator]:
-    """trial_rng for each index in trials, in one pass: the trials' key words continue the
-    point's SeedSequence pool, whose state hash gives PCG64's four seed words."""
-    pool = np.random.SeedSequence(master_seed, spawn_key=(point_idx,)).pool.astype(np.uint64)
-    m, p = (max(1, -(-n.bit_length() // 32)) for n in (master_seed, point_idx))
-    k = 4 * (max(m, 4) + p)  # hashes so far: four per entropy word, the seed's padded to four
-    t = np.array(trials, np.uint64)[:, None]  # one row per trial
-    for j in range(1 + (t >> 32).any()):  # SeedSequence's mix of each key word, two from t = 2^32
-        r = 0xCA01F9DD * pool - 0x4973F715 * _hashmix(t >> 32 * j & 0xFFFFFFFF, 0, k + 4 * j, 4) & 0xFFFFFFFF
-        pool = np.where(j == 0 or t >> 32, r ^ r >> 16, pool)
-    state = _hashmix(np.hstack((pool, pool)), 1, 0, 8)  # eight 32-bit words per trial
-    words = np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)  # low word first
-    return [np.random.Generator(np.random.PCG64(_fixed_seed()(w))) for w in words]
-
-
 def trial_rng(master_seed: int, point_idx: int, trial_idx: int) -> np.random.Generator:
     """default_rng(SeedSequence(master_seed, spawn_key=(point_idx, trial_idx)))."""
-    return trial_rngs(master_seed, point_idx, [trial_idx])[0]
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, trial_idx)))
 
 
 @contextlib.contextmanager
@@ -222,13 +187,12 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
 
             def one_trial(chan):
                 xi, phi = subchannel_gains(effective_channel(chan, cfg_a), noise)
-                gamma_uniform = uniform_gamma(phi)
                 mi = np.empty((len(cfg.snr_db_grid), 2))
                 for i, snr_db in enumerate(cfg.snr_db_grid):
                     snr = snr_linear(snr_db)
                     gamma_pa, _ = waterfill(xi, phi, snr)
                     mi[i, 0] = mi_sum(xi, gamma_pa, snr)
-                    mi[i, 1] = mi_sum(xi, gamma_uniform, snr)
+                    mi[i, 1] = mi_sum(xi, np.ones(xi.size), snr)  # unit powers: sum(phi) = tr G = MN
                 return mi
 
             mean_mi = np.mean(trial_map(one_trial, channels), axis=0)
@@ -293,14 +257,13 @@ def run_ber_sweep(
                 link = load(*gains_shared) if shared else None
 
                 def one_block(block: range) -> tuple[BerCounter, list[str]]:
-                    rngs = trial_rngs(cfg.master_seed, point_idx, block)
+                    rng = trial_rng(cfg.master_seed, point_idx, block.start)
                     if link is None:
-                        chan = channel_for_config(cfg_a, rngs[0])
+                        chan = channel_for_config(cfg_a, rng)
                         xi, gamma, loading = load(*subchannel_gains(effective_channel(chan, cfg_a), noise))
                     else:
                         xi, gamma, loading = link
-                    # a shared channel's generators come straight from trial_rngs: nothing drawn
-                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rngs, fresh=shared)
+                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, len(block))
                     rx = hard_detect(y_d, xi, gamma, loading)
                     counter = ber_accumulate(tx_bits, rx, BerCounter())
                     records = []
@@ -586,7 +549,7 @@ def _check_pa_dominance(seed: int) -> tuple[bool, str]:
         for snr_db in (0.0, 10.0, 20.0):
             snr = snr_linear(snr_db)
             gamma, _ = waterfill(sol.xi, sol.phi, snr)
-            gap = mi_sum(sol.xi, uniform_gamma(sol.phi), snr) - mi_sum(sol.xi, gamma, snr)
+            gap = mi_sum(sol.xi, np.ones(sol.xi.size), snr) - mi_sum(sol.xi, gamma, snr)
             worst = max(worst, gap)
     return worst <= 1e-9, f"max uniform-minus-waterfilled MI gap {worst:.2e} (bound 1e-9)"
 
@@ -597,7 +560,7 @@ def _check_link_noiseless(seed: int) -> tuple[bool, str]:
         noise, cfg, h = _eva_instance(shape, 0.9, seed, 7)
         sol = solve_precoder(h, noise, 100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, h, 0.0, [trial_rng(seed, 1, 7)])
+        frame = run_frame(loading, sol, h, 0.0, trial_rng(seed, 1, 7), 1)
         rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
         total_err += int(np.count_nonzero(rx != frame.tx_bits))
     return total_err == 0, f"{total_err} bit errors across noiseless frames"
@@ -618,7 +581,7 @@ def _check_llr_calibration(seed: int) -> tuple[bool, str]:
         noise, cfg, h = _eva_instance(GridShape(16, 4), 0.9, seed, stream)
         sol = solve_precoder(h, noise, snr)
         loading = bit_loading(sol.xi, sol.gamma, snr, None, cfg)
-        frame = run_frame(loading, sol, h, 1.0 / snr, trial_rngs(seed, stream, range(256)))
+        frame = run_frame(loading, sol, h, 1.0 / snr, trial_rng(seed, stream, 0), 256)
         rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
         soft = llr(frame.y_d, sol.xi, sol.gamma, loading, 1.0 / snr)
         p = np.exp(-np.logaddexp(0.0, np.abs(soft)))  # 1/(1 + e^|L|) without overflow

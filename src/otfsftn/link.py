@@ -12,12 +12,13 @@ reads only xi and gamma.  On a square Gray QAM the observation separates
 into two Gray PAM axes, so a hard decision is a threshold test per axis and
 each bit's exact LLR sums over the levels of its own axis only.
 
-Both paths take one generator per frame and fill an MN x k block, one frame
-per column; frame t draws its bits and then its two noise vectors from its
-own generator, so a frame does not depend on its block, and where H, P, D
-and the noise basis V are exactly I (the identity channel at alpha = 1) the
-paths agree bit for bit.  The transmit, noise, channel, receive and
-detection functions accept one frame or a block.
+Both paths draw k frames from one generator and fill an MN x k block, one
+frame per column: first the block's bits, frame by frame, then a 2k x MN
+block of standard normals whose rows 2t and 2t + 1 are frame t's real and
+imaginary parts.  A one-frame block thus draws its bits and then its two
+noise vectors.  Where H, P, D and the noise basis V are exactly I (the
+identity channel at alpha = 1) the paths agree bit for bit.  The transmit,
+noise, channel, receive and detection functions accept one frame or a block.
 
 Gray mapping conventions (fixed here so golden files are portable):
 QPSK maps the bit pair (b0, b1) to ((1-2*b0) + 1j*(1-2*b1))/sqrt(2); square
@@ -30,7 +31,6 @@ for bit 0.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -218,33 +218,30 @@ def transmit(x: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
     return sol.P @ x
 
 
-def _scaled_white(var: np.ndarray, sigma0_sq: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """sqrt(sigma0^2 var / 2) w for a 2k x MN standard normal w whose rows 2t and
-    2t + 1 are frame t's real and then imaginary draw from rngs[t]."""
+def _scaled_white(var: np.ndarray, sigma0_sq: float, rng: np.random.Generator, k: int) -> np.ndarray:
+    """sqrt(sigma0^2 var / 2) w for a 2k x MN standard normal w drawn in one call, whose
+    rows 2t and 2t + 1 are frame t's real and imaginary parts."""
     if not 0.0 <= sigma0_sq < np.inf:
         raise ValueError(f"sigma0_sq must be non-negative and finite, got {sigma0_sq}")
-    w = np.empty((2 * len(rngs), var.size))
-    for t, rng in enumerate(rngs):  # C order: the real row's draws, then the imaginary row's
-        rng.standard_normal(out=w[2 * t : 2 * t + 2])
+    w = rng.standard_normal((2 * k, var.size))
     return np.multiply(w, np.sqrt(0.5 * sigma0_sq * var), out=w)
 
 
 def colored_noise(
-    noise: NoiseShape,
-    sigma0_sq: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    noise: NoiseShape, sigma0_sq: float, rng: np.random.Generator, k: int | None = None
 ) -> np.ndarray:
     """Draw matched-filter noise with covariance sigma0^2 * G = sigma0^2 * V diag(lam) V^T.
 
     White noise scaled by sqrt(lam) is colored by V's half-order product.
-    One generator gives one noise vector; a sequence gives an MN x k block
-    whose column t draws its real and then its imaginary part from rng[t].
-    A variance of 0 gives zero noise; a negative or non-finite one raises.
+    k = None gives one noise vector; k frames give an MN x k block whose
+    column t takes rows 2t and 2t + 1 of one 2k x MN normal draw as its
+    real and imaginary parts.  A variance of 0 gives zero noise; a negative
+    or non-finite one raises.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    white = _scaled_white(noise.lam, sigma0_sq, rng, 1 if k is None else k)
     # one pair of half-order real products colors every frame's real and imaginary parts
-    eta = noise.v(_scaled_white(noise.lam, sigma0_sq, rngs).T.copy()).view(np.complex128)
-    return eta[:, 0] if isinstance(rng, np.random.Generator) else eta
+    eta = noise.v(white.T.copy()).view(np.complex128)
+    return eta[:, 0] if k is None else eta
 
 
 def propagate(s: np.ndarray, h: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -328,17 +325,10 @@ def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loa
     return out.T.reshape((loading.total_bits,) + np.shape(y_d)[1:])
 
 
-def _draw_bits(loading: Loading, rngs: Sequence[np.random.Generator], fresh: bool = False) -> np.ndarray:
-    """Column t is rngs[t].integers(0, 2, total_bits): from PCG64s holding no buffered half word (fresh:
-    straight from trial_rngs, unprobed), the top bits of their raw words' 32-bit halves, low half first."""
-    if not fresh and not all(isinstance(g := r.bit_generator, np.random.PCG64) and not g.state["has_uint32"]
-                             for r in rngs):
-        return np.array([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], np.uint8).T
-    bits = np.empty((len(rngs), loading.total_bits), np.uint8)
-    words = np.array([r.bit_generator.random_raw(loading.total_bits // 2) for r in rngs], "<u8")
-    # Lemire's bound for a range of 2 never rejects; little-endian halves put the low half first
-    np.right_shift(words.reshape(len(rngs), loading.total_bits // 2).view("<u4"), 31, out=bits)
-    return bits.T
+def _draw_bits(loading: Loading, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k frames' bits, one frame per column, from one integers call: the bits k
+    frame-by-frame calls integers(0, 2, total_bits) would draw."""
+    return rng.integers(0, 2, (k, loading.total_bits), dtype=np.int64).astype(np.uint8).T
 
 
 def run_frame(
@@ -346,29 +336,30 @@ def run_frame(
     sol: PrecoderSolution,
     h: np.ndarray,
     sigma0_sq: float,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
+    k: int,
 ) -> FrameRecord:
-    """Push a block of frames through the full pipeline; frame t draws its
-    bits and then its noise, shaped by the noise shape sol was derived on,
-    from rngs[t] and fills column t of the record."""
-    tx_bits = _draw_bits(loading, rngs)
+    """Push a block of k frames through the full pipeline, frame t in column t
+    of the record; the block draws its bits and then its noise, shaped by the
+    noise shape sol was derived on, from rng."""
+    tx_bits = _draw_bits(loading, rng, k)
     x = map_bits(tx_bits, loading)
     s = transmit(x, sol)
-    z = propagate(s, h, colored_noise(sol.sub.noise, sigma0_sq, rngs))
+    z = propagate(s, h, colored_noise(sol.sub.noise, sigma0_sq, rng, k))
     return FrameRecord(tx_bits=tx_bits, x=x, s=s, z=z, y_d=receive(z, sol))
 
 
 def scalar_frames(
     loading: Loading, xi: np.ndarray, gamma: np.ndarray, sigma0_sq: float,
-    rngs: Sequence[np.random.Generator], fresh: bool = False,
+    rng: np.random.Generator, k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """run_frame's tx_bits and y_d, drawn from the same generators on the scalar
-    equivalent y_d = xi sqrt(gamma) x + n, n_k ~ CN(0, sigma0^2 xi_k), as
+    """run_frame's tx_bits and y_d, drawn from rng as run_frame draws them, on the
+    scalar equivalent y_d = xi sqrt(gamma) x + n, n_k ~ CN(0, sigma0^2 xi_k), as
     D H P = diag(xi*sqrt(gamma)) and D G D^H = diag(xi).  A variance of 0 gives
-    no noise; a negative or non-finite one raises.  fresh is _draw_bits'."""
-    tx_bits = _draw_bits(loading, rngs, fresh)
-    w = _scaled_white(xi, sigma0_sq, rngs)
-    y_d = np.zeros((xi.size, len(rngs)), complex, order="F")
+    no noise; a negative or non-finite one raises."""
+    tx_bits = _draw_bits(loading, rng, k)
+    w = _scaled_white(xi, sigma0_sq, rng, k)
+    y_d = np.zeros((xi.size, k), complex, order="F")
     parts = y_d.T.view(np.float64)  # row t: frame t's real and imaginary parts, interleaved
     _axis_levels(tx_bits.T, loading, parts)
     parts *= np.repeat(xi * np.sqrt(gamma), 2)

@@ -272,12 +272,6 @@ def waterfill(xi: np.ndarray, phi: np.ndarray, snr: float) -> tuple[np.ndarray, 
     return gamma, float(t_sorted[0] + nu)
 
 
-def uniform_gamma(phi: np.ndarray) -> np.ndarray:
-    """Equal powers rescaled to meet sum(gamma*phi) = phi.size; the no-PA case."""
-    phi = np.asarray(phi, dtype=float)
-    return np.full_like(phi, phi.size / float(phi.sum()))
-
-
 def finalize(sub: Subchannels, gamma: np.ndarray) -> PrecoderSolution:
     """The allocation of powers gamma on sub, with its precoder P = U_t diag(gamma)^{1/2}."""
     gamma = np.asarray(gamma, dtype=float)

@@ -16,7 +16,7 @@ from otfsftn.cli import main as cli_main
 import otfsftn._openblas as _openblas
 import otfsftn.harness as harness
 import otfsftn.link as link
-from otfsftn.harness import channel_dump, single_blas_thread, trial_rng, trial_rngs
+from otfsftn.harness import channel_dump, single_blas_thread, trial_rng
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -591,40 +591,51 @@ class TestTrialRng:
         assert np.array_equal(trial_rng(9, 3, 7).standard_normal(8), trial_rng(9, 3, 7).standard_normal(8))
 
     @staticmethod
-    def seed_sequence_rngs(master_seed, point_idx, trials):
-        """The oracle: one SeedSequence per trial."""
-        return [np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, t)))
-                for t in trials]
+    def seed_sequence_rng(master_seed, point_idx, trial_idx):
+        """The oracle: a PCG64 seeded by hand from the SeedSequence spawned at (point_idx, trial_idx)."""
+        seq = np.random.SeedSequence(master_seed, spawn_key=(point_idx, trial_idx))
+        return np.random.Generator(np.random.PCG64(seq))
+
+    @staticmethod
+    def per_frame_scalar_frames(loading, xi, gamma, sigma0_sq, rng, k):
+        """The oracle of a block's draws: each frame's integers call, then one
+        standard_normal call per real or imaginary row, frame by frame."""
+        bits = np.array([rng.integers(0, 2, loading.total_bits) for _ in range(k)], np.uint8)
+        w = np.array([rng.standard_normal(xi.size) for _ in range(2 * k)]) * np.sqrt(0.5 * sigma0_sq * xi)
+        bits, w = bits.reshape(k, loading.total_bits).T, w.reshape(2 * k, xi.size)
+        return bits, (xi * np.sqrt(gamma))[:, None] * link.map_bits(bits, loading) + (w[::2] + 1j * w[1::2]).T
 
     @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("point_idx", [0, 7, 2**32])
     def test_states_match_seed_sequence(self, master_seed, point_idx):
-        # trials 0-130 in one pass and in the sweep's blocks of 64, and a block
-        # crossing 2^32, where the trial's key grows a word
-        blocks = [range(131), range(0, 64), range(64, 128), range(128, 131), range(2**32 - 3, 2**32 + 3)]
-        for trials in blocks:
-            got = [g.bit_generator.state for g in trial_rngs(master_seed, point_idx, trials)]
-            assert got == [g.bit_generator.state for g in self.seed_sequence_rngs(master_seed, point_idx, trials)]
-        one = trial_rng(master_seed, point_idx, 2**32)
-        assert one.bit_generator.state == self.seed_sequence_rngs(master_seed, point_idx, [2**32])[0].bit_generator.state
+        # the first trials of an identity sweep's blocks, and trials around 2^32, where the key grows a word
+        for trial in (0, 64, 128, 2**32 - 1, 2**32):
+            got = trial_rng(master_seed, point_idx, trial).bit_generator.state
+            assert got == self.seed_sequence_rng(master_seed, point_idx, trial).bit_generator.state
 
     def test_empty_block_and_negative_seed(self):
-        assert trial_rngs(1, 2, range(0)) == []
+        # a block of no frames draws nothing from its stream
+        loading = link.Loading(bits_per_symbol=np.array([2, 4]))
+        rng = trial_rng(1, 2, 0)
+        tx_bits, y_d = link.scalar_frames(loading, np.ones(2), np.ones(2), 0.3, rng, 0)
+        assert tx_bits.shape == (6, 0) and y_d.shape == (2, 0)
+        assert rng.bit_generator.state == trial_rng(1, 2, 0).bit_generator.state
         with pytest.raises(ValueError, match="non-negative"):
-            trial_rngs(-1, 0, range(3))
+            trial_rng(-1, 0, 0)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("profile", ["identity", "synthetic"])
     def test_sweep_matches_per_frame_oracle(self, monkeypatch, threads, profile):
-        # CSV and LLR dump byte for byte against one SeedSequence and one integers
-        # draw per frame.  Identity: 130 trials in blocks of 64, 64 and 2 frames.
-        # Synthetic: each frame's generator first draws its channel, which can
-        # leave it holding a buffered 32-bit half word
+        # CSV and LLR dump byte for byte against a hand-seeded stream per block
+        # that draws frame by frame and row by row.  Identity: 130 trials in
+        # blocks of 64, 64 and 2 frames, each keyed by its first trial.
+        # Synthetic: blocks of one frame, whose generator first draws its
+        # channel, which can leave it holding a buffered 32-bit half word
         if profile == "identity":
-            cfg, frames = parse_config(AWGN_QPSK.replace("trials: 40", "trials: 130")), 2 * 130
+            cfg, starts = parse_config(AWGN_QPSK.replace("trials: 40", "trials: 130")), (0, 64, 128)
         else:
-            cfg, frames = parse_config(SYNTH_BER), 2 * 16
-            held = [trial_rng(cfg.master_seed, p, t) for p in range(2) for t in range(16)]
+            cfg, starts = parse_config(SYNTH_BER), range(16)
+            held = [trial_rng(cfg.master_seed, p, t) for p in range(2) for t in starts]
             for rng in held:
                 harness.channel_for_config(cfg.with_alpha(0.9), rng)
             assert any(r.bit_generator.state["has_uint32"] for r in held)
@@ -635,11 +646,12 @@ class TestTrialRng:
             return csv.encode(), sink.getvalue().encode()
 
         fast = run()
-        monkeypatch.setattr(harness, "trial_rngs", self.seed_sequence_rngs)
-        monkeypatch.setattr(link, "_draw_bits", lambda loading, rngs, fresh=False: np.array(
-            [r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs], np.uint8).T)
+        keys = []
+        monkeypatch.setattr(harness, "trial_rng", lambda *key: keys.append(key) or self.seed_sequence_rng(*key))
+        monkeypatch.setattr(harness, "scalar_frames", self.per_frame_scalar_frames)
         assert run() == fast
-        assert len(fast[1].splitlines()) > 2 + frames
+        assert sorted(keys) == [(cfg.master_seed, p, t) for p in range(2) for t in starts]
+        assert len(fast[1].splitlines()) > 2 + 2 * cfg.trials
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
         code = "import sys, otfsftn.cli; print('numpy.random' in sys.modules)"
@@ -674,7 +686,7 @@ class TestValidate:
 
         real = link.colored_noise
         monkeypatch.setattr(
-            link, "colored_noise", lambda noise, sigma0_sq, rng: real(noise, 1.1 * sigma0_sq, rng))
+            link, "colored_noise", lambda noise, sigma0_sq, rng, k=None: real(noise, 1.1 * sigma0_sq, rng, k))
         report = validate()
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["link-llr-calibration"]

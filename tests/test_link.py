@@ -30,7 +30,7 @@ from otfsftn import (
     waterfill,
 )
 from otfsftn.config import CODE_RATE, snr_linear, target_bits
-from otfsftn.harness import trial_rngs
+from otfsftn.harness import trial_rng
 from otfsftn.link import SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, format_llr_records
 from otfsftn.precoder import subchannel_gains
 
@@ -304,7 +304,7 @@ class TestColoredNoise:
 
     def test_zero_variance_is_noiseless(self, rng):
         noise = gram_matrix(GridShape(4, 2), 0.85, 0.25)
-        np.testing.assert_array_equal(colored_noise(noise, 0.0, [rng, rng]), np.zeros((8, 2)))
+        np.testing.assert_array_equal(colored_noise(noise, 0.0, rng, 2), np.zeros((8, 2)))
 
 
 class TestReceive:
@@ -353,7 +353,7 @@ class TestLlr:
     def test_noiseless_signs_match_bits(self, rng):
         shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=8, snr=100.0)
         loading = bit_loading(sol.xi, sol.gamma, 100.0, None, cfg)
-        frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(2)])
+        frame = run_frame(loading, sol, h, 0.0, np.random.default_rng(2), 1)
         vals = llr(frame.y_d, sol.xi, sol.gamma, loading, sigma0_sq=0.01)
         detected = (vals < 0).astype(int)
         np.testing.assert_array_equal(detected, frame.tx_bits)
@@ -440,7 +440,7 @@ class TestHardDetect:
     def test_noiseless_recovery_exact(self):
         shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.85, seed=9, snr=50.0)
         loading = bit_loading(sol.xi, sol.gamma, 50.0, None, cfg)
-        frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(3)])
+        frame = run_frame(loading, sol, h, 0.0, np.random.default_rng(3), 1)
         rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
         np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -551,7 +551,7 @@ class TestLlrConsistency:
         rng2 = np.random.default_rng(41)
         soft0, soft1 = [], []
         for _ in range(300):
-            frame = run_frame(loading, sol, h, sigma0_sq, [rng2])
+            frame = run_frame(loading, sol, h, sigma0_sq, rng2, 1)
             soft = np.tanh(llr(frame.y_d, sol.xi, sol.gamma, loading, sigma0_sq) / 2.0)
             soft0.extend(soft[frame.tx_bits == 0])
             soft1.extend(soft[frame.tx_bits == 1])
@@ -577,7 +577,7 @@ class TestNoiselessRecoveryGrid:
             h = effective_channel(chan, cfg)
             sol = solve_precoder(h, noise, snr=30.0)
             loading = bit_loading(sol.xi, sol.gamma, 30.0, None, cfg)
-            frame = run_frame(loading, sol, h, 0.0, [np.random.default_rng(seed + 7)])
+            frame = run_frame(loading, sol, h, 0.0, np.random.default_rng(seed + 7), 1)
             rx = hard_detect(frame.y_d, sol.xi, sol.gamma, loading)
             np.testing.assert_array_equal(rx, frame.tx_bits)
 
@@ -593,26 +593,38 @@ def _solved_identity_link(m, n, alpha, snr=10.0):
 class TestFrameBlock:
     @pytest.mark.parametrize("link,target", [("eva", 1.5), ("identity", None)])
     def test_block_matches_single_frames(self, link, target):
+        # each column of a block is one frame of the per-frame pipeline, fed the
+        # block's bits and noise column
         if link == "eva":
             shape, cfg, noise, h, sol = solved_eva_link(8, 4, 0.9, seed=12)
         else:
             shape, cfg, noise, h, sol = _solved_identity_link(8, 4, 0.9)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, target, cfg)
         sigma0_sq, k = 0.3, 5
-        rngs = [np.random.default_rng(100 + t) for t in range(k)]
-        block = run_frame(loading, sol, h, sigma0_sq, rngs)
+        block = run_frame(loading, sol, h, sigma0_sq, np.random.default_rng(100), k)
         rx = hard_detect(block.y_d, sol.xi, sol.gamma, loading)
         soft = llr(block.y_d, sol.xi, sol.gamma, loading, sigma0_sq)
         assert block.tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, k)
         assert block.y_d.shape == (shape.MN, k)
+        rng = np.random.default_rng(100)
+        bits = _draw_bits(loading, rng, k)
+        eta = colored_noise(sol.sub.noise, sigma0_sq, rng, k)
+        np.testing.assert_array_equal(block.tx_bits, bits)
         for t in range(k):
-            one = run_frame(loading, sol, h, sigma0_sq, [np.random.default_rng(100 + t)])
-            y_d = one.y_d[:, 0]
-            np.testing.assert_array_equal(block.tx_bits[:, t], one.tx_bits[:, 0])
+            y_d = receive(propagate(transmit(map_bits(bits[:, t], loading), sol), h, eta[:, t]), sol)
             assert np.abs(block.y_d[:, t] - y_d).max() <= 1e-12 * np.abs(y_d).max()
             np.testing.assert_array_equal(rx[:, t], hard_detect(y_d, sol.xi, sol.gamma, loading))
             ref = llr(y_d, sol.xi, sol.gamma, loading, sigma0_sq)
             assert np.abs(soft[:, t] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _generator(kind, seed):
+    """A PCG64 or Philox generator; a buffered-half-word PCG64 has drawn one 32-bit half and holds the other."""
+    g = np.random.Generator((np.random.Philox if kind == "philox" else np.random.PCG64)(seed))
+    if kind == "buffered-half-word":
+        g.integers(0, 7, dtype=np.uint32)
+        assert g.bit_generator.state["has_uint32"]
+    return g
 
 
 class TestScalarFrames:
@@ -620,7 +632,7 @@ class TestScalarFrames:
 
     def test_identity_block_matches_matrix_link_bit_for_bit(self):
         # the ber-awgn512 link: identity channel at alpha = 1, MN = 512, one
-        # 64-frame block; there xi = 1 and H, V, P and D are exactly I
+        # 64-frame block from one generator; there xi = 1 and H, V, P and D are exactly I
         snr = snr_linear(4.0)
         shape, cfg, noise, h, sol = _solved_identity_link(32, 16, 1.0, snr=snr)
         xi, phi = subchannel_gains(h, noise)
@@ -628,9 +640,8 @@ class TestScalarFrames:
         np.testing.assert_array_equal(xi, sol.xi)
         np.testing.assert_array_equal(gamma, sol.gamma)
         loading = bit_loading(xi, gamma, snr, None, cfg)
-        rngs = lambda: [np.random.default_rng(300 + t) for t in range(64)]
-        oracle = run_frame(loading, sol, h, 1.0 / snr, rngs())
-        tx_bits, y_d = scalar_frames(loading, xi, gamma, 1.0 / snr, rngs())
+        oracle = run_frame(loading, sol, h, 1.0 / snr, np.random.default_rng(300), 64)
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, 1.0 / snr, np.random.default_rng(300), 64)
         np.testing.assert_array_equal(tx_bits, oracle.tx_bits)
         assert y_d.shape == (shape.MN, 64)
         assert y_d.tobytes() == oracle.y_d.tobytes()
@@ -645,9 +656,8 @@ class TestScalarFrames:
         shape, cfg, noise, h, sol = solved_eva_link(16, 4, 0.8, seed=21, snr=snr)
         loading = bit_loading(sol.xi, sol.gamma, snr, 1.5, cfg)
         sigma0_sq, k = 1.0 / snr, 512
-        oracle = run_frame(loading, sol, h, sigma0_sq, [np.random.default_rng(t) for t in range(k)])
-        scalar = scalar_frames(
-            loading, sol.xi, sol.gamma, sigma0_sq, [np.random.default_rng(k + t) for t in range(k)])
+        oracle = run_frame(loading, sol, h, sigma0_sq, np.random.default_rng(0), k)
+        scalar = scalar_frames(loading, sol.xi, sol.gamma, sigma0_sq, np.random.default_rng(1), k)
         errors = []
         for tx_bits, y_d in ((oracle.tx_bits, oracle.y_d), scalar):
             errors.append(np.count_nonzero(hard_detect(y_d, sol.xi, sol.gamma, loading) != tx_bits))
@@ -666,52 +676,44 @@ class TestScalarFrames:
         b = rng.choice(np.array([0, *SUPPORTED_BITS]), 512)
         loading = Loading(bits_per_symbol=b)
         xi, gamma = rng.uniform(0.1, 2.0, 512), rng.uniform(0.0, 2.0, 512)
-        rngs = lambda: [np.random.default_rng(70 + t) for t in range(64)]
-        tx_bits, y_d = scalar_frames(loading, xi, gamma, 0.3, rngs())
-        gens = rngs()
-        bits = _draw_bits(loading, gens)
-        w = _scaled_white(xi, 0.3, gens)
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, 0.3, np.random.default_rng(70), 64)
+        gen = np.random.default_rng(70)
+        bits = _draw_bits(loading, gen, 64)
+        w = _scaled_white(xi, 0.3, gen, 64)
         oracle = (xi * np.sqrt(gamma))[:, None] * map_bits(bits, loading) + (w[::2] + 1j * w[1::2]).T
         assert tx_bits.tobytes() == bits.tobytes()
         assert y_d.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("kind", ["pcg64", "philox", "buffered-half-word"])
     def test_scaled_white_matches_per_row_draws(self, kind):
-        # one draw fills a frame's real and imaginary rows, in C order, as two row draws do
-        def gens():
-            out = [np.random.Generator((np.random.Philox if kind == "philox" else np.random.PCG64)(s))
-                   for s in range(5)]
-            if kind == "buffered-half-word":
-                for g in out:
-                    g.integers(0, 7, dtype=np.uint32)
-                    assert g.bit_generator.state["has_uint32"]
-            return out
-
+        # one draw fills a block's rows, in C order, as one draw per row does
         var = np.linspace(0.5, 2.0, 37)
-        rows = np.array([g.standard_normal(37) for g in gens() for _ in "ri"])
-        assert _scaled_white(var, 0.3, gens()).tobytes() == (rows * np.sqrt(0.5 * 0.3 * var)).tobytes()
+        gen = _generator(kind, 5)
+        rows = np.array([gen.standard_normal(37) for _ in range(10)])
+        w = _scaled_white(var, 0.3, _generator(kind, 5), 5)
+        assert w.tobytes() == (rows * np.sqrt(0.5 * 0.3 * var)).tobytes()
 
-    def test_block_width_does_not_change_frames(self):
-        # the sweep cuts frames into blocks; frame t draws only from its own generator
+    @pytest.mark.parametrize("kind", ["pcg64", "philox", "buffered-half-word"])
+    def test_width_one_block_is_the_per_frame_draw(self, kind):
+        # a per-trial channel's blocks are one frame wide: its bits are one integers
+        # call and its noise the real and then the imaginary normal row, on both paths
         loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))
         xi, gamma = np.array([0.7, 1.2, 1.0, 2.0, 0.9, 1.4]), np.array([1.5, 0.8, 0.0, 0.4, 1.1, 0.6])
-
-        def draw(width):
-            blocks = [scalar_frames(loading, xi, gamma, 0.3,
-                                    [np.random.default_rng(40 + t) for t in range(s, min(s + width, 64))])
-                      for s in range(0, 64, width)]
-            return np.hstack([b[0] for b in blocks]), np.hstack([b[1] for b in blocks])
-
-        tx_bits, y_d = draw(64)
-        for width in (1, 7):
-            tx_w, y_w = draw(width)
-            assert tx_w.tobytes() == tx_bits.tobytes()
-            assert y_w.tobytes() == y_d.tobytes()
+        gen = _generator(kind, 9)
+        bits = gen.integers(0, 2, size=loading.total_bits, dtype=np.int64).astype(np.uint8)
+        w_re, w_im = (gen.standard_normal(xi.size) * np.sqrt(0.5 * 0.3 * xi) for _ in "ri")
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, 0.3, _generator(kind, 9), 1)
+        assert tx_bits.tobytes() == bits.tobytes()
+        oracle = (xi * np.sqrt(gamma)) * map_bits(bits, loading) + (w_re + 1j * w_im)
+        assert y_d[:, 0].tobytes() == oracle.tobytes()
+        noise = gram_matrix(GridShape(3, 2), 0.85, 0.25)
+        one = colored_noise(noise, 0.3, _generator(kind, 9))
+        assert one.tobytes() == colored_noise(noise, 0.3, _generator(kind, 9), 1)[:, 0].tobytes()
 
     def test_detection_does_not_depend_on_memory_layout(self):
         loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))
         xi, gamma = np.array([0.7, 1.2, 1.0, 2.0, 0.9, 1.4]), np.array([1.5, 0.8, 0.0, 0.4, 1.1, 0.6])
-        _, y_d = scalar_frames(loading, xi, gamma, 0.3, [np.random.default_rng(t) for t in range(9)])
+        _, y_d = scalar_frames(loading, xi, gamma, 0.3, np.random.default_rng(0), 9)
         c_block, f_block = np.ascontiguousarray(y_d), np.asfortranarray(y_d)
         np.testing.assert_array_equal(hard_detect(c_block, xi, gamma, loading),
                                       hard_detect(f_block, xi, gamma, loading))
@@ -721,8 +723,7 @@ class TestScalarFrames:
     def test_zero_variance_is_noiseless(self):
         loading = Loading(bits_per_symbol=np.array([2, 0, 4]))
         xi, gamma = np.array([0.7, 1.0, 2.0]), np.array([1.5, 0.0, 0.4])
-        rngs = [np.random.default_rng(5), np.random.default_rng(6)]
-        tx_bits, y_d = scalar_frames(loading, xi, gamma, 0.0, rngs)
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, 0.0, np.random.default_rng(5), 2)
         np.testing.assert_array_equal(y_d, (xi * np.sqrt(gamma))[:, None] * map_bits(tx_bits, loading))
         np.testing.assert_array_equal(hard_detect(y_d, xi, gamma, loading), tx_bits)
 
@@ -730,74 +731,70 @@ class TestScalarFrames:
     def test_rejects_bad_noise_variance(self, sigma0_sq):
         loading = Loading(bits_per_symbol=np.array([2]))
         with pytest.raises(ValueError, match="sigma0_sq"):
-            scalar_frames(loading, np.ones(1), np.ones(1), sigma0_sq, [np.random.default_rng(1)])
+            scalar_frames(loading, np.ones(1), np.ones(1), sigma0_sq, np.random.default_rng(1), 1)
 
     def test_no_generators_give_empty_blocks(self):
         # a block of no frames keeps its leading dimensions on both paths
         loading = Loading(bits_per_symbol=np.array([2, 2]))
-        tx_bits, y_d = scalar_frames(loading, np.ones(2), np.ones(2), 0.3, [])
+        tx_bits, y_d = scalar_frames(loading, np.ones(2), np.ones(2), 0.3, np.random.default_rng(0), 0)
         assert tx_bits.shape == (4, 0) and y_d.shape == (2, 0)
         shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=10)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, 1.5, cfg)
-        frame = run_frame(loading, sol, h, 0.1, [])
+        frame = run_frame(loading, sol, h, 0.1, np.random.default_rng(0), 0)
         assert frame.tx_bits.shape == (loading.total_bits, 0) and frame.y_d.shape == (shape.MN, 0)
         assert hard_detect(frame.y_d, sol.xi, sol.gamma, loading).shape == (loading.total_bits, 0)
 
 
 class TestDrawBits:
-    """_draw_bits against the Generator.integers draws it reproduces."""
+    """_draw_bits against the frame-by-frame Generator.integers draws it reproduces."""
 
     @staticmethod
-    def integers_oracle(loading, rngs):
-        return np.array([r.integers(0, 2, size=loading.total_bits, dtype=np.int64) for r in rngs],
-                        np.uint8).T
+    def integers_oracle(loading, rng, k):
+        bits = [rng.integers(0, 2, size=loading.total_bits, dtype=np.int64) for _ in range(k)]
+        return np.array(bits, np.uint8).reshape(k, loading.total_bits).T
 
     @pytest.mark.parametrize("b", [[2, 4, 0, 6, 8, 2], [8, 6, 4, 2, 8], [0, 0], [2] * 7])
     @pytest.mark.parametrize("k", [0, 1, 9])
     def test_matches_integers(self, b, k):
         loading = Loading(bits_per_symbol=np.array(b))
-        rngs, oracle_rngs = ([np.random.default_rng(50 + t) for t in range(k)] for _ in "ab")
-        bits = _draw_bits(loading, rngs)
+        rng, oracle_rng = np.random.default_rng(50), np.random.default_rng(50)
+        bits = _draw_bits(loading, rng, k)
         assert bits.shape == (loading.total_bits, k)
-        if k:
-            assert bits.tobytes() == self.integers_oracle(loading, oracle_rngs).tobytes()
-        for rng, oracle in zip(rngs, oracle_rngs):  # the noise that follows is unchanged
-            assert rng.standard_normal(3).tobytes() == oracle.standard_normal(3).tobytes()
+        assert bits.tobytes() == self.integers_oracle(loading, oracle_rng, k).tobytes()
+        # the noise that follows is unchanged
+        assert rng.standard_normal(3).tobytes() == oracle_rng.standard_normal(3).tobytes()
 
     def test_fresh_generators_match_integers_unprobed(self):
-        # fresh vouches for generators straight from trial_rngs, so their state is never read
+        # the frame path never reads a generator's state
         class Unprobed(np.random.PCG64):
             state = property(lambda self: pytest.fail("state probed"))
 
         loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))
-        rngs = []
-        for g in trial_rngs(5, 3, range(9)):
-            state = dict(g.bit_generator.state, bit_generator="Unprobed")
-            np.random.PCG64.state.__set__(bit_generator := Unprobed(), state)
-            rngs.append(np.random.Generator(bit_generator))
-        oracle = self.integers_oracle(loading, trial_rngs(5, 3, range(9)))
-        assert _draw_bits(loading, rngs, fresh=True).tobytes() == oracle.tobytes()
+        state = dict(trial_rng(5, 3, 0).bit_generator.state, bit_generator="Unprobed")
+        np.random.PCG64.state.__set__(bit_generator := Unprobed(), state)
+        tx_bits, _ = scalar_frames(loading, np.ones(6), np.ones(6), 0.3, np.random.Generator(bit_generator), 9)
+        assert tx_bits.tobytes() == self.integers_oracle(loading, trial_rng(5, 3, 0), 9).tobytes()
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
     def test_used_and_other_generators_match_integers(self, bit_generator):
-        # a PCG64 that drew one 32-bit half holds the other, which integers reads
-        # first; other bit generators have no raw-word path at all
+        # a PCG64 that drew one 32-bit half holds the other, which integers reads first
         loading = Loading(bits_per_symbol=np.array([2, 4, 6]))
-        rngs, oracle_rngs = ([np.random.Generator(bit_generator(60 + t)) for t in range(5)] for _ in "ab")
-        for rng in rngs[1::2] + oracle_rngs[1::2]:
-            rng.integers(0, 2**32, dtype=np.uint32)
-        bits = _draw_bits(loading, rngs)
-        assert bits.tobytes() == self.integers_oracle(loading, oracle_rngs).tobytes()
-        for rng, oracle in zip(rngs, oracle_rngs):  # and leaves the generators alike
+        for used in (False, True):
+            rng, oracle_rng = (np.random.Generator(bit_generator(60)) for _ in "ab")
+            if used:
+                for g in (rng, oracle_rng):
+                    g.integers(0, 2**32, dtype=np.uint32)
+            bits = _draw_bits(loading, rng, 5)
+            assert bits.tobytes() == self.integers_oracle(loading, oracle_rng, 5).tobytes()
             draw = lambda g: g.integers(0, 2**31, 3, np.uint32).tobytes()  # reads any buffered half
-            assert draw(rng) == draw(oracle)
+            assert draw(rng) == draw(oracle_rng)  # and leaves the generators alike
 
 
 class TestFrameRecord:
     def test_pipeline_consistency(self, rng):
         shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=10)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
-        frame = run_frame(loading, sol, h, 0.1, [rng])
+        frame = run_frame(loading, sol, h, 0.1, rng, 1)
         assert frame.tx_bits.size == loading.total_bits
         np.testing.assert_allclose(frame.s, sol.P @ frame.x, atol=1e-12)
         np.testing.assert_allclose(frame.y_d, sol.sub.D @ frame.z, atol=1e-12)
@@ -813,7 +810,7 @@ class TestFrameRecord:
         shape, cfg, noise, h, sol = solved_eva_link(4, 3, 0.9, seed=10)
         loading = bit_loading(sol.xi, sol.gamma, 10.0, None, cfg)
         with pytest.raises(ValueError, match="sigma0_sq"):
-            run_frame(loading, sol, h, sigma0_sq, [np.random.default_rng(1)])
+            run_frame(loading, sol, h, sigma0_sq, np.random.default_rng(1), 1)
 
     def test_llr_dump_format(self):
         loading = Loading(bits_per_symbol=np.array([2, 0, 2]))

@@ -19,13 +19,12 @@ from otfsftn import (
     mi_sum,
     noise_shape,
     solve_precoder,
-    uniform_gamma,
     waterfill,
 )
 import otfsftn._openblas as _openblas
 from otfsftn.channel import channel_for_config, synthetic_channel
 import otfsftn.precoder as precoder
-from otfsftn.harness import run_rate_sweep
+from otfsftn.harness import _VALIDATE_SHAPES, _eva_instance, run_rate_sweep
 from otfsftn.precoder import XI_ACTIVE_REL, subchannel_gains
 from otfsftn.pulse import EIG_FLOOR_REL
 
@@ -670,13 +669,18 @@ class TestFinalize:
         sol = solve_precoder(h, noise, snr=5.0)
         assert abs(float(sol.gamma @ sol.sub.phi) - shape.MN) <= 1e-8 * shape.MN
 
-    def test_uniform_gamma_meets_constraint(self):
-        shape, noise, h = eva_instance(8, 4, 0.85, seed=8)
-        sol = derive_subchannels(h, noise)
-        g = uniform_gamma(sol.phi)
-        assert abs(float(g @ sol.phi) - shape.MN) <= 1e-10 * shape.MN
-        # trace(G_eq) = MN makes the unscaled identity already feasible
-        assert np.abs(g - 1.0).max() <= 1e-10
+    @pytest.mark.parametrize("alpha", [0.8, 0.9, None])
+    def test_phi_sums_to_mn(self, alpha, rng):
+        # sum(phi) = tr(U_t^H G U_t) = tr G = MN at any floor, so unit powers meet
+        # sum(gamma*phi) = MN; alpha None is gram-floor-policy's all-ones G, 7 of 8 eigenvalues floored
+        if alpha is None:
+            instances = [(noise_shape(np.ones(8)), complex_gaussian(rng, 64).reshape(8, 8))]
+            assert instances[0][0].floored == 7
+        else:
+            instances = [_eva_instance(shape, alpha, 20240901, 4)[::2] for shape in _VALIDATE_SHAPES]
+        for noise, h in instances:
+            for phi in (derive_subchannels(h, noise).phi, subchannel_gains(h, noise)[1]):
+                assert abs(phi.sum() - noise.n) <= 1e-12 * noise.n
 
     def test_finalize_requires_gamma(self):
         # one power per subchannel
@@ -691,7 +695,7 @@ class TestFinalize:
         fresh = solve_precoder(h, noise, snr=10.0)
         sub = derive_subchannels(h, noise)
         sol = finalize(sub, waterfill(sub.xi, sub.phi, 10.0)[0])
-        uniform = finalize(sub, uniform_gamma(sub.phi))
+        uniform = finalize(sub, np.ones(sub.xi.size))
         assert sol.sub.D is uniform.sub.D
         assert np.array_equal(sub.D, fresh.sub.D) and np.array_equal(sol.P, fresh.P)
 

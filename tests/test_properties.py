@@ -137,18 +137,25 @@ def test_hard_detect_is_first_index_argmin(bits, order, v):
 @PROPERTY
 @given(st.lists(st.sampled_from((0, *SUPPORTED_BITS)), min_size=1, max_size=24), st.integers(0, 5),
        st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 2.0]), st.booleans())
-def test_scalar_frames_is_scaled_symbols_plus_noise(b, k, seed, sigma0_sq, fresh):
+def test_scalar_frames_is_scaled_symbols_plus_noise(b, k, seed, sigma0_sq, used):
     # the direct build against a x with x from map_bits, plus the noise rows, bit for bit;
-    # unloaded subchannels may have no power and carry noise only
+    # unloaded subchannels may have no power and carry noise only; a used generator
+    # holds a buffered 32-bit half word
     loading = Loading(bits_per_symbol=np.array(b))
     rng = np.random.default_rng(seed)
     xi, gamma = rng.uniform(0.05, 3.0, len(b)), rng.uniform(0.05, 3.0, len(b))
     gamma[(loading.bits_per_symbol == 0) & (rng.random(len(b)) < 0.5)] = 0.0
-    gens = lambda: [np.random.default_rng([seed, t]) for t in range(k)]
-    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, gens(), fresh=fresh)
-    oracle_rngs = gens()
-    bits = _draw_bits(loading, oracle_rngs)
-    w = _scaled_white(xi, sigma0_sq, oracle_rngs)
+
+    def gen():
+        g = np.random.default_rng([seed, 1])
+        if used:
+            g.integers(0, 7, dtype=np.uint32)
+        return g
+
+    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, gen(), k)
+    oracle_rng = gen()
+    bits = _draw_bits(loading, oracle_rng, k)
+    w = _scaled_white(xi, sigma0_sq, oracle_rng, k)
     noise = np.empty((len(b), k), complex)
     noise.real, noise.imag = w[0::2].T, w[1::2].T
     assert tx_bits.tobytes() == bits.tobytes()
