@@ -44,11 +44,12 @@ ROW_UPPER_CONJ = (101, 121, 113)  # CblasRowMajor, CblasUpper, CblasConjTrans
 def _libraries() -> list[ctypes.CDLL]:
     """Every OpenBLAS mapped into this process; none where /proc is unreadable."""
     try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        with open("/proc/self/maps") as maps:  # a pathname is field 6 to the end, spaces and all
+            named = [line.split(maxsplit=5)[5].rstrip("\n") for line in maps if "openblas" in line.lower()]
     except OSError:
         return []
-    return [ctypes.CDLL(p) for p in paths]
+    # a deleted mapping's path would load another file than the one mapped
+    return [ctypes.CDLL(p) for p in sorted({p for p in named if not p.endswith(" (deleted)")})]
 
 
 @functools.cache

@@ -228,20 +228,18 @@ def _scaled_white(var: np.ndarray, sigma0_sq: float, rng: np.random.Generator, k
 
 
 def colored_noise(
-    noise: NoiseShape, sigma0_sq: float, rng: np.random.Generator, k: int | None = None
+    noise: NoiseShape, sigma0_sq: float, rng: np.random.Generator, k: int
 ) -> np.ndarray:
-    """Draw matched-filter noise with covariance sigma0^2 * G = sigma0^2 * V diag(lam) V^T.
+    """Draw k frames of matched-filter noise with covariance sigma0^2 * G = sigma0^2 * V diag(lam) V^T.
 
     White noise scaled by sqrt(lam) is colored by V's half-order product.
-    k = None gives one noise vector; k frames give an MN x k block whose
-    column t takes rows 2t and 2t + 1 of one 2k x MN normal draw as its
-    real and imaginary parts.  A variance of 0 gives zero noise; a negative
-    or non-finite one raises.
+    The MN x k block's column t takes rows 2t and 2t + 1 of one 2k x MN
+    normal draw as its real and imaginary parts.  A variance of 0 gives zero
+    noise; a negative or non-finite one raises.
     """
-    white = _scaled_white(noise.lam, sigma0_sq, rng, 1 if k is None else k)
+    white = _scaled_white(noise.lam, sigma0_sq, rng, k)
     # one pair of half-order real products colors every frame's real and imaginary parts
-    eta = noise.v(white.T.copy()).view(np.complex128)
-    return eta[:, 0] if k is None else eta
+    return noise.v(white.T.copy()).view(np.complex128)
 
 
 def propagate(s: np.ndarray, h: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on gamma, so the derivation
 forms them and keeps D_t, not C; subchannel_gains runs the same
 decomposition for the gains alone.  D_t H P_t = diag(xi*sqrt(gamma)) and
 D_t G D_t^H = diag(xi), so the link becomes a bank of parallel scalar
-Gaussian subchannels with gains xi and powers gamma.
+Gaussian subchannels with gains xi and powers gamma, whatever phases the
+eigensolver gives U_t: row j of D_t turns against column j, and phi ignores both.
 
 The delay-Doppler map F = F_N kron I_M is unitary, so the DD-domain pair
 P = F P_t, D = D_t F^H diagonalizes H_eq = F H F^H and G_eq = F G F^H with
@@ -79,10 +80,8 @@ def _strips(n: int):
 def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    The basis is made reproducible: each eigenvector is phase-rotated so its
-    first non-negligible component is real positive, and columns inside a
-    degenerate eigenvalue group are ordered by a lexicographic key.
-    Returns (eigvecs, eigvals) with a = eigvecs @ diag(eigvals) @ eigvecs^H.
+    Returns (eigvecs, eigvals) with a = eigvecs @ diag(eigvals) @ eigvecs^H;
+    the eigenvectors are LAPACK's as returned, with no phase or tie order imposed.
     a is checked to be Hermitian and is not modified; its working copy
     -(a + a^H)/2 goes to _evd_desc_inplace, the kernel the derivations call
     on their own buffer.
@@ -101,37 +100,11 @@ def _evd_desc_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_evd_desc of -s, read from s's row-major upper triangle; the EVD overwrites s.
 
     The divide-and-conquer stages keep only s and the basis buffer resident.
-    The ascending eigenvalues of s are those of -s descending, so no
-    reordering copy is made.
+    The ascending eigenvalues of s are those of -s descending, so negating
+    them is the whole reordering; the basis is the solver's, unnormalized.
     """
     w, v = _openblas.eigh_inplace(s)
-    w = -w
-    n = w.size
-
-    # phase-normalize: first component with |.| > 1e-8 made real positive
-    lead = np.empty(n, dtype=np.intp)
-    for j in _strips(n):
-        vj = v[:, j]
-        lead[j] = np.argmax(np.abs(vj) > 1e-8, axis=0)
-        pivots = vj[lead[j], np.arange(vj.shape[1])]
-        vj *= (np.conj(pivots) / np.abs(pivots))[None, :]
-
-    # deterministic ordering inside degenerate groups: leading-component
-    # index first (keeps standard bases in natural order), full vector next
-    tie = 1e-12 * max(1.0, float(np.abs(w).max()))
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and abs(w[j + 1] - w[i]) <= tie:
-            j += 1
-        if j > i:
-            keys = [(int(lead[c]),
-                     np.round(np.concatenate([v[:, c].real, v[:, c].imag]), 9).tobytes())
-                    for c in range(i, j + 1)]
-            order = sorted(range(j + 1 - i), key=keys.__getitem__)
-            v[:, i : j + 1] = v[:, [i + o for o in order]]
-        i = j + 1
-    return v, w
+    return v, -w
 
 
 def _whiten(h: np.ndarray, noise: NoiseShape) -> np.ndarray:

@@ -50,9 +50,10 @@ class NoiseShape:
     [u; t], those of odd (m x m) the u.  The eigenpairs are in block order
     [even, odd], ascending in each block, so column k of V pairs with raw[k],
     G's eigenvalue, and lam[k], the same clamped from below by
-    floor_spectrum; floored counts the clamped ones.
-    Each column's first entry above 1e-8 is positive.  Where G = I only the
-    identity marker is kept: no row or factors, and raw and lam are unit
+    floor_spectrum; floored counts the clamped ones.  Each column's sign is
+    the eigensolver's: flipping one negates a row of C = diag(lam)^{-1/2} V^T H
+    and leaves C^H C, and all derived from it, unchanged.  Where G = I only
+    the identity marker is kept: no row or factors, and raw and lam are unit
     views that own no memory.  vt and v apply V^T and V to a real or complex
     vector or block of n rows as two half-order real products on the folds
     x_top +/- J x_bot; dense_g allocates G for the oracles.  Every trial of
@@ -223,8 +224,6 @@ def noise_shape(row: np.ndarray) -> NoiseShape:
         w, b = np.linalg.eigh(block)
         del block
         b[:m] *= np.sqrt(0.5)  # the u of [u; t; J u] and of [u; 0; -J u]
-        if b.size:
-            b *= np.sign(b[np.argmax(np.abs(b) > 1e-8, axis=0), np.arange(b.shape[1])])
         pairs.append((w, b))
     (w_even, even), (w_odd, odd) = pairs
     raw = np.concatenate([w_even, w_odd])

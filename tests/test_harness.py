@@ -527,6 +527,22 @@ class TestThreads:
         assert reads == ["/proc/self/maps"]
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
+    def test_maps_path_with_a_space_loads(self, blas_two, monkeypatch, tmp_path, fresh_controls):
+        # a maps line's pathname runs from its sixth field to the end of the line;
+        # a deleted mapping's path would name another file, so it is skipped
+        (loaded,) = {lib._name for lib in _openblas._libraries()}
+        (tmp_path / "dir with space").mkdir()
+        linked = tmp_path / "dir with space" / Path(loaded).name
+        linked.symlink_to(loaded)
+        maps = (f"7f0000000000-7f0000001000 r-xp 00000000 08:01 12345      {linked}\n"
+                f"7f0000001000-7f0000002000 r--p 00001000 08:01 12346      {tmp_path}/libopenblas.so (deleted)\n")
+        monkeypatch.setattr(_openblas, "open", lambda *args: io.StringIO(maps), raising=False)
+        assert [lib._name for lib in _openblas._libraries()] == [str(linked)]
+        assert len(_openblas.thread_controls()) == 1
+        with single_blas_thread():
+            assert _blas_counts(blas_two) == [1] * len(blas_two)
+        assert _blas_counts(blas_two) == [2] * len(blas_two)
+
     def test_eva192_outputs_identical_for_any_pool_size(self, blas_two):
         text = (
             (CONFIGS / "eva_ber.yaml").read_text()
@@ -686,7 +702,7 @@ class TestValidate:
 
         real = link.colored_noise
         monkeypatch.setattr(
-            link, "colored_noise", lambda noise, sigma0_sq, rng, k=None: real(noise, 1.1 * sigma0_sq, rng, k))
+            link, "colored_noise", lambda noise, sigma0_sq, rng, k: real(noise, 1.1 * sigma0_sq, rng, k))
         report = validate()
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["link-llr-calibration"]

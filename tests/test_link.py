@@ -267,7 +267,7 @@ class TestColoredNoise:
         shape = GridShape(4, 2)
         noise = gram_matrix(shape, 1.0, 0.25)
         draws = 20_000
-        etas = np.stack([colored_noise(noise, 0.5, rng) for _ in range(draws)])
+        etas = np.stack([colored_noise(noise, 0.5, rng, 1)[:, 0] for _ in range(draws)])
         cov = etas.conj().T @ etas / draws
         assert np.abs(cov - 0.5 * np.eye(shape.MN)).max() <= 0.02
 
@@ -275,7 +275,7 @@ class TestColoredNoise:
         shape = GridShape(4, 2)
         noise = gram_matrix(shape, 0.85, 0.25)
         draws = 10_000
-        etas = np.stack([colored_noise(noise, 1.0, rng) for _ in range(draws)])
+        etas = np.stack([colored_noise(noise, 1.0, rng, 1)[:, 0] for _ in range(draws)])
         se = 1.0 / np.sqrt(draws)
         assert np.abs(etas.mean(axis=0)).max() <= 3.0 * se
 
@@ -289,7 +289,7 @@ class TestColoredNoise:
         rng2 = np.random.default_rng(23)
         prods = np.empty(draws, dtype=complex)
         for i in range(draws):
-            eta = colored_noise(noise, sigma0_sq, rng2)
+            eta = colored_noise(noise, sigma0_sq, rng2, 1)[:, 0]
             prods[i] = eta[0] * np.conj(eta[1])
         expect = sigma0_sq * rc_autocorr(0.85, beta)
         se = prods.std(ddof=1) / np.sqrt(draws)
@@ -300,7 +300,7 @@ class TestColoredNoise:
     def test_rejects_bad_variance(self, rng, sigma0_sq):
         noise = gram_matrix(GridShape(4, 2), 0.85, 0.25)
         with pytest.raises(ValueError, match="sigma0_sq"):
-            colored_noise(noise, sigma0_sq, rng)
+            colored_noise(noise, sigma0_sq, rng, 1)
 
     def test_zero_variance_is_noiseless(self, rng):
         noise = gram_matrix(GridShape(4, 2), 0.85, 0.25)
@@ -336,7 +336,7 @@ class TestReceive:
         rng2 = np.random.default_rng(29)
         samples = np.empty((draws, shape.MN), dtype=complex)
         for i in range(draws):
-            eta = colored_noise(noise, sigma0_sq, rng2)
+            eta = colored_noise(noise, sigma0_sq, rng2, 1)[:, 0]
             y_d = receive(eta, sol)
             samples[i] = y_d
         var = np.mean(np.abs(samples) ** 2, axis=0)
@@ -696,7 +696,7 @@ class TestScalarFrames:
     @pytest.mark.parametrize("kind", ["pcg64", "philox", "buffered-half-word"])
     def test_width_one_block_is_the_per_frame_draw(self, kind):
         # a per-trial channel's blocks are one frame wide: its bits are one integers
-        # call and its noise the real and then the imaginary normal row, on both paths
+        # call and its noise the real and then the imaginary normal row
         loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))
         xi, gamma = np.array([0.7, 1.2, 1.0, 2.0, 0.9, 1.4]), np.array([1.5, 0.8, 0.0, 0.4, 1.1, 0.6])
         gen = _generator(kind, 9)
@@ -706,9 +706,6 @@ class TestScalarFrames:
         assert tx_bits.tobytes() == bits.tobytes()
         oracle = (xi * np.sqrt(gamma)) * map_bits(bits, loading) + (w_re + 1j * w_im)
         assert y_d[:, 0].tobytes() == oracle.tobytes()
-        noise = gram_matrix(GridShape(3, 2), 0.85, 0.25)
-        one = colored_noise(noise, 0.3, _generator(kind, 9))
-        assert one.tobytes() == colored_noise(noise, 0.3, _generator(kind, 9), 1)[:, 0].tobytes()
 
     def test_detection_does_not_depend_on_memory_layout(self):
         loading = Loading(bits_per_symbol=np.array([2, 4, 0, 6, 8, 2]))

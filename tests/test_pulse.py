@@ -1,12 +1,14 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import otfsftn.pulse
 from otfsftn import (
-    GridShape, gram_dd, gram_matrix, mi_logdet, noise_shape, rc_autocorr, rrc_impulse,
+    GridShape, derive_subchannels, gram_dd, gram_matrix, mi_logdet, noise_shape, rc_autocorr,
+    rrc_impulse,
 )
 
 from conftest import dense_v
@@ -267,10 +269,17 @@ class TestCentrosymmetricSplit:
         assert held <= 0.55 * 8 * mn**2
 
     @pytest.mark.parametrize("mn", (2, 7, 15, 32, 33))
-    def test_deterministic_column_sign(self, mn):
-        v = dense_v(gram_matrix(GridShape(mn, 1), 0.85, 0.25))
-        first = np.argmax(np.abs(v) > 1e-8, axis=0)
-        assert np.all(v[first, np.arange(mn)] > 0.0)
+    def test_column_signs_leave_the_derivation(self, mn, rng):
+        # a flipped column of V negates one row of the whitened channel exactly,
+        # so C^H C, and with it xi, phi, U_t and D_t, keep every bit
+        ns = gram_matrix(GridShape(mn, 1), 0.85, 0.25)
+        flip = lambda b: b * np.where(np.arange(b.shape[1]) % 2, 1.0, -1.0)  # columns 0, 2, ...
+        flipped = replace(ns, even=flip(ns.even), odd=flip(ns.odd))
+        assert not np.array_equal(dense_v(flipped), dense_v(ns))
+        h = rng.standard_normal((mn, mn)) + 1j * rng.standard_normal((mn, mn))
+        ref, sub = derive_subchannels(h, ns), derive_subchannels(h, flipped)
+        for name in ("xi", "phi", "U_t", "D"):
+            assert getattr(sub, name).tobytes() == getattr(ref, name).tobytes(), name
 
     @pytest.mark.parametrize("kind", ("complex-hermitian", "real-not-centrosymmetric"))
     def test_eigh_fallback(self, kind, rng, monkeypatch):
