@@ -105,17 +105,9 @@ def eva_channel(nu_max_hz: float, cfg: SystemConfig, rng: np.random.Generator) -
     gains *= np.sqrt(powers / 2.0)
     frame_s = cfg.N / cfg.delta_f_hz  # N*T, the Doppler tap resolution is its inverse
 
-    # redraw angles on the (measure-zero) event of coinciding (delay, Doppler)
-    # pairs; at nu_max = 0 every Doppler collapses to zero and taps sharing a
-    # delay are genuinely indistinguishable, so no distinctness to enforce
-    for _ in range(100):
-        angles = rng.uniform(-np.pi, np.pi, size=len(taps))
-        doppler_taps = nu_max_hz * np.cos(angles) * frame_s
-        keys = {(int(l), float(d)) for l, d in zip(taps, doppler_taps)}
-        if nu_max_hz == 0.0 or len(keys) == len(taps):
-            break
-    else:
-        raise RuntimeError("could not draw distinct (delay, Doppler) pairs")
+    # a coinciding (delay, Doppler) pair, of probability zero unless nu_max = 0, is just two
+    # paths: effective_channel sums the paths on a tap and waveform_oracle applies each one
+    doppler_taps = nu_max_hz * np.cos(rng.uniform(-np.pi, np.pi, size=len(taps))) * frame_s
 
     paths = []
     for g, l, d in zip(gains, taps, doppler_taps):

@@ -370,6 +370,8 @@ LLR_DUMP_HEADER = "frame,subchannel,bit,llr"
 
 
 def format_llr_records(frame_idx: int, loading: Loading, llrs: np.ndarray) -> str:
-    """Delimited LLR records for one frame, one line per transmitted bit."""
-    record = f"{frame_idx},{{}},{{:.12g}}".format
-    return "\n".join(map(record, loading.bit_labels, llrs.tolist()))
+    """Delimited LLR records for one frame, one line per transmitted bit, written by one % operation."""
+    if not loading.bit_labels:
+        return ""
+    sep = f",%.12g\n{frame_idx},"
+    return f"{frame_idx},{sep.join(loading.bit_labels)},%.12g" % tuple(llrs.tolist())

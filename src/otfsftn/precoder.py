@@ -82,9 +82,8 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigvecs, eigvals) with a = eigvecs @ diag(eigvals) @ eigvecs^H;
     the eigenvectors are LAPACK's as returned, with no phase or tie order imposed.
-    a is checked to be Hermitian and is not modified; its working copy
-    -(a + a^H)/2 goes to _evd_desc_inplace, the kernel the derivations call
-    on their own buffer.
+    a is checked to be Hermitian and is not modified; the solver overwrites its working
+    copy -(a + a^H)/2, whose ascending eigenvalues negate to a's descending ones.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -93,17 +92,7 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     herm_err = float(np.abs(a - a.conj().T).max(initial=0.0))
     if herm_err > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm_err:.3e}")
-    return _evd_desc_inplace(-0.5 * (a + a.conj().T))
-
-
-def _evd_desc_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_evd_desc of -s, read from s's row-major upper triangle; the EVD overwrites s.
-
-    The divide-and-conquer stages keep only s and the basis buffer resident.
-    The ascending eigenvalues of s are those of -s descending, so negating
-    them is the whole reordering; the basis is the solver's, unnormalized.
-    """
-    w, v = _openblas.eigh_inplace(s)
+    w, v = _openblas.eigh_inplace(-0.5 * (a + a.conj().T))
     return v, -w
 
 
@@ -148,8 +137,8 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     many eigenvalues it clamped.
     """
     c = _whiten(h, noise)
-    u_t, xi = _evd_desc_inplace(_neg_gram(c))  # the buffer is released once it returns
-    xi, phi = _gains(u_t, xi, noise)
+    ev, u_t = _openblas.eigh_inplace(_neg_gram(c))  # ascending; the buffer is released once it returns
+    xi, phi = _gains(u_t, -ev, noise)
     w = c @ u_t
     del c
     w /= np.sqrt(noise.lam)[:, None]
@@ -158,20 +147,18 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=np.conjugate(w, out=w).T)
 
 
-def _folded_band(h: np.ndarray) -> np.ndarray | None:
-    """H^H H as lower band storage in the order (0, n-1, 1, n-2, ...); None where kd > n/16.
+def _folded_band(h: np.ndarray) -> np.ndarray:
+    """H^H H as lower band storage in the order (0, n-1, 1, n-2, ...).
 
     Where G = I, H has one nonzero per delay tap in each row, so H^H H is a
     cyclic band and its folded half-width, read from H's nonzeros, is at most
-    2*l_max.  The band sums the products of pairs of nonzeros in each row.
+    2*l_max (n - 1 for a dense H).  The band sums products of pairs of nonzeros in each row.
     """
     n = h.shape[0]
     rows, cols = np.nonzero(h)
     f = np.where(cols < (n + 1) // 2, 2 * cols, 2 * (n - cols) - 1)  # folded positions
     start = np.flatnonzero(np.diff(rows, prepend=-1))
     kd = int((np.maximum.reduceat(f, start) - np.minimum.reduceat(f, start)).max(initial=0))
-    if 16 * kd > n:
-        return None
     v, ab = h[rows, cols], np.zeros((n, kd + 1), dtype=complex)
     for d in range(kd + 1):  # a row's nonzeros are at most kd apart
         same = rows[d:] == rows[: rows.size - d]
@@ -185,8 +172,8 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
     """The gains xi and energy weights phi of derive_subchannels(h, noise), with no basis or D_t.
 
     Where G is exactly the identity, C = H and phi = 1: zhbev takes xi from
-    the folded band of H^H H, the dense eigvalsh where kd > n/16 (faster
-    there) or with no zhbev.  Any other G takes the full decomposition.
+    the folded band of H^H H, or the dense eigvalsh where the loaded BLAS
+    exports no zhbev.  Any other G takes the full decomposition.
     H is never modified; it is released once C is formed, C once -C^H C
     is, and the EVD buffer before phi, so a caller that passes H as a
     temporary holds at most two MN x MN matrices through the EVD.
@@ -196,14 +183,13 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
         del h
         s = _neg_gram(c)
         del c
-        u_t, xi = _evd_desc_inplace(s)
+        ev, u_t = _openblas.eigh_inplace(s)
         del s
-        return _gains(u_t, xi, noise)
+        return _gains(u_t, -ev, noise)
     if h.shape != (noise.n, noise.n):
         raise ValueError(f"H {h.shape} does not match the noise shape {(noise.n, noise.n)}")
-    band = _folded_band(h) if _openblas.lapacke("zhbev") is not None else None
-    xi = (-np.linalg.eigvalsh(_neg_gram(h), UPLO="U") if band is None
-          else _openblas.band_eigvalsh(band)[::-1])
+    xi = (-np.linalg.eigvalsh(_neg_gram(h), UPLO="U") if _openblas.lapacke("zhbev") is None
+          else _openblas.band_eigvalsh(_folded_band(h))[::-1])
     return np.maximum(xi, 0.0), np.ones(xi.size)
 
 

@@ -62,6 +62,29 @@ class TestEvaChannel:
             nu = p.doppler_tap / frame
             assert abs(nu - nu_max * np.cos(theta)) <= 1e-9 * nu_max
 
+    def test_coinciding_pairs_are_kept_and_summed(self):
+        # at M = 5 every EVA delay rounds to tap 0, so one angle for all nine
+        # paths makes their (delay, Doppler) pairs coincide: the first draw is
+        # kept, and H is that of one path carrying the summed gain
+        class OneAngle:
+            normals = np.random.default_rng(4)
+
+            def standard_normal(self, size):
+                return self.normals.standard_normal(size)
+
+            def uniform(self, low, high, size):
+                return np.full(size, 0.3)
+
+        cfg = eva_config(5, 3, 0.9)
+        chan = eva_channel(2000.0, cfg, OneAngle())
+        assert chan.num_paths == 9
+        assert len({(p.delay_tap, p.doppler_int, p.doppler_frac) for p in chan.paths}) == 1
+        p0 = chan.paths[0]
+        one = DdChannel(paths=(DdPath(sum(p.gain for p in chan.paths), 0, p0.doppler_int,
+                                      p0.doppler_frac),))
+        h, ref = effective_channel(chan, cfg), effective_channel(one, cfg)
+        assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_fraction_in_half_open_interval(self, rng):
         cfg = eva_config(64, 4, 0.9)
         for _ in range(20):

@@ -281,12 +281,12 @@ class TestNoiseShapePerInstance:
         assert len(built) == 3
 
     def test_subchannel_evd_only_where_g_is_not_identity(self, monkeypatch):
-        import otfsftn.precoder as precoder
+        import otfsftn._openblas as _openblas
 
         sizes = []
-        real = precoder._evd_desc_inplace
+        real = _openblas.eigh_inplace
         monkeypatch.setattr(
-            precoder, "_evd_desc_inplace", lambda s: sizes.append(s.shape) or real(s))
+            _openblas, "eigh_inplace", lambda s: sizes.append(s.shape) or real(s))
         cfg = parse_config(self.SMALL)
         assert 1.0 in cfg.alpha_grid
         run_rate_sweep(cfg, threads=2)

@@ -842,3 +842,21 @@ class TestFrameRecord:
         frame = int(rng.integers(0, 10**6))
         assert format_llr_records(frame, loading, llrs) == self.format_llr_records_loop(
             frame, loading, llrs)
+
+    def test_llr_dump_edge_doubles(self):
+        # '%.12g' and '{:.12g}' both print through PyOS_double_to_string: signed
+        # zeros, subnormals, extremes, non-finite values and exact ties at the
+        # 13th significant digit, which round half to even
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [-0.0, 0.0, tiny, -tiny, 1e-310, -2.2250738585072014e-308 / 3, 1e300, -1e300,
+                 np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan,
+                 1000000000005.0, 1000000000015.0, -1000000000025.0, 123456789012.5,
+                 123456789013.5, -123456789014.5, 0.1, 1 / 3, 2.5e-5, 99999999999.95, -1e-12]
+        loading = Loading(bits_per_symbol=np.array([0, 2] * (len(edges) // 2)))
+        llrs = np.array(edges)
+        text = format_llr_records(12, loading, llrs)
+        assert text == self.format_llr_records_loop(12, loading, llrs)
+        assert text.splitlines()[:2] == ["12,1,0,-0", "12,1,1,0"]
+        assert [line.rsplit(",", 1)[1] for line in text.splitlines()[13:16]] == [
+            "1e+12", "1.00000000002e+12", "-1.00000000002e+12"]
+        assert format_llr_records(3, Loading(bits_per_symbol=np.zeros(4, int)), np.empty(0)) == ""

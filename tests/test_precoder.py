@@ -24,6 +24,7 @@ from otfsftn import (
 import otfsftn._openblas as _openblas
 from otfsftn.channel import channel_for_config, synthetic_channel
 import otfsftn.precoder as precoder
+from otfsftn.config import MAX_FRAME_SYMBOLS
 from otfsftn.harness import _VALIDATE_SHAPES, _check_precoder_identities, _eva_instance, run_rate_sweep
 from otfsftn.precoder import XI_ACTIVE_REL, subchannel_gains
 from otfsftn.pulse import EIG_FLOOR_REL
@@ -262,6 +263,21 @@ class TestDeriveSubchannels:
         sol = derive_subchannels(h, noise)
         assert sol.floored == 0
 
+    def test_alpha_below_one_at_the_frame_cap(self):
+        # MN = 1536, the largest frame a config admits, with the MN <= 384 tests' bounds
+        shape, noise, h = eva_instance(256, 6, 0.8, seed=1)
+        assert shape.MN == MAX_FRAME_SYMBOLS
+        sol = solve_precoder(h, noise, snr=10.0)
+        sub, bound = sol.sub, 1e-8 * sol.xi.max()
+        assert sub.floored == 0
+        assert np.abs(sub.U_t.conj().T @ sub.U_t - np.eye(shape.MN)).max() <= 1e-10
+        dhp = sub.D @ h @ sol.P
+        assert np.abs(dhp - np.diag(sol.xi * np.sqrt(sol.gamma))).max() <= bound
+        del dhp
+        dgd = sub.D @ noise.dense_g() @ sub.D.conj().T
+        assert np.abs(dgd - np.diag(sol.xi)).max() <= bound
+        assert abs(sub.phi.sum() - shape.MN) <= 1e-12 * shape.MN
+
     @pytest.mark.parametrize("m, n", [(5, 3), (64, 6)])
     def test_phi_is_the_dense_quadratic_form(self, m, n):
         # phi from the half-order products of V^T and G's unfloored spectrum
@@ -492,10 +508,10 @@ class TestSubchannelGains:
         assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
         assert np.all(phi == 1.0)
 
-    # (profile, M, N, cp_len, synthetic l_max, whether the band route runs):
-    # even and odd MN, prefixes as long as the frame, and at MN = 15 a
-    # multi-tap channel too wide for the band (kd > MN/16); EVA's taps reach 5
-    # at M = 63 and 64 and all round to 0 at M = 5
+    # (profile, M, N, cp_len, synthetic l_max, whether the folded band is at most
+    # MN/16 wide): even and odd MN, prefixes as long as the frame, and at MN = 15
+    # a multi-tap channel with a wide band (kd > MN/16), which the band route
+    # serves too; EVA's taps reach 5 at M = 63 and 64 and all round to 0 at M = 5
     NYQUIST_CASES = [
         ("identity", 8, 4, 4, 0, True),
         ("identity", 5, 3, 15, 0, True),
@@ -508,9 +524,9 @@ class TestSubchannelGains:
     ]
 
     @pytest.mark.parametrize("mode", ["circular", "literal"])
-    @pytest.mark.parametrize("profile, m, n, cp_len, l_max, band", NYQUIST_CASES)
+    @pytest.mark.parametrize("profile, m, n, cp_len, l_max, narrow", NYQUIST_CASES)
     def test_band_gains_match_dense_eigvalsh(self, monkeypatch, profile, m, n, cp_len, l_max,
-                                             band, mode):
+                                             narrow, mode):
         channel = ChannelConfig(profile=profile, nu_max_hz=2000.0, num_paths=8, l_max=l_max,
                                 k_max=2, frac_doppler=True)
         cfg = identity_config(m, n, 1.0, cp_len=cp_len, cp_mode=mode, channel=channel)
@@ -518,8 +534,8 @@ class TestSubchannelGains:
         h = effective_channel(channel_for_config(cfg, np.random.default_rng(m * n)), cfg)
         noise = gram_matrix(GridShape(m, n), 1.0, 0.25)
         ref = np.maximum(np.linalg.eigvalsh(h.conj().T @ h)[::-1], 0.0)
-        assert (precoder._folded_band(h) is not None) == band
-        if band and _openblas.lapacke("zhbev") is None:
+        assert (16 * (precoder._folded_band(h).shape[1] - 1) <= m * n) == narrow
+        if _openblas.lapacke("zhbev") is None:
             pytest.skip("numpy's BLAS exports no LAPACKE_zhbev")
         xi, phi = subchannel_gains(h, noise)
         assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
@@ -529,24 +545,33 @@ class TestSubchannelGains:
             dense, _ = subchannel_gains(h, noise)
         assert np.abs(dense - ref).max() <= 1e-12 * ref.max()
 
-    def test_wide_band_takes_the_dense_route(self, monkeypatch):
-        # delay taps up to 7 give kd > MN/16 = 4 at MN = 64; a dense H has
-        # too many nonzeros for any band
+    def test_band_route_serves_wide_and_dense_h(self, monkeypatch):
+        # delay taps up to 7 give kd > MN/16 = 4 at MN = 64, and a dense H
+        # gives kd = MN - 1; only a BLAS without zhbev takes the dense route
         cfg = identity_config(8, 8, 1.0, cp_len=8, channel=ChannelConfig(
             profile="synthetic", num_paths=16, l_max=7, k_max=2))
-        h = effective_channel(channel_for_config(cfg, np.random.default_rng(2)), cfg)
+        wide = effective_channel(channel_for_config(cfg, np.random.default_rng(2)), cfg)
+        dense = complex_gaussian(np.random.default_rng(3), 64 * 64).reshape(64, 64)
+        assert 16 * (precoder._folded_band(wide).shape[1] - 1) > 64
+        assert precoder._folded_band(dense).shape == (64, 64)
         noise = gram_matrix(GridShape(8, 8), 1.0, 0.25)
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a, **kw: calls.append(a.shape) or real(a, **kw))
-        monkeypatch.setattr(_openblas, "band_eigvalsh", lambda ab: pytest.fail("band route ran"))
-        xi, _ = subchannel_gains(h, noise)
-        assert calls == [(64, 64)]
-        ref = np.maximum(real(h.conj().T @ h)[::-1], 0.0)
-        assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
-        assert precoder._folded_band(complex_gaussian(np.random.default_rng(3), 64 * 64)
-                                     .reshape(64, 64)) is None
+        for h in (wide, dense):
+            ref = np.maximum(real(h.conj().T @ h)[::-1], 0.0)
+            if _openblas.lapacke("zhbev") is not None:
+                xi, _ = subchannel_gains(h, noise)
+                assert calls == []
+                assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
+            with monkeypatch.context() as mp:
+                mp.setattr(_openblas, "lapacke", lambda routine: None)
+                mp.setattr(_openblas, "band_eigvalsh", lambda ab: pytest.fail("band route ran"))
+                xi, _ = subchannel_gains(h, noise)
+            assert calls == [(64, 64)]
+            assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
+            calls.clear()
 
     def test_nyquist_rate_sweep_calls_no_eigvalsh(self, monkeypatch):
         if _openblas.lapacke("zhbev") is None:
@@ -607,8 +632,8 @@ class TestGramBuffer:
         g = c.conj().T @ c
         g = np.triu(g) + np.triu(g, 1).conj().T  # the Hermitian matrix the upper triangle holds
         u_ref, xi_ref = hermitian_evd_desc(g)
-        u_t, xi = precoder._evd_desc_inplace(precoder._neg_gram(c))
-        assert np.array_equal(xi, xi_ref) and np.array_equal(u_t, u_ref)
+        ev, u_t = _openblas.eigh_inplace(precoder._neg_gram(c))
+        assert np.array_equal(-ev, xi_ref) and np.array_equal(u_t, u_ref)
 
     @pytest.mark.parametrize("n", [1, 15, 64, 125, 193])
     def test_zherk_triangle_matches_numpy_strips(self, monkeypatch, rng, n):
