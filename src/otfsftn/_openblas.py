@@ -3,16 +3,16 @@
 numpy's wheels link one OpenBLAS, found here by name among the mapped
 libraries.  Through ctypes it gives single_blas_thread its thread-count
 functions, and lapacke and cblas bind ILP64 LAPACKE and CBLAS routines on
-first use, not at import.  eigh_inplace runs the divide-and-conquer EVD
+first use, not at import.  HermitianEVD runs the divide-and-conquer EVD
 (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) as its three LAPACK
 stages, zhetrd, dstedc and zunmtr, through their _work entry points, so
-every workspace is a numpy buffer the solve owns: the eigenvectors and
-dstedc's n^2-sized workspace share one buffer, where numpy's eigh (zheevd)
-takes about two more n x n matrices.  zhbev takes the eigenvalues of a
-Hermitian band matrix from its band storage.  ctypes releases the GIL, so
-worker threads overlap.  On another BLAS none is found: thread pinning is a
-no-op, eigh_inplace falls back to np.linalg.eigh, and lapacke and cblas
-return None.
+every workspace is a numpy buffer the solve owns: the tridiagonal's
+eigenvectors and dstedc's n^2-sized workspace share one buffer, where
+numpy's eigh (zheevd) takes about two more n x n matrices, and zunmtr
+back-transforms any block.  zhbev takes the eigenvalues of a Hermitian band
+matrix from its band storage.  ctypes releases the GIL, so worker threads
+overlap.  On another BLAS none is found: thread pinning is a no-op,
+HermitianEVD falls back to np.linalg.eigh, and lapacke and cblas return None.
 """
 
 from __future__ import annotations
@@ -109,39 +109,57 @@ def _widen(buf: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
-def eigh_inplace(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of the Hermitian s, read from its upper triangle.
+class HermitianEVD:
+    """The Hermitian s, from its upper triangle, as conj(Q Z) diag(w) conj(Q Z)^H in three stages.
 
-    A square C-contiguous complex128 s is read column-major with uplo L, as
-    s^T = conj(s): zhetrd reduces it to a real tridiagonal T in place (s is
-    overwritten by its reflectors), dstedc writes T's real eigenvectors and
-    its 1 + 4n + n^2 workspace into one complex buffer of (n + 1)^2 entries,
-    and zunmtr applies the reflectors to those eigenvectors once widened in
-    place.  They are conj(s)'s, conjugated back in place and Fortran-ordered.
-    Any other s, or a process without the three routines, takes
-    np.linalg.eigh on the same upper triangle, which leaves s intact.
+    s is read column-major with uplo L, as s^T = conj(s): zhetrd reduces it in place to a real
+    tridiagonal (s keeps the reflectors Q), and dstedc writes its eigenpairs, w ascending and Z
+    in the first n^2 doubles of a complex buffer of (n + 1)^2 entries, its workspace after them.
+    spare is the C-ordered n-row tail of that spent workspace, room for n/2 + 2 columns or more.
+    zunmtr applies Q^T to a block of it (apply_qt), or Q to Z widened in place (basis).  Any s but
+    a square C-contiguous complex128 one, or a BLAS without the three routines, takes
+    np.linalg.eigh, which leaves s intact: there Q is its basis, Z = I and zt None.
     """
-    square = s.ndim == 2 and s.shape[0] == s.shape[1]
-    if (any(lapacke(r) is None for r in _STAGES) or not square or s.dtype != np.complex128
-            or not s.flags.c_contiguous):
-        return np.linalg.eigh(s, UPLO="U")
-    n = s.shape[0]
-    ld = max(n, 1)
-    d, e, tau = np.empty(n), np.empty(ld), np.empty(ld, dtype=np.complex128)
-    buf = np.empty((n + 1) ** 2, dtype=np.complex128)
-    real = buf.view(np.float64)  # T's eigenvectors in the first n^2 doubles, workspace after
-    lwork = np.empty(2, dtype=np.complex128)  # the optimal sizes of zhetrd's and zunmtr's
-    _call("zhetrd_work", b"L", n, s, ld, d, e, tau, lwork, -1)
-    _call("zunmtr_work", b"L", b"L", b"N", n, n, s, ld, tau, buf, ld, lwork[1:], -1)
-    work = np.empty(max(1, int(lwork.real.max())), dtype=np.complex128)
-    _call("zhetrd_work", b"L", n, s, ld, d, e, tau, work, work.size)
-    iwork = np.empty(3 + 5 * n, dtype=np.int64)
-    _call("dstedc_work", b"I", n, d, e, real, ld, real[n * n :], real.size - n * n,
-          iwork, iwork.size)
-    z = _widen(buf, n)
-    _call("zunmtr_work", b"L", b"L", b"N", n, n, s, ld, tau, z, ld, work, work.size)
-    np.conjugate(z, out=z)
-    return d, z
+
+    def __init__(self, s: np.ndarray):
+        n = self.n = s.shape[0]
+        if (any(lapacke(r) is None for r in _STAGES) or s.shape != (n, n)
+                or s.dtype != np.complex128 or not s.flags.c_contiguous):
+            (self.w, self.q), self.zt = np.linalg.eigh(s, UPLO="U"), None
+            self.spare = np.empty((n, n // 2 + 2), dtype=np.complex128)
+            return
+        ld = self.ld = max(n, 1)
+        d, e, self.tau = np.empty(n), np.empty(ld), np.empty(ld, dtype=np.complex128)
+        self.q, self.buf = s, np.empty((n + 1) ** 2, dtype=np.complex128)
+        real = self.buf.view(np.float64)
+        lwork = np.empty(2, dtype=np.complex128)  # zhetrd's optimum, zunmtr's on n x n (or fewer rows)
+        _call("zhetrd_work", b"L", n, s, ld, d, e, self.tau, lwork, -1)
+        _call("zunmtr_work", b"L", b"L", b"N", n, n, s, ld, self.tau, self.buf, ld, lwork[1:], -1)
+        self.work = np.empty(max(1, int(lwork.real.max())), dtype=np.complex128)
+        _call("zhetrd_work", b"L", n, s, ld, d, e, self.tau, self.work, self.work.size)
+        iwork = np.empty(3 + 5 * n, dtype=np.int64)
+        _call("dstedc_work", b"I", n, d, e, real, ld, real[n * n :], real.size - n * n, iwork, iwork.size)
+        self.w, self.zt = d, real[: n * n].reshape(n, n)  # row j of zt is column j of Z
+        room = (self.buf.size - (n * n + 1) // 2) // ld  # whole columns past Z
+        self.spare = self.buf[self.buf.size - n * room :].reshape(n, room)
+
+    def apply_qt(self, x: np.ndarray) -> np.ndarray:
+        """x = Q^T x in place on a complex n-row block with contiguous rows (zunmtr on x^T)."""
+        if self.zt is None:
+            x[...] = self.q.T @ x
+        else:
+            _call("zunmtr_work", b"R", b"L", b"N", x.shape[1], self.n, self.q, self.ld, self.tau,
+                  x, x.strides[0] // x.itemsize, self.work, self.work.size)
+        return x
+
+    def basis(self) -> np.ndarray:
+        """s's eigenvectors conj(Q Z), Fortran-ordered, formed in place from Z, which is spent."""
+        if self.zt is None:
+            return self.q
+        z = _widen(self.buf, self.n)
+        _call("zunmtr_work", b"L", b"L", b"N", self.n, self.n, self.q, self.ld, self.tau, z, self.ld,
+              self.work, self.work.size)
+        return np.conjugate(z, out=z)
 
 
 def band_eigvalsh(ab: np.ndarray) -> np.ndarray:

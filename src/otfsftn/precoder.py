@@ -4,11 +4,12 @@ The transceiver is solved in two steps, both in the time domain.
 derive_subchannels works once per channel: on the factored noise shape
 G = V diag(lam) V^T it whitens the channel into C = diag(lam)^{-1/2} V^T H,
 eigendecomposes C^H C = U_t diag(xi) U_t^H and reads the per-direction
-energy weights phi = diag(U_t^H G U_t) from V^T U_t and G's spectrum.  V^T
-and V are applied as the noise shape's half-order products, in column
-strips, so neither G nor V is formed.  -C^H C is formed once, by zherk, as
-the one triangle the eigensolver reads, straight into the buffer it
-overwrites, and C is released as soon as nothing reads it.  finalize works
+energy weights phi = diag(U_t^H G U_t) from the columns of V below G's
+flat top (_phi), with no U_t on the way.  V^T and V are applied as the
+noise shape's half-order products, in column strips, so neither G nor V is
+formed.  -C^H C is formed once, by zherk, as the one triangle the
+eigensolver reads, straight into the buffer it overwrites, and C is
+released as soon as nothing reads it.  finalize works
 once per power allocation: given powers gamma (water-filled under
 sum(gamma*phi) = MN, the subchannel count, or uniform) it forms the
 precoder P_t = U_t diag(gamma)^{1/2}.  The receive weights
@@ -36,6 +37,8 @@ from .pulse import NoiseShape
 # subchannels whose whitened gain falls below this fraction of the largest
 # are excluded from allocation (guards 1/(xi*snr) against blowup)
 XI_ACTIVE_REL = 1e-12
+
+FLAT_EPS = np.finfo(float).eps  # phi drops G's eigenvalues within MN*FLAT_EPS of its largest, relative
 
 # columns per strip wherever a full MN x MN temporary would otherwise be formed
 STRIP = 64
@@ -92,8 +95,8 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     herm_err = float(np.abs(a - a.conj().T).max(initial=0.0))
     if herm_err > 1e-10 * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm_err:.3e}")
-    w, v = _openblas.eigh_inplace(-0.5 * (a + a.conj().T))
-    return v, -w
+    evd = _openblas.HermitianEVD(-0.5 * (a + a.conj().T))
+    return evd.basis(), -evd.w
 
 
 def _whiten(h: np.ndarray, noise: NoiseShape) -> np.ndarray:
@@ -121,24 +124,41 @@ def _neg_gram(c: np.ndarray) -> np.ndarray:
     return s
 
 
-def _gains(u_t: np.ndarray, xi: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, ...]:
-    """Gains xi clamped at 0 and weights phi = diag(U_t^H G U_t) = sum_k raw_k |(V^T U_t)_k|^2."""
-    phi = np.empty(xi.size)
-    for j in _strips(xi.size):
-        y = noise.vt(u_t[:, j]).view(np.float64)  # each column as its real and imaginary pair
-        phi[j] = (noise.raw @ (y * y)).reshape(-1, 2).sum(axis=1)
-    return np.maximum(xi, 0.0), phi
+def _phi(evd: _openblas.HermitianEVD, noise: NoiseShape) -> np.ndarray:
+    """phi = diag(U_t^H G U_t) = c - sum_k (c - raw_k) |(V^T U_t)_kj|^2 with c = max(raw).
+
+    The columns of V^T U_t have unit norm, so the flat k, raw_k >= c - MN*FLAT_EPS*c, which
+    are most of them (G's raised-cosine spectrum is flat at the top), move phi by at most
+    MN*FLAT_EPS*c and are dropped.  The rest, a leading run of each block of V, are written
+    block by block into evd.spare, turned into (V_K^T Q)^T and multiplied by Z^T in row strips.
+    """
+    raw, n = noise.raw, noise.n
+    c = raw.max()
+    phi = np.full(n, c)
+    if noise.identity:  # nothing is steep, and V has no blocks
+        return phi
+    for odd, w in enumerate((raw[: n - n // 2], raw[n - n // 2 :])):  # each ascending
+        w = c - w[: np.searchsorted(w, c - n * FLAT_EPS * c)]
+        x = evd.apply_qt(noise.columns(odd, w.size, evd.spare[:, : w.size])).view(np.float64)
+        w2 = np.repeat(w, 2)  # for x's columns, (real, imag) pairs
+        for j in _strips(n):
+            y = x[j] if evd.zt is None else evd.zt[j] @ x
+            phi[j] -= np.square(y, out=y) @ w2
+            del y  # before the next strip's product
+    return phi
 
 
 def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     """Whiten the time-domain channel H, decompose it into scalar subchannels and form D_t.
 
     The noise shape carries the floored spectrum, and floored reports how
-    many eigenvalues it clamped.
+    many eigenvalues it clamped.  phi is subchannel_gains' to the bit.
     """
     c = _whiten(h, noise)
-    ev, u_t = _openblas.eigh_inplace(_neg_gram(c))  # ascending; the buffer is released once it returns
-    xi, phi = _gains(u_t, -ev, noise)
+    evd = _openblas.HermitianEVD(_neg_gram(c))
+    xi, phi = np.maximum(-evd.w, 0.0), _phi(evd, noise)
+    u_t = evd.basis()
+    del evd  # and with it the reflectors
     w = c @ u_t
     del c
     w /= np.sqrt(noise.lam)[:, None]
@@ -173,19 +193,18 @@ def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.n
 
     Where G is exactly the identity, C = H and phi = 1: zhbev takes xi from
     the folded band of H^H H, or the dense eigvalsh where the loaded BLAS
-    exports no zhbev.  Any other G takes the full decomposition.
-    H is never modified; it is released once C is formed, C once -C^H C
-    is, and the EVD buffer before phi, so a caller that passes H as a
-    temporary holds at most two MN x MN matrices through the EVD.
+    exports no zhbev.  Any other G takes the EVD short of U_t, and _phi.
+    H is never modified; it is released once C is formed and C once -C^H C
+    is, so a caller that passes H as a temporary holds at most two MN x MN
+    matrices, the reflectors and the EVD buffer, through the EVD and phi.
     """
     if not noise.identity:
         c = _whiten(h, noise)
         del h
         s = _neg_gram(c)
         del c
-        ev, u_t = _openblas.eigh_inplace(s)
-        del s
-        return _gains(u_t, -ev, noise)
+        evd = _openblas.HermitianEVD(s)
+        return np.maximum(-evd.w, 0.0), _phi(evd, noise)
     if h.shape != (noise.n, noise.n):
         raise ValueError(f"H {h.shape} does not match the noise shape {(noise.n, noise.n)}")
     xi = (-np.linalg.eigvalsh(_neg_gram(h), UPLO="U") if _openblas.lapacke("zhbev") is None

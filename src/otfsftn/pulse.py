@@ -56,8 +56,9 @@ class NoiseShape:
     the identity marker is kept: no row or factors, and raw and lam are unit
     views that own no memory.  vt and v apply V^T and V to a real or complex
     vector or block of n rows as two half-order real products on the folds
-    x_top +/- J x_bot; dense_g allocates G for the oracles.  Every trial of
-    an (alpha, beta, MN) instance shares it read-only.
+    x_top +/- J x_bot, and columns writes a run of V's columns; dense_g
+    allocates G for the oracles.  Every trial of an (alpha, beta, MN)
+    instance shares it read-only.
     """
 
     raw: np.ndarray
@@ -82,6 +83,16 @@ class NoiseShape:
     def v(self, y: np.ndarray) -> np.ndarray:
         """V y as a new array (y itself, made contiguous, where G = I)."""
         return self._fold(y, transpose=False)
+
+    def columns(self, odd: int, k: int, out: np.ndarray) -> np.ndarray:
+        """The first k columns of V's even (odd 0) or odd block, [u; t; J u] or [u; 0; -J u],
+        into the complex n-row block out."""
+        m, r = divmod(self.n, 2)
+        f = (self.even, self.odd)[odd][:, :k]
+        out.imag, real = 0.0, out.real
+        real[m : m + r], real[: f.shape[0]] = 0.0, f  # the even block's t overwrites the zeros
+        np.multiply(f[:m][::-1], (1.0, -1.0)[odd], out=real[m + r :])
+        return out
 
     def dense_g(self, dtype: type = float) -> np.ndarray:
         """G as a new n x n array; it allocates, so only the oracles call it."""

@@ -284,9 +284,9 @@ class TestNoiseShapePerInstance:
         import otfsftn._openblas as _openblas
 
         sizes = []
-        real = _openblas.eigh_inplace
+        real = _openblas.HermitianEVD
         monkeypatch.setattr(
-            _openblas, "eigh_inplace", lambda s: sizes.append(s.shape) or real(s))
+            _openblas, "HermitianEVD", lambda s: sizes.append(s.shape) or real(s))
         cfg = parse_config(self.SMALL)
         assert 1.0 in cfg.alpha_grid
         run_rate_sweep(cfg, threads=2)

@@ -175,7 +175,8 @@ class TestDivideAndConquerKernel:
         # zheevr's MRRR basis was orthonormal only to about 5e-13 here
         needs_staged_evd()
         a = random_hermitian(rng, 384)
-        w, u = _openblas.eigh_inplace(a.copy())
+        evd = _openblas.HermitianEVD(a.copy())
+        w, u = evd.w, evd.basis()
         assert np.abs(u.conj().T @ u - np.eye(384)).max() <= 1e-13
         assert np.abs(a @ u - u * w).max() <= 1e-12 * np.abs(w).max()
 
@@ -198,18 +199,24 @@ class TestDeriveSubchannels:
         assert np.array_equal(sol.U_t, np.eye(shape.MN))
 
     def test_eigenvector_phases_do_not_reach_the_outputs(self, monkeypatch):
-        # the basis is fixed only up to a unit phase per column: turning each one
-        # leaves xi bit for bit and phi to rounding, and D_t turns against U_t
+        # the basis is fixed only up to a unit phase per column, in the staged
+        # solve the sign of each real eigenvector of the tridiagonal: turning
+        # each one leaves xi bit for bit and phi to rounding, and D_t turns against U_t
         instances = [_eva_instance(shape, 0.9, 20240901, 4) for shape in _VALIDATE_SHAPES]
         refs = [subchannel_gains(h, noise) for noise, _, h in instances]
-        real, turned = _openblas.eigh_inplace, []
+        real, turned = _openblas.HermitianEVD, []
 
         def random_phases(s):
-            w, v = real(s)
-            turned.append(v.shape[1])
-            return w, v * np.exp(2j * np.pi * np.random.default_rng(len(turned)).random(v.shape[1]))
+            evd = real(s)
+            turned.append(evd.n)
+            turn = np.random.default_rng(len(turned)).random(evd.n)
+            if evd.zt is None:  # np.linalg.eigh's basis
+                evd.q *= np.exp(2j * np.pi * turn)
+            else:
+                evd.zt *= np.where(turn < 0.5, -1.0, 1.0)[:, None]
+            return evd
 
-        monkeypatch.setattr(_openblas, "eigh_inplace", random_phases)
+        monkeypatch.setattr(_openblas, "HermitianEVD", random_phases)
         for (noise, _, h), (xi_ref, phi_ref) in zip(instances, refs):
             xi, phi = subchannel_gains(h, noise)
             assert np.array_equal(xi, xi_ref)
@@ -277,16 +284,34 @@ class TestDeriveSubchannels:
         dgd = sub.D @ noise.dense_g() @ sub.D.conj().T
         assert np.abs(dgd - np.diag(sol.xi)).max() <= bound
         assert abs(sub.phi.sum() - shape.MN) <= 1e-12 * shape.MN
+        # min eig(G) is 8.1e-6 here, the deepest cancellation in phi = c - sum over steep terms
+        oracle = np.einsum("in,in->n", sub.U_t.conj(), noise.dense_g() @ sub.U_t).real
+        assert np.abs(sub.phi - oracle).max() <= 1e-12 * oracle.max()
 
-    @pytest.mark.parametrize("m, n", [(5, 3), (64, 6)])
-    def test_phi_is_the_dense_quadratic_form(self, m, n):
-        # phi from the half-order products of V^T and G's unfloored spectrum
-        # equals diag(U_t^H G U_t) with the dense G
-        for alpha in (0.8, 0.9):
-            _, noise, h = eva_instance(m, n, alpha, seed=m)
+    # (M, N, alphas, beta): MN = 15 and 384; MN = 64, where V's steep columns
+    # (38 at alpha = 0.8) outnumber the 34 the EVD's spare workspace holds and
+    # pass through it one block of V at a time; beta = 1, where no eigenvalue
+    # of G is flat (191 of 192 are steep); and M None for the floored all-ones
+    # G of order 8
+    @pytest.mark.parametrize("m, n, alphas, beta", [
+        (5, 3, (0.8, 0.9), 0.25), (64, 6, (0.8, 0.9), 0.25), (8, 8, (0.8, 0.9), 0.25),
+        (32, 6, (0.5,), 1.0), (None, 8, (None,), None),
+    ], ids=["5-3", "64-6", "8-8", "32-6-beta1", "all-ones"])
+    def test_phi_is_the_dense_quadratic_form(self, m, n, alphas, beta):
+        # phi from G's steep eigenpairs, applied through the reflectors and Z,
+        # equals diag(U_t^H G U_t) with the dense G, and the gains path's is the same
+        for alpha in alphas:
+            if m is None:
+                noise = noise_shape(np.ones(n))
+                h = complex_gaussian(np.random.default_rng(n), n * n).reshape(n, n)
+                assert noise.floored == n - 1
+            else:
+                _, noise, h = eva_instance(m, n, alpha, seed=m, beta=beta)
             sol = derive_subchannels(h, noise)
             oracle = np.einsum("in,in->n", sol.U_t.conj(), noise.dense_g() @ sol.U_t).real
             assert np.abs(sol.phi - oracle).max() <= 1e-12 * oracle.max()
+            xi, phi = subchannel_gains(h, noise)
+            assert np.array_equal(xi, sol.xi) and np.array_equal(phi, sol.phi)
 
     def test_phi_positive(self):
         shape, noise, h = eva_instance(8, 4, 0.85, seed=4)
@@ -632,8 +657,8 @@ class TestGramBuffer:
         g = c.conj().T @ c
         g = np.triu(g) + np.triu(g, 1).conj().T  # the Hermitian matrix the upper triangle holds
         u_ref, xi_ref = hermitian_evd_desc(g)
-        ev, u_t = _openblas.eigh_inplace(precoder._neg_gram(c))
-        assert np.array_equal(-ev, xi_ref) and np.array_equal(u_t, u_ref)
+        evd = _openblas.HermitianEVD(precoder._neg_gram(c))
+        assert np.array_equal(-evd.w, xi_ref) and np.array_equal(evd.basis(), u_ref)
 
     @pytest.mark.parametrize("n", [1, 15, 64, 125, 193])
     def test_zherk_triangle_matches_numpy_strips(self, monkeypatch, rng, n):
