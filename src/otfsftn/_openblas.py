@@ -6,8 +6,8 @@ functions, and lapacke and cblas bind ILP64 LAPACKE and CBLAS routines on
 first use, not at import.  HermitianEVD runs the divide-and-conquer EVD
 (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) as its three LAPACK
 stages, zhetrd, dstedc and zunmtr, through their _work entry points, so
-every workspace is a numpy buffer the solve owns: the tridiagonal's
-eigenvectors and dstedc's n^2-sized workspace share one buffer, where
+every workspace is a numpy buffer: the tridiagonal's eigenvectors and
+dstedc's n^2-sized workspace share one buffer, which a caller may lend, where
 numpy's eigh (zheevd) takes about two more n x n matrices, and zunmtr
 back-transforms any block.  zhbev takes the eigenvalues of a Hermitian band
 matrix from its band storage.  ctypes releases the GIL, so worker threads
@@ -113,15 +113,15 @@ class HermitianEVD:
     """The Hermitian s, from its upper triangle, as conj(Q Z) diag(w) conj(Q Z)^H in three stages.
 
     s is read column-major with uplo L, as s^T = conj(s): zhetrd reduces it in place to a real
-    tridiagonal (s keeps the reflectors Q), and dstedc writes its eigenpairs, w ascending and Z
-    in the first n^2 doubles of a complex buffer of (n + 1)^2 entries, its workspace after them.
+    tridiagonal (s keeps the reflectors Q), and dstedc writes its eigenpairs, w ascending and Z in
+    the first n^2 doubles of buf (flat complex, (n + 1)^2 entries; new if None), its workspace after.
     spare is the C-ordered n-row tail of that spent workspace, room for n/2 + 2 columns or more.
     zunmtr applies Q^T to a block of it (apply_qt), or Q to Z widened in place (basis).  Any s but
     a square C-contiguous complex128 one, or a BLAS without the three routines, takes
     np.linalg.eigh, which leaves s intact: there Q is its basis, Z = I and zt None.
     """
 
-    def __init__(self, s: np.ndarray):
+    def __init__(self, s: np.ndarray, buf: np.ndarray | None = None):
         n = self.n = s.shape[0]
         if (any(lapacke(r) is None for r in _STAGES) or s.shape != (n, n)
                 or s.dtype != np.complex128 or not s.flags.c_contiguous):
@@ -130,7 +130,7 @@ class HermitianEVD:
             return
         ld = self.ld = max(n, 1)
         d, e, self.tau = np.empty(n), np.empty(ld), np.empty(ld, dtype=np.complex128)
-        self.q, self.buf = s, np.empty((n + 1) ** 2, dtype=np.complex128)
+        self.q, self.buf = s, np.empty((n + 1) ** 2, dtype=np.complex128) if buf is None else buf
         real = self.buf.view(np.float64)
         lwork = np.empty(2, dtype=np.complex128)  # zhetrd's optimum, zunmtr's on n x n (or fewer rows)
         _call("zhetrd_work", b"L", n, s, ld, d, e, self.tau, lwork, -1)

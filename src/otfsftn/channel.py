@@ -4,10 +4,11 @@ Channels are lists of paths, each a (complex gain, integer delay tap,
 integer + fractional Doppler tap) tuple.  The EVA profile maps the 3GPP
 excess-delay table onto the grid's tap resolution with Jakes-model Doppler
 per tap; the synthetic profile draws distinct (delay, Doppler) pairs with
-unit average total power.  From a path list the dense effective matrix H
+unit average total power.  From a path list the effective matrix H
 combines channel dispersion with the matched-filter response of the config's
-pulse, its roll-off beta sampled at its packing ratio alpha; only the oracles
-form its delay-Doppler image H_eq = conjugate_by_dd(H, shape).
+pulse, its roll-off beta sampled at its packing ratio alpha.  channel_strips
+emits H a column strip at a time, which effective_channel stacks into the
+dense H; only the oracles form its delay-Doppler image H_eq.
 
 A brute-force continuous-time simulator (oversampled pulse train, per-path
 delay-and-Doppler, discrete matched filtering) serves as the independent
@@ -22,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EVA_DELAYS_NS, EVA_POWERS_DB, SystemConfig
-from .precoder import STRIP
 from .pulse import check_alpha, lag_windows, rrc_impulse
 from .transforms import GridShape, dd_to_time
+
+# columns per strip wherever a full MN x MN temporary would otherwise be formed
+STRIP = 64
 
 # waveform_oracle's pulse truncation half-width, in units of T0, and its
 # samples per compressed symbol interval T_f
@@ -163,6 +166,59 @@ def channel_for_config(cfg: SystemConfig, rng: np.random.Generator) -> DdChannel
     return synthetic_channel(ch.num_paths, ch.l_max, ch.k_max, ch.frac_doppler, rng)
 
 
+def _checked_taps(chan: DdChannel, cfg: SystemConfig) -> tuple[int, list[tuple[int, np.ndarray]]]:
+    """cfg's prefix length, once cfg and chan are checked, and per delay tap, ascending, the
+    row weights: every path on a tap shares its matched-filter response, so their
+    Doppler-rotated gains sum into one weight per row k."""
+    if cfg.cp_mode not in ("literal", "circular"):
+        raise ValueError(f"cp_mode must be 'literal' or 'circular', got '{cfg.cp_mode}'")
+    check_alpha(cfg.alpha, cfg.beta)
+    cp, mn = cfg.effective_cp_len(), cfg.MN
+    if chan.max_delay_tap() >= cp:
+        raise ValueError(f"channel delay tap {chan.max_delay_tap()} exceeds CP length {cp} - 1")
+    if cp > mn:  # the prefix image at m - MN would have to wrap more than once
+        raise ValueError(f"CP length {cp} exceeds the frame length MN = {mn}")
+    k = np.arange(mn)
+    return cp, [(tap, sum(p.gain * np.exp(2j * np.pi * p.doppler_tap * (k - tap) / mn)
+                          for p in chan.paths if p.delay_tap == tap))
+                for tap in sorted({p.delay_tap for p in chan.paths})]
+
+
+def column_strips(n: int, size: int) -> list[slice]:
+    """channel_strips' column strips of an n x n H in size complex entries: at most STRIP
+    columns, and few enough that a strip, its product and a real window sum fit."""
+    width = min(STRIP, 2 * size // (5 * n))
+    return [slice(j, min(j + width, n)) for j in range(0, n, width)]
+
+
+def channel_strips(chan: DdChannel, cfg: SystemConfig, buf: np.ndarray):
+    """Yield (columns, H[:, columns]) over column_strips(MN, buf.size), H as effective_channel's,
+    each strip built at the head of the flat complex buf with its temporaries after it and
+    valid until the next is yielded."""
+    cp, weights = _checked_taps(chan, cfg)
+    mn, l_top = cfg.MN, chan.max_delay_tap()
+    # rows l_top - l + k of the windows hold g((k - m - l)*T_f) for delay tap l,
+    # and the MN rows after those its prefix image at m - MN, which in circular
+    # mode each of the last cp columns also receives
+    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, cfg.alpha, cfg.beta)
+    keep = mn - cp if cfg.cp_mode == "circular" else mn
+    for j in column_strips(mn, buf.size):
+        size = mn * (j.stop - j.start)
+        h, prod = buf[:size].reshape(mn, -1), buf[size : 2 * size].reshape(mn, -1)
+        both = buf[2 * size :].view(np.float64)[:size].reshape(mn, -1)
+        own = max(keep - j.start, 0)  # columns before keep, which take no prefix image
+        h[...] = 0.0
+        for tap, weight in weights:
+            main = w[l_top - tap : l_top - tap + mn, j]
+            np.multiply(weight[:, None], main[:, :own], out=prod[:, :own])
+            if own < h.shape[1]:
+                image = w[l_top - tap + mn : l_top - tap + 2 * mn, j]
+                np.add(main[:, own:], image[:, own:], out=both[:, own:])
+                np.multiply(weight[:, None], both[:, own:], out=prod[:, own:])
+            h += prod
+        yield j, h
+
+
 def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
     """Dense MN x MN effective channel H for the configured packing ratio and roll-off.
 
@@ -171,47 +227,27 @@ def effective_channel(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
     contributes its cyclic-prefix image at position m - MN, which is how the
     transmitted prefix makes the dispersive response wrap around the frame.
     In literal mode the formula applies verbatim with no wraparound.  The
-    mode is cfg.cp_mode.
+    mode is cfg.cp_mode.  H is channel_strips' strips, 16 columns wide.
     """
-    mode = cfg.cp_mode
-    if mode not in ("literal", "circular"):
-        raise ValueError(f"cp_mode must be 'literal' or 'circular', got '{mode}'")
-    alpha = cfg.alpha
-    check_alpha(alpha, cfg.beta)
-    mn = cfg.MN
-    cp = cfg.effective_cp_len()
-    if chan.max_delay_tap() >= cp:
-        raise ValueError(f"channel delay tap {chan.max_delay_tap()} exceeds CP length {cp} - 1")
-    if cp > mn:  # the prefix image at m - MN would have to wrap more than once
-        raise ValueError(f"CP length {cp} exceeds the frame length MN = {mn}")
-
-    # rows l_top - l + k of the windows hold g((k - m - l)*T_f) for delay tap l,
-    # and the MN rows after those its prefix image at m - MN, which in circular
-    # mode each of the last cp columns also receives
-    l_top = chan.max_delay_tap()
-    w = lag_windows(np.arange(-(mn - 1) - l_top, 2 * mn), mn, alpha, cfg.beta)
-    keep = mn - cp if mode == "circular" else mn
-    k = np.arange(mn)
-
-    h = np.zeros((mn, mn), dtype=complex)
-    for tap in sorted({p.delay_tap for p in chan.paths}):
-        # every path on this tap shares one matched-filter response; sum their
-        # Doppler-rotated gains into a single row weight
-        weight = sum(p.gain * np.exp(2j * np.pi * p.doppler_tap * (k - tap) / mn)
-                     for p in chan.paths if p.delay_tap == tap)[:, None]
-        if alpha == 1.0:
-            # the windows are Kronecker deltas: row k takes the weight at column
-            # k - tap, or in circular mode its prefix image at k - tap + MN >= keep
-            rows = k if mode == "circular" else k[tap:]
-            h[rows, (rows - tap) % mn] += weight[rows, 0]
-            continue
-        main = w[l_top - tap : l_top - tap + mn]
-        image = w[l_top - tap + mn : l_top - tap + 2 * mn]
-        # a strip's product and numpy's complex copy of its real window fit in STRIP x MN
-        for rows in (slice(r, r + STRIP // 2) for r in range(0, mn, STRIP // 2)):
-            h[rows, :keep] += weight[rows] * main[rows, :keep]
-            h[rows, keep:] += weight[rows] * (main[rows, keep:] + image[rows, keep:])
+    h = np.empty((cfg.MN, cfg.MN), dtype=complex)
+    for j, strip in channel_strips(chan, cfg, np.empty(40 * cfg.MN, dtype=complex)):
+        h[:, j] = strip
     return h
+
+
+def nyquist_entries(chan: DdChannel, cfg: SystemConfig) -> tuple[np.ndarray, ...]:
+    """(rows, columns, values) of H's nonzeros at alpha = 1, in np.nonzero's order.  There the
+    windows are Kronecker deltas: row k takes each tap l's weight at column k - l, in circular
+    mode at its prefix image k - l + MN where k < l."""
+    if cfg.alpha != 1.0:
+        raise ValueError(f"H is a scatter of tap weights only at alpha = 1, got {cfg.alpha}")
+    taps, weights = zip(*_checked_taps(chan, cfg)[1])
+    rows = np.arange(cfg.MN)[:, None]
+    cols, values = rows - np.array(taps), np.array(weights).T
+    live = (values != 0.0) & ((cols >= 0) | (cfg.cp_mode == "circular"))
+    order = np.argsort(cols % cfg.MN, axis=1)  # in each row, columns ascending
+    live, cols, values = (np.take_along_axis(a, order, axis=1) for a in (live, cols % cfg.MN, values))
+    return np.broadcast_to(rows, live.shape)[live], cols[live], values[live]
 
 
 def waveform_oracle(x_p: np.ndarray, chan: DdChannel, cfg: SystemConfig) -> np.ndarray:

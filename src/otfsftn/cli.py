@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, SystemConfig, config_digest, parse_config
-from .harness import SERIAL_BLAS_MAX_MN, channel_dump, run_ber_sweep, run_rate_sweep, validate
+from .harness import SERIAL_BLAS_MAX_MN, channel_dump, run_ber_sweep, run_rate_sweep, validate, work_items
 
 
 def _positive_int(text: str) -> int:
@@ -43,16 +44,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    threads_help = (f"trial worker threads, one BLAS thread each; a frame of at most {SERIAL_BLAS_MAX_MN} "
-                    "symbols runs BLAS on one thread at any count, a larger one at 1 on your BLAS threads")
+    threads_help = ("trial worker threads, one BLAS thread each (default: one per usable CPU, "
+                    "at most one per trial, or per frame block of a BER point); a frame of at "
+                    f"most {SERIAL_BLAS_MAX_MN} symbols runs BLAS on one thread at any count, a "
+                    "larger one at 1 on your BLAS threads")
 
     p_rate = sub.add_parser("rate", help="information-rate sweep to CSV")
     common(p_rate, True)
-    p_rate.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
+    p_rate.add_argument("--threads", type=_positive_int, default=None, help=threads_help)
 
     p_ber = sub.add_parser("ber", help="uncoded BER sweep to CSV")
     common(p_ber, True)
-    p_ber.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
+    p_ber.add_argument("--threads", type=_positive_int, default=None, help=threads_help)
     p_ber.add_argument("--llr-out", default=None, help="also dump per-frame LLR records here")
 
     p_dump = sub.add_parser("channel-dump", help="serialize one channel realization")
@@ -123,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _sink(args.out) as out, _sink(llr_out) as llr_sink:
             passed = True
+            if getattr(args, "threads", 1) is None:  # a worker per usable CPU, none beyond the work
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+                args.threads = min(cpus or 1, work_items(cfg, args.command))
             if args.command == "rate":
                 text = run_rate_sweep(cfg, threads=args.threads, digest=digest).to_csv()
             elif args.command == "ber":

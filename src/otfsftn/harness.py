@@ -12,7 +12,8 @@ the user's count.  CSVs, and LLR dumps run on one BLAS thread, are
 byte-identical for any threads; other BLAS counts split reductions
 differently and may move gains and LLRs in the last digits.  At alpha = 1 the
 identity channel's G, H and gains are exactly I, I and 1, so its BER CSV does
-not depend on the BLAS thread count.
+not depend on the BLAS thread count.  Each sweep keeps one threading.local, on
+which every gains solve of a worker reuses that worker's pair of buffers.
 
 A BER point water-fills and bit-loads each channel's gains (subchannel_gains)
 and draws its frames on the scalar-equivalent link (link.scalar_frames),
@@ -28,6 +29,7 @@ and worker threads map whole blocks.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
@@ -162,6 +164,12 @@ def _trial_map(threads: int, mn: int):
             yield pinned_map
 
 
+def work_items(cfg: SystemConfig, command: str) -> int:
+    """How many items a sweep's pool maps at once: trials, or a BER point's frame blocks."""
+    width = FRAME_BLOCK if command == "ber" and cfg.channel.profile == "identity" else 1
+    return -(-cfg.trials // width)
+
+
 def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = None) -> SweepResult:
     """Information-rate curves: water-filled, uniform-power and Nyquist baselines.
 
@@ -177,6 +185,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     validate_config(cfg)
     shape = GridShape(cfg.M, cfg.N)
     rows: list[RatePoint] = []
+    bufs = threading.local()  # each worker's gains buffers
     with _trial_map(threads, cfg.MN) as trial_map:
         channels = [
             channel_for_config(cfg, trial_rng(cfg.master_seed, 0, t)) for t in range(cfg.trials)
@@ -186,7 +195,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
             noise = gram_matrix(shape, alpha, cfg.beta)
 
             def one_trial(chan):
-                xi, phi = subchannel_gains(effective_channel(chan, cfg_a), noise)
+                xi, phi = subchannel_gains(chan, cfg_a, noise, bufs)
                 mi = np.empty((len(cfg.snr_db_grid), 2))
                 for i, snr_db in enumerate(cfg.snr_db_grid):
                     snr = snr_linear(snr_db)
@@ -196,6 +205,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
                 return mi
 
             mean_mi = np.mean(trial_map(one_trial, channels), axis=0)
+            del noise  # before the next alpha's noise shape is factored
 
             # (config, mode, MI column) of each row this alpha emits
             curves = [(cfg_a, "pa", 0), (cfg_a, "no_pa", 1)] if alpha in cfg.alpha_grid else []
@@ -233,6 +243,7 @@ def run_ber_sweep(
     width = FRAME_BLOCK if shared else 1
     blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
     rows: list[BerRow] = []
+    bufs = threading.local()  # each worker's gains buffers
     with _trial_map(threads, cfg.MN) as trial_map:
         if llr_sink is not None:
             llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
@@ -244,7 +255,7 @@ def run_ber_sweep(
             cfg_a = cfg.with_alpha(alpha)
             noise = gram_matrix(shape, alpha, cfg.beta)
             if shared:
-                gains_shared = subchannel_gains(effective_channel(identity_channel(), cfg_a), noise)
+                gains_shared = subchannel_gains(identity_channel(), cfg_a, noise, bufs)
             for snr_db in cfg.snr_db_grid:
                 snr = snr_linear(snr_db)
                 sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
@@ -260,7 +271,7 @@ def run_ber_sweep(
                     rng = trial_rng(cfg.master_seed, point_idx, block.start)
                     if link is None:
                         chan = channel_for_config(cfg_a, rng)
-                        xi, gamma, loading = load(*subchannel_gains(effective_channel(chan, cfg_a), noise))
+                        xi, gamma, loading = load(*subchannel_gains(chan, cfg_a, noise, bufs))
                     else:
                         xi, gamma, loading = link
                     tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, len(block))

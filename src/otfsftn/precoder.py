@@ -15,7 +15,8 @@ sum(gamma*phi) = MN, the subchannel count, or uniform) it forms the
 precoder P_t = U_t diag(gamma)^{1/2}.  The receive weights
 D_t = (V diag(lam)^{-1/2} C U_t)^H do not depend on gamma, so the derivation
 forms them and keeps D_t, not C; subchannel_gains runs the same
-decomposition for the gains alone.  D_t H P_t = diag(xi*sqrt(gamma)) and
+decomposition for the gains alone from the path list, folding each strip of
+H into C in a pair of buffers each thread of a sweep reuses.  D_t H P_t = diag(xi*sqrt(gamma)) and
 D_t G D_t^H = diag(xi), so the link becomes a bank of parallel scalar
 Gaussian subchannels with gains xi and powers gamma, whatever phases the
 eigensolver gives U_t: row j of D_t turns against column j, and phi ignores both.
@@ -27,11 +28,14 @@ the same xi and phi.  Only the oracles form that pair.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _openblas
+from .channel import STRIP, DdChannel, channel_strips, column_strips, effective_channel, nyquist_entries
+from .config import SystemConfig
 from .pulse import NoiseShape
 
 # subchannels whose whitened gain falls below this fraction of the largest
@@ -39,9 +43,6 @@ from .pulse import NoiseShape
 XI_ACTIVE_REL = 1e-12
 
 FLAT_EPS = np.finfo(float).eps  # phi drops G's eigenvalues within MN*FLAT_EPS of its largest, relative
-
-# columns per strip wherever a full MN x MN temporary would otherwise be formed
-STRIP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,23 +100,20 @@ def hermitian_evd_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evd.basis(), -evd.w
 
 
-def _whiten(h: np.ndarray, noise: NoiseShape) -> np.ndarray:
-    """The whitened channel C = diag(lam)^{-1/2} V^T H, each strip of H folded straight into C's."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (noise.n, noise.n):
-        raise ValueError(f"H {h.shape} does not match the noise shape {(noise.n, noise.n)}")
-    c = np.empty(h.shape, dtype=complex)
-    for j in _strips(noise.n):
-        noise.vt(h[:, j], out=c[:, j])
-    c /= np.sqrt(noise.lam)[:, None]
+def _whiten(strips, noise: NoiseShape, c: np.ndarray) -> np.ndarray:
+    """The whitened channel C = diag(lam)^{-1/2} V^T H into the n x n c, each strip
+    (columns, H[:, columns]) of H folded straight into C's and divided there."""
+    root = np.sqrt(noise.lam)[:, None]
+    for j, h in strips:
+        np.divide(noise.vt(h, out=c[:, j]), root, out=c[:, j])
     return c
 
 
-def _neg_gram(c: np.ndarray) -> np.ndarray:
-    """-C^H C in the row-major upper triangle only; the rest is unset.  The loaded OpenBLAS's
-    zherk writes it, or where it has none numpy does, one row strip at a time."""
+def _neg_gram(c: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """-C^H C in the row-major upper triangle only of the C-ordered s (new if None); the rest is
+    unset.  The loaded OpenBLAS's zherk writes it, or where it has none numpy does, by row strips."""
     k, n = c.shape
-    s = np.empty((n, n), dtype=np.result_type(c.dtype, np.float64))
+    s = np.empty((n, n), dtype=np.result_type(c.dtype, np.float64)) if s is None else s
     if (herk := _openblas.cblas("zherk")) is not None and c.dtype == np.complex128 and c.flags.c_contiguous:
         herk(*_openblas.ROW_UPPER_CONJ, n, k, -1.0, c.ctypes.data, n, 0.0, s.ctypes.data, n)
         return s
@@ -154,7 +152,12 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     The noise shape carries the floored spectrum, and floored reports how
     many eigenvalues it clamped.  phi is subchannel_gains' to the bit.
     """
-    c = _whiten(h, noise)
+    h, n = np.asarray(h, dtype=complex), noise.n
+    if h.shape != (n, n):
+        raise ValueError(f"H {h.shape} does not match the noise shape {(n, n)}")
+    # the gains path's strips, so that C, and xi and phi with it, match it bit for bit
+    strips = ((j, h[:, j]) for j in column_strips(n, (n + 1) ** 2))
+    c = _whiten(strips, noise, np.empty((n, n), dtype=complex))
     evd = _openblas.HermitianEVD(_neg_gram(c))
     xi, phi = np.maximum(-evd.w, 0.0), _phi(evd, noise)
     u_t = evd.basis()
@@ -167,19 +170,19 @@ def derive_subchannels(h: np.ndarray, noise: NoiseShape) -> Subchannels:
     return Subchannels(noise=noise, U_t=u_t, xi=xi, phi=phi, D=np.conjugate(w, out=w).T)
 
 
-def _folded_band(h: np.ndarray) -> np.ndarray:
-    """H^H H as lower band storage in the order (0, n-1, 1, n-2, ...).
+def _folded_band(chan: DdChannel, cfg: SystemConfig) -> np.ndarray:
+    """H^H H at alpha = 1 as lower band storage in the order (0, n-1, 1, n-2, ...).
 
-    Where G = I, H has one nonzero per delay tap in each row, so H^H H is a
-    cyclic band and its folded half-width, read from H's nonzeros, is at most
-    2*l_max (n - 1 for a dense H).  The band sums products of pairs of nonzeros in each row.
+    There G = I and H has one nonzero per delay tap in each row (nyquist_entries), so H^H H is a
+    cyclic band and its folded half-width is at most 2*l_max.  The band sums products of pairs of
+    a row's nonzeros, in the order of H's rows and then its columns.
     """
-    n = h.shape[0]
-    rows, cols = np.nonzero(h)
+    n = cfg.MN
+    rows, cols, v = nyquist_entries(chan, cfg)
     f = np.where(cols < (n + 1) // 2, 2 * cols, 2 * (n - cols) - 1)  # folded positions
     start = np.flatnonzero(np.diff(rows, prepend=-1))
     kd = int((np.maximum.reduceat(f, start) - np.minimum.reduceat(f, start)).max(initial=0))
-    v, ab = h[rows, cols], np.zeros((n, kd + 1), dtype=complex)
+    ab = np.zeros((n, kd + 1), dtype=complex)
     for d in range(kd + 1):  # a row's nonzeros are at most kd apart
         same = rows[d:] == rows[: rows.size - d]
         p, q, z = f[: rows.size - d][same], f[d:][same], (v[: rows.size - d].conj() * v[d:])[same]
@@ -188,28 +191,33 @@ def _folded_band(h: np.ndarray) -> np.ndarray:
     return ab
 
 
-def subchannel_gains(h: np.ndarray, noise: NoiseShape) -> tuple[np.ndarray, np.ndarray]:
-    """The gains xi and energy weights phi of derive_subchannels(h, noise), with no basis or D_t.
+def subchannel_gains(chan: DdChannel, cfg: SystemConfig, noise: NoiseShape,
+                     bufs: threading.local | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """xi and phi of derive_subchannels(effective_channel(chan, cfg), noise), with no dense H.
 
-    Where G is exactly the identity, C = H and phi = 1: zhbev takes xi from
-    the folded band of H^H H, or the dense eigvalsh where the loaded BLAS
-    exports no zhbev.  Any other G takes the EVD short of U_t, and _phi.
-    H is never modified; it is released once C is formed and C once -C^H C
-    is, so a caller that passes H as a temporary holds at most two MN x MN
-    matrices, the reflectors and the EVD buffer, through the EVD and phi.
+    Where G is exactly the identity (alpha = 1), C = H and phi = 1: zhbev takes xi from the
+    folded band of H^H H summed from the taps (a BLAS without zhbev: the dense eigvalsh).
+    Any other G takes the EVD short of U_t, and _phi, in bufs.pair, two flat (MN + 1)^2
+    complex buffers made on first use (bufs: a sweep's threading.local; a new one if None).
+    H's strips are built in the first and folded into C in the second, zherk writes -C^H C
+    into the first, and the EVD's Z and workspace take the second: a solve on a reused pair
+    allocates no MN x MN array.
     """
-    if not noise.identity:
-        c = _whiten(h, noise)
-        del h
-        s = _neg_gram(c)
-        del c
-        evd = _openblas.HermitianEVD(s)
-        return np.maximum(-evd.w, 0.0), _phi(evd, noise)
-    if h.shape != (noise.n, noise.n):
-        raise ValueError(f"H {h.shape} does not match the noise shape {(noise.n, noise.n)}")
-    xi = (-np.linalg.eigvalsh(_neg_gram(h), UPLO="U") if _openblas.lapacke("zhbev") is None
-          else _openblas.band_eigvalsh(_folded_band(h))[::-1])
-    return np.maximum(xi, 0.0), np.ones(xi.size)
+    n = cfg.MN
+    if n != noise.n:
+        raise ValueError(f"H {(n, n)} does not match the noise shape {(noise.n, noise.n)}")
+    if noise.identity:
+        xi = (-np.linalg.eigvalsh(_neg_gram(effective_channel(chan, cfg)), UPLO="U")
+              if _openblas.lapacke("zhbev") is None
+              else _openblas.band_eigvalsh(_folded_band(chan, cfg))[::-1])
+        return np.maximum(xi, 0.0), np.ones(n)
+    bufs = threading.local() if bufs is None else bufs
+    if not hasattr(bufs, "pair"):
+        bufs.pair = tuple(np.empty((n + 1) ** 2, dtype=complex) for _ in range(2))
+    a, b = bufs.pair
+    c = _whiten(channel_strips(chan, cfg, a), noise, b[: n * n].reshape(n, n))
+    evd = _openblas.HermitianEVD(_neg_gram(c, a[: n * n].reshape(n, n)), b)
+    return np.maximum(-evd.w, 0.0), _phi(evd, noise)
 
 
 def waterfill(xi: np.ndarray, phi: np.ndarray, snr: float) -> tuple[np.ndarray, float]:

@@ -20,7 +20,7 @@ from otfsftn import (
     synthetic_channel,
     waveform_oracle,
 )
-from otfsftn.channel import channel_for_config, eva_profile
+from otfsftn.channel import channel_for_config, channel_strips, column_strips, eva_profile
 from otfsftn.config import ChannelConfig
 from otfsftn.pulse import lag_windows
 
@@ -459,6 +459,24 @@ class TestStridedBuild:
                                               for l in {p.delay_tap for p in chan.paths})
             wrapped += np.count_nonzero(np.triu(h, mn - cp_len + 1))
         assert (wrapped > 0) == (mode == "circular")
+
+    # MN = 15, 64 and 384: the gains path's strips are 6, 26 and 64 columns wide,
+    # effective_channel's 16, and keep = MN - cp_len falls inside a strip of both
+    @pytest.mark.parametrize("m,n,cp_len", [(5, 3, 4), (16, 4, 4), (64, 6, 4)])
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    def test_effective_channel_is_the_stacked_strips(self, m, n, cp_len, alpha):
+        channel = ChannelConfig(profile="synthetic", num_paths=6, l_max=cp_len - 1, k_max=1,
+                                frac_doppler=True)
+        mn = m * n
+        for mode in ("circular", "literal"):
+            cfg = identity_config(m, n, alpha, cp_len=cp_len, cp_mode=mode, channel=channel)
+            chan = channel_for_config(cfg, np.random.default_rng(mn))
+            buf = np.empty((mn + 1) ** 2, dtype=complex)
+            strips = [(j, strip.copy()) for j, strip in channel_strips(chan, cfg, buf)]
+            assert [j for j, _ in strips] == column_strips(mn, buf.size)
+            assert any(j.start < mn - cp_len < j.stop for j, _ in strips)
+            stacked = np.hstack([strip for _, strip in strips])
+            assert effective_channel(chan, cfg).tobytes() == stacked.tobytes()
 
     def test_peak_memory_is_h_plus_a_strip(self):
         # H itself plus one row strip's product; no lag-index matrix and no

@@ -5,7 +5,9 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,12 +288,36 @@ class TestNoiseShapePerInstance:
         sizes = []
         real = _openblas.HermitianEVD
         monkeypatch.setattr(
-            _openblas, "HermitianEVD", lambda s: sizes.append(s.shape) or real(s))
+            _openblas, "HermitianEVD", lambda s, *buf: sizes.append(s.shape) or real(s, *buf))
         cfg = parse_config(self.SMALL)
         assert 1.0 in cfg.alpha_grid
         run_rate_sweep(cfg, threads=2)
         # one per trial at alphas 0.8 and 0.9, none at alpha = 1 (G = I)
         assert len(sizes) == 2 * cfg.trials
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_one_buffer_pair_per_worker(self, monkeypatch, threads):
+        # every gains solve of a worker, at both alphas below 1, reuses its one pair; more
+        # workers than cores and a short switch interval give a shared pair its chance to show
+        pairs = {}
+        real = harness.subchannel_gains
+
+        def spy(chan, cfg, noise, bufs):
+            out = real(chan, cfg, noise, bufs)
+            if cfg.alpha < 1.0:
+                pairs.setdefault(threading.get_ident(), set()).add(id(bufs.pair))
+            return out
+
+        cfg = parse_config(self.SMALL)
+        serial = run_rate_sweep(cfg).to_csv()
+        monkeypatch.setattr(harness, "subchannel_gains", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_rate_sweep(cfg, threads=threads).to_csv() == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(pairs) <= threads and all(len(ids) == 1 for ids in pairs.values())
 
     def test_rate_sweep_never_forms_receive_weights(self, monkeypatch):
         import otfsftn.precoder as precoder
@@ -471,7 +497,7 @@ class TestThreads:
         assert cfg.MN == 768 > harness.SERIAL_BLAS_MAX_MN
         set_up = self._spy_gains(monkeypatch, blas_two, name="gram_matrix")
         gains = self._spy_gains(monkeypatch, blas_two,
-                                stub=lambda h, noise: (np.ones(noise.n), np.ones(noise.n)))
+                                stub=lambda chan, cfg, noise, bufs: (np.ones(noise.n), np.ones(noise.n)))
         run_ber_sweep(cfg, threads=threads)
         assert set_up == [[2] * len(blas_two)]
         assert len(gains) == 2 and all(c == [1 if threads > 1 else 2] * len(blas_two) for c in gains)
@@ -571,6 +597,29 @@ class TestThreads:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             run_ber_sweep(cfg, threads=threads, llr_sink=sink)
         assert sink.getvalue() == ""
+
+    # (config, command, work items): 6 EVA trials; 140 identity-channel trials, 3 frame blocks
+    @pytest.mark.parametrize("text, command, items", [
+        (EVA_BER, "rate", 6), (EVA_BER, "ber", 6),
+        (AWGN_QPSK.replace("trials: 40", "trials: 140"), "ber", 3)])
+    @pytest.mark.parametrize("cpus", [1, 4, 8])
+    def test_cli_threads_default_to_cpus_and_work_items(self, tmp_path, monkeypatch, text, command,
+                                                        items, cpus):
+        import otfsftn.cli as cli
+
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        seen = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for name in ("run_rate_sweep", "run_ber_sweep"):
+            monkeypatch.setattr(cli, name, lambda cfg, threads, **kw: seen.append(threads) or
+                                SimpleNamespace(to_csv=lambda: ""))
+        out = str(tmp_path / "out.csv")
+        assert cli_main([command, "--config", str(cfg), "--out", out]) == 0
+        assert harness.work_items(parse_config(text), command) == items
+        assert seen == [min(cpus, items)]
+        assert cli_main([command, "--config", str(cfg), "--threads", "5", "--out", out]) == 0
+        assert seen == [min(cpus, items), 5]
 
     @pytest.mark.parametrize("command", ["rate", "ber"])
     @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -635,7 +635,7 @@ class TestScalarFrames:
         # 64-frame block from one generator; there xi = 1 and H, V, P and D are exactly I
         snr = snr_linear(4.0)
         shape, cfg, noise, h, sol = _solved_identity_link(32, 16, 1.0, snr=snr)
-        xi, phi = subchannel_gains(h, noise)
+        xi, phi = subchannel_gains(identity_channel(), cfg, noise)
         gamma = waterfill(xi, phi, snr)[0]
         np.testing.assert_array_equal(xi, sol.xi)
         np.testing.assert_array_equal(gamma, sol.gamma)

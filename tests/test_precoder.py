@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -22,10 +23,12 @@ from otfsftn import (
     waterfill,
 )
 import otfsftn._openblas as _openblas
-from otfsftn.channel import channel_for_config, synthetic_channel
+from otfsftn.channel import channel_for_config, column_strips, synthetic_channel
 import otfsftn.precoder as precoder
 from otfsftn.config import MAX_FRAME_SYMBOLS
-from otfsftn.harness import _VALIDATE_SHAPES, _check_precoder_identities, _eva_instance, run_rate_sweep
+from otfsftn.harness import (
+    _VALIDATE_SHAPES, _check_precoder_identities, _eva_instance, run_rate_sweep, trial_rng,
+)
 from otfsftn.precoder import XI_ACTIVE_REL, subchannel_gains
 from otfsftn.pulse import EIG_FLOOR_REL
 
@@ -49,13 +52,48 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def eva_instance(m, n, alpha, seed, nu_max=2000.0, beta=0.25):
+def eva_parts(m, n, alpha, seed, nu_max=2000.0, beta=0.25):
+    """(shape, cfg, chan, noise) of one EVA instance; eva_instance's H is effective_channel(chan, cfg)."""
     shape = GridShape(m, n)
     cfg = eva_config(m, n, alpha, beta=beta, nu_max=nu_max, seed=seed)
-    noise = gram_matrix(shape, alpha, beta)
     chan = eva_channel(nu_max, cfg, np.random.default_rng(seed))
-    h = effective_channel(chan, cfg)
-    return shape, noise, h
+    return shape, cfg, chan, gram_matrix(shape, alpha, beta)
+
+
+def eva_instance(m, n, alpha, seed, nu_max=2000.0, beta=0.25):
+    shape, cfg, chan, noise = eva_parts(m, n, alpha, seed, nu_max, beta)
+    return shape, noise, effective_channel(chan, cfg)
+
+
+def validate_instance(shape, alpha):
+    """(noise, cfg, chan, H) of validate's _eva_instance(shape, alpha, 20240901, 4)."""
+    noise, cfg, h = _eva_instance(shape, alpha, 20240901, 4)
+    return noise, cfg, channel_for_config(cfg, trial_rng(20240901, 0, 4)), h
+
+
+def whiten(h, noise):
+    """C from the dense H, on the gains path's column strips."""
+    n = noise.n
+    strips = ((j, h[:, j]) for j in column_strips(n, (n + 1) ** 2))
+    return precoder._whiten(strips, noise, np.empty((n, n), dtype=complex))
+
+
+def dense_folded_band(h):
+    """H^H H's folded lower band read from the nonzeros of a dense H (np.nonzero's
+    row-major order): the construction the taps-built band replaced, kept as its
+    byte-level reference."""
+    n = h.shape[0]
+    rows, cols = np.nonzero(h)
+    f = np.where(cols < (n + 1) // 2, 2 * cols, 2 * (n - cols) - 1)
+    start = np.flatnonzero(np.diff(rows, prepend=-1))
+    kd = int((np.maximum.reduceat(f, start) - np.minimum.reduceat(f, start)).max(initial=0))
+    v, ab = h[rows, cols], np.zeros((n, kd + 1), dtype=complex)
+    for d in range(kd + 1):
+        same = rows[d:] == rows[: rows.size - d]
+        p, q, z = f[: rows.size - d][same], f[d:][same], (v[: rows.size - d].conj() * v[d:])[same]
+        np.add.at(ab.reshape(-1), np.minimum(p, q) * kd + np.maximum(p, q),
+                  np.where(p >= q, z, z.conj()))
+    return ab
 
 
 class TestHermitianEvd:
@@ -202,12 +240,12 @@ class TestDeriveSubchannels:
         # the basis is fixed only up to a unit phase per column, in the staged
         # solve the sign of each real eigenvector of the tridiagonal: turning
         # each one leaves xi bit for bit and phi to rounding, and D_t turns against U_t
-        instances = [_eva_instance(shape, 0.9, 20240901, 4) for shape in _VALIDATE_SHAPES]
-        refs = [subchannel_gains(h, noise) for noise, _, h in instances]
+        instances = [validate_instance(shape, 0.9) for shape in _VALIDATE_SHAPES]
+        refs = [subchannel_gains(chan, cfg, noise) for noise, cfg, chan, _ in instances]
         real, turned = _openblas.HermitianEVD, []
 
-        def random_phases(s):
-            evd = real(s)
+        def random_phases(s, *buf):
+            evd = real(s, *buf)
             turned.append(evd.n)
             turn = np.random.default_rng(len(turned)).random(evd.n)
             if evd.zt is None:  # np.linalg.eigh's basis
@@ -217,8 +255,8 @@ class TestDeriveSubchannels:
             return evd
 
         monkeypatch.setattr(_openblas, "HermitianEVD", random_phases)
-        for (noise, _, h), (xi_ref, phi_ref) in zip(instances, refs):
-            xi, phi = subchannel_gains(h, noise)
+        for (noise, cfg, chan, _), (xi_ref, phi_ref) in zip(instances, refs):
+            xi, phi = subchannel_gains(chan, cfg, noise)
             assert np.array_equal(xi, xi_ref)
             assert np.abs(phi - phi_ref).max() <= 1e-13 * phi_ref.max()
         ok, detail = _check_precoder_identities(20240901)
@@ -292,7 +330,7 @@ class TestDeriveSubchannels:
     # (38 at alpha = 0.8) outnumber the 34 the EVD's spare workspace holds and
     # pass through it one block of V at a time; beta = 1, where no eigenvalue
     # of G is flat (191 of 192 are steep); and M None for the floored all-ones
-    # G of order 8
+    # G of order 8 (on the channel of an EVA instance at MN = 8)
     @pytest.mark.parametrize("m, n, alphas, beta", [
         (5, 3, (0.8, 0.9), 0.25), (64, 6, (0.8, 0.9), 0.25), (8, 8, (0.8, 0.9), 0.25),
         (32, 6, (0.5,), 1.0), (None, 8, (None,), None),
@@ -302,15 +340,16 @@ class TestDeriveSubchannels:
         # equals diag(U_t^H G U_t) with the dense G, and the gains path's is the same
         for alpha in alphas:
             if m is None:
+                _, cfg, chan, _ = eva_parts(4, 2, 0.8, seed=n)
                 noise = noise_shape(np.ones(n))
-                h = complex_gaussian(np.random.default_rng(n), n * n).reshape(n, n)
                 assert noise.floored == n - 1
             else:
-                _, noise, h = eva_instance(m, n, alpha, seed=m, beta=beta)
+                _, cfg, chan, noise = eva_parts(m, n, alpha, seed=m, beta=beta)
+            h = effective_channel(chan, cfg)
             sol = derive_subchannels(h, noise)
             oracle = np.einsum("in,in->n", sol.U_t.conj(), noise.dense_g() @ sol.U_t).real
             assert np.abs(sol.phi - oracle).max() <= 1e-12 * oracle.max()
-            xi, phi = subchannel_gains(h, noise)
+            xi, phi = subchannel_gains(chan, cfg, noise)
             assert np.array_equal(xi, sol.xi) and np.array_equal(phi, sol.phi)
 
     def test_phi_positive(self):
@@ -528,7 +567,7 @@ class TestSubchannelGains:
         cfg = identity_config(8, 4, 1.0, cp_len=4)
         chan = synthetic_channel(12, 3, 2, True, np.random.default_rng(5))
         h = effective_channel(chan, cfg)
-        xi, phi = subchannel_gains(h, noise)
+        xi, phi = subchannel_gains(chan, cfg, noise)
         ref = derive_subchannels(h, noise).xi
         assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
         assert np.all(phi == 1.0)
@@ -556,47 +595,69 @@ class TestSubchannelGains:
                                 k_max=2, frac_doppler=True)
         cfg = identity_config(m, n, 1.0, cp_len=cp_len, cp_mode=mode, channel=channel)
         cfg = replace(cfg, delta_f_hz=30e3)
-        h = effective_channel(channel_for_config(cfg, np.random.default_rng(m * n)), cfg)
+        chan = channel_for_config(cfg, np.random.default_rng(m * n))
+        h = effective_channel(chan, cfg)
         noise = gram_matrix(GridShape(m, n), 1.0, 0.25)
         ref = np.maximum(np.linalg.eigvalsh(h.conj().T @ h)[::-1], 0.0)
-        assert (16 * (precoder._folded_band(h).shape[1] - 1) <= m * n) == narrow
+        band = precoder._folded_band(chan, cfg)
+        assert band.tobytes() == dense_folded_band(h).tobytes()
+        assert (16 * (band.shape[1] - 1) <= m * n) == narrow
         if _openblas.lapacke("zhbev") is None:
             pytest.skip("numpy's BLAS exports no LAPACKE_zhbev")
-        xi, phi = subchannel_gains(h, noise)
+        xi, phi = subchannel_gains(chan, cfg, noise)
         assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
         assert np.all(phi == 1.0)
         with monkeypatch.context() as mp:  # a BLAS with no zhbev takes the dense route
             mp.setattr(_openblas, "lapacke", lambda routine: None)
-            dense, _ = subchannel_gains(h, noise)
+            dense, _ = subchannel_gains(chan, cfg, noise)
         assert np.abs(dense - ref).max() <= 1e-12 * ref.max()
 
     def test_band_route_serves_wide_and_dense_h(self, monkeypatch):
-        # delay taps up to 7 give kd > MN/16 = 4 at MN = 64, and a dense H
-        # gives kd = MN - 1; only a BLAS without zhbev takes the dense route
-        cfg = identity_config(8, 8, 1.0, cp_len=8, channel=ChannelConfig(
-            profile="synthetic", num_paths=16, l_max=7, k_max=2))
-        wide = effective_channel(channel_for_config(cfg, np.random.default_rng(2)), cfg)
-        dense = complex_gaussian(np.random.default_rng(3), 64 * 64).reshape(64, 64)
-        assert 16 * (precoder._folded_band(wide).shape[1] - 1) > 64
-        assert precoder._folded_band(dense).shape == (64, 64)
+        # delay taps up to 7 give kd > MN/16 = 4 at MN = 64, and a tap on every
+        # delay of the frame a dense H, kd = MN - 1; only a BLAS without zhbev
+        # takes the dense route
+        instances = []
+        for l_max, seed in ((7, 2), (63, 3)):
+            cfg = identity_config(8, 8, 1.0, cp_len=l_max + 1, channel=ChannelConfig(
+                profile="synthetic", num_paths=16 if l_max == 7 else 64, l_max=l_max,
+                k_max=2 if l_max == 7 else 0))
+            chan = channel_for_config(cfg, np.random.default_rng(seed))
+            instances.append((cfg, chan, effective_channel(chan, cfg)))
+        (wide_cfg, wide, _), (dense_cfg, dense, dense_h) = instances
+        assert 16 * (precoder._folded_band(wide, wide_cfg).shape[1] - 1) > 64
+        assert np.count_nonzero(dense_h) == 64 * 64
+        assert precoder._folded_band(dense, dense_cfg).shape == (64, 64)
         noise = gram_matrix(GridShape(8, 8), 1.0, 0.25)
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a, **kw: calls.append(a.shape) or real(a, **kw))
-        for h in (wide, dense):
+        for cfg, chan, h in instances:
             ref = np.maximum(real(h.conj().T @ h)[::-1], 0.0)
             if _openblas.lapacke("zhbev") is not None:
-                xi, _ = subchannel_gains(h, noise)
+                xi, _ = subchannel_gains(chan, cfg, noise)
                 assert calls == []
                 assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
             with monkeypatch.context() as mp:
                 mp.setattr(_openblas, "lapacke", lambda routine: None)
                 mp.setattr(_openblas, "band_eigvalsh", lambda ab: pytest.fail("band route ran"))
-                xi, _ = subchannel_gains(h, noise)
+                xi, _ = subchannel_gains(chan, cfg, noise)
             assert calls == [(64, 64)]
             assert np.abs(xi - ref).max() <= 1e-12 * ref.max()
             calls.clear()
+
+    @pytest.mark.parametrize("mode", ["circular", "literal"])
+    @pytest.mark.parametrize("l_max, num_paths, k_max", [(7, 16, 2), (63, 64, 0)])
+    def test_taps_band_is_the_dense_band(self, mode, l_max, num_paths, k_max):
+        # MN = 64 with kd > MN/16, and with a tap on every delay (a dense H, kd = MN - 1):
+        # summed from the taps, the band has the bytes of the one read from H's nonzeros
+        cfg = identity_config(8, 8, 1.0, cp_len=l_max + 1, cp_mode=mode, channel=ChannelConfig(
+            profile="synthetic", num_paths=num_paths, l_max=l_max, k_max=k_max, frac_doppler=True))
+        for seed in range(3):
+            chan = channel_for_config(cfg, np.random.default_rng(seed))
+            band = precoder._folded_band(chan, cfg)
+            assert 16 * (band.shape[1] - 1) > 64
+            assert band.tobytes() == dense_folded_band(effective_channel(chan, cfg)).tobytes()
 
     def test_nyquist_rate_sweep_calls_no_eigvalsh(self, monkeypatch):
         if _openblas.lapacke("zhbev") is None:
@@ -616,34 +677,89 @@ class TestSubchannelGains:
             pytest.skip("numpy's BLAS exports no LAPACKE_zhbev")
         cfg = identity_config(64, 6, 1.0, cp_len=4, channel=ChannelConfig(
             profile="synthetic", num_paths=20, l_max=3, k_max=5, frac_doppler=True))
-        h = effective_channel(channel_for_config(cfg, np.random.default_rng(1)), cfg)
+        chan = channel_for_config(cfg, np.random.default_rng(1))
         noise = gram_matrix(GridShape(64, 6), 1.0, 0.25)
-        assert traced_peak(lambda: subchannel_gains(h, noise)) <= 0.25 * 16 * cfg.MN**2
+        assert traced_peak(lambda: subchannel_gains(chan, cfg, noise)) <= 0.25 * 16 * cfg.MN**2
 
     def test_full_derivation_where_g_is_not_identity(self):
-        _, noise, h = eva_instance(8, 4, 0.9, seed=3)
-        xi, phi = subchannel_gains(h, noise)
-        sub = derive_subchannels(h, noise)
+        _, cfg, chan, noise = eva_parts(8, 4, 0.9, seed=3)
+        xi, phi = subchannel_gains(chan, cfg, noise)
+        sub = derive_subchannels(effective_channel(chan, cfg), noise)
         assert np.array_equal(xi, sub.xi) and np.array_equal(phi, sub.phi)
 
 
     def test_numpy_peak_memory_is_two_matrices(self):
-        # the gains hold C and the EVD buffer while it is built, then the
-        # buffer and the basis the EVD writes, plus column strips; C is
-        # released before the EVD (3.17 matrices when C^H C was formed whole
-        # and then copied for LAPACK)
-        shape, noise, h = eva_instance(64, 6, 0.8, seed=1)
+        # a solve on fresh buffers holds the pair and column strips: H is built
+        # strip by strip in the first buffer, C in the second, and the EVD
+        # reuses both (3.17 matrices when C^H C was formed whole and then
+        # copied for LAPACK, 2.15 beside a dense H when H was passed in)
+        shape, cfg, chan, noise = eva_parts(64, 6, 0.8, seed=1)
         assert shape.MN == 384
-        assert traced_peak(lambda: subchannel_gains(h, noise)) <= 2.5 * 16 * shape.MN**2
+        assert traced_peak(lambda: subchannel_gains(chan, cfg, noise)) <= 2.5 * 16 * shape.MN**2
 
     def test_h_passed_as_a_temporary_is_released(self):
-        # H is released once C is formed, so H is not held through the EVD
-        # beside its buffer and basis (3.33 matrices while the gains kept H)
-        shape, noise, _ = eva_instance(64, 6, 0.8, seed=1)
-        cfg = eva_config(64, 6, 0.8, seed=1)
-        chan = eva_channel(2000.0, cfg, np.random.default_rng(1))
-        peak = traced_peak(lambda: subchannel_gains(effective_channel(chan, cfg), noise))
-        assert peak <= 2.5 * 16 * shape.MN**2
+        # no H is passed any more: the gains are solved from the path list, so
+        # no dense H is held through the EVD beside its buffers (3.33 matrices
+        # while the gains kept H); here on the rate sweep's 20-path channel
+        cfg = identity_config(64, 6, 0.8, cp_len=4, channel=ChannelConfig(
+            profile="synthetic", num_paths=20, l_max=3, k_max=5, frac_doppler=True))
+        chan = channel_for_config(cfg, np.random.default_rng(1))
+        noise = gram_matrix(GridShape(64, 6), 0.8, 0.25)
+        assert traced_peak(lambda: subchannel_gains(chan, cfg, noise)) <= 2.5 * 16 * cfg.MN**2
+
+
+class TestGainsBuffers:
+    """subchannel_gains on a thread's pair of reused buffers, kept on a threading.local."""
+
+    # alpha = 0.8 on the synthetic and the EVA channel and alpha = 1, at MN = 64
+    # (strips of 26 columns) and 192 (64 columns); keep = MN - 4 falls inside a strip
+    @pytest.mark.parametrize("mode", ["circular", "literal"])
+    @pytest.mark.parametrize("profile, m, n, alpha", [
+        ("synthetic", 16, 4, 0.8), ("eva", 32, 6, 0.8), ("synthetic", 32, 6, 1.0),
+        ("eva", 16, 4, 1.0)])
+    def test_a_warm_pair_keeps_no_state(self, profile, m, n, alpha, mode):
+        channel = ChannelConfig(profile=profile, num_paths=20, l_max=3, k_max=5,
+                                frac_doppler=True, nu_max_hz=2000.0)
+        cfg = identity_config(m, n, alpha, cp_len=4, cp_mode=mode, delta_f_hz=30e3, channel=channel)
+        other = replace(cfg, cp_mode="literal" if mode == "circular" else "circular")
+        noise = gram_matrix(GridShape(m, n), alpha, 0.25)
+        chan_a, chan_b = (channel_for_config(cfg, np.random.default_rng(s)) for s in (1, 2))
+        fresh = subchannel_gains(chan_b, cfg, noise, threading.local())
+        bufs = threading.local()
+        subchannel_gains(chan_a, other, noise, bufs)  # instance A leaves its data in the pair
+        warm = subchannel_gains(chan_b, cfg, noise, bufs)
+        assert all(w.tobytes() == f.tobytes() for w, f in zip(warm, fresh))
+        assert hasattr(bufs, "pair") == (alpha < 1.0)  # the band route takes no pair
+        if alpha < 1.0:
+            for buf in bufs.pair:  # so a read of anything B does not write shows
+                buf.fill(np.nan)
+            poisoned = subchannel_gains(chan_b, cfg, noise, bufs)
+            assert all(w.tobytes() == f.tobytes() for w, f in zip(poisoned, fresh))
+        strips = column_strips(cfg.MN, (cfg.MN + 1) ** 2)
+        assert any(j.start < cfg.MN - 4 < j.stop for j in strips)
+
+    def test_a_warm_solve_allocates_no_matrix(self):
+        # the pair holds H's strips, C, -C^H C, Z and the EVD's workspace; what
+        # is left is fold and phi strips, the reflectors' scalars and the windows
+        shape, cfg, chan, noise = eva_parts(64, 6, 0.8, seed=1)
+        bufs = threading.local()
+        assert traced_peak(lambda: subchannel_gains(chan, cfg, noise, bufs)) <= 0.5 * 16 * shape.MN**2
+
+    def test_each_thread_has_its_own_pair(self):
+        _, cfg, chan, noise = eva_parts(4, 2, 0.8, seed=1)
+        bufs, pairs = threading.local(), []
+
+        def solve():
+            subchannel_gains(chan, cfg, noise, bufs)
+            pairs.append(bufs.pair)
+
+        worker = threading.Thread(target=solve)
+        worker.start()
+        worker.join()
+        solve()
+        solve()
+        assert pairs[1] is pairs[2]
+        assert not any(np.shares_memory(a, b) for a in pairs[0] for b in pairs[1])
 
 
 class TestGramBuffer:
@@ -653,7 +769,7 @@ class TestGramBuffer:
     def test_kernel_matches_checked_entry(self, m, n):
         # MN = 15, 192 and 384: odd, and not a multiple of STRIP
         _, noise, h = eva_instance(m, n, 0.8, seed=m)
-        c = precoder._whiten(h, noise)
+        c = whiten(h, noise)
         g = c.conj().T @ c
         g = np.triu(g) + np.triu(g, 1).conj().T  # the Hermitian matrix the upper triangle holds
         u_ref, xi_ref = hermitian_evd_desc(g)
@@ -681,21 +797,22 @@ class TestGramBuffer:
         for alpha in (0.8, 1.0):
             _, noise, h = eva_instance(m, n, alpha, seed=m)
             ref = np.empty(h.shape, complex)
-            for j in precoder._strips(noise.n):
+            for j in column_strips(noise.n, (noise.n + 1) ** 2):
                 np.divide(noise.vt(np.ascontiguousarray(h[:, j])), np.sqrt(noise.lam)[:, None],
                           out=ref[:, j])
-            assert precoder._whiten(h, noise).tobytes() == ref.tobytes()
+            assert whiten(h, noise).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("staged", [True, False])
     def test_only_the_upper_triangle_is_read(self, monkeypatch, staged):
         if staged:
             needs_staged_evd()
-        _, noise, h = eva_instance(8, 5, 0.8, seed=4)
+        _, cfg, chan, noise = eva_parts(8, 5, 0.8, seed=4)
+        h = effective_channel(chan, cfg)
         ref = derive_subchannels(h, noise)
         real = precoder._neg_gram
 
-        def poisoned(c):
-            s = real(c)
+        def poisoned(c, *out):
+            s = real(c, *out)
             s[np.tril_indices(s.shape[0], -1)] = np.nan
             return s
 
@@ -705,7 +822,7 @@ class TestGramBuffer:
         sub = derive_subchannels(h, noise)
         assert np.abs(sub.xi - ref.xi).max() <= 1e-12 * ref.xi.max()
         assert np.abs(phase_aligned(sub.U_t, ref.U_t) - ref.U_t).max() <= 1e-8
-        xi, phi = subchannel_gains(h, noise)
+        xi, phi = subchannel_gains(chan, cfg, noise)
         assert np.array_equal(xi, sub.xi) and np.array_equal(phi, sub.phi)
 
     def test_derivation_peak_memory(self):
@@ -751,13 +868,14 @@ class TestFinalize:
     def test_phi_sums_to_mn(self, alpha, rng):
         # sum(phi) = tr(U_t^H G U_t) = tr G = MN at any floor, so unit powers meet
         # sum(gamma*phi) = MN; alpha None is gram-floor-policy's all-ones G, 7 of 8 eigenvalues floored
-        if alpha is None:
-            instances = [(noise_shape(np.ones(8)), complex_gaussian(rng, 64).reshape(8, 8))]
+        if alpha is None:  # the gains on an MN = 8 EVA channel
+            _, cfg, chan, _ = eva_parts(4, 2, 0.8, seed=8)
+            instances = [(noise_shape(np.ones(8)), cfg, chan, complex_gaussian(rng, 64).reshape(8, 8))]
             assert instances[0][0].floored == 7
         else:
-            instances = [_eva_instance(shape, alpha, 20240901, 4)[::2] for shape in _VALIDATE_SHAPES]
-        for noise, h in instances:
-            for phi in (derive_subchannels(h, noise).phi, subchannel_gains(h, noise)[1]):
+            instances = [validate_instance(shape, alpha) for shape in _VALIDATE_SHAPES]
+        for noise, cfg, chan, h in instances:
+            for phi in (derive_subchannels(h, noise).phi, subchannel_gains(chan, cfg, noise)[1]):
                 assert abs(phi.sum() - noise.n) <= 1e-12 * noise.n
 
     def test_finalize_requires_gamma(self):
