@@ -13,7 +13,8 @@ byte-identical for any threads; other BLAS counts split reductions
 differently and may move gains and LLRs in the last digits.  At alpha = 1 the
 identity channel's G, H and gains are exactly I, I and 1, so its BER CSV does
 not depend on the BLAS thread count.  Each sweep keeps one threading.local, on
-which every gains solve of a worker reuses that worker's pair of buffers.
+which every gains solve of a worker reuses that worker's pair of buffers and
+every frame block its link.FrameWorkspace.
 
 A BER point water-fills and bit-loads each channel's gains (subchannel_gains)
 and draws its frames on the scalar-equivalent link (link.scalar_frames),
@@ -52,6 +53,7 @@ from .channel import (
 )
 from .link import (
     LLR_DUMP_HEADER,
+    FrameWorkspace,
     bit_loading,
     format_llr_records,
     hard_detect,
@@ -243,7 +245,7 @@ def run_ber_sweep(
     width = FRAME_BLOCK if shared else 1
     blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
     rows: list[BerRow] = []
-    bufs = threading.local()  # each worker's gains buffers
+    bufs = threading.local()  # each worker's gains buffers and frame workspace
     with _trial_map(threads, cfg.MN) as trial_map:
         if llr_sink is not None:
             llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
@@ -274,8 +276,11 @@ def run_ber_sweep(
                         xi, gamma, loading = load(*subchannel_gains(chan, cfg_a, noise, bufs))
                     else:
                         xi, gamma, loading = link
-                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, len(block))
-                    rx = hard_detect(y_d, xi, gamma, loading)
+                    if not hasattr(bufs, "frames"):
+                        bufs.frames = FrameWorkspace(cfg.MN, width)
+                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, len(block),
+                                                 workspace=bufs.frames)
+                    rx = hard_detect(y_d, xi, gamma, loading, workspace=bufs.frames)
                     counter = ber_accumulate(tx_bits, rx, BerCounter())
                     records = []
                     if llr_sink is not None:

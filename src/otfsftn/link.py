@@ -126,6 +126,15 @@ def _span(idx: np.ndarray) -> np.ndarray | slice:
     return slice(idx[0], idx[-1] + 1) if idx.size and idx[-1] - idx[0] + 1 == idx.size else idx
 
 
+class FrameWorkspace:
+    """Buffers a worker reuses, as leading views, for each block of at most `frames` frames of mn symbols:
+    real holds the 2k x MN normals, then hard_detect's quotients once those are in y_d; y_d the observations."""
+
+    def __init__(self, mn: int, frames: int) -> None:
+        self.real = np.empty(2 * frames * mn)
+        self.y_d = np.empty(frames * mn, dtype=complex)
+
+
 @dataclass
 class FrameRecord:
     """A block of simulated frames, one per column, from bits to diagonalized observation."""
@@ -194,8 +203,8 @@ def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
 
 
 def _axis_levels(frames: np.ndarray, loading: Loading, parts: np.ndarray) -> None:
-    """Write bit rows' symbols into zeroed rows of parts as complex bytes: an axis's label is its half of
-    the bits, its rank k the label's prefix XORs, its level the table's (2^(nbits/2) - 1 - 2k) d."""
+    """Write bit rows' symbols into the loaded subchannels of parts' rows as complex bytes: an axis's label is
+    its half of the bits, its rank k the label's prefix XORs, its level the table's (2^(nbits/2) - 1 - 2k) d."""
     for nbits, sel, rows in loading.groups:
         g = frames[:, _span(rows.ravel())].reshape(len(frames), 2 * sel.size, nbits // 2)
         rank = prefix = g[..., 0]
@@ -218,12 +227,14 @@ def transmit(x: np.ndarray, sol: PrecoderSolution) -> np.ndarray:
     return sol.P @ x
 
 
-def _scaled_white(var: np.ndarray, sigma0_sq: float, rng: np.random.Generator, k: int) -> np.ndarray:
+def _scaled_white(var: np.ndarray, sigma0_sq: float, rng: np.random.Generator, k: int,
+                  *, workspace: FrameWorkspace | None = None) -> np.ndarray:
     """sqrt(sigma0^2 var / 2) w for a 2k x MN standard normal w drawn in one call, whose
-    rows 2t and 2t + 1 are frame t's real and imaginary parts."""
+    rows 2t and 2t + 1 are frame t's real and imaginary parts; w is the head of workspace.real, if given."""
     if not 0.0 <= sigma0_sq < np.inf:
         raise ValueError(f"sigma0_sq must be non-negative and finite, got {sigma0_sq}")
-    w = rng.standard_normal((2 * k, var.size))
+    out = None if workspace is None else workspace.real[: 2 * k * var.size].reshape(2 * k, var.size)
+    w = rng.standard_normal((2 * k, var.size), out=out)
     return np.multiply(w, np.sqrt(0.5 * sigma0_sq * var), out=w)
 
 
@@ -304,19 +315,24 @@ def _logsumexp(m: np.ndarray) -> np.ndarray:
     return peak + np.log(np.exp(m - peak[..., None]).sum(axis=-1))
 
 
-def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loading) -> np.ndarray:
+def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loading,
+                *, workspace: FrameWorkspace | None = None) -> np.ndarray:
     """Minimum-distance decisions per diagonal subchannel, demapped to bits.
 
     Per axis, v = y (1/a) and _decisions' breakpoints give the first-index argmin of |v - level|,
     ties to the lowest Gray label.  An MN x k block of observations gives a total_bits x k block.
+    The quotients v overwrite workspace.real, if given.
     """
     a, frames = _observations(y_d, xi, gamma, loading)
     out = np.empty((frames.shape[0], loading.total_bits), dtype=np.uint8)
     for nbits, sel, rows in loading.groups:
         edges, table = _decisions(nbits)
-        # per frame, each subchannel's y / a as (re, im), times 1/a as numpy's y / a rounds; the
-        # complex product can flip only the sign of an exact zero, which no label depends on
-        v = np.multiply(frames[:, _span(sel)], 1.0 / a[sel], order="C").view(np.float64)
+        # per frame, each subchannel's y / a as (re, im): each part times 1/a, as numpy's y / a rounds
+        # it but for the sign of an exact zero, which no label depends on; real, not complex, so that
+        # numpy broadcasts 1/a through a 64 KiB buffer, not a 128 KiB one
+        y = np.ascontiguousarray(frames[:, _span(sel)]).view(np.float64)
+        v = np.multiply(y, np.repeat(1.0 / a[sel], 2), order="C",
+                        out=None if workspace is None else workspace.real[: y.size].reshape(y.shape))
         # QPSK's bit is 1 from its first breakpoint to its second
         bits = (v >= edges[0]) ^ (v >= edges[1]) if nbits == 2 else table[np.searchsorted(edges, v, side="right")]
         out[:, _span(rows.ravel())] = bits.reshape(len(frames), rows.size)
@@ -324,9 +340,14 @@ def hard_detect(y_d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, loading: Loa
 
 
 def _draw_bits(loading: Loading, rng: np.random.Generator, k: int) -> np.ndarray:
-    """k frames' bits, one frame per column, from one integers call: the bits k
-    frame-by-frame calls integers(0, 2, total_bits) would draw."""
-    return rng.integers(0, 2, (k, loading.total_bits), dtype=np.int64).astype(np.uint8).T
+    """k frames' bits, one frame per column: the bits k frame-by-frame calls integers(0, 2,
+    total_bits) would draw, drawn as int64 for whole frames at a time straight into a uint8 block."""
+    n = loading.total_bits
+    bits = np.empty((k, n), dtype=np.uint8)
+    step = max(1, 16383 // max(n, 1))  # below 128 KiB of int64s, glibc's default mmap threshold
+    for t in range(0, k, step):
+        bits[t : t + step] = rng.integers(0, 2, (min(step, k - t), n), dtype=np.int64)
+    return bits.T
 
 
 def run_frame(
@@ -349,15 +370,18 @@ def run_frame(
 
 def scalar_frames(
     loading: Loading, xi: np.ndarray, gamma: np.ndarray, sigma0_sq: float,
-    rng: np.random.Generator, k: int,
+    rng: np.random.Generator, k: int, *, workspace: FrameWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """run_frame's tx_bits and y_d, drawn from rng as run_frame draws them, on the
     scalar equivalent y_d = xi sqrt(gamma) x + n, n_k ~ CN(0, sigma0^2 xi_k), as
     D H P = diag(xi*sqrt(gamma)) and D G D^H = diag(xi).  A variance of 0 gives
-    no noise; a negative or non-finite one raises."""
+    no noise; a negative or non-finite one raises.  Given a workspace, the noise
+    and y_d take its buffers, and y_d is valid until the workspace's next block."""
     tx_bits = _draw_bits(loading, rng, k)
-    w = _scaled_white(xi, sigma0_sq, rng, k)
-    y_d = np.zeros((xi.size, k), complex, order="F")
+    w = _scaled_white(xi, sigma0_sq, rng, k, workspace=workspace)
+    y_d = (np.empty((k, xi.size), complex) if workspace is None
+           else workspace.y_d[: k * xi.size].reshape(k, xi.size)).T
+    y_d[loading.bits_per_symbol == 0] = 0  # _axis_levels writes only the loaded subchannels
     parts = y_d.T.view(np.float64)  # row t: frame t's real and imaginary parts, interleaved
     _axis_levels(tx_bits.T, loading, parts)
     parts *= np.repeat(xi * np.sqrt(gamma), 2)

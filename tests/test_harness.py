@@ -662,9 +662,9 @@ class TestTrialRng:
         return np.random.Generator(np.random.PCG64(seq))
 
     @staticmethod
-    def per_frame_scalar_frames(loading, xi, gamma, sigma0_sq, rng, k):
+    def per_frame_scalar_frames(loading, xi, gamma, sigma0_sq, rng, k, *, workspace=None):
         """The oracle of a block's draws: each frame's integers call, then one
-        standard_normal call per real or imaginary row, frame by frame."""
+        standard_normal call per real or imaginary row, frame by frame; it takes no workspace."""
         bits = np.array([rng.integers(0, 2, loading.total_bits) for _ in range(k)], np.uint8)
         w = np.array([rng.standard_normal(xi.size) for _ in range(2 * k)]) * np.sqrt(0.5 * sigma0_sq * xi)
         bits, w = bits.reshape(k, loading.total_bits).T, w.reshape(2 * k, xi.size)

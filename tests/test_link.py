@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +32,11 @@ from otfsftn import (
     waterfill,
 )
 from otfsftn.config import CODE_RATE, snr_linear, target_bits
-from otfsftn.harness import trial_rng
-from otfsftn.link import SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, format_llr_records
+from otfsftn.harness import FRAME_BLOCK, trial_rng
+from otfsftn.link import (
+    FrameWorkspace, SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, format_llr_records,
+)
+from otfsftn.metrics import BerCounter, ber_accumulate
 from otfsftn.precoder import subchannel_gains
 
 from conftest import complex_gaussian, eva_config, identity_config
@@ -750,8 +755,10 @@ class TestDrawBits:
         bits = [rng.integers(0, 2, size=loading.total_bits, dtype=np.int64) for _ in range(k)]
         return np.array(bits, np.uint8).reshape(k, loading.total_bits).T
 
-    @pytest.mark.parametrize("b", [[2, 4, 0, 6, 8, 2], [8, 6, 4, 2, 8], [0, 0], [2] * 7])
-    @pytest.mark.parametrize("k", [0, 1, 9])
+    # [2] * 512 is drawn 15 frames at a time and [8] * 1536 a frame at a time, each draw below
+    # 128 KiB of int64s where a frame allows it: k = 9 and 40 cross the draws' boundaries
+    @pytest.mark.parametrize("b", [[2, 4, 0, 6, 8, 2], [8, 6, 4, 2, 8], [0, 0], [2] * 7, [2] * 512, [8] * 1536])
+    @pytest.mark.parametrize("k", [0, 1, 9, 40])
     def test_matches_integers(self, b, k):
         loading = Loading(bits_per_symbol=np.array(b))
         rng, oracle_rng = np.random.default_rng(50), np.random.default_rng(50)
@@ -785,6 +792,85 @@ class TestDrawBits:
             assert bits.tobytes() == self.integers_oracle(loading, oracle_rng, 5).tobytes()
             draw = lambda g: g.integers(0, 2**31, 3, np.uint32).tobytes()  # reads any buffered half
             assert draw(rng) == draw(oracle_rng)  # and leaves the generators alike
+
+
+def largest_allocation(call):
+    """The most traced memory one bytecode instruction of call() adds to what it started with: the
+    largest block call() allocates, where no one instruction holds two large blocks at once."""
+    largest = start = 0
+
+    def trace(frame, event, arg):
+        nonlocal largest, start
+        frame.f_trace_opcodes = True
+        largest = max(largest, tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return trace
+
+    before = sys.gettrace()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sys.settrace(trace)
+        call()
+    finally:
+        sys.settrace(before)
+        tracemalloc.stop()
+    return largest
+
+
+class TestFrameWorkspace:
+    """Blocks on one reused FrameWorkspace against the same calls made with none."""
+
+    MN = 512
+    LOADINGS = {
+        "qpsk": Loading(bits_per_symbol=np.full(MN, 2)),
+        # powered subchannels left unloaded, as a target rate leaves them
+        "mixed": Loading(bits_per_symbol=np.tile([2, 0, 4, 6, 0, 8, 2, 0], MN // 8)),
+    }
+
+    @classmethod
+    def outputs(cls, loading, sigma0_sq, seed, k, workspace):
+        """tx_bits, y_d, hard decisions and LLRs of one block as bytes, and the generator's state after it."""
+        xi, gamma = np.linspace(0.5, 2.0, cls.MN), np.linspace(1.5, 0.5, cls.MN)
+        rng = np.random.default_rng(seed)
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, k, workspace=workspace)
+        rx = hard_detect(y_d, xi, gamma, loading, workspace=workspace)
+        soft = llr(y_d, xi, gamma, loading, sigma0_sq or 1.0)
+        if sigma0_sq == 0.0:
+            assert not y_d[loading.bits_per_symbol == 0].any()
+        return [(a.shape, a.tobytes()) for a in (tx_bits, y_d, rx, soft)] + [rng.bit_generator.state]
+
+    @pytest.mark.parametrize("frames, blocks", [
+        # a full block, then the partial last one of 1000 = 15 * 64 + 40 frames
+        (64, [("qpsk", 0.3, 1, 64), ("qpsk", 0.3, 2, 40)]),
+        # noiseless mixed blocks after QPSK: unloaded rows must not keep QPSK's values
+        (64, [("qpsk", 0.3, 3, 64), ("mixed", 0.0, 4, 64), ("mixed", 0.3, 5, 40), ("mixed", 0.0, 6, 9)]),
+        # one-frame blocks, as on a fading channel
+        (1, [("mixed", 0.3, 7, 1), ("qpsk", 0.3, 8, 1), ("mixed", 0.0, 9, 1)]),
+        # blocks of no frames after a full one
+        (64, [("qpsk", 0.3, 10, 64), ("mixed", 0.3, 11, 0), ("qpsk", 0.3, 12, 0), ("mixed", 0.0, 13, 1)]),
+    ])
+    def test_warm_workspace_keeps_no_state(self, frames, blocks):
+        workspace = FrameWorkspace(self.MN, frames)
+        for name, sigma0_sq, seed, k in blocks:
+            args = (self.LOADINGS[name], sigma0_sq, seed, k)
+            assert self.outputs(*args, workspace) == self.outputs(*args, None)
+
+    def test_warm_block_allocates_nothing_glibc_maps(self):
+        # a block of 128 KiB or more, glibc's default mmap threshold, maps and faults in fresh pages
+        loading, xi = self.LOADINGS["qpsk"], np.ones(self.MN)
+        rng = np.random.default_rng(14)
+
+        def block(workspace):
+            tx_bits, y_d = scalar_frames(loading, xi, xi, 0.3, rng, FRAME_BLOCK, workspace=workspace)
+            ber_accumulate(tx_bits, hard_detect(y_d, xi, xi, loading, workspace=workspace), BerCounter())
+
+        workspace = FrameWorkspace(self.MN, FRAME_BLOCK)
+        block(workspace)  # fills the workspace and the decision table
+        assert largest_allocation(lambda: block(workspace)) < 128 * 1024
+        assert largest_allocation(lambda: block(None)) >= 16 * self.MN * FRAME_BLOCK  # a fresh y_d
+        assert workspace.real.nbytes + workspace.y_d.nbytes <= 2 * 16 * self.MN * FRAME_BLOCK
 
 
 class TestFrameRecord:
