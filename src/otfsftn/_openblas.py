@@ -109,6 +109,17 @@ def _widen(buf: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
+@functools.cache
+def _lwork(n: int) -> int:
+    """The larger of zhetrd's optimal workspace and zunmtr's on n x n (or fewer rows), queried
+    once per n; a query reads only the sizes, so it is handed no matrix."""
+    lwork, none = np.empty(2, dtype=np.complex128), np.empty(1, dtype=np.complex128)
+    ld = max(n, 1)
+    _call("zhetrd_work", b"L", n, none, ld, none, none, none, lwork, -1)
+    _call("zunmtr_work", b"L", b"L", b"N", n, n, none, ld, none, none, ld, lwork[1:], -1)
+    return max(1, int(lwork.real.max()))
+
+
 class HermitianEVD:
     """The Hermitian s, from its upper triangle, as conj(Q Z) diag(w) conj(Q Z)^H in three stages.
 
@@ -132,10 +143,7 @@ class HermitianEVD:
         d, e, self.tau = np.empty(n), np.empty(ld), np.empty(ld, dtype=np.complex128)
         self.q, self.buf = s, np.empty((n + 1) ** 2, dtype=np.complex128) if buf is None else buf
         real = self.buf.view(np.float64)
-        lwork = np.empty(2, dtype=np.complex128)  # zhetrd's optimum, zunmtr's on n x n (or fewer rows)
-        _call("zhetrd_work", b"L", n, s, ld, d, e, self.tau, lwork, -1)
-        _call("zunmtr_work", b"L", b"L", b"N", n, n, s, ld, self.tau, self.buf, ld, lwork[1:], -1)
-        self.work = np.empty(max(1, int(lwork.real.max())), dtype=np.complex128)
+        self.work = np.empty(_lwork(n), dtype=np.complex128)
         _call("zhetrd_work", b"L", n, s, ld, d, e, self.tau, self.work, self.work.size)
         iwork = np.empty(3 + 5 * n, dtype=np.int64)
         _call("dstedc_work", b"I", n, d, e, real, ld, real[n * n :], real.size - n * n, iwork, iwork.size)

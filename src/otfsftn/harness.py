@@ -4,7 +4,7 @@ Every random draw derives from (master_seed, sweep_point_index, trial_index)
 through numpy's SeedSequence (trial_rng), so results are a pure function of
 the configuration and seed.
 
-With threads >= 2 a sweep maps its trials on one pool of that many worker
+With threads >= 2 a sweep maps its work on one pool of that many worker
 threads, with OpenBLAS pinned to one thread while they run.  A frame of at
 most SERIAL_BLAS_MAX_MN symbols pins it for the whole sweep, set-up included,
 at any threads; a larger frame's set-up, and its trials at threads == 1, keep
@@ -20,15 +20,20 @@ A BER point water-fills and bit-loads each channel's gains (subchannel_gains)
 and draws its frames on the scalar-equivalent link (link.scalar_frames),
 with no precoder or receive weights; validate holds it against the matrix
 link.  On a shared channel (profile identity) the gains are solved once per
-alpha and trial indices are cut into consecutive blocks of FRAME_BLOCK
-frames; a per-trial channel gives blocks of one frame, which first draws its
-channel.  Each block draws from one stream, trial_rng(master_seed, point,
-first trial of the block).  Block boundaries depend only on trial indices,
-and worker threads map whole blocks.
+alpha, and workers map blocks of FRAME_BLOCK consecutive trials, each drawn
+from one stream, trial_rng(master_seed, point, first trial of the block).
+On a per-trial channel workers only solve gains: the job of trial t at point
+p draws its channel from trial_rng(master_seed, p, t) and returns the gains
+and the stream, at most one point's trials past the one the calling thread
+reads.  That thread water-fills and bit-loads each trial and draws its frame
+from its stream as scalar_frames would (link.frame_draws), then runs the link
+once per block of trials on their stacked subchannels, STACK_MN at most.
+Block boundaries depend only on trial indices.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import threading
 import time
@@ -54,8 +59,11 @@ from .channel import (
 from .link import (
     LLR_DUMP_HEADER,
     FrameWorkspace,
+    Loading,
     bit_loading,
+    compose_frames,
     format_llr_records,
+    frame_draws,
     hard_detect,
     llr,
     run_frame,
@@ -73,6 +81,10 @@ from .transforms import GridShape, conjugate_by_dd, dd_to_time, dft_matrix, time
 # and detection, small enough that the MN x FRAME_BLOCK working set stays minor.
 # A block draws from one stream, so changing it changes the identity channel's outputs
 FRAME_BLOCK = 64
+
+# subchannels a block of per-trial channels stacks, at least one trial's: enough to run the
+# link's small-array work once for several trials, few enough that its temporaries stay minor
+STACK_MN = 2048
 
 # the largest frame whose sweep runs on one BLAS thread: up to here a second thread barely
 # shortens the EVD and spins idle between calls; from about MN = 510 up two threads win
@@ -144,26 +156,41 @@ def single_blas_thread():
             put(count)
 
 
+def _streamed(pool: ThreadPoolExecutor, fn, items: list, ahead: int):
+    """fn over items on the pool, results in order, with BLAS pinned to one thread from the
+    first read to the last and at most `ahead` items past the one read in flight."""
+    pending = collections.deque()
+    with single_blas_thread():
+        try:
+            for x in items:
+                pending.append(pool.submit(fn, x))
+                if len(pending) > ahead:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 @contextlib.contextmanager
 def _trial_map(threads: int, mn: int):
-    """Map trials serially (threads == 1) or on one worker pool per sweep.
+    """Map trials lazily, serially (threads == 1) or on one worker pool per sweep, results in order.
 
-    Pool maps pin BLAS to one thread, and a frame of at most SERIAL_BLAS_MAX_MN
-    symbols pins it for the whole context, set-up between maps included.
+    A map, trial_map(fn, items, ahead=len(items)), runs at most `ahead` items past the one
+    read.  Pool maps pin BLAS to one thread, and a frame of at most SERIAL_BLAS_MAX_MN
+    symbols pins it for the whole context, set-up between maps included.  A map left
+    unread is closed, and its pin lifted, when the context exits.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     with single_blas_thread() if mn <= SERIAL_BLAS_MAX_MN else contextlib.nullcontext():
         if threads == 1:
-            yield lambda fn, items: [fn(x) for x in items]
+            yield lambda fn, items, ahead=None: map(fn, items)
             return
-
-        def pinned_map(fn, items):
-            with single_blas_thread():
-                return list(pool.map(fn, items))
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield pinned_map
+        with ThreadPoolExecutor(max_workers=threads) as pool, contextlib.ExitStack() as maps:
+            yield lambda fn, items, ahead=None: maps.enter_context(contextlib.closing(
+                _streamed(pool, fn, items, len(items) if ahead is None else ahead)))
 
 
 def work_items(cfg: SystemConfig, command: str) -> int:
@@ -206,7 +233,7 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
                     mi[i, 1] = mi_sum(xi, np.ones(xi.size), snr)  # unit powers: sum(phi) = tr G = MN
                 return mi
 
-            mean_mi = np.mean(trial_map(one_trial, channels), axis=0)
+            mean_mi = np.mean(list(trial_map(one_trial, channels)), axis=0)
             del noise  # before the next alpha's noise shape is factored
 
             # (config, mode, MI column) of each row this alpha emits
@@ -242,54 +269,58 @@ def run_ber_sweep(
     """
     validate_config(cfg)
     shared = cfg.channel.profile == "identity"
-    width = FRAME_BLOCK if shared else 1
+    soft = llr_sink is not None
+    width = FRAME_BLOCK if shared else max(1, STACK_MN // cfg.MN)
     blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
     rows: list[BerRow] = []
     bufs = threading.local()  # each worker's gains buffers and frame workspace
     with _trial_map(threads, cfg.MN) as trial_map:
-        if llr_sink is not None:
+        if soft:
             llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
             llr_sink.write(LLR_DUMP_HEADER + "\n")
 
         shape = GridShape(cfg.M, cfg.N)
-        point_idx = 0
-        for alpha in cfg.alpha_grid:
+        for a, alpha in enumerate(cfg.alpha_grid):
+            points = range(a * len(cfg.snr_db_grid), (a + 1) * len(cfg.snr_db_grid))
             cfg_a = cfg.with_alpha(alpha)
             noise = gram_matrix(shape, alpha, cfg.beta)
             if shared:
-                gains_shared = subchannel_gains(identity_channel(), cfg_a, noise, bufs)
-            for snr_db in cfg.snr_db_grid:
+                xi, phi = subchannel_gains(identity_channel(), cfg_a, noise, bufs)
+            else:
+                def one_trial(key: tuple[int, int]) -> tuple:
+                    """(xi, phi, rng) of the trial key = (point, trial), rng past the channel draw."""
+                    rng = trial_rng(cfg.master_seed, *key)
+                    return *subchannel_gains(channel_for_config(cfg_a, rng), cfg_a, noise, bufs), rng
+
+                # one point's trials in flight past the one read
+                solved = trial_map(one_trial, [(p, t) for p in points for t in range(cfg.trials)], cfg.trials)
+            for point_idx, snr_db in zip(points, cfg.snr_db_grid):
                 snr = snr_linear(snr_db)
                 sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
-
-                def load(xi, phi):
-                    """Water-fill and bit-load the gains at this SNR."""
+                if shared:
                     gamma = waterfill(xi, phi, snr)[0]
-                    return xi, gamma, bit_loading(xi, gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
+                    loading = bit_loading(xi, gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
 
-                link = load(*gains_shared) if shared else None
+                    def one_block(block: range) -> tuple[BerCounter, list[str]]:
+                        rng = trial_rng(cfg.master_seed, point_idx, block.start)
+                        if not hasattr(bufs, "frames"):
+                            bufs.frames = FrameWorkspace(cfg.MN, FRAME_BLOCK)
+                        tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, len(block),
+                                                     workspace=bufs.frames)
+                        rx = hard_detect(y_d, xi, gamma, loading, workspace=bufs.frames)
+                        counter = ber_accumulate(tx_bits, rx, BerCounter())
+                        records = []
+                        if soft:
+                            llrs = llr(y_d, xi, gamma, loading, sigma0_sq)
+                            records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
+                        return counter, records
 
-                def one_block(block: range) -> tuple[BerCounter, list[str]]:
-                    rng = trial_rng(cfg.master_seed, point_idx, block.start)
-                    if link is None:
-                        chan = channel_for_config(cfg_a, rng)
-                        xi, gamma, loading = load(*subchannel_gains(chan, cfg_a, noise, bufs))
-                    else:
-                        xi, gamma, loading = link
-                    if not hasattr(bufs, "frames"):
-                        bufs.frames = FrameWorkspace(cfg.MN, width)
-                    tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, len(block),
-                                                 workspace=bufs.frames)
-                    rx = hard_detect(y_d, xi, gamma, loading, workspace=bufs.frames)
-                    counter = ber_accumulate(tx_bits, rx, BerCounter())
-                    records = []
-                    if llr_sink is not None:
-                        llrs = llr(y_d, xi, gamma, loading, sigma0_sq)
-                        records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
-                    return counter, records
-
+                    results = trial_map(one_block, blocks)
+                else:
+                    results = (_fading_block([next(solved) for _ in block], block, snr, cfg_a, soft)
+                               for block in blocks)
                 total = BerCounter()
-                for counter, records in trial_map(one_block, blocks):
+                for counter, records in results:
                     total = total.merge(counter)
                     for rec in records:
                         if rec:
@@ -302,9 +333,29 @@ def run_ber_sweep(
                         trials=cfg.trials,
                     )
                 )
-                point_idx += 1
     rows.sort(key=lambda r: (r.alpha, r.snr_db))
     return SweepResult(rows=tuple(rows), provenance=_provenance(cfg, digest))
+
+
+def _fading_block(trials: list, block: range, snr: float, cfg: SystemConfig,
+                  soft: bool) -> tuple[BerCounter, list[str]]:
+    """A block of trials on per-trial channels: each trial's (xi, phi, rng), in trial order, is
+    water-filled and bit-loaded and draws its frame from rng, and the link runs once on the
+    block's stacked subchannels.  Its counter and, if soft, each trial's LLR records."""
+    sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
+    xis, phis, rngs = zip(*trials)
+    gammas = [waterfill(x, p, snr)[0] for x, p in zip(xis, phis)]
+    loadings = [bit_loading(x, g, snr, cfg.target_rate_bps_hz, cfg) for x, g in zip(xis, gammas)]
+    draws = [frame_draws(ld, x, sigma0_sq, rng) for ld, x, rng in zip(loadings, xis, rngs)]
+    xi, gamma = np.concatenate(xis), np.concatenate(gammas)
+    loading = Loading(bits_per_symbol=np.concatenate([ld.bits_per_symbol for ld in loadings]))
+    tx_bits = np.concatenate([bits for bits, _ in draws])
+    y_d = compose_frames(loading, xi, gamma, tx_bits, np.concatenate([w for _, w in draws], axis=1))
+    counter = ber_accumulate(tx_bits, hard_detect(y_d, xi, gamma, loading), BerCounter())
+    if not soft:
+        return counter, []
+    llrs = np.split(llr(y_d, xi, gamma, loading, sigma0_sq)[:, 0], np.cumsum([ld.total_bits for ld in loadings])[:-1])
+    return counter, [format_llr_records(t, ld, v) for t, ld, v in zip(block, loadings, llrs)]
 
 
 def channel_dump(cfg: SystemConfig, digest: str | None = None) -> str:

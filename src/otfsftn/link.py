@@ -30,7 +30,6 @@ for bit 0.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -104,7 +103,9 @@ class Loading:
     @cached_property
     def bit_labels(self) -> list[str]:
         """'subchannel,bit' for each transmitted bit, in order, as LLR records label them."""
-        return [f"{n},{j}" for n, b in enumerate(self.bits_per_symbol.tolist()) for j in range(b)]
+        b = self.bits_per_symbol
+        n = np.repeat(np.arange(b.size), b)
+        return _labels(b.size)[n, np.arange(n.size) - np.repeat(np.cumsum(b) - b, b)].tolist()
 
     def loaded(self) -> np.ndarray:
         return np.flatnonzero(self.bits_per_symbol > 0)
@@ -117,6 +118,12 @@ class Loading:
         offsets = np.concatenate([[0], np.cumsum(b)])
         sels = ((nbits, np.flatnonzero(b == nbits)) for nbits in SUPPORTED_BITS)
         return tuple((nbits, sel, offsets[sel][:, None] + np.arange(nbits)) for nbits, sel in sels if sel.size)
+
+
+@cache
+def _labels(mn: int) -> np.ndarray:
+    """The mn x 8 object array of the strings 'n,j', the label of bit j of subchannel n."""
+    return np.array([f"{n},{j}" for n in range(mn) for j in range(8)], dtype=object).reshape(mn, 8)
 
 
 def _span(idx: np.ndarray) -> np.ndarray | slice:
@@ -177,15 +184,13 @@ def bit_loading(
             f"target rate {target_rate_bps_hz} bps/Hz needs {total} bits but only "
             f"{max_total} fit; maximum achievable rate is {max_rate:.6g} bps/Hz"
         )
-    s_eff = (xi * gamma * snr).tolist()
-    heap = [(-s_eff[n], n, 0) for n in np.flatnonzero(active).tolist()]
-    heapq.heapify(heap)  # largest margin first, the lowest index on ties
-    for _ in range(total // 2):
-        _, n, bits = heapq.heappop(heap)
-        b[n] = bits = bits + 2
-        if bits < 8:
-            heapq.heappush(heap, (-s_eff[n] / (1 << bits), n, bits))
-    return Loading(bits_per_symbol=b)
+    # a subchannel's 2 bits after b carry margin s / 2^b, which never exceeds the one before, so
+    # the greedy order is every powered subchannel's four margins sorted by (-margin, index,
+    # bits): largest first, the lowest index on ties; the stable sort keeps bits ascending
+    idx = np.repeat(np.flatnonzero(active), 4)
+    margin = ((xi * gamma * snr)[active][:, None] / np.array([1.0, 4.0, 16.0, 64.0])).ravel()
+    chosen = idx[np.lexsort((idx, -margin))[: total // 2]]
+    return Loading(bits_per_symbol=2 * np.bincount(chosen, minlength=xi.size))
 
 
 def map_bits(bits: np.ndarray, loading: Loading) -> np.ndarray:
@@ -379,15 +384,31 @@ def scalar_frames(
     and y_d take its buffers, and y_d is valid until the workspace's next block."""
     tx_bits = _draw_bits(loading, rng, k)
     w = _scaled_white(xi, sigma0_sq, rng, k, workspace=workspace)
-    y_d = (np.empty((k, xi.size), complex) if workspace is None
-           else workspace.y_d[: k * xi.size].reshape(k, xi.size)).T
+    y_d = None if workspace is None else workspace.y_d[: k * xi.size].reshape(k, xi.size).T
+    return tx_bits, compose_frames(loading, xi, gamma, tx_bits, w, y_d)
+
+
+def frame_draws(loading: Loading, xi: np.ndarray, sigma0_sq: float,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """scalar_frames' draws for a one-frame block, in its order: the bits, total_bits x 1, then
+    the 2 x MN noise rows sqrt(sigma0^2 xi / 2) w, the real row first."""
+    return _draw_bits(loading, rng, 1), _scaled_white(xi, sigma0_sq, rng, 1)
+
+
+def compose_frames(loading: Loading, xi: np.ndarray, gamma: np.ndarray, tx_bits: np.ndarray,
+                   w: np.ndarray, y_d: np.ndarray | None = None) -> np.ndarray:
+    """scalar_frames' MN x k y_d (new if None) from its draws, the bits tx_bits, total_bits x k,
+    and the 2k x MN noise w, rows 2t and 2t + 1 frame t's real and imaginary parts.  Each
+    element's arithmetic is its own, so subchannels stacked from several loadings compose
+    as each would alone."""
+    y_d = np.empty((len(w) // 2, xi.size), complex).T if y_d is None else y_d
     y_d[loading.bits_per_symbol == 0] = 0  # _axis_levels writes only the loaded subchannels
     parts = y_d.T.view(np.float64)  # row t: frame t's real and imaginary parts, interleaved
     _axis_levels(tx_bits.T, loading, parts)
     parts *= np.repeat(xi * np.sqrt(gamma), 2)
     parts[:, 0::2] += w[0::2]
     parts[:, 1::2] += w[1::2]
-    return tx_bits, y_d
+    return y_d
 
 
 LLR_DUMP_HEADER = "frame,subchannel,bit,llr"

@@ -420,6 +420,68 @@ class TestBerSweep:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("target, snr_db", [("1.2", 8.0), ("1.2", -4.0), ("null", 8.0)])
+    def test_fading_block_matches_per_trial_link(self, target, snr_db):
+        # a block of trials on one stacked link pass, against each trial water-filled,
+        # bit-loaded and run through scalar_frames, hard_detect and llr alone: mixed
+        # orders; at -4 dB unpowered subchannels; with no target, QPSK on every powered one
+        cfg = parse_config(EVA_BER + f"target_rate_bps_hz: {target}\n").with_alpha(0.9)
+        noise = harness.gram_matrix(harness.GridShape(cfg.M, cfg.N), 0.9, cfg.beta)
+        block = range(3, 9)
+
+        def solved():
+            out = []
+            for t in block:
+                rng = trial_rng(cfg.master_seed, 0, t)
+                chan = harness.channel_for_config(cfg, rng)
+                out.append((*harness.subchannel_gains(chan, cfg, noise), rng))
+            return out
+
+        snr, trials = 10.0 ** (snr_db / 10.0), solved()
+        counter, records = harness._fading_block(trials, block, snr, cfg, True)
+        errors = bits = 0
+        expected, loaded = [], []
+        for t, (xi, phi, rng) in zip(block, solved()):
+            gamma = harness.waterfill(xi, phi, snr)[0]
+            loading = harness.bit_loading(xi, gamma, snr, cfg.target_rate_bps_hz, cfg)
+            tx_bits, y_d = link.scalar_frames(loading, xi, gamma, 1.0 / snr, rng, 1)
+            errors += int(np.count_nonzero(harness.hard_detect(y_d, xi, gamma, loading) != tx_bits))
+            bits += tx_bits.size
+            expected.append(link.format_llr_records(t, loading, link.llr(y_d, xi, gamma, loading, 1.0 / snr)[:, 0]))
+            loaded.append(loading.bits_per_symbol)
+            np.testing.assert_equal(trials[t - block.start][2].bit_generator.state, rng.bit_generator.state)
+        assert (counter.errors, counter.total) == (errors, bits) and errors > 0
+        assert records == expected
+        b = np.array(loaded)
+        assert len({tuple(row) for row in b}) > 1 or target == "null"  # trials load differently
+        assert (b == 0).any()
+        assert (np.isin(b, (0, 2)).all()) == (target == "null")
+
+    def test_fading_points_stream_one_point_ahead(self, monkeypatch):
+        # workers run at most one point's trials past the trial the calling thread reads
+        seen = []
+        real = harness._streamed
+        monkeypatch.setattr(harness, "_streamed",
+                            lambda pool, fn, items, ahead: seen.append((len(items), ahead)) or real(pool, fn, items, ahead))
+        cfg = parse_config(EVA_BER.replace("snr_db_grid: [8]", "snr_db_grid: [8, 12, 16]"))
+        run_ber_sweep(cfg, threads=2)
+        assert seen == [(3 * cfg.trials, cfg.trials)]
+
+    def test_stream_keeps_order_and_bounds_jobs_in_flight(self):
+        from concurrent.futures import Future
+
+        submitted = []
+
+        class Pool:
+            def submit(self, fn, x):
+                submitted.append(x)
+                future = Future()
+                future.set_result(fn(x))
+                return future
+
+        for i, y in enumerate(harness._streamed(Pool(), lambda x: -x, list(range(10)), 3)):
+            assert y == -i and len(submitted) == min(10, i + 4)
+
     def test_llr_dump_identical_across_threads(self):
         cfg = parse_config(EVA_BER.replace("trials: 6", "trials: 4"))
         sinks = []
@@ -475,6 +537,22 @@ class TestThreads:
                 run_ber_sweep(parse_config(EVA_BER), threads=threads)
             assert seen and seen[0] == [1] * len(blas_two)
             assert _blas_counts(blas_two) == [2] * len(blas_two)
+
+    @pytest.mark.parametrize("text", [EVA_BER, AWGN_QPSK.replace("trials: 40", "trials: 140")],
+                             ids=["fading", "identity"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_restored_when_the_calling_thread_raises(self, blas_two, text, threads):
+        # writing the first LLR record fails while the map is part read, its pin held
+        # (threads 2); the sweep must still lift every pin it took
+        class FailingSink(io.StringIO):
+            def write(self, text):
+                if text.startswith("0,"):
+                    raise OSError("disk full")
+                return super().write(text)
+
+        with pytest.raises(OSError, match="disk full"):
+            run_ber_sweep(parse_config(text), threads=threads, llr_sink=FailingSink())
+        assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     @pytest.mark.parametrize("sweep", [run_rate_sweep, run_ber_sweep])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -670,6 +748,12 @@ class TestTrialRng:
         bits, w = bits.reshape(k, loading.total_bits).T, w.reshape(2 * k, xi.size)
         return bits, (xi * np.sqrt(gamma))[:, None] * link.map_bits(bits, loading) + (w[::2] + 1j * w[1::2]).T
 
+    @staticmethod
+    def per_row_frame_draws(loading, xi, sigma0_sq, rng):
+        """The oracle of one frame's draws: its integers call, then one standard_normal call per row."""
+        bits = rng.integers(0, 2, loading.total_bits).astype(np.uint8)[:, None]
+        return bits, np.array([rng.standard_normal(xi.size) for _ in range(2)]) * np.sqrt(0.5 * sigma0_sq * xi)
+
     @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("point_idx", [0, 7, 2**32])
     def test_states_match_seed_sequence(self, master_seed, point_idx):
@@ -693,9 +777,10 @@ class TestTrialRng:
     def test_sweep_matches_per_frame_oracle(self, monkeypatch, threads, profile):
         # CSV and LLR dump byte for byte against a hand-seeded stream per block
         # that draws frame by frame and row by row.  Identity: 130 trials in
-        # blocks of 64, 64 and 2 frames, each keyed by its first trial.
-        # Synthetic: blocks of one frame, whose generator first draws its
-        # channel, which can leave it holding a buffered 32-bit half word
+        # blocks of 64, 64 and 2 frames, each keyed by its first trial, drawn by
+        # scalar_frames.  Synthetic: one stream per trial, which first draws its
+        # channel, which can leave it holding a buffered 32-bit half word, and
+        # then its frame (frame_draws)
         if profile == "identity":
             cfg, starts = parse_config(AWGN_QPSK.replace("trials: 40", "trials: 130")), (0, 64, 128)
         else:
@@ -711,12 +796,15 @@ class TestTrialRng:
             return csv.encode(), sink.getvalue().encode()
 
         fast = run()
-        keys = []
+        keys, oracle_calls = [], []
+        name, oracle = (("scalar_frames", self.per_frame_scalar_frames) if profile == "identity"
+                        else ("frame_draws", self.per_row_frame_draws))
         monkeypatch.setattr(harness, "trial_rng", lambda *key: keys.append(key) or self.seed_sequence_rng(*key))
-        monkeypatch.setattr(harness, "scalar_frames", self.per_frame_scalar_frames)
+        monkeypatch.setattr(harness, name, lambda *a, **k: oracle_calls.append(1) or oracle(*a, **k))
         assert run() == fast
         assert sorted(keys) == [(cfg.master_seed, p, t) for p in range(2) for t in starts]
         assert len(fast[1].splitlines()) > 2 + 2 * cfg.trials
+        assert len(oracle_calls) == 2 * len(starts)  # the sweep drew with the oracle, once per stream
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
         code = "import sys, otfsftn.cli; print('numpy.random' in sys.modules)"

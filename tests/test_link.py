@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import sys
 import tracemalloc
@@ -34,7 +35,8 @@ from otfsftn import (
 from otfsftn.config import CODE_RATE, snr_linear, target_bits
 from otfsftn.harness import FRAME_BLOCK, trial_rng
 from otfsftn.link import (
-    FrameWorkspace, SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, format_llr_records,
+    FrameWorkspace, SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, compose_frames,
+    format_llr_records, frame_draws,
 )
 from otfsftn.metrics import BerCounter, ber_accumulate
 from otfsftn.precoder import subchannel_gains
@@ -84,6 +86,20 @@ class TestConstellations:
     def test_loading_names_unsupported_sizes(self):
         with pytest.raises(ValueError, match=r"unsupported bits-per-symbol value\(s\): \[3, 5\]$"):
             Loading(bits_per_symbol=np.array([2, 5, 0, 3, 5]))
+
+
+class TestBitLabels:
+    @pytest.mark.parametrize("b", [[2, 0, 4, 6, 0, 8, 2], [0, 0, 0], [8] * 40, [2] * 192, []])
+    def test_table_matches_fstrings(self, b):
+        # the labels index a cached per-MN table; the f-string per bit they replace is the oracle
+        loading = Loading(bits_per_symbol=np.array(b, dtype=int))
+        assert loading.bit_labels == [f"{n},{j}" for n, nb in enumerate(b) for j in range(nb)]
+
+    def test_random_loadings(self, rng):
+        for _ in range(50):
+            b = rng.choice([0, *SUPPORTED_BITS], size=int(rng.integers(1, 300)))
+            assert Loading(bits_per_symbol=b).bit_labels == [
+                f"{n},{j}" for n, nb in enumerate(b.tolist()) for j in range(nb)]
 
 
 class TestBitLoading:
@@ -161,6 +177,46 @@ class TestBitLoading:
             loading = bit_loading(xi, gamma, 3.0, target, cfg)
             np.testing.assert_array_equal(loading.bits_per_symbol,
                                           argmax_loading(xi, gamma, 3.0, total))
+
+    def test_sort_matches_heap_loop(self):
+        # the former heap loop, kept as the oracle: pop the largest margin (lowest index, then
+        # fewest bits, on ties), load two more bits there, push the next margin below 256-QAM;
+        # random, tied and zero gains, unpowered subchannels and every feasible bit total
+        def heap_loading(xi, gamma, snr, total):
+            b = np.zeros(xi.size, dtype=int)
+            s_eff = (xi * gamma * snr).tolist()
+            heap = [(-s_eff[n], n, 0) for n in np.flatnonzero(gamma > 0.0).tolist()]
+            heapq.heapify(heap)
+            for _ in range(total // 2):
+                _, n, bits = heapq.heappop(heap)
+                b[n] = bits = bits + 2
+                if bits < 8:
+                    heapq.heappush(heap, (-s_eff[n] / (1 << bits), n, bits))
+            return b
+
+        rng = np.random.default_rng(11)
+        cfg = identity_config(4, 2, 0.8)
+        cases = 0
+        while cases < 3000:
+            n = int(rng.integers(1, 48))
+            kind = cases % 3
+            if kind == 0:  # random gains
+                xi = rng.uniform(0.0, 10.0, n)
+            elif kind == 1:  # few distinct values, so margins tie across subchannels and bit counts
+                xi = rng.choice([1.0, 4.0, 16.0, 64.0, 0.25], size=n)
+            else:  # zero and subnormal gains, whose quarters tie at 0
+                xi = rng.choice([0.0, 5e-324, 1e-310, 1.0, 2.0], size=n)
+            gamma = np.where(rng.random(n) < 0.25, 0.0, rng.choice([1.0, 0.5, 3.0], size=n))
+            powered = int(np.count_nonzero(gamma > 0.0))
+            if powered == 0:
+                continue
+            total = 2 * int(rng.integers(0, 4 * powered + 1))
+            target = CODE_RATE * total / cfg.time_bandwidth
+            if target_bits(target, cfg) != total or total == 0:
+                continue
+            cases += 1
+            loading = bit_loading(xi, gamma, 1.7, target, cfg)
+            np.testing.assert_array_equal(loading.bits_per_symbol, heap_loading(xi, gamma, 1.7, total))
 
     def test_unreachable_target_reports_maximum(self):
         cfg = identity_config(4, 2, 0.8)
@@ -745,6 +801,60 @@ class TestScalarFrames:
         frame = run_frame(loading, sol, h, 0.1, np.random.default_rng(0), 0)
         assert frame.tx_bits.shape == (loading.total_bits, 0) and frame.y_d.shape == (shape.MN, 0)
         assert hard_detect(frame.y_d, sol.xi, sol.gamma, loading).shape == (loading.total_bits, 0)
+
+
+class TestStackedFrames:
+    """Trials stacked on one link pass, from each trial's own frame_draws, against each trial's
+    scalar_frames, hard_detect and llr run alone, as a BER point on per-trial channels runs them."""
+
+    MN = 24
+    LOADINGS = (
+        np.tile([2, 0, 4, 6, 0, 8], 4),  # mixed orders and unloaded subchannels
+        np.full(MN, 2),  # all QPSK
+        np.zeros(MN, dtype=int),  # no bits
+        np.where(np.arange(MN) % 3, 4, 0),  # one higher order, two in three subchannels
+        np.repeat([8, 0], MN // 2),
+    )
+
+    @pytest.mark.parametrize("sigma0_sq", [0.3, 0.0])
+    def test_matches_per_trial_link(self, sigma0_sq):
+        rng = np.random.default_rng(8)
+        kinds = ("pcg64", "philox", "buffered-half-word", "pcg64", "philox")
+        trials = []
+        for b in self.LOADINGS:
+            xi = rng.uniform(0.2, 2.0, self.MN)
+            # unloaded subchannels are powered or not, as water-filling and a target leave them
+            gamma = np.where(b > 0, rng.uniform(0.5, 2.0, self.MN), rng.choice([0.0, 1.3], self.MN))
+            trials.append((Loading(bits_per_symbol=b), xi, gamma))
+        alone = []
+        gens = [_generator(kind, 40 + t) for t, kind in enumerate(kinds)]
+        for (loading, xi, gamma), gen in zip(trials, gens):
+            tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, gen, 1)
+            soft = llr(y_d, xi, gamma, loading, sigma0_sq or 1.0)
+            alone.append((tx_bits, y_d, hard_detect(y_d, xi, gamma, loading), soft))
+        gens_stacked = [_generator(kind, 40 + t) for t, kind in enumerate(kinds)]
+        draws = [frame_draws(loading, xi, sigma0_sq, gen) for (loading, xi, _), gen in zip(trials, gens_stacked)]
+        loading = Loading(bits_per_symbol=np.concatenate(self.LOADINGS))
+        xi, gamma = (np.concatenate([t[i] for t in trials]) for i in (1, 2))
+        tx_bits = np.concatenate([bits for bits, _ in draws])
+        y_d = compose_frames(loading, xi, gamma, tx_bits, np.concatenate([w for _, w in draws], axis=1))
+        rx = hard_detect(y_d, xi, gamma, loading)
+        soft = llr(y_d, xi, gamma, loading, sigma0_sq or 1.0)
+        assert tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, 1)
+        for i, stacked in enumerate((tx_bits, y_d, rx, soft)):
+            assert stacked.tobytes() == np.concatenate([a[i] for a in alone]).tobytes()
+        for gen, gen_stacked in zip(gens, gens_stacked):
+            np.testing.assert_equal(gen_stacked.bit_generator.state, gen.bit_generator.state)
+
+    def test_frame_draws_are_a_one_frame_block(self):
+        loading, xi = Loading(bits_per_symbol=self.LOADINGS[0]), np.linspace(0.5, 2.0, self.MN)
+        gen = np.random.default_rng(3)
+        bits, w = frame_draws(loading, xi, 0.3, gen)
+        oracle = np.random.default_rng(3)
+        assert bits.shape == (loading.total_bits, 1) and w.shape == (2, self.MN)
+        assert bits.tobytes() == _draw_bits(loading, oracle, 1).tobytes()
+        assert w.tobytes() == _scaled_white(xi, 0.3, oracle, 1).tobytes()
+        assert gen.bit_generator.state == oracle.bit_generator.state
 
 
 class TestDrawBits:

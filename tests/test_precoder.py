@@ -745,6 +745,22 @@ class TestGainsBuffers:
         bufs = threading.local()
         assert traced_peak(lambda: subchannel_gains(chan, cfg, noise, bufs)) <= 0.5 * 16 * shape.MN**2
 
+    def test_a_warm_solve_makes_no_workspace_query(self, monkeypatch):
+        # zhetrd's and zunmtr's workspace is sized once per n: a query (lwork = -1) made on
+        # every solve would hand the interpreter lock over twice more per trial
+        needs_staged_evd()
+        _, cfg, chan, noise = eva_parts(16, 4, 0.8, seed=1)
+        bufs, calls = threading.local(), []
+        cold = subchannel_gains(chan, cfg, noise, bufs)
+        real = _openblas._call
+        monkeypatch.setattr(_openblas, "_call", lambda routine, *args: calls.append(args) or real(routine, *args))
+        warm = subchannel_gains(chan, cfg, noise, bufs)
+        assert calls and not any(args[-1] == -1 for args in calls)
+        assert all(w.tobytes() == c.tobytes() for w, c in zip(warm, cold))
+        _openblas._lwork.cache_clear()
+        subchannel_gains(chan, cfg, noise, bufs)
+        assert sum(args[-1] == -1 for args in calls) == 2  # one query per routine at a new n
+
     def test_each_thread_has_its_own_pair(self):
         _, cfg, chan, noise = eva_parts(4, 2, 0.8, seed=1)
         bufs, pairs = threading.local(), []
