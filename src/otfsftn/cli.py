@@ -44,10 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    threads_help = ("trial worker threads, one BLAS thread each (default: one per usable CPU, "
-                    "at most one per trial, or per frame block of a BER point); a frame of at "
-                    f"most {SERIAL_BLAS_MAX_MN} symbols runs BLAS on one thread at any count, a "
-                    "larger one at 1 on your BLAS threads")
+    threads_help = ("worker threads, one BLAS thread each (default: one per usable CPU, at most "
+                    "one per job: a rate sweep's trials, a fading BER alpha's (point, trial) pairs, "
+                    "an identity-channel point's frame blocks); at 1, only a frame of at most "
+                    f"{SERIAL_BLAS_MAX_MN} symbols runs BLAS on one thread")
 
     p_rate = sub.add_parser("rate", help="information-rate sweep to CSV")
     common(p_rate, True)

@@ -4,28 +4,29 @@ Every random draw derives from (master_seed, sweep_point_index, trial_index)
 through numpy's SeedSequence (trial_rng), so results are a pure function of
 the configuration and seed.
 
-With threads >= 2 a sweep maps its work on one pool of that many worker
-threads, with OpenBLAS pinned to one thread while they run.  A frame of at
-most SERIAL_BLAS_MAX_MN symbols pins it for the whole sweep, set-up included,
-at any threads; a larger frame's set-up, and its trials at threads == 1, keep
-the user's count.  CSVs, and LLR dumps run on one BLAS thread, are
-byte-identical for any threads; other BLAS counts split reductions
-differently and may move gains and LLRs in the last digits.  At alpha = 1 the
-identity channel's G, H and gains are exactly I, I and 1, so its BER CSV does
-not depend on the BLAS thread count.  Each sweep keeps one threading.local, on
-which every gains solve of a worker reuses that worker's pair of buffers and
-every frame block its link.FrameWorkspace.
+With threads >= 2 a sweep maps its jobs on one pool of that many worker
+threads, with OpenBLAS pinned to one thread for the whole sweep, set-up
+included; so is a frame of at most SERIAL_BLAS_MAX_MN symbols at threads == 1,
+while a larger one keeps the user's count.  CSVs, and LLR dumps run on one
+BLAS thread, are byte-identical for any threads; other BLAS counts split
+reductions differently and may move gains and LLRs in the last digits.  At
+alpha = 1 the identity channel's G, H and gains are exactly I, I and 1, so its
+BER CSV does not depend on the BLAS thread count.  Each sweep keeps one
+threading.local, on which every gains solve of a worker reuses that worker's
+pair of buffers and every frame block its link.FrameWorkspace.
 
-A BER point water-fills and bit-loads each channel's gains (subchannel_gains)
-and draws its frames on the scalar-equivalent link (link.scalar_frames),
-with no precoder or receive weights; validate holds it against the matrix
-link.  On a shared channel (profile identity) the gains are solved once per
-alpha, and workers map blocks of FRAME_BLOCK consecutive trials, each drawn
-from one stream, trial_rng(master_seed, point, first trial of the block).
-On a per-trial channel workers only solve gains: the job of trial t at point
-p draws its channel from trial_rng(master_seed, p, t) and returns the gains
-and the stream, at most one point's trials past the one the calling thread
-reads.  That thread water-fills and bit-loads each trial and draws its frame
+Per alpha both sweeps map one job (_solver) over trial keys (point, trial): it
+draws the trial's channel from trial_rng(master_seed, point, trial) and
+returns its gains (subchannel_gains) and that stream.  The rate sweep's keys
+are (0, t), so every alpha redraws trial t's channel from one stream.  A BER
+point water-fills and bit-loads each channel's gains and draws its frames on
+the scalar-equivalent link (link.scalar_frames), with no precoder or receive
+weights; validate holds it against the matrix link.  On a shared channel
+(profile identity) the gains are solved once per alpha, and workers map
+blocks of FRAME_BLOCK consecutive trials, each drawn from one stream,
+trial_rng(master_seed, point, first trial of the block).  On a per-trial
+channel the workers take every (point, trial) job of an alpha at once, and
+the calling thread water-fills and bit-loads each trial and draws its frame
 from its stream as scalar_frames would (link.frame_draws), then runs the link
 once per block of trials on their stacked subchannels, STACK_MN at most.
 Block boundaries depend only on trial indices.
@@ -33,7 +34,6 @@ Block boundaries depend only on trial indices.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import threading
 import time
@@ -86,7 +86,7 @@ FRAME_BLOCK = 64
 # link's small-array work once for several trials, few enough that its temporaries stay minor
 STACK_MN = 2048
 
-# the largest frame whose sweep runs on one BLAS thread: up to here a second thread barely
+# the largest frame whose serial sweep runs on one BLAS thread: up to here a second thread barely
 # shortens the EVD and spins idle between calls; from about MN = 510 up two threads win
 SERIAL_BLAS_MAX_MN = 384
 
@@ -156,54 +156,57 @@ def single_blas_thread():
             put(count)
 
 
-def _streamed(pool: ThreadPoolExecutor, fn, items: list, ahead: int):
-    """fn over items on the pool, results in order, with BLAS pinned to one thread from the
-    first read to the last and at most `ahead` items past the one read in flight."""
-    pending = collections.deque()
-    with single_blas_thread():
-        try:
-            for x in items:
-                pending.append(pool.submit(fn, x))
-                if len(pending) > ahead:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 @contextlib.contextmanager
 def _trial_map(threads: int, mn: int):
-    """Map trials lazily, serially (threads == 1) or on one worker pool per sweep, results in order.
+    """The map a sweep runs its jobs through, results in order: the builtin map (threads == 1)
+    or the map of one worker pool per sweep, whose unstarted jobs are cancelled on exit.
 
-    A map, trial_map(fn, items, ahead=len(items)), runs at most `ahead` items past the one
-    read.  Pool maps pin BLAS to one thread, and a frame of at most SERIAL_BLAS_MAX_MN
-    symbols pins it for the whole context, set-up between maps included.  A map left
-    unread is closed, and its pin lifted, when the context exits.
+    BLAS is pinned to one thread for the whole context, set-up included, when threads > 1
+    or the frame has at most SERIAL_BLAS_MAX_MN symbols.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    with single_blas_thread() if mn <= SERIAL_BLAS_MAX_MN else contextlib.nullcontext():
+    with single_blas_thread() if threads > 1 or mn <= SERIAL_BLAS_MAX_MN else contextlib.nullcontext():
         if threads == 1:
-            yield lambda fn, items, ahead=None: map(fn, items)
+            yield map
             return
-        with ThreadPoolExecutor(max_workers=threads) as pool, contextlib.ExitStack() as maps:
-            yield lambda fn, items, ahead=None: maps.enter_context(contextlib.closing(
-                _streamed(pool, fn, items, len(items) if ahead is None else ahead)))
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
+            yield pool.map
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _solver(cfg: SystemConfig, noise: NoiseShape, bufs: threading.local):
+    """solve(key) for trial key = (point, trial): its gains and its stream past the channel, (xi, phi, rng)."""
+    def solve(key: tuple[int, int]) -> tuple:
+        rng = trial_rng(cfg.master_seed, *key)
+        return *subchannel_gains(channel_for_config(cfg, rng), cfg, noise, bufs), rng
+    return solve
+
+
+def _mi_table(xi: np.ndarray, phi: np.ndarray, snr_db_grid) -> np.ndarray:
+    """Per SNR point, one trial's water-filled and unit-power MI (unit powers: sum(phi) = tr G = MN)."""
+    return np.array([(mi_sum(xi, waterfill(xi, phi, snr)[0], snr), mi_sum(xi, np.ones(xi.size), snr))
+                     for snr in map(snr_linear, snr_db_grid)])
 
 
 def work_items(cfg: SystemConfig, command: str) -> int:
-    """How many items a sweep's pool maps at once: trials, or a BER point's frame blocks."""
-    width = FRAME_BLOCK if command == "ber" and cfg.channel.profile == "identity" else 1
-    return -(-cfg.trials // width)
+    """How many jobs a sweep's pool maps at once: a rate sweep's trials, a fading BER alpha's
+    (point, trial) pairs, or an identity-channel BER point's frame blocks."""
+    if command == "rate":
+        return cfg.trials
+    if cfg.channel.profile == "identity":
+        return -(-cfg.trials // FRAME_BLOCK)
+    return len(cfg.snr_db_grid) * cfg.trials
 
 
 def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = None) -> SweepResult:
     """Information-rate curves: water-filled, uniform-power and Nyquist baselines.
 
-    One channel realization per trial index, shared by every (alpha, mode)
-    curve so curves differ only in the transceiver, not the fading ensemble.
+    One channel realization per trial index, drawn again for each alpha from
+    the trial's stream and so shared by every (alpha, mode) curve: curves
+    differ only in the transceiver, not the fading ensemble.
     Each distinct alpha of the grid, and alpha = 1, is solved once per trial
     and emits all of its rows.  The two alpha = 1 baselines (same roll-off,
     and the rectangular beta = 0 bound) are emitted as mode "nyquist", both
@@ -216,25 +219,12 @@ def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = Non
     rows: list[RatePoint] = []
     bufs = threading.local()  # each worker's gains buffers
     with _trial_map(threads, cfg.MN) as trial_map:
-        channels = [
-            channel_for_config(cfg, trial_rng(cfg.master_seed, 0, t)) for t in range(cfg.trials)
-        ]
         for alpha in sorted({*cfg.alpha_grid, 1.0}):
             cfg_a = cfg.with_alpha(alpha)
-            noise = gram_matrix(shape, alpha, cfg.beta)
-
-            def one_trial(chan):
-                xi, phi = subchannel_gains(chan, cfg_a, noise, bufs)
-                mi = np.empty((len(cfg.snr_db_grid), 2))
-                for i, snr_db in enumerate(cfg.snr_db_grid):
-                    snr = snr_linear(snr_db)
-                    gamma_pa, _ = waterfill(xi, phi, snr)
-                    mi[i, 0] = mi_sum(xi, gamma_pa, snr)
-                    mi[i, 1] = mi_sum(xi, np.ones(xi.size), snr)  # unit powers: sum(phi) = tr G = MN
-                return mi
-
-            mean_mi = np.mean(list(trial_map(one_trial, channels)), axis=0)
-            del noise  # before the next alpha's noise shape is factored
+            solve = _solver(cfg_a, gram_matrix(shape, alpha, cfg.beta), bufs)
+            solved = trial_map(solve, [(0, t) for t in range(cfg.trials)])
+            mean_mi = np.mean([_mi_table(xi, phi, cfg.snr_db_grid) for xi, phi, _ in solved], axis=0)
+            del solve, solved  # and the noise shape, before the next alpha's is factored
 
             # (config, mode, MI column) of each row this alpha emits
             curves = [(cfg_a, "pa", 0), (cfg_a, "no_pa", 1)] if alpha in cfg.alpha_grid else []
@@ -287,13 +277,7 @@ def run_ber_sweep(
             if shared:
                 xi, phi = subchannel_gains(identity_channel(), cfg_a, noise, bufs)
             else:
-                def one_trial(key: tuple[int, int]) -> tuple:
-                    """(xi, phi, rng) of the trial key = (point, trial), rng past the channel draw."""
-                    rng = trial_rng(cfg.master_seed, *key)
-                    return *subchannel_gains(channel_for_config(cfg_a, rng), cfg_a, noise, bufs), rng
-
-                # one point's trials in flight past the one read
-                solved = trial_map(one_trial, [(p, t) for p in points for t in range(cfg.trials)], cfg.trials)
+                solved = trial_map(_solver(cfg_a, noise, bufs), [(p, t) for p in points for t in range(cfg.trials)])
             for point_idx, snr_db in zip(points, cfg.snr_db_grid):
                 snr = snr_linear(snr_db)
                 sigma0_sq = 1.0 / snr  # sigma_x^2 = 1

@@ -263,6 +263,21 @@ class TestRateSweep:
         b = run_rate_sweep(cfg, threads=4).to_csv()
         assert a == b
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_channels_shared_across_alphas(self, monkeypatch, threads):
+        # each alpha, alpha = 1 included, redraws trial t's channel from trial t's stream
+        cfg = parse_config(FIG1_STYLE.replace("M: 128", "M: 8").replace("N: 12", "N: 4")
+                           .replace("trials: 2", "trials: 3"))
+        expected = [harness.channel_for_config(cfg, trial_rng(cfg.master_seed, 0, t)) for t in range(3)]
+        assert len(set(expected)) == 3
+        seen = {}
+        real = harness.subchannel_gains
+        monkeypatch.setattr(harness, "subchannel_gains",
+                            lambda chan, cfg, *a: seen.setdefault(cfg.alpha, []).append(chan) or real(chan, cfg, *a))
+        run_rate_sweep(cfg, threads=threads)
+        assert sorted(seen) == [0.8, 0.9, 1.0]
+        assert all(sorted(chans, key=expected.index) == expected for chans in seen.values())
+
 
 class TestNoiseShapePerInstance:
     SMALL = FIG1_STYLE.replace("M: 128", "M: 8").replace("N: 12", "N: 4").replace(
@@ -457,31 +472,6 @@ class TestBerSweep:
         assert (b == 0).any()
         assert (np.isin(b, (0, 2)).all()) == (target == "null")
 
-    def test_fading_points_stream_one_point_ahead(self, monkeypatch):
-        # workers run at most one point's trials past the trial the calling thread reads
-        seen = []
-        real = harness._streamed
-        monkeypatch.setattr(harness, "_streamed",
-                            lambda pool, fn, items, ahead: seen.append((len(items), ahead)) or real(pool, fn, items, ahead))
-        cfg = parse_config(EVA_BER.replace("snr_db_grid: [8]", "snr_db_grid: [8, 12, 16]"))
-        run_ber_sweep(cfg, threads=2)
-        assert seen == [(3 * cfg.trials, cfg.trials)]
-
-    def test_stream_keeps_order_and_bounds_jobs_in_flight(self):
-        from concurrent.futures import Future
-
-        submitted = []
-
-        class Pool:
-            def submit(self, fn, x):
-                submitted.append(x)
-                future = Future()
-                future.set_result(fn(x))
-                return future
-
-        for i, y in enumerate(harness._streamed(Pool(), lambda x: -x, list(range(10)), 3)):
-            assert y == -i and len(submitted) == min(10, i + 4)
-
     def test_llr_dump_identical_across_threads(self):
         cfg = parse_config(EVA_BER.replace("trials: 6", "trials: 4"))
         sinks = []
@@ -568,17 +558,40 @@ class TestThreads:
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_large_frame_sweep_keeps_blas_outside_pool_maps(self, blas_two, monkeypatch, threads):
-        # MN = 768 is above SERIAL_BLAS_MAX_MN: set-up keeps the user's count, and so do the
-        # trials at threads == 1; only pool maps pin.  Stub gains, so no 768-sized EVD runs.
+    def test_large_frame_sweep_pins_blas_only_on_a_pool(self, blas_two, monkeypatch, threads):
+        # MN = 768 is above SERIAL_BLAS_MAX_MN: a pool pins the whole sweep, set-up (noise
+        # shapes) and gains alike; at threads == 1 both keep the user's count.  Stub gains,
+        # so no 768-sized EVD runs.
         cfg = parse_config(EVA_BER.replace("N: 4", "N: 48").replace("trials: 6", "trials: 2"))
         assert cfg.MN == 768 > harness.SERIAL_BLAS_MAX_MN
         set_up = self._spy_gains(monkeypatch, blas_two, name="gram_matrix")
         gains = self._spy_gains(monkeypatch, blas_two,
                                 stub=lambda chan, cfg, noise, bufs: (np.ones(noise.n), np.ones(noise.n)))
         run_ber_sweep(cfg, threads=threads)
-        assert set_up == [[2] * len(blas_two)]
-        assert len(gains) == 2 and all(c == [1 if threads > 1 else 2] * len(blas_two) for c in gains)
+        count = [1 if threads > 1 else 2] * len(blas_two)
+        assert set_up == [count] and gains == [count] * 2
+        assert _blas_counts(blas_two) == [2] * len(blas_two)
+
+    def test_sweep_cancels_jobs_not_started(self, blas_two, monkeypatch):
+        # the first LLR record fails while the jobs of points 1 and 2 wait on the failing
+        # sink: the pool runs the jobs it has started and drops the rest
+        cfg = parse_config(EVA_BER.replace("snr_db_grid: [8]", "snr_db_grid: [8, 12, 16]"))
+        failed = threading.Event()
+        real_rng = harness.trial_rng
+        monkeypatch.setattr(harness, "trial_rng",
+                            lambda seed, p, t: (p == 0 or failed.wait(30)) and real_rng(seed, p, t))
+        gains = self._spy_gains(monkeypatch, blas_two)
+
+        class FailingSink(io.StringIO):
+            def write(self, text):
+                if text.startswith("0,"):
+                    failed.set()
+                    raise OSError("disk full")
+                return super().write(text)
+
+        with pytest.raises(OSError, match="disk full"):
+            run_ber_sweep(cfg, threads=2, llr_sink=FailingSink())
+        assert cfg.trials <= len(gains) < 3 * cfg.trials
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     # MN = 512: large enough that BLAS splits the set-up products across threads
@@ -676,10 +689,13 @@ class TestThreads:
             run_ber_sweep(cfg, threads=threads, llr_sink=sink)
         assert sink.getvalue() == ""
 
-    # (config, command, work items): 6 EVA trials; 140 identity-channel trials, 3 frame blocks
+    # (config, command, work items): 6 EVA trials at one point; 140 identity-channel trials,
+    # 3 frame blocks; 1 EVA trial at each of 3 points
     @pytest.mark.parametrize("text, command, items", [
         (EVA_BER, "rate", 6), (EVA_BER, "ber", 6),
-        (AWGN_QPSK.replace("trials: 40", "trials: 140"), "ber", 3)])
+        (AWGN_QPSK.replace("trials: 40", "trials: 140"), "ber", 3),
+        (EVA_BER.replace("trials: 6", "trials: 1").replace("snr_db_grid: [8]", "snr_db_grid: [8, 12, 16]"),
+         "ber", 3)])
     @pytest.mark.parametrize("cpus", [1, 4, 8])
     def test_cli_threads_default_to_cpus_and_work_items(self, tmp_path, monkeypatch, text, command,
                                                         items, cpus):
