@@ -12,24 +12,24 @@ BLAS thread, are byte-identical for any threads; other BLAS counts split
 reductions differently and may move gains and LLRs in the last digits.  At
 alpha = 1 the identity channel's G, H and gains are exactly I, I and 1, so its
 BER CSV does not depend on the BLAS thread count.  Each sweep keeps one
-threading.local, on which every gains solve of a worker reuses that worker's
-pair of buffers and every frame block its link.FrameWorkspace.
+threading.local, on which each thread's gains solves reuse its pair of
+buffers and its frame blocks one link.FrameWorkspace.
 
 Per alpha both sweeps map one job (_solver) over trial keys (point, trial): it
 draws the trial's channel from trial_rng(master_seed, point, trial) and
 returns its gains (subchannel_gains) and that stream.  The rate sweep's keys
 are (0, t), so every alpha redraws trial t's channel from one stream.  A BER
-point water-fills and bit-loads each channel's gains and draws its frames on
-the scalar-equivalent link (link.scalar_frames), with no precoder or receive
-weights; validate holds it against the matrix link.  On a shared channel
-(profile identity) the gains are solved once per alpha, and workers map
-blocks of FRAME_BLOCK consecutive trials, each drawn from one stream,
+point water-fills and bit-loads gains (_power_load) and runs its frames, in
+blocks, on the scalar-equivalent link with no precoder or receive weights;
+validate holds it against the matrix link.  One function, _link_block, runs
+every block: each entry draws frames from one stream into its rows of one
+stacked block (link.scalar_frames), which is detected once.  On a shared
+channel (profile identity) the gains are solved once per alpha, and workers
+map blocks of FRAME_BLOCK consecutive trials, each one entry drawn from
 trial_rng(master_seed, point, first trial of the block).  On a per-trial
 channel the workers take every (point, trial) job of an alpha at once, and
-the calling thread water-fills and bit-loads each trial and draws its frame
-from its stream as scalar_frames would (link.frame_draws), then runs the link
-once per block of trials on their stacked subchannels, STACK_MN at most.
-Block boundaries depend only on trial indices.
+the calling thread runs blocks of one-frame entries, one per trial, STACK_MN
+subchannels at most.  Block boundaries depend only on trial indices.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ from .link import (
     FrameWorkspace,
     Loading,
     bit_loading,
-    compose_frames,
     format_llr_records,
-    frame_draws,
     hard_detect,
     llr,
     run_frame,
@@ -263,7 +261,7 @@ def run_ber_sweep(
     width = FRAME_BLOCK if shared else max(1, STACK_MN // cfg.MN)
     blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
     rows: list[BerRow] = []
-    bufs = threading.local()  # each worker's gains buffers and frame workspace
+    bufs = threading.local()  # each thread's gains buffers and frame workspace
     with _trial_map(threads, cfg.MN) as trial_map:
         if soft:
             llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
@@ -280,29 +278,15 @@ def run_ber_sweep(
                 solved = trial_map(_solver(cfg_a, noise, bufs), [(p, t) for p in points for t in range(cfg.trials)])
             for point_idx, snr_db in zip(points, cfg.snr_db_grid):
                 snr = snr_linear(snr_db)
-                sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
-                if shared:
-                    gamma = waterfill(xi, phi, snr)[0]
-                    loading = bit_loading(xi, gamma, snr, cfg_a.target_rate_bps_hz, cfg_a)
-
-                    def one_block(block: range) -> tuple[BerCounter, list[str]]:
-                        rng = trial_rng(cfg.master_seed, point_idx, block.start)
-                        if not hasattr(bufs, "frames"):
-                            bufs.frames = FrameWorkspace(cfg.MN, FRAME_BLOCK)
-                        tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, len(block),
-                                                     workspace=bufs.frames)
-                        rx = hard_detect(y_d, xi, gamma, loading, workspace=bufs.frames)
-                        counter = ber_accumulate(tx_bits, rx, BerCounter())
-                        records = []
-                        if soft:
-                            llrs = llr(y_d, xi, gamma, loading, sigma0_sq)
-                            records = [format_llr_records(t, loading, llrs[:, i]) for i, t in enumerate(block)]
-                        return counter, records
-
-                    results = trial_map(one_block, blocks)
-                else:
-                    results = (_fading_block([next(solved) for _ in block], block, snr, cfg_a, soft)
-                               for block in blocks)
+                if shared:  # workers draw each block's frames from the stream of its first trial
+                    load = (xi, *_power_load(xi, phi, snr, cfg_a))
+                    results = trial_map(lambda block: _link_block(
+                        [(block.start, *load, trial_rng(cfg.master_seed, point_idx, block.start))],
+                        len(block), snr, soft, _workspace(bufs, cfg.MN, width)), blocks)
+                else:  # the calling thread stacks one frame per trial; zip reads block first, so no more trials
+                    results = (_link_block([(t, x, *_power_load(x, p, snr, cfg_a), rng)
+                                            for t, (x, p, rng) in zip(block, solved)],
+                                           1, snr, soft, _workspace(bufs, cfg.MN, width)) for block in blocks)
                 total = BerCounter()
                 for counter, records in results:
                     total = total.merge(counter)
@@ -321,25 +305,40 @@ def run_ber_sweep(
     return SweepResult(rows=tuple(rows), provenance=_provenance(cfg, digest))
 
 
-def _fading_block(trials: list, block: range, snr: float, cfg: SystemConfig,
-                  soft: bool) -> tuple[BerCounter, list[str]]:
-    """A block of trials on per-trial channels: each trial's (xi, phi, rng), in trial order, is
-    water-filled and bit-loaded and draws its frame from rng, and the link runs once on the
-    block's stacked subchannels.  Its counter and, if soft, each trial's LLR records."""
+def _power_load(xi: np.ndarray, phi: np.ndarray, snr: float, cfg: SystemConfig) -> tuple[np.ndarray, Loading]:
+    """Gains' water-filled powers gamma at snr and the loading bit_loading gives them."""
+    gamma = waterfill(xi, phi, snr)[0]
+    return gamma, bit_loading(xi, gamma, snr, cfg.target_rate_bps_hz, cfg)
+
+
+def _workspace(bufs: threading.local, mn: int, width: int) -> FrameWorkspace:
+    """The calling thread's frame workspace on bufs: width x mn symbol slots, made on first use."""
+    if not hasattr(bufs, "frames"):
+        bufs.frames = FrameWorkspace(mn, width)
+    return bufs.frames
+
+
+def _link_block(entries: list, k: int, snr: float, soft: bool,
+                workspace: FrameWorkspace) -> tuple[BerCounter, list[str]]:
+    """One block of frames on the scalar-equivalent link.  Each entry (first trial, xi, gamma, loading, rng)
+    draws k frames from rng (scalar_frames) into its rows of one stacked y_d, in the workspace; detection,
+    the error count and, if soft, the LLRs then run once on the stacked subchannels.  Its counter and, if
+    soft, the LLR records, those of an entry's frame i as trial first + i."""
     sigma0_sq = 1.0 / snr  # sigma_x^2 = 1
-    xis, phis, rngs = zip(*trials)
-    gammas = [waterfill(x, p, snr)[0] for x, p in zip(xis, phis)]
-    loadings = [bit_loading(x, g, snr, cfg.target_rate_bps_hz, cfg) for x, g in zip(xis, gammas)]
-    draws = [frame_draws(ld, x, sigma0_sq, rng) for ld, x, rng in zip(loadings, xis, rngs)]
+    _, xis, gammas, loadings, _ = zip(*entries)
+    mn = xis[0].size
+    y_d = workspace.y_d[: k * mn * len(entries)].reshape(k, -1).T
+    bits = [scalar_frames(ld, x, g, sigma0_sq, rng, k, workspace=workspace, out=y_d[e * mn : (e + 1) * mn])[0]
+            for e, (_, x, g, ld, rng) in enumerate(entries)]
+    tx_bits = bits[0] if len(bits) == 1 else np.concatenate(bits)
     xi, gamma = np.concatenate(xis), np.concatenate(gammas)
-    loading = Loading(bits_per_symbol=np.concatenate([ld.bits_per_symbol for ld in loadings]))
-    tx_bits = np.concatenate([bits for bits, _ in draws])
-    y_d = compose_frames(loading, xi, gamma, tx_bits, np.concatenate([w for _, w in draws], axis=1))
-    counter = ber_accumulate(tx_bits, hard_detect(y_d, xi, gamma, loading), BerCounter())
+    loading = loadings[0] if len(loadings) == 1 else Loading(np.concatenate([ld.bits_per_symbol for ld in loadings]))
+    counter = ber_accumulate(tx_bits, hard_detect(y_d, xi, gamma, loading, workspace=workspace), BerCounter())
     if not soft:
         return counter, []
-    llrs = np.split(llr(y_d, xi, gamma, loading, sigma0_sq)[:, 0], np.cumsum([ld.total_bits for ld in loadings])[:-1])
-    return counter, [format_llr_records(t, ld, v) for t, ld, v in zip(block, loadings, llrs)]
+    llrs = np.split(llr(y_d, xi, gamma, loading, sigma0_sq), np.cumsum([ld.total_bits for ld in loadings])[:-1])
+    return counter, [format_llr_records(first + i, ld, v[:, i])
+                     for (first, *_), ld, v in zip(entries, loadings, llrs) for i in range(k)]
 
 
 def channel_dump(cfg: SystemConfig, digest: str | None = None) -> str:

@@ -19,6 +19,8 @@ imaginary parts.  A one-frame block thus draws its bits and then its two
 noise vectors.  Where H, P, D and the noise basis V are exactly I (the
 identity channel at alpha = 1) the paths agree bit for bit.  The transmit,
 noise, channel, receive and detection functions accept one frame or a block.
+scalar_frames can write its block into rows of a taller one, so that blocks
+on several loadings, stacked subchannel-wise, are detected in one pass.
 
 Gray mapping conventions (fixed here so golden files are portable):
 QPSK maps the bit pair (b0, b1) to ((1-2*b0) + 1j*(1-2*b1))/sqrt(2); square
@@ -134,8 +136,8 @@ def _span(idx: np.ndarray) -> np.ndarray | slice:
 
 
 class FrameWorkspace:
-    """Buffers a worker reuses, as leading views, for each block of at most `frames` frames of mn symbols:
-    real holds the 2k x MN normals, then hard_detect's quotients once those are in y_d; y_d the observations."""
+    """Buffers a thread reuses, as leading views, for each block of at most `frames` frames of mn symbols:
+    real holds scalar_frames' normals, then hard_detect's quotients; y_d the observations, filled as out."""
 
     def __init__(self, mn: int, frames: int) -> None:
         self.real = np.empty(2 * frames * mn)
@@ -376,39 +378,27 @@ def run_frame(
 def scalar_frames(
     loading: Loading, xi: np.ndarray, gamma: np.ndarray, sigma0_sq: float,
     rng: np.random.Generator, k: int, *, workspace: FrameWorkspace | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """run_frame's tx_bits and y_d, drawn from rng as run_frame draws them, on the
     scalar equivalent y_d = xi sqrt(gamma) x + n, n_k ~ CN(0, sigma0^2 xi_k), as
     D H P = diag(xi*sqrt(gamma)) and D G D^H = diag(xi).  A variance of 0 gives
     no noise; a negative or non-finite one raises.  Given a workspace, the noise
-    and y_d take its buffers, and y_d is valid until the workspace's next block."""
+    takes its normals; given out, an MN x k view whose columns (frames) may lie
+    any stride apart, y_d is written there.  Each element's arithmetic is its own,
+    so blocks stacked subchannel-wise compose as each would alone."""
+    if out is not None and out.shape != (xi.size, k):
+        raise ValueError(f"out must have shape {(xi.size, k)}, got {out.shape}")
     tx_bits = _draw_bits(loading, rng, k)
     w = _scaled_white(xi, sigma0_sq, rng, k, workspace=workspace)
-    y_d = None if workspace is None else workspace.y_d[: k * xi.size].reshape(k, xi.size).T
-    return tx_bits, compose_frames(loading, xi, gamma, tx_bits, w, y_d)
-
-
-def frame_draws(loading: Loading, xi: np.ndarray, sigma0_sq: float,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """scalar_frames' draws for a one-frame block, in its order: the bits, total_bits x 1, then
-    the 2 x MN noise rows sqrt(sigma0^2 xi / 2) w, the real row first."""
-    return _draw_bits(loading, rng, 1), _scaled_white(xi, sigma0_sq, rng, 1)
-
-
-def compose_frames(loading: Loading, xi: np.ndarray, gamma: np.ndarray, tx_bits: np.ndarray,
-                   w: np.ndarray, y_d: np.ndarray | None = None) -> np.ndarray:
-    """scalar_frames' MN x k y_d (new if None) from its draws, the bits tx_bits, total_bits x k,
-    and the 2k x MN noise w, rows 2t and 2t + 1 frame t's real and imaginary parts.  Each
-    element's arithmetic is its own, so subchannels stacked from several loadings compose
-    as each would alone."""
-    y_d = np.empty((len(w) // 2, xi.size), complex).T if y_d is None else y_d
+    y_d = np.empty((k, xi.size), complex).T if out is None else out
     y_d[loading.bits_per_symbol == 0] = 0  # _axis_levels writes only the loaded subchannels
     parts = y_d.T.view(np.float64)  # row t: frame t's real and imaginary parts, interleaved
     _axis_levels(tx_bits.T, loading, parts)
     parts *= np.repeat(xi * np.sqrt(gamma), 2)
     parts[:, 0::2] += w[0::2]
     parts[:, 1::2] += w[1::2]
-    return y_d
+    return tx_bits, y_d
 
 
 LLR_DUMP_HEADER = "frame,subchannel,bit,llr"

@@ -435,42 +435,60 @@ class TestBerSweep:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("target, snr_db", [("1.2", 8.0), ("1.2", -4.0), ("null", 8.0)])
-    def test_fading_block_matches_per_trial_link(self, target, snr_db):
-        # a block of trials on one stacked link pass, against each trial water-filled,
-        # bit-loaded and run through scalar_frames, hard_detect and llr alone: mixed
-        # orders; at -4 dB unpowered subchannels; with no target, QPSK on every powered one
-        cfg = parse_config(EVA_BER + f"target_rate_bps_hz: {target}\n").with_alpha(0.9)
-        noise = harness.gram_matrix(harness.GridShape(cfg.M, cfg.N), 0.9, cfg.beta)
-        block = range(3, 9)
-
-        def solved():
-            out = []
-            for t in block:
-                rng = trial_rng(cfg.master_seed, 0, t)
-                chan = harness.channel_for_config(cfg, rng)
-                out.append((*harness.subchannel_gains(chan, cfg, noise), rng))
-            return out
-
-        snr, trials = 10.0 ** (snr_db / 10.0), solved()
-        counter, records = harness._fading_block(trials, block, snr, cfg, True)
+    @staticmethod
+    def assert_block_runs_each_entry_alone(entries, k, snr):
+        """_link_block on entries() against each entry's k frames through scalar_frames, hard_detect
+        and llr alone; entries() makes the same (first trial, xi, gamma, loading, rng) each call."""
+        block = entries()
+        workspace = link.FrameWorkspace(block[0][1].size, k * len(block))
+        counter, records = harness._link_block(block, k, snr, True, workspace)
         errors = bits = 0
-        expected, loaded = [], []
-        for t, (xi, phi, rng) in zip(block, solved()):
-            gamma = harness.waterfill(xi, phi, snr)[0]
-            loading = harness.bit_loading(xi, gamma, snr, cfg.target_rate_bps_hz, cfg)
-            tx_bits, y_d = link.scalar_frames(loading, xi, gamma, 1.0 / snr, rng, 1)
-            errors += int(np.count_nonzero(harness.hard_detect(y_d, xi, gamma, loading) != tx_bits))
+        expected = []
+        for (first, xi, gamma, loading, rng), (*_, used) in zip(entries(), block):
+            tx_bits, y_d = link.scalar_frames(loading, xi, gamma, 1.0 / snr, rng, k)
+            errors += int(np.count_nonzero(link.hard_detect(y_d, xi, gamma, loading) != tx_bits))
             bits += tx_bits.size
-            expected.append(link.format_llr_records(t, loading, link.llr(y_d, xi, gamma, loading, 1.0 / snr)[:, 0]))
-            loaded.append(loading.bits_per_symbol)
-            np.testing.assert_equal(trials[t - block.start][2].bit_generator.state, rng.bit_generator.state)
+            soft = link.llr(y_d, xi, gamma, loading, 1.0 / snr)
+            expected += [link.format_llr_records(first + i, loading, soft[:, i]) for i in range(k)]
+            np.testing.assert_equal(used.bit_generator.state, rng.bit_generator.state)
         assert (counter.errors, counter.total) == (errors, bits) and errors > 0
         assert records == expected
-        b = np.array(loaded)
+
+    @pytest.mark.parametrize("target, snr_db", [("1.2", 8.0), ("1.2", -4.0), ("null", 8.0)])
+    def test_fading_block_matches_per_trial_link(self, target, snr_db):
+        # a block of trials, one frame each, on one stacked link pass, against each trial
+        # water-filled, bit-loaded and run alone: mixed orders; at -4 dB unpowered
+        # subchannels; with no target, QPSK on every powered one
+        cfg = parse_config(EVA_BER + f"target_rate_bps_hz: {target}\n").with_alpha(0.9)
+        noise = harness.gram_matrix(harness.GridShape(cfg.M, cfg.N), 0.9, cfg.beta)
+        snr = 10.0 ** (snr_db / 10.0)
+
+        def entries():
+            out = []
+            for t in range(3, 9):
+                rng = trial_rng(cfg.master_seed, 0, t)
+                xi, phi = harness.subchannel_gains(harness.channel_for_config(cfg, rng), cfg, noise)
+                gamma = harness.waterfill(xi, phi, snr)[0]
+                out.append((t, xi, gamma, harness.bit_loading(xi, gamma, snr, cfg.target_rate_bps_hz, cfg), rng))
+            return out
+
+        self.assert_block_runs_each_entry_alone(entries, 1, snr)
+        b = np.array([loading.bits_per_symbol for _, _, _, loading, _ in entries()])
         assert len({tuple(row) for row in b}) > 1 or target == "null"  # trials load differently
         assert (b == 0).any()
         assert (np.isin(b, (0, 2)).all()) == (target == "null")
+
+    def test_identity_block_matches_link_alone(self):
+        # one entry of 64 frames at MN = 512, as a shared channel's worker runs it: at alpha = 0.9
+        # the gains differ, and a target of 2.5 bps/Hz loads QPSK and 16-QAM
+        cfg = parse_config(AWGN_QPSK.replace("M: 4", "M: 32").replace("N: 4", "N: 16")
+                           .replace("alpha: 1.0", "alpha: 0.9") + "target_rate_bps_hz: 2.5\n")
+        noise = harness.gram_matrix(harness.GridShape(cfg.M, cfg.N), 0.9, cfg.beta)
+        xi, phi = harness.subchannel_gains(harness.identity_channel(), cfg, noise)
+        snr = 10.0 ** 0.4
+        gamma, loading = harness._power_load(xi, phi, snr, cfg)
+        assert {2, 4} <= set(loading.bits_per_symbol.tolist())
+        self.assert_block_runs_each_entry_alone(lambda: [(64, xi, gamma, loading, trial_rng(11, 0, 64))], 64, snr)
 
     def test_llr_dump_identical_across_threads(self):
         cfg = parse_config(EVA_BER.replace("trials: 6", "trials: 4"))
@@ -756,19 +774,17 @@ class TestTrialRng:
         return np.random.Generator(np.random.PCG64(seq))
 
     @staticmethod
-    def per_frame_scalar_frames(loading, xi, gamma, sigma0_sq, rng, k, *, workspace=None):
-        """The oracle of a block's draws: each frame's integers call, then one
-        standard_normal call per real or imaginary row, frame by frame; it takes no workspace."""
+    def per_frame_scalar_frames(loading, xi, gamma, sigma0_sq, rng, k, *, workspace=None, out=None):
+        """The oracle of a block's draws: each frame's integers call, then one standard_normal call
+        per real or imaginary row, frame by frame; it takes no workspace, and fills out, if given."""
         bits = np.array([rng.integers(0, 2, loading.total_bits) for _ in range(k)], np.uint8)
         w = np.array([rng.standard_normal(xi.size) for _ in range(2 * k)]) * np.sqrt(0.5 * sigma0_sq * xi)
         bits, w = bits.reshape(k, loading.total_bits).T, w.reshape(2 * k, xi.size)
-        return bits, (xi * np.sqrt(gamma))[:, None] * link.map_bits(bits, loading) + (w[::2] + 1j * w[1::2]).T
-
-    @staticmethod
-    def per_row_frame_draws(loading, xi, sigma0_sq, rng):
-        """The oracle of one frame's draws: its integers call, then one standard_normal call per row."""
-        bits = rng.integers(0, 2, loading.total_bits).astype(np.uint8)[:, None]
-        return bits, np.array([rng.standard_normal(xi.size) for _ in range(2)]) * np.sqrt(0.5 * sigma0_sq * xi)
+        y_d = (xi * np.sqrt(gamma))[:, None] * link.map_bits(bits, loading) + (w[::2] + 1j * w[1::2]).T
+        if out is None:
+            return bits, y_d
+        out[...] = y_d
+        return bits, out
 
     @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("point_idx", [0, 7, 2**32])
@@ -792,11 +808,11 @@ class TestTrialRng:
     @pytest.mark.parametrize("profile", ["identity", "synthetic"])
     def test_sweep_matches_per_frame_oracle(self, monkeypatch, threads, profile):
         # CSV and LLR dump byte for byte against a hand-seeded stream per block
-        # that draws frame by frame and row by row.  Identity: 130 trials in
-        # blocks of 64, 64 and 2 frames, each keyed by its first trial, drawn by
-        # scalar_frames.  Synthetic: one stream per trial, which first draws its
-        # channel, which can leave it holding a buffered 32-bit half word, and
-        # then its frame (frame_draws)
+        # entry that draws frame by frame and row by row (scalar_frames).
+        # Identity: 130 trials in blocks of 64, 64 and 2 frames, each keyed by
+        # its first trial.  Synthetic: one stream per trial, which first draws
+        # its channel, which can leave it holding a buffered 32-bit half word,
+        # and then its frame
         if profile == "identity":
             cfg, starts = parse_config(AWGN_QPSK.replace("trials: 40", "trials: 130")), (0, 64, 128)
         else:
@@ -813,10 +829,9 @@ class TestTrialRng:
 
         fast = run()
         keys, oracle_calls = [], []
-        name, oracle = (("scalar_frames", self.per_frame_scalar_frames) if profile == "identity"
-                        else ("frame_draws", self.per_row_frame_draws))
         monkeypatch.setattr(harness, "trial_rng", lambda *key: keys.append(key) or self.seed_sequence_rng(*key))
-        monkeypatch.setattr(harness, name, lambda *a, **k: oracle_calls.append(1) or oracle(*a, **k))
+        monkeypatch.setattr(harness, "scalar_frames",
+                            lambda *a, **k: oracle_calls.append(1) or self.per_frame_scalar_frames(*a, **k))
         assert run() == fast
         assert sorted(keys) == [(cfg.master_seed, p, t) for p in range(2) for t in starts]
         assert len(fast[1].splitlines()) > 2 + 2 * cfg.trials

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -33,10 +34,9 @@ from otfsftn import (
     waterfill,
 )
 from otfsftn.config import CODE_RATE, snr_linear, target_bits
-from otfsftn.harness import FRAME_BLOCK, trial_rng
+from otfsftn.harness import FRAME_BLOCK, STACK_MN, _link_block, trial_rng
 from otfsftn.link import (
-    FrameWorkspace, SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, compose_frames,
-    format_llr_records, frame_draws,
+    FrameWorkspace, SUPPORTED_BITS, _decisions, _draw_bits, _scaled_white, _span, format_llr_records,
 )
 from otfsftn.metrics import BerCounter, ber_accumulate
 from otfsftn.precoder import subchannel_gains
@@ -791,6 +791,13 @@ class TestScalarFrames:
         with pytest.raises(ValueError, match="sigma0_sq"):
             scalar_frames(loading, np.ones(1), np.ones(1), sigma0_sq, np.random.default_rng(1), 1)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,)])
+    def test_rejects_out_of_the_wrong_shape(self, shape):
+        loading = Loading(bits_per_symbol=np.array([2, 2]))
+        out = np.empty(shape[::-1], complex).T
+        with pytest.raises(ValueError, match=re.escape(f"out must have shape (2, 2), got {shape}")):
+            scalar_frames(loading, np.ones(2), np.ones(2), 0.3, np.random.default_rng(1), 2, out=out)
+
     def test_no_generators_give_empty_blocks(self):
         # a block of no frames keeps its leading dimensions on both paths
         loading = Loading(bits_per_symbol=np.array([2, 2]))
@@ -804,8 +811,8 @@ class TestScalarFrames:
 
 
 class TestStackedFrames:
-    """Trials stacked on one link pass, from each trial's own frame_draws, against each trial's
-    scalar_frames, hard_detect and llr run alone, as a BER point on per-trial channels runs them."""
+    """Trials stacked on one link pass, each trial's scalar_frames filling its rows of one stacked out,
+    against each trial's scalar_frames, hard_detect and llr run alone, as a BER block runs them."""
 
     MN = 24
     LOADINGS = (
@@ -826,35 +833,29 @@ class TestStackedFrames:
             # unloaded subchannels are powered or not, as water-filling and a target leave them
             gamma = np.where(b > 0, rng.uniform(0.5, 2.0, self.MN), rng.choice([0.0, 1.3], self.MN))
             trials.append((Loading(bits_per_symbol=b), xi, gamma))
-        alone = []
-        gens = [_generator(kind, 40 + t) for t, kind in enumerate(kinds)]
-        for (loading, xi, gamma), gen in zip(trials, gens):
-            tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, gen, 1)
+        # one frame per trial, as on per-trial channels, and two: frames lie len(trials) * MN apart in out
+        for k in (1, 2):
+            alone = []
+            gens = [_generator(kind, 40 + t) for t, kind in enumerate(kinds)]
+            for (loading, xi, gamma), gen in zip(trials, gens):
+                tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, gen, k)
+                soft = llr(y_d, xi, gamma, loading, sigma0_sq or 1.0)
+                alone.append((tx_bits, y_d, hard_detect(y_d, xi, gamma, loading), soft))
+            gens_stacked = [_generator(kind, 40 + t) for t, kind in enumerate(kinds)]
+            y_d = np.full((k, len(trials) * self.MN), np.nan, complex).T
+            tx_bits = np.concatenate([
+                scalar_frames(loading, xi, gamma, sigma0_sq, gen, k, out=y_d[t * self.MN : (t + 1) * self.MN])[0]
+                for t, ((loading, xi, gamma), gen) in enumerate(zip(trials, gens_stacked))
+            ])
+            loading = Loading(bits_per_symbol=np.concatenate(self.LOADINGS))
+            xi, gamma = (np.concatenate([t[i] for t in trials]) for i in (1, 2))
+            rx = hard_detect(y_d, xi, gamma, loading)
             soft = llr(y_d, xi, gamma, loading, sigma0_sq or 1.0)
-            alone.append((tx_bits, y_d, hard_detect(y_d, xi, gamma, loading), soft))
-        gens_stacked = [_generator(kind, 40 + t) for t, kind in enumerate(kinds)]
-        draws = [frame_draws(loading, xi, sigma0_sq, gen) for (loading, xi, _), gen in zip(trials, gens_stacked)]
-        loading = Loading(bits_per_symbol=np.concatenate(self.LOADINGS))
-        xi, gamma = (np.concatenate([t[i] for t in trials]) for i in (1, 2))
-        tx_bits = np.concatenate([bits for bits, _ in draws])
-        y_d = compose_frames(loading, xi, gamma, tx_bits, np.concatenate([w for _, w in draws], axis=1))
-        rx = hard_detect(y_d, xi, gamma, loading)
-        soft = llr(y_d, xi, gamma, loading, sigma0_sq or 1.0)
-        assert tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, 1)
-        for i, stacked in enumerate((tx_bits, y_d, rx, soft)):
-            assert stacked.tobytes() == np.concatenate([a[i] for a in alone]).tobytes()
-        for gen, gen_stacked in zip(gens, gens_stacked):
-            np.testing.assert_equal(gen_stacked.bit_generator.state, gen.bit_generator.state)
-
-    def test_frame_draws_are_a_one_frame_block(self):
-        loading, xi = Loading(bits_per_symbol=self.LOADINGS[0]), np.linspace(0.5, 2.0, self.MN)
-        gen = np.random.default_rng(3)
-        bits, w = frame_draws(loading, xi, 0.3, gen)
-        oracle = np.random.default_rng(3)
-        assert bits.shape == (loading.total_bits, 1) and w.shape == (2, self.MN)
-        assert bits.tobytes() == _draw_bits(loading, oracle, 1).tobytes()
-        assert w.tobytes() == _scaled_white(xi, 0.3, oracle, 1).tobytes()
-        assert gen.bit_generator.state == oracle.bit_generator.state
+            assert tx_bits.shape == rx.shape == soft.shape == (loading.total_bits, k)
+            for i, stacked in enumerate((tx_bits, y_d, rx, soft)):
+                assert stacked.tobytes() == np.concatenate([a[i] for a in alone]).tobytes()
+            for gen, gen_stacked in zip(gens, gens_stacked):
+                np.testing.assert_equal(gen_stacked.bit_generator.state, gen.bit_generator.state)
 
 
 class TestDrawBits:
@@ -944,7 +945,8 @@ class TestFrameWorkspace:
         """tx_bits, y_d, hard decisions and LLRs of one block as bytes, and the generator's state after it."""
         xi, gamma = np.linspace(0.5, 2.0, cls.MN), np.linspace(1.5, 0.5, cls.MN)
         rng = np.random.default_rng(seed)
-        tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, k, workspace=workspace)
+        out = None if workspace is None else workspace.y_d[: k * cls.MN].reshape(k, cls.MN).T
+        tx_bits, y_d = scalar_frames(loading, xi, gamma, sigma0_sq, rng, k, workspace=workspace, out=out)
         rx = hard_detect(y_d, xi, gamma, loading, workspace=workspace)
         soft = llr(y_d, xi, gamma, loading, sigma0_sq or 1.0)
         if sigma0_sq == 0.0:
@@ -971,16 +973,23 @@ class TestFrameWorkspace:
         # a block of 128 KiB or more, glibc's default mmap threshold, maps and faults in fresh pages
         loading, xi = self.LOADINGS["qpsk"], np.ones(self.MN)
         rng = np.random.default_rng(14)
+        width = STACK_MN // self.MN  # the trials of a fading block at this MN
 
         def block(workspace):
-            tx_bits, y_d = scalar_frames(loading, xi, xi, 0.3, rng, FRAME_BLOCK, workspace=workspace)
+            out = None if workspace is None else workspace.y_d.reshape(FRAME_BLOCK, self.MN).T
+            tx_bits, y_d = scalar_frames(loading, xi, xi, 0.3, rng, FRAME_BLOCK, workspace=workspace, out=out)
             ber_accumulate(tx_bits, hard_detect(y_d, xi, xi, loading, workspace=workspace), BerCounter())
 
-        workspace = FrameWorkspace(self.MN, FRAME_BLOCK)
-        block(workspace)  # fills the workspace and the decision table
-        assert largest_allocation(lambda: block(workspace)) < 128 * 1024
+        # the sweep's runner: one entry of FRAME_BLOCK frames, and one frame of each of width trials
+        identity = lambda workspace: _link_block([(0, xi, xi, loading, rng)], FRAME_BLOCK, 3.0, False, workspace)
+        fading = lambda workspace: _link_block([(t, xi, xi, loading, rng) for t in range(width)], 1, 3.0, False,
+                                               workspace)
+        for run, frames in ((block, FRAME_BLOCK), (identity, FRAME_BLOCK), (fading, width)):
+            workspace = FrameWorkspace(self.MN, frames)
+            run(workspace)  # fills the workspace and the decision table
+            assert largest_allocation(lambda: run(workspace)) < 128 * 1024
+            assert workspace.real.nbytes + workspace.y_d.nbytes <= 2 * 16 * self.MN * frames
         assert largest_allocation(lambda: block(None)) >= 16 * self.MN * FRAME_BLOCK  # a fresh y_d
-        assert workspace.real.nbytes + workspace.y_d.nbytes <= 2 * 16 * self.MN * FRAME_BLOCK
 
 
 class TestFrameRecord:
