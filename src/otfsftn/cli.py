@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     threads_help = ("worker threads, one BLAS thread each (default: one per usable CPU, at most "
-                    "one per job: a rate sweep's trials, a fading BER alpha's (point, trial) pairs, "
-                    "an identity-channel point's frame blocks); at 1, only a frame of at most "
+                    "one per job: a rate sweep's trials, a BER alpha's (point, block of trials) "
+                    "pairs); at 1, only a frame of at most "
                     f"{SERIAL_BLAS_MAX_MN} symbols runs BLAS on one thread")
 
     p_rate = sub.add_parser("rate", help="information-rate sweep to CSV")

@@ -15,26 +15,27 @@ BER CSV does not depend on the BLAS thread count.  Each sweep keeps one
 threading.local, on which each thread's gains solves reuse its pair of
 buffers and its frame blocks one link.FrameWorkspace.
 
-Per alpha both sweeps map one job (_solver) over trial keys (point, trial): it
-draws the trial's channel from trial_rng(master_seed, point, trial) and
-returns its gains (subchannel_gains) and that stream.  The rate sweep's keys
-are (0, t), so every alpha redraws trial t's channel from one stream.  A BER
-point water-fills and bit-loads gains (_power_load) and runs its frames, in
-blocks, on the scalar-equivalent link with no precoder or receive weights;
-validate holds it against the matrix link.  One function, _link_block, runs
-every block: each entry draws frames from one stream into its rows of one
-stacked block (link.scalar_frames), which is detected once.  On a shared
-channel (profile identity) the gains are solved once per alpha, and workers
-map blocks of FRAME_BLOCK consecutive trials, each one entry drawn from
-trial_rng(master_seed, point, first trial of the block).  On a per-trial
-channel the workers take every (point, trial) job of an alpha at once, and
-the calling thread runs blocks of one-frame entries, one per trial, STACK_MN
-subchannels at most.  Block boundaries depend only on trial indices.
+Per alpha a sweep maps one job per key through one map (_trial_map); the
+calling thread reads the results in key order.  The rate sweep maps _solver
+over keys (0, t): it draws trial t's channel from trial_rng(master_seed, 0, t)
+and returns its gains (subchannel_gains) and that stream, so every alpha
+redraws trial t's channel from one stream.  The BER sweep maps _ber_job over
+(point, block of trials) keys.  A job power-loads gains (_power_load) and runs
+its block through _link_block on the scalar-equivalent link, with no precoder
+or receive weights (validate holds it against the matrix link): each entry
+draws frames from one stream into its rows of one stacked block
+(link.scalar_frames), which is detected once.  On a shared channel (profile
+identity) the gains are solved and loaded once per point, and a block is one
+entry of FRAME_BLOCK trials' frames from trial_rng(master_seed, point, first
+trial).  On a per-trial channel a block is one one-frame entry per trial, on
+the gains and stream _solver gives (point, trial), STACK_MN subchannels at
+most.  Block boundaries depend only on trial indices.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -189,14 +190,16 @@ def _mi_table(xi: np.ndarray, phi: np.ndarray, snr_db_grid) -> np.ndarray:
                      for snr in map(snr_linear, snr_db_grid)])
 
 
+def _block_width(cfg: SystemConfig) -> int:
+    """Trials per BER job: FRAME_BLOCK on the identity channel, else as many as STACK_MN subchannels hold."""
+    return FRAME_BLOCK if cfg.channel.profile == "identity" else max(1, STACK_MN // cfg.MN)
+
+
 def work_items(cfg: SystemConfig, command: str) -> int:
-    """How many jobs a sweep's pool maps at once: a rate sweep's trials, a fading BER alpha's
-    (point, trial) pairs, or an identity-channel BER point's frame blocks."""
+    """Jobs a sweep's pool maps at once: a rate sweep's trials, or a BER alpha's (point, block) pairs."""
     if command == "rate":
         return cfg.trials
-    if cfg.channel.profile == "identity":
-        return -(-cfg.trials // FRAME_BLOCK)
-    return len(cfg.snr_db_grid) * cfg.trials
+    return len(cfg.snr_db_grid) * -(-cfg.trials // _block_width(cfg))
 
 
 def run_rate_sweep(cfg: SystemConfig, threads: int = 1, digest: str | None = None) -> SweepResult:
@@ -256,9 +259,8 @@ def run_ber_sweep(
     it in the delimited format of the link layer.
     """
     validate_config(cfg)
-    shared = cfg.channel.profile == "identity"
     soft = llr_sink is not None
-    width = FRAME_BLOCK if shared else max(1, STACK_MN // cfg.MN)
+    width = _block_width(cfg)
     blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
     rows: list[BerRow] = []
     bufs = threading.local()  # each thread's gains buffers and frame workspace
@@ -267,55 +269,53 @@ def run_ber_sweep(
             llr_sink.write(f"# provenance {_provenance(cfg, digest)}\n")
             llr_sink.write(LLR_DUMP_HEADER + "\n")
 
-        shape = GridShape(cfg.M, cfg.N)
         for a, alpha in enumerate(cfg.alpha_grid):
             points = range(a * len(cfg.snr_db_grid), (a + 1) * len(cfg.snr_db_grid))
-            cfg_a = cfg.with_alpha(alpha)
-            noise = gram_matrix(shape, alpha, cfg.beta)
-            if shared:
-                xi, phi = subchannel_gains(identity_channel(), cfg_a, noise, bufs)
-            else:
-                solved = trial_map(_solver(cfg_a, noise, bufs), [(p, t) for p in points for t in range(cfg.trials)])
-            for point_idx, snr_db in zip(points, cfg.snr_db_grid):
-                snr = snr_linear(snr_db)
-                if shared:  # workers draw each block's frames from the stream of its first trial
-                    load = (xi, *_power_load(xi, phi, snr, cfg_a))
-                    results = trial_map(lambda block: _link_block(
-                        [(block.start, *load, trial_rng(cfg.master_seed, point_idx, block.start))],
-                        len(block), snr, soft, _workspace(bufs, cfg.MN, width)), blocks)
-                else:  # the calling thread stacks one frame per trial; zip reads block first, so no more trials
-                    results = (_link_block([(t, x, *_power_load(x, p, snr, cfg_a), rng)
-                                            for t, (x, p, rng) in zip(block, solved)],
-                                           1, snr, soft, _workspace(bufs, cfg.MN, width)) for block in blocks)
+            job = _ber_job(cfg.with_alpha(alpha), gram_matrix(GridShape(cfg.M, cfg.N), alpha, cfg.beta), soft, bufs)
+            results = trial_map(job, [(p, block) for p in points for block in blocks])
+            for snr_db in cfg.snr_db_grid:
                 total = BerCounter()
-                for counter, records in results:
+                for counter, records in itertools.islice(results, len(blocks)):
                     total = total.merge(counter)
                     for rec in records:
                         if rec:
                             llr_sink.write(rec + "\n")
-                rows.append(
-                    BerRow(
-                        snr_db=snr_db, alpha=alpha, beta=cfg.beta,
-                        target_rate=cfg.target_rate_bps_hz,
-                        bits=total.total, errors=total.errors, ber=total.ber,
-                        trials=cfg.trials,
-                    )
-                )
+                rows.append(BerRow(snr_db=snr_db, alpha=alpha, beta=cfg.beta, target_rate=cfg.target_rate_bps_hz,
+                                   bits=total.total, errors=total.errors, ber=total.ber, trials=cfg.trials))
     rows.sort(key=lambda r: (r.alpha, r.snr_db))
     return SweepResult(rows=tuple(rows), provenance=_provenance(cfg, digest))
+
+
+def _ber_job(cfg: SystemConfig, noise: NoiseShape, soft: bool, bufs: threading.local):
+    """job(key) for key = (point, block of trials) at cfg's alpha, points alpha-major: the block's
+    _link_block (counter, records).  On the identity channel a block is one entry of len(block) frames
+    from its first trial's stream, on its point's load, made here once; on a per-trial channel each
+    trial is a one-frame entry on the gains and stream _solver gives it."""
+    snrs = [snr_linear(snr_db) for snr_db in cfg.snr_db_grid]
+    if shared := cfg.channel.profile == "identity":
+        xi, phi = subchannel_gains(identity_channel(), cfg, noise, bufs)
+        loads = [(xi, *_power_load(xi, phi, snr, cfg)) for snr in snrs]
+    else:
+        solve = _solver(cfg, noise, bufs)
+
+    def job(key: tuple[int, range]) -> tuple[BerCounter, list[str]]:
+        point, block = key
+        i = point % len(snrs)  # the point's place in the SNR grid
+        if shared:
+            entries = [(block.start, *loads[i], trial_rng(cfg.master_seed, point, block.start))]
+        else:
+            entries = [(t, xi, *_power_load(xi, phi, snrs[i], cfg), rng)
+                       for t in block for xi, phi, rng in [solve((point, t))]]
+        if not hasattr(bufs, "frames"):  # this thread's frame workspace, made on its first block
+            bufs.frames = FrameWorkspace(cfg.MN, _block_width(cfg))
+        return _link_block(entries, len(block) if shared else 1, snrs[i], soft, bufs.frames)
+    return job
 
 
 def _power_load(xi: np.ndarray, phi: np.ndarray, snr: float, cfg: SystemConfig) -> tuple[np.ndarray, Loading]:
     """Gains' water-filled powers gamma at snr and the loading bit_loading gives them."""
     gamma = waterfill(xi, phi, snr)[0]
     return gamma, bit_loading(xi, gamma, snr, cfg.target_rate_bps_hz, cfg)
-
-
-def _workspace(bufs: threading.local, mn: int, width: int) -> FrameWorkspace:
-    """The calling thread's frame workspace on bufs: width x mn symbol slots, made on first use."""
-    if not hasattr(bufs, "frames"):
-        bufs.frames = FrameWorkspace(mn, width)
-    return bufs.frames
 
 
 def _link_block(entries: list, k: int, snr: float, soft: bool,

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -5,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -504,6 +507,32 @@ def _blas_counts(controls):
     return [get() for get, _ in controls]
 
 
+FADING_7 = """
+M: 64
+N: 6
+alpha: 0.8
+beta: 0.25
+delta_f_hz: 30000
+cp_len: 6
+snr_db_grid: [8, 14, 20]
+master_seed: 2
+trials: 7
+target_rate_bps_hz: 1.5
+channel: {profile: eva, nu_max_hz: 2000}
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _ber_cli_outputs(text: str, seed: int | None, threads: int) -> tuple[bytes, bytes]:
+    """The CSV and LLR dump bytes of `otfsftn ber` on a config text, --seed (None: the config's) and --threads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, csv, dump = (Path(tmp) / name for name in ("cfg.yaml", "out.csv", "out.llr"))
+        cfg.write_text(text)
+        args = ["ber", "--config", str(cfg), "--threads", str(threads), "--out", str(csv), "--llr-out", str(dump)]
+        assert cli_main(args + ([] if seed is None else ["--seed", str(seed)])) == 0
+        return csv.read_bytes(), dump.read_bytes()
+
+
 class TestThreads:
     @pytest.fixture
     def blas_two(self):
@@ -591,13 +620,19 @@ class TestThreads:
         assert _blas_counts(blas_two) == [2] * len(blas_two)
 
     def test_sweep_cancels_jobs_not_started(self, blas_two, monkeypatch):
-        # the first LLR record fails while the jobs of points 1 and 2 wait on the failing
-        # sink: the pool runs the jobs it has started and drops the rest
-        cfg = parse_config(EVA_BER.replace("snr_db_grid: [8]", "snr_db_grid: [8, 12, 16]"))
+        # MN = 192: 30 trials make 3 blocks of 10 at each of 3 points, 9 jobs for 2 workers.
+        # The first LLR record fails while the jobs of point 1 wait on the failing sink: the
+        # pool runs the jobs it has started, at most point 0's and one a worker, and drops
+        # the rest, so no job of point 2 draws
+        cfg = parse_config(EVA_BER.replace("N: 4", "N: 12").replace("trials: 6", "trials: 30")
+                           .replace("snr_db_grid: [8]", "snr_db_grid: [8, 12, 16]"))
+        width = harness._block_width(cfg)
+        assert (cfg.MN, width) == (192, 10)
         failed = threading.Event()
+        drawn = []
         real_rng = harness.trial_rng
-        monkeypatch.setattr(harness, "trial_rng",
-                            lambda seed, p, t: (p == 0 or failed.wait(30)) and real_rng(seed, p, t))
+        monkeypatch.setattr(harness, "trial_rng", lambda seed, p, t: drawn.append(p) or
+                            (p == 0 or failed.wait(30)) and real_rng(seed, p, t))
         gains = self._spy_gains(monkeypatch, blas_two)
 
         class FailingSink(io.StringIO):
@@ -609,8 +644,56 @@ class TestThreads:
 
         with pytest.raises(OSError, match="disk full"):
             run_ber_sweep(cfg, threads=2, llr_sink=FailingSink())
-        assert cfg.trials <= len(gains) < 3 * cfg.trials
+        assert width <= len(gains) <= (3 + 2) * width and 2 not in drawn
         assert _blas_counts(blas_two) == [2] * len(blas_two)
+
+    # a fading alpha (MN = 192, 25 trials in blocks of 10, 10 and 5) and an identity-channel
+    # one (140 trials in blocks of 64, 64 and 12), each at two alphas of two points
+    BLOCKED = {
+        "fading": EVA_BER.replace("N: 4", "N: 12").replace("trials: 6", "trials: 25")
+        .replace("alpha: [0.9]", "alpha: [0.9, 1.0]").replace("snr_db_grid: [8]", "snr_db_grid: [8, 12]"),
+        "identity": AWGN_QPSK.replace("alpha: 1.0", "alpha: [0.9, 1.0]").replace("trials: 40", "trials: 140"),
+    }
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("profile", ["fading", "identity"])
+    def test_one_map_per_alpha_of_point_blocks_off_the_calling_thread(self, monkeypatch, profile, threads):
+        # the jobs in flight: each alpha maps its (point, block of trials) jobs, work_items of them,
+        # in one call, and no block runs on the calling thread.  Each worker runs its blocks on one
+        # frame workspace of its own; more workers than cores and a short switch interval give a
+        # shared one its chance to show
+        cfg = parse_config(self.BLOCKED[profile])
+        width = harness._block_width(cfg)
+        mapped, workspaces = [], {}
+        real_map, real_block = harness._trial_map, harness._link_block
+
+        @contextlib.contextmanager
+        def spy_map(threads, mn):
+            with real_map(threads, mn) as trial_map:
+                yield lambda job, keys: mapped.append(list(keys)) or trial_map(job, keys)
+
+        def spy_block(*args):
+            workspaces.setdefault(threading.get_ident(), set()).add(id(args[-1]))
+            return real_block(*args)
+
+        monkeypatch.setattr(harness, "_trial_map", spy_map)
+        monkeypatch.setattr(harness, "_link_block", spy_block)
+        serial = run_ber_sweep(cfg).to_csv()
+        mapped.clear()
+        workspaces.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_ber_sweep(cfg, threads=threads).to_csv() == serial
+        finally:
+            sys.setswitchinterval(interval)
+        blocks = [range(t, min(t + width, cfg.trials)) for t in range(0, cfg.trials, width)]
+        assert len(blocks) == 3 and mapped == [[(p, b) for p in points for b in blocks]
+                                               for points in (range(0, 2), range(2, 4))]
+        assert {len(keys) for keys in mapped} == {harness.work_items(cfg, "ber")}
+        assert workspaces and threading.get_ident() not in workspaces and len(workspaces) <= threads
+        assert all(len(ids) == 1 for ids in workspaces.values())
+        assert len(set.union(*workspaces.values())) == len(workspaces)
 
     # MN = 512: large enough that BLAS splits the set-up products across threads
     AWGN_512 = (
@@ -697,6 +780,18 @@ class TestThreads:
         assert run(3) == pooled
         assert run(1) == pooled  # serial, with two BLAS threads outside the sweep
 
+    # (config, --seed, --threads): the shipped eva_ber (MN = 192, so BLAS on one thread at any
+    # count) at 2 and 3, and at 1 and 2; 7 trials at MN = 384 split unevenly, in blocks of 5 and
+    # 2 at each of 3 points, at 1, 2 and 3
+    @pytest.mark.parametrize("config, seed, threads", [
+        ("eva_ber", None, (2, 3)), ("eva_ber", None, (1, 2)), ("fading7", 7919, (1, 2, 3))],
+        ids=["eva_ber-t2-t3", "eva_ber-t1-t2", "fading7-seed7919-t1-t2-t3"])
+    def test_fading_ber_cli_outputs_identical_across_threads(self, config, seed, threads):
+        text = (CONFIGS / "eva_ber.yaml").read_text() if config == "eva_ber" else FADING_7
+        outs = [_ber_cli_outputs(text, seed, t) for t in threads]
+        assert len(outs[0][1].splitlines()) > 2
+        assert all(out == outs[0] for out in outs[1:])
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_sweeps_reject_threads_below_one(self, threads):
         cfg = parse_config(AWGN_QPSK)
@@ -707,11 +802,13 @@ class TestThreads:
             run_ber_sweep(cfg, threads=threads, llr_sink=sink)
         assert sink.getvalue() == ""
 
-    # (config, command, work items): 6 EVA trials at one point; 140 identity-channel trials,
-    # 3 frame blocks; 1 EVA trial at each of 3 points
+    # (config, command, work items): 6 EVA trials, one block of one point at MN = 64; 11 EVA
+    # trials at MN = 192, blocks of 10 and 1; 140 identity-channel trials, 3 frame blocks at each of
+    # 2 points; 1 EVA trial at each of 3 points
     @pytest.mark.parametrize("text, command, items", [
-        (EVA_BER, "rate", 6), (EVA_BER, "ber", 6),
-        (AWGN_QPSK.replace("trials: 40", "trials: 140"), "ber", 3),
+        (EVA_BER, "rate", 6), (EVA_BER, "ber", 1),
+        (EVA_BER.replace("N: 4", "N: 12").replace("trials: 6", "trials: 11"), "ber", 2),
+        (AWGN_QPSK.replace("trials: 40", "trials: 140"), "ber", 6),
         (EVA_BER.replace("trials: 6", "trials: 1").replace("snr_db_grid: [8]", "snr_db_grid: [8, 12, 16]"),
          "ber", 3)])
     @pytest.mark.parametrize("cpus", [1, 4, 8])
